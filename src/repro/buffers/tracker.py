@@ -40,26 +40,6 @@ class BufferTracker:
         self._samples.append(total)
         return total
 
-    def sample_counts(self, held_by_stream: dict[int, int],
-                      extra_tracks: int = 0) -> int:
-        """Record occupancy from precomputed per-stream track counts.
-
-        The quiescent fast-forward engine's counterpart of
-        :meth:`sample`: stream buffers are virtual during a batched
-        epoch, so the engine passes ``{stream_id: tracks held}``
-        directly.  Aggregation (samples list, per-stream peaks) is
-        identical to :meth:`sample` — zero-held streams never create or
-        raise a peak entry either way.
-        """
-        total = extra_tracks
-        peaks = self._per_stream_peak
-        for stream_id, held in held_by_stream.items():
-            total += held
-            if held > peaks.get(stream_id, 0):
-                peaks[stream_id] = held
-        self._samples.append(total)
-        return total
-
     def fold_epoch(self, samples: Iterable[int],
                    peaks: dict[int, int]) -> None:
         """Absorb a fast-forward epoch in one batch.

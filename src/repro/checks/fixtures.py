@@ -375,10 +375,10 @@ FIXTURES: tuple[Fixture, ...] = (
         path="src/repro/sched/example.py",
         code=_snippet("""
             class Scheduler:
-                __slots__ = ("_ff_deg_tables", "_ff_geom")
+                __slots__ = ("_ff_plan", "_ff_geom")
 
-                def reset_degraded(self) -> None:
-                    self._ff_deg_tables = {}
+                def reset_rebuild_plan(self) -> None:
+                    self._ff_plan = None
 
                 def reset_geometry(self) -> None:
                     self._ff_geom.clear()
@@ -390,13 +390,8 @@ FIXTURES: tuple[Fixture, ...] = (
         path="src/repro/sched/example.py",
         code=_snippet("""
             class Scheduler:
-                __slots__ = ("_ff_deg_tables", "_ff_deg_tables_key",
-                             "_ff_geom", "_ff_geom_epoch",
+                __slots__ = ("_ff_geom", "_ff_geom_epoch",
                              "_ff_plan", "_ff_plan_key")
-
-                def reset_degraded(self, key: tuple) -> None:
-                    self._ff_deg_tables = {}
-                    self._ff_deg_tables_key = key
 
                 def reset_geometry(self, epoch: int) -> None:
                     self._ff_geom = {}
@@ -730,16 +725,16 @@ FIXTURES: tuple[Fixture, ...] = (
         """),
     ),
     Fixture(
-        # The degraded-churn engine re-probes per-stream eligibility on
-        # every epoch entry; an impure degraded probe would perturb the
-        # simulation exactly where fast==scalar matters most.
+        # The epoch engine re-probes per-stream eligibility on every
+        # entry, degraded epochs included; an impure stream probe would
+        # perturb the simulation exactly where fast==scalar matters most.
         label="R8-bad-impure-degraded-probe",
         path="src/repro/sched/example.py",
         code=_snippet("""
             class Scheduler:
                 __slots__ = ("_deg_cache",)
 
-                def _ff_degraded_stream_ok(self, stream: object) -> bool:
+                def _ff_stream_ok(self, stream: object) -> bool:
                     self._deg_cache.clear()
                     return True
         """),
@@ -752,13 +747,13 @@ FIXTURES: tuple[Fixture, ...] = (
             class Scheduler:
                 __slots__ = ("array", "_known_lost_tracks")
 
-                def _ff_classify(self) -> tuple:
+                def _ff_classify(self) -> object:
                     failed = self.array.failed_ids
                     if self._known_lost_tracks:
                         if len(failed) > 1:
-                            return (None, "shared-group")
-                        return (None, "pending-state")
-                    return ("degraded" if failed else "healthy", "")
+                            return "shared-group"
+                        return "pending-state"
+                    return None
         """),
     ),
     # -- R9 cache-keys -------------------------------------------------------

@@ -1,11 +1,11 @@
 """R8 — ff-purity: fast-forward eligibility probes must be effect-free.
 
-The fast-forward engines (PRs 4–6) decide whether a batched epoch is
-legal by *probing* scheduler state: ``_ff_classify`` and the per-scheme
-hooks it dispatches to (``_fast_forward_ready``, ``_ff_degraded_ready``,
-``_ff_degraded_stream_ok``, ``_ff_gate_params``, ``_ff_eligible``).
+The fast-forward engine decides whether a batched epoch is legal by
+*probing* scheduler state: ``_ff_classify``, the scheme veto it
+dispatches to (``_fast_forward_ready``), and the per-stream hooks the
+engine's entry walk calls (``_ff_stream_ok``, ``_ff_gate_params``).
 Those probes run between scalar cycles and may run any number of times
-(classification is re-checked per entry), so the fast and scalar paths
+(eligibility is re-checked per entry), so the fast and scalar paths
 only stay bit-identical if probing *changes nothing*: no scheduler /
 layout / disk state writes, no fault-domain transitions, no epoch
 bumps, and no RNG draws (a draw advances a stream other replays would
@@ -33,8 +33,8 @@ from repro.checks.effects import EffectSummary, ProjectAnalysis
 
 #: Eligibility probes: the roots of the purity requirement.
 PROBE_NAMES = frozenset({
-    "_ff_classify", "_ff_eligible", "_fast_forward_ready",
-    "_ff_degraded_ready", "_ff_degraded_stream_ok", "_ff_gate_params",
+    "_ff_classify", "_fast_forward_ready", "_ff_stream_ok",
+    "_ff_gate_params",
 })
 
 #: Instance fields probes may legitimately touch (diagnostics only).

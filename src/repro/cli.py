@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--metadata-only", action="store_true",
                           help="skip payload bytes (counters only)")
     simulate.add_argument("--fast-forward", action="store_true",
-                          help="batch quiescent cycles (requires "
+                          help="batch stable cycles (requires "
                                "--metadata-only)")
 
     rebuild = sub.add_parser("rebuild",
@@ -165,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="replicate the k hottest titles onto an "
                               "extra shard (default 0)")
     cluster.add_argument("--fast-forward", action="store_true",
-                         help="vectorise quiescent stretches inside "
+                         help="vectorise stable stretches inside "
                               "each shard window")
     cluster.add_argument("--seed", type=int, default=0,
                          help="root seed; every shard/trace/placement "

@@ -238,7 +238,7 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
     """Replay a fault script on a fresh server; returns the snapshot.
 
     With ``fast_forward`` the replay segments the campaign at the
-    script's event cycles and lets the epoch engines (quiescent *and*
+    script's event cycles and lets the epoch engine (healthy *and*
     stable-degraded) batch the cycles in between; the segmentation rules
     keep the snapshot bit-identical to the scalar loop:
 

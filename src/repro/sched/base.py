@@ -22,7 +22,6 @@ metrics — lives here so the four schemes stay comparable.
 from __future__ import annotations
 
 import abc
-from bisect import bisect_right
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -99,9 +98,8 @@ class CycleScheduler(abc.ABC):
         "_all_disks_up", "_read_hook_active", "_delivery_hook_active",
         "_base_quota", "admission_limit", "redundant_fault_commands",
         "_known_lost_tracks", "_pending_shed", "_ff_tables",
-        "_ff_tables_key", "_ff_flat", "_ff_flat_names",
-        "_ff_deg_tables", "_ff_deg_tables_key", "_ff_deg_flat",
-        "_ff_deg_flat_names", "_ff_geom", "_ff_geom_epoch",
+        "_ff_tables_key", "_ff_flat", "_ff_flat_names", "_ff_geom",
+        "_ff_geom_epoch",
     )
 
     def __init__(self, layout: DataLayout, array: DiskArray,
@@ -160,30 +158,22 @@ class CycleScheduler(abc.ABC):
         #: layout's delta log reports its removal (incremental refresh).
         self._plan_cache: dict[str, dict[int, GroupPlan]] = {}
         self._plan_cache_key: Optional[tuple[int, int]] = None
-        #: Fast-forward read tables: object name -> flat numpy arrays of
-        #: (member count, member offset, member disks, next pointer) per
-        #: read position, valid for one plan-cache key.
-        self._ff_tables: dict[str, tuple[np.ndarray, np.ndarray,
-                                         np.ndarray, np.ndarray, int]] = {}
+        #: Fast-forward read tables: object name -> (member counts,
+        #: member disks, next pointers, divisor, degraded columns or
+        #: None) per read position under the current failure set, valid
+        #: for one (placement epoch, array state epoch) pair, so every
+        #: fail/repair/media transition re-derives them.
+        self._ff_tables: dict[str, tuple] = {}
         self._ff_tables_key: Optional[tuple[int, int]] = None
         #: Concatenated read tables for the last fast-forward entry's
         #: object tuple; valid while the key and the tuple both hold.
-        self._ff_flat: Optional[tuple[np.ndarray, np.ndarray, np.ndarray,
-                                      np.ndarray, list[int], int]] = None
+        self._ff_flat: Optional[tuple] = None
         self._ff_flat_names: Optional[tuple[str, ...]] = None
-        #: Degraded-epoch read tables (survivors + parity fallback per
-        #: read position), keyed like ``_ff_tables``: valid for one
-        #: (placement epoch, array state epoch) pair, so every
-        #: fail/repair/media transition re-derives them.
-        self._ff_deg_tables: dict[str, tuple] = {}
-        self._ff_deg_tables_key: Optional[tuple[int, int]] = None
-        self._ff_deg_flat: Optional[tuple] = None
-        self._ff_deg_flat_names: Optional[tuple[str, ...]] = None
         #: Per-object placement geometry (group sizes, flat member
         #: disks, parity disks, group-end pointers) as numpy arrays,
         #: keyed on the *layout* epoch only: failures move no data, so
         #: the geometry survives every fail/repair/media transition and
-        #: both table builders derive their tables from it with a cheap
+        #: the table builder derives its tables from it with a cheap
         #: failure overlay instead of a full per-group replan.
         self._ff_geom: dict[str, tuple[np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray,
@@ -635,7 +625,6 @@ class CycleScheduler(abc.ABC):
         self._plan_cache.clear()
         self._plan_cache_key = None
         self._ff_flat = None
-        self._ff_deg_flat = None
         self._all_disks_up = not any(
             disk.is_failed for disk in self.array.disks)
 
@@ -662,28 +651,21 @@ class CycleScheduler(abc.ABC):
         if old is not None and old[1] == key[1]:
             deltas = self.layout.deltas_since(old[0])
             if deltas is not None:
-                bridge_ff = self._ff_tables_key == old
-                bridge_deg = self._ff_deg_tables_key == old
+                bridge = self._ff_tables_key == old
                 for delta in deltas:
                     if delta.kind != "remove":
                         continue
                     self._plan_cache.pop(delta.name, None)
-                    if bridge_ff:
+                    if bridge:
                         self._ff_tables.pop(delta.name, None)
                         self._ff_flat = None
-                    if bridge_deg:
-                        self._ff_deg_tables.pop(delta.name, None)
-                        self._ff_deg_flat = None
                 self._plan_cache_key = key
-                if bridge_ff:
+                if bridge:
                     self._ff_tables_key = key
-                if bridge_deg:
-                    self._ff_deg_tables_key = key
                 return
         self._plan_cache.clear()
         self._plan_cache_key = key
         self._ff_flat = None
-        self._ff_deg_flat = None
         self._all_disks_up = not any(
             disk.is_failed for disk in self.array.disks)
 
@@ -742,140 +724,77 @@ class CycleScheduler(abc.ABC):
                    fast_forward: bool = False) -> list[CycleReport]:
         """Simulate ``count`` cycles.
 
-        With ``fast_forward=True``, stretches of *quiescent* cycles —
-        metadata-only mode, every disk up and at full speed, no
-        reconstruction or rebuild activity pending — are advanced by the
-        batched accounting engine (:meth:`_fast_forward`) instead of the
-        full per-read machinery.  The moment a cycle cannot be proven
-        quiescent (a fault lands, a slot would overflow, a hiccup is
-        imminent) the engine stops at the cycle boundary and the scalar
-        path takes over, so results are **bit-identical** with the flag
-        on or off.
+        With ``fast_forward=True``, stretches of *stable* cycles —
+        metadata-only mode, no fail-slow disk or media error, no pending
+        reconstruction or shed, any failed disks in pairwise-disjoint
+        parity groups — are advanced by the batched epoch engine
+        (:meth:`_fast_forward`) instead of the full per-read machinery.
+        Healthy and degraded farms, online rebuilds and mixed stream
+        rates all ride that one engine.  The moment a cycle cannot be
+        proven identical to the scalar cycle (a fault lands, a slot
+        would overflow, a hiccup is imminent, a rebuild would complete)
+        the engine stops at the cycle boundary and the scalar path takes
+        over, so results are **bit-identical** with the flag on or off.
         """
         if not fast_forward:
             return [self.run_cycle() for _ in range(count)]
         reports: list[CycleReport] = []
         remaining = count
         while remaining > 0:
-            remaining -= self._fast_forward(remaining, reports)
+            remaining -= self._fast_forward(remaining, reports)[0]
             if remaining > 0:
                 reports.append(self.run_cycle())
                 remaining -= 1
         return reports
 
-    # -- quiescent-epoch fast-forward -----------------------------------------------
+    # -- batched epoch fast-forward ---------------------------------------------------
 
     def _fast_forward_ready(self) -> bool:
-        """Scheme veto for the fast-forward engine (default: no veto).
+        """Scheme veto for the epoch engine (default: no veto).
 
-        Concrete schedulers override this to rule out states their
-        quiescent planner does not model (NC: degraded clusters or open
-        accumulators; IB: proactive parity or mirror balancing).  A
-        subclass whose read/delivery hooks do work even in the healthy
-        steady state must veto here, because the batched step skips hook
+        Concrete schedulers override this to rule out states the read
+        tables do not model (IB: proactive parity or mirror balancing).
+        A subclass whose read/delivery hooks do work the tables cannot
+        express must veto here, because the batched step skips hook
         dispatch entirely.
         """
         return True
 
-    def _ff_stream_plan(self, stream: Stream, cycle: int,
-                        loads: list[int]) -> Optional[tuple[int, int]]:
-        """One stream's read plan for one quiescent cycle.
+    def _ff_classify(self) -> Optional[str]:
+        """Why the current state refuses a fast-forward epoch, or None.
 
-        Adds the planned reads to the per-disk ``loads`` scratch and
-        returns ``(new read pointer, reads planned)`` without touching
-        the stream; ``None`` means the plan cannot be expressed
-        quiescently and the engine must fall back to the scalar cycle
-        (which reproduces the exact behaviour — including raising on a
-        mid-group pointer).  The default is the Streaming-RAID /
-        Improved-bandwidth whole-group walk; with every disk up no
-        parity is ever planned.
-        """
-        new_read = stream.next_read_track
-        num_tracks = stream.num_tracks
-        stripe = self._stripe
-        name = stream.object.name
-        planned = 0
-        for _ in range(stream.rate):
-            if new_read >= num_tracks:
-                break
-            group, offset = divmod(new_read, stripe)
-            if offset:
-                return None  # the scalar path raises SimulationError
-            entry = self._group_plan(name, group)
-            for disk_id, _position, _track in entry.healthy:
-                loads[disk_id] += 1
-            planned += len(entry.healthy)
-            new_read = entry.next_read_track
-        return new_read, planned
-
-    def _ff_classify(self) -> tuple[Optional[str], Optional[str]]:
-        """Which fast-forward engine the current state allows.
-
-        Returns ``(mode, reason)``: mode is ``"healthy"`` (the quiescent
-        engines), ``"degraded"`` (the stable-failure epoch engine —
-        any number of group-disjoint failed disks, optionally with
-        online rebuilds in flight), or ``None`` with the diagnostic
-        reason callers tally via :meth:`_ff_note`.  Checked once per
-        fast-forward entry (state cannot change under the engine's feet
-        — fault commands only land between ``run_cycles`` calls).
-        Cheapest checks first, so permanently ineligible runs (payload
-        mode) pay next to nothing per scalar cycle.
+        Probes scheduler-wide state only; the per-stream checks run in
+        the engine's single entry walk over the stream table.  Checked
+        once per fast-forward entry (state cannot change under the
+        engine's feet — fault commands only land between ``run_cycles``
+        calls).  Cheapest checks first, so permanently ineligible runs
+        (payload mode) pay next to nothing per scalar cycle.  Callers
+        tally the reason via :meth:`_ff_note`.
         """
         if not self.metadata_only or self.verify_payloads:
-            return None, "payload-mode"
+            return "payload-mode"
         if self._pending_reconstructions or self._pending_shed \
                 or self._lost_causes:
-            return None, "pending-state"
+            return "pending-state"
         if self._known_lost_tracks:
             # Lost tracks mean some parity group holds two or more
-            # failed blocks: the degraded tables cannot express the
-            # shed transition, so shared-group failure sets stay
-            # scalar.  Conversely, an *empty* lost-track set under K
-            # failures proves every pair of failed disks is parity-
-            # group-disjoint — the geometric precondition the degraded
-            # engine needs — because a shared group would have lost a
-            # data track the sweep in ``_current_lost_tracks`` records.
-            return None, ("shared-group"
-                          if len(self.array.failed_ids) > 1
-                          else "pending-state")
+            # failed blocks: the read tables cannot express the shed
+            # transition, so shared-group failure sets stay scalar.
+            # Conversely, an *empty* lost-track set under K failures
+            # proves every pair of failed disks is parity-group-disjoint
+            # — the geometric precondition the engine needs — because a
+            # shared group would have lost a data track the sweep in
+            # ``_current_lost_tracks`` records.
+            return ("shared-group" if len(self.array.failed_ids) > 1
+                    else "pending-state")
         for disk in self.array.disks:
             if disk.service_fraction < 1.0:
-                return None, "fail-slow"
+                return "fail-slow"
             if disk.has_media_errors:
-                return None, "media-error"
-        if self._all_disks_up and not self.rebuilders:
-            if not self._fast_forward_ready():
-                return None, "scheme-veto"
-            if self._extra_buffer_tracks() != 0:
-                return None, "pool-buffers"
-            for stream in self.streams.values():
-                if not stream.is_active:
-                    continue
-                if stream.parity_buffer or stream.accumulators \
-                        or stream.lost_tracks:
-                    return None, "stream-state"
-                # The engine models the buffer as the contiguous range
-                # [next_delivery, next_read); holes (lost tracks already
-                # surfaced) always come with state the checks above
-                # catch, so the length equality pins the exact contents.
-                if len(stream.buffer) != (stream.next_read_track
-                                          - stream.next_delivery_track):
-                    return None, "stream-state"
-            return "healthy", None
-        if not self._ff_degraded_ready():
-            return None, "degraded-veto"
-        for stream in self.streams.values():
-            if not stream.is_active:
-                continue
-            if stream.lost_tracks:
-                return None, "stream-state"
-            # Degraded steady state keeps the data buffer contiguous
-            # too: reconstruction lands the failed member's track in the
-            # same cycle its group is read.
-            if len(stream.buffer) != (stream.next_read_track
-                                      - stream.next_delivery_track):
-                return None, "stream-state"
-        return "degraded", None
+                return "media-error"
+        if not self._fast_forward_ready():
+            return "scheme-veto"
+        return None
 
     def _ff_note(self, reason: Optional[str]) -> None:
         """Tally why the fast path declined an entry or bailed mid-epoch.
@@ -889,61 +808,30 @@ class CycleScheduler(abc.ABC):
         tally = self.report.ff_disengagements
         tally[reason] = tally.get(reason, 0) + 1
 
-    def _ff_eligible(self) -> bool:
-        """Whether the *current* state allows a quiescent epoch at all."""
-        return self._ff_classify()[0] == "healthy"
+    def _fast_forward(
+            self, limit: int, reports: list[CycleReport],
+            stop_on_completion: bool = False,
+            arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
+    ) -> tuple[int, int, int, bool]:
+        """Advance up to ``limit`` cycles on the batched epoch engine.
 
-    def _fast_forward(self, limit: int, reports: list[CycleReport],
-                      stop_on_completion: bool = False) -> int:
-        """Advance up to ``limit`` fast-forwardable cycles.
-
-        Each cycle is planned against scratch state first (per-disk
-        loads, per-stream pointers); only a cycle proven identical to
-        what the scalar engine would do — no drops, no hiccups, no
-        unmodelled reconstruction — is committed: disk read counters
-        advance in bulk, stream pointers move arithmetically, and a
-        synthesized :class:`CycleReport` is recorded.  Stream buffers
-        stay *virtual* during the epoch and are rematerialised (every
-        payload is the metadata token) at the boundary, so the post-run
-        state is indistinguishable from a scalar run.  Returns the
-        number of cycles advanced (0 when no engine fits the state).
-
-        Healthy states run the quiescent engines: the vectorised path
-        for uniform rate-1 populations, the per-stream generic loop
-        otherwise.  A stable degraded state — any number of failed
-        disks in pairwise-disjoint parity groups, optionally with
-        online rebuilds in flight — runs the degraded epoch engine,
-        which folds reconstruction and rebuild traffic into the same
-        batched accounting and bails only on state *transitions*
-        (shared-group failure, rebuild completion, media error).  With
-        ``stop_on_completion`` every engine also ends its epoch right
-        after a cycle in which a stream completed, so drivers that
-        re-admit per completed object observe scalar admission timing.
+        Refreshes the plan cache, asks :meth:`_ff_classify` whether the
+        state allows an epoch at all, and runs :meth:`_ff_epoch`.
+        Returns ``(cycles done, admitted, rejected, consumed)`` as the
+        engine does; a refused entry returns zeros and tallies its
+        reason once.
         """
         self._refresh_plan_cache()
         if limit <= 0:
-            return 0
-        mode, reason = self._ff_classify()
-        if mode is None:
+            return 0, 0, 0, False
+        reason = self._ff_classify()
+        if reason is not None:
             self._ff_note(reason)
-            return 0
-        live = [s for s in self.streams.values() if s.is_active]
-        if mode == "degraded":
-            if not all(s.rate == 1 for s in live):
-                self._ff_note("mixed-rates")
-                return 0
-            return self._fast_forward_degraded(limit, live, reports,
-                                               stop_on_completion)[0]
-        if live and all(s.rate == 1 for s in live):
-            done = self._fast_forward_vector(limit, live, reports,
-                                             stop_on_completion)
-            if done >= 0:
-                return done
-        return self._fast_forward_generic(limit, live, reports,
-                                          stop_on_completion)
+            return 0, 0, 0, False
+        return self._ff_epoch(limit, reports, stop_on_completion, arrivals)
 
     def run_epoch(self, limit: int, stop_on_completion: bool = False) -> int:
-        """Advance up to ``limit`` cycles on a fast-forward engine.
+        """Advance up to ``limit`` cycles on the fast-forward engine.
 
         The public entry point for drivers (chaos replay, reliability
         probes) that manage their own cycle loop: cycles are recorded on
@@ -953,131 +841,36 @@ class CycleScheduler(abc.ABC):
         :meth:`run_cycle`.
         """
         reports: list[CycleReport] = []
-        return self._fast_forward(limit, reports, stop_on_completion)
-
-    def _fast_forward_generic(self, limit: int, live: list[Stream],
-                              reports: list[CycleReport],
-                              stop_on_completion: bool = False) -> int:
-        """Per-stream quiescent loop: any rate mix, any scheme with an
-        :meth:`_ff_stream_plan`."""
-        disks = self.array.disks
-        num_disks = len(disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        admitted_status = StreamStatus.ADMITTED
-        active = terminated = 0
-        for stream in self.streams.values():
-            if stream.status is StreamStatus.ACTIVE:
-                active += 1
-            elif stream.status is StreamStatus.TERMINATED:
-                terminated += 1
-        loads = [0] * num_disks
-        done = 0
-        bail: Optional[str] = None
-        while done < limit:
-            cycle = self.cycle_index
-            # -- plan: scratch only, so a bail leaves no trace ------------
-            staged: list[tuple[Stream, int, int, int]] = []
-            planned_total = 0
-            quiescent = True
-            for stream in live:
-                start = stream.delivery_start_cycle
-                if start is not None and cycle >= start:
-                    quota = (k_prime * stream.rate if base_quota
-                             else self.deliveries_per_cycle(stream))
-                    due = min(quota, stream.num_tracks
-                              - stream.next_delivery_track)
-                    if due > (stream.next_read_track
-                              - stream.next_delivery_track):
-                        quiescent = False  # an imminent hiccup: go scalar
-                        bail = "imminent-hiccup"
-                        break
-                else:
-                    due = 0
-                plan = self._ff_stream_plan(stream, cycle, loads)
-                if plan is None:
-                    quiescent = False
-                    bail = "mid-group-pointer"
-                    break
-                new_read, planned = plan
-                planned_total += planned
-                staged.append((stream, due, new_read, planned))
-            if quiescent and planned_total:
-                for disk_id in range(num_disks):
-                    if loads[disk_id] > slots:
-                        quiescent = False  # slot overflow: scalar drops
-                        bail = "slot-overflow"
-                        break
-            if not quiescent:
-                for disk_id in range(num_disks):
-                    loads[disk_id] = 0
-                break
-            # -- commit: pointers, counters, synthesized report -----------
-            delivered_total = 0
-            held: dict[int, int] = {}
-            completed = False
-            next_cycle = cycle + 1
-            for stream, due, new_read, planned in staged:
-                if due:
-                    stream.next_delivery_track += due
-                    stream.delivered_tracks += due
-                    delivered_total += due
-                    if stream.status is admitted_status:
-                        stream.activate()
-                        active += 1
-                if planned and stream.delivery_start_cycle is None:
-                    stream.delivery_start_cycle = next_cycle
-                stream.next_read_track = new_read
-                if stream.next_delivery_track >= stream.num_tracks:
-                    stream.complete()
-                    active -= 1
-                    completed = True
-                else:
-                    held[stream.stream_id] = (stream.next_read_track
-                                              - stream.next_delivery_track)
-            for disk_id in range(num_disks):
-                planned = loads[disk_id]
-                if planned:
-                    disks[disk_id].reads += planned
-                    loads[disk_id] = 0
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.tracks_delivered = delivered_total
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = self.tracker.sample_counts(held)
-            reports.append(report)
-            self.report.record(report)
-            self.cycle_index = next_cycle
-            done += 1
-            if completed:
-                live = [s for s in live if s.is_active]
-                if stop_on_completion:
-                    bail = "stream-completed"
-                    break
-        if done:
-            # Rematerialise the virtual buffers at the epoch boundary.
-            for stream in live:
-                stream.buffer = dict.fromkeys(
-                    range(stream.next_delivery_track,
-                          stream.next_read_track), META_PAYLOAD)
-            self.report.ff_engaged_cycles += done
-        self._ff_note(bail)
-        return done
+        return self._fast_forward(limit, reports, stop_on_completion)[0]
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
-        """Static read-gate parameters for the vector engine.
+        """Static read-gate parameters for the epoch engine.
 
         ``(pace_rate, pace_base, phase_mod, phase_val)``: in cycle ``c``
         the stream reads only if ``c % phase_mod == phase_val`` and (when
-        ``pace_rate`` is non-zero) its read pointer is below
-        ``(c + 1 - pace_base) * pace_rate``.  The base schemes read every
-        cycle, unpaced; SG gates on the stream's phase, NC paces on the
-        delivery schedule.
+        ``pace_rate`` is non-zero) each table step starts with the read
+        pointer below ``(c + 1 - pace_base) * pace_rate``.  The base
+        schemes read every cycle, unpaced; SG gates on the stream's
+        phase, NC paces on the delivery schedule.
         """
         return 0, 0, 1, 0
+
+    def _ff_stream_ok(self, stream: Stream) -> bool:
+        """Per-stream canonical-state check at engine entry.
+
+        The group schemes never hold accumulators, so any accumulator is
+        leftover transition state: the stream stays on the scalar path
+        until its buffers return to the canonical shape (at most one
+        group's worth of cycles).
+        """
+        return not stream.accumulators
+
+    def _ff_sync_stream(self, stream: Stream) -> None:
+        """Rematerialise scheme-specific stream state at the exit of an
+        epoch whose tables carry degraded columns."""
+
+    def _ff_credit(self, reconstructions: int) -> None:
+        """Fold an epoch's reconstruction count into scheme counters."""
 
     def _ff_object_geometry(self, obj: MediaObject,
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
@@ -1118,305 +911,26 @@ class CycleScheduler(abc.ABC):
             self._ff_geom[obj.name] = entry
         return entry
 
-    def _ff_read_table(self, obj: MediaObject,
-                       ) -> Optional[tuple[np.ndarray, np.ndarray,
-                                           np.ndarray, np.ndarray, int]]:
-        """Per-object read table for the vector engine, or None.
-
-        ``(cnt, ptr, disks, next_pointers, divisor)``: a stream whose
-        read pointer is ``p`` (with ``p % divisor == 0`` for
-        group-at-a-time schemes) performs one read on each disk in
-        ``disks[ptr[q]:ptr[q] + cnt[q]]`` for ``q = p // divisor`` and
-        its pointer becomes ``next_pointers[q]``.  The base table is the
-        healthy group walk straight from the cached geometry (failed
-        members dropped by overlay); NC overrides with a
-        one-track-per-position table.
-        """
-        cnt, ptr, disks, _parity, nxt = self._ff_object_geometry(obj)
-        if not self._all_disks_up:
-            failed = self.array.failed_ids
-            down = (disks == failed[0] if len(failed) == 1
-                    else np.isin(disks, np.asarray(failed, dtype=np.int64)))
-            if bool(down.any()):
-                fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
-                cnt = cnt - fcnt
-                disks = disks[~down]
-                ptr = np.zeros(len(cnt) + 1, dtype=np.int64)
-                np.cumsum(cnt, out=ptr[1:])
-        return cnt, ptr, disks, nxt, self._stripe
-
-    def _ff_flat_tables(self, objects: list[MediaObject],
-                        ) -> Optional[tuple[np.ndarray, np.ndarray,
-                                            np.ndarray, np.ndarray,
-                                            list[int], int]]:
-        """Concatenated read tables for a set of objects.
-
-        Returns ``(counts, offsets, member_disks, next_pointers,
-        per-object position bases, divisor)`` with per-object tables
-        cached against the plan-cache key, or None when any object lacks
-        a table.  The concatenated result itself is memoized against the
-        object tuple, so a churn epoch re-entering with the same working
-        set pays nothing.
-        """
-        if self._ff_tables_key != self._plan_cache_key:
-            self._ff_tables = {}
-            self._ff_tables_key = self._plan_cache_key
-            self._ff_flat = None
-            self._ff_flat_names = None
-        names = tuple(obj.name for obj in objects)
-        if self._ff_flat is not None and self._ff_flat_names == names:
-            return self._ff_flat
-        cache = self._ff_tables
-        per_obj = []
-        for obj in objects:
-            entry = cache.get(obj.name)
-            if entry is None:
-                entry = self._ff_read_table(obj)
-                if entry is None:
-                    return None
-                cache[obj.name] = entry
-            per_obj.append(entry)
-        divisor = per_obj[0][4]
-        pos_base: list[int] = []
-        base = 0
-        for cnt, _ptr, _disks, _nxt, _div in per_obj:
-            pos_base.append(base)
-            base += len(cnt)
-        counts = np.concatenate([e[0] for e in per_obj])
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        member_disks = np.concatenate([e[2] for e in per_obj])
-        next_pointers = np.concatenate([e[3] for e in per_obj])
-        flat = (counts, offsets, member_disks, next_pointers, pos_base,
-                divisor)
-        self._ff_flat = flat
-        self._ff_flat_names = names
-        return flat
-
-    def _fast_forward_vector(self, limit: int, live: list[Stream],
-                             reports: list[CycleReport],
-                             stop_on_completion: bool = False) -> int:
-        """Vectorised quiescent engine for uniform rate-1 streams.
-
-        Stream state lives in numpy arrays for the whole epoch; each
-        cycle is a handful of whole-array operations (delivery quotas,
-        read-table gathers, a bincount for per-disk loads) with the same
-        stage-then-commit bail points as the generic loop.  Python-side
-        stream/disk/tracker objects are written back once, at the epoch
-        boundary.  Returns -1 when a scheme provides no read table (the
-        caller then runs the generic loop).
-        """
-        distinct: dict[str, int] = {}
-        objects: list[MediaObject] = []
-        for stream in live:
-            name = stream.object.name
-            if name not in distinct:
-                distinct[name] = len(objects)
-                objects.append(stream.object)
-        flat = self._ff_flat_tables(objects)
-        if flat is None:
-            return -1
-        counts, offsets, member_disks, next_pointers, pos_base, divisor = \
-            flat
-        n = len(live)
-        num_disks = len(self.array.disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        obj_base = np.fromiter(
-            (pos_base[distinct[s.object.name]] for s in live),
-            dtype=np.int64, count=n)
-        next_read = np.fromiter((s.next_read_track for s in live),
-                                dtype=np.int64, count=n)
-        next_del = np.fromiter((s.next_delivery_track for s in live),
-                               dtype=np.int64, count=n)
-        num_tracks = np.fromiter((s.num_tracks for s in live),
-                                 dtype=np.int64, count=n)
-        start = np.fromiter(
-            (-1 if s.delivery_start_cycle is None
-             else s.delivery_start_cycle for s in live),
-            dtype=np.int64, count=n)
-        quota = np.fromiter(
-            (k_prime * s.rate if base_quota
-             else self.deliveries_per_cycle(s) for s in live),
-            dtype=np.int64, count=n)
-        gates = [self._ff_gate_params(s) for s in live]
-        pace_rate = np.fromiter((g[0] for g in gates), dtype=np.int64,
-                                count=n)
-        pace_base = np.fromiter((g[1] for g in gates), dtype=np.int64,
-                                count=n)
-        phase_mod = np.fromiter((g[2] for g in gates), dtype=np.int64,
-                                count=n)
-        phase_val = np.fromiter((g[3] for g in gates), dtype=np.int64,
-                                count=n)
-        unpaced = pace_rate == 0
-        ungated = bool((phase_mod == 1).all())
-        admitted = np.fromiter(
-            (s.status is StreamStatus.ADMITTED for s in live),
-            dtype=bool, count=n)
-        live_mask = np.ones(n, dtype=bool)
-        deliv_delta = np.zeros(n, dtype=np.int64)
-        tracker = self.tracker
-        peak0 = np.fromiter(
-            (tracker.stream_peak(s.stream_id) for s in live),
-            dtype=np.int64, count=n)
-        peak = peak0.copy()
-        total_loads = np.zeros(num_disks, dtype=np.int64)
-        active = terminated = 0
-        for stream in self.streams.values():
-            if stream.status is StreamStatus.ACTIVE:
-                active += 1
-            elif stream.status is StreamStatus.TERMINATED:
-                terminated += 1
-        samples: list[int] = []
-        done = 0
-        bail: Optional[str] = None
-        while done < limit:
-            cycle = self.cycle_index
-            # -- stage (no mutation yet, so a bail leaves no trace) -------
-            started = live_mask & (start >= 0) & (start <= cycle)
-            due = np.where(started,
-                           np.minimum(quota, num_tracks - next_del), 0)
-            if bool((due > next_read - next_del).any()):
-                bail = "imminent-hiccup"  # go scalar
-                break
-            reading = live_mask & (next_read < num_tracks)
-            if not ungated:
-                reading &= (cycle % phase_mod) == phase_val
-            reading &= unpaced | (next_read
-                                  < (cycle + 1 - pace_base) * pace_rate)
-            if divisor > 1 \
-                    and bool((reading & (next_read % divisor != 0)).any()):
-                bail = "mid-group-pointer"  # the scalar path raises
-                break
-            idx = np.where(reading, obj_base + next_read // divisor, 0)
-            cnt = np.where(reading, counts[idx], 0)
-            planned_total = int(cnt.sum())
-            if planned_total:
-                r_idx = idx[reading]
-                r_cnt = counts[r_idx]
-                ends = np.cumsum(r_cnt)
-                within = np.arange(planned_total) \
-                    - np.repeat(ends - r_cnt, r_cnt)
-                disk_ids = member_disks[np.repeat(offsets[r_idx], r_cnt)
-                                        + within]
-                loads = np.bincount(disk_ids, minlength=num_disks)
-                if int(loads.max(initial=0)) > slots:
-                    bail = "slot-overflow"  # scalar drops / cascades
-                    break
-                total_loads += loads
-            # -- commit ---------------------------------------------------
-            newly = admitted & (due > 0)
-            if bool(newly.any()):
-                active += int(newly.sum())
-                admitted &= ~newly
-            first_read = (start < 0) & (cnt > 0)
-            if bool(first_read.any()):
-                start[first_read] = cycle + 1
-            next_del += due
-            deliv_delta += due
-            next_read = np.where(reading, next_pointers[idx], next_read)
-            finished = live_mask & (next_del >= num_tracks)
-            finished_any = bool(finished.any())
-            if finished_any:
-                active -= int(finished.sum())
-                live_mask &= ~finished
-            held = np.where(live_mask, next_read - next_del, 0)
-            np.maximum(peak, held, out=peak)
-            buffered = int(held.sum())
-            samples.append(buffered)
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.tracks_delivered = int(due.sum())
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = buffered
-            reports.append(report)
-            self.report.record(report)
-            self.cycle_index = cycle + 1
-            done += 1
-            if stop_on_completion and finished_any:
-                bail = "stream-completed"
-                break
-        if done:
-            # -- write the epoch's state back to the Python objects -------
-            for i, stream in enumerate(live):
-                stream.next_read_track = int(next_read[i])
-                stream.next_delivery_track = int(next_del[i])
-                stream.delivered_tracks += int(deliv_delta[i])
-                if stream.delivery_start_cycle is None and start[i] >= 0:
-                    stream.delivery_start_cycle = int(start[i])
-                if stream.status is StreamStatus.ADMITTED \
-                        and not admitted[i]:
-                    stream.activate()
-                if live_mask[i]:
-                    stream.buffer = dict.fromkeys(
-                        range(stream.next_delivery_track,
-                              stream.next_read_track), META_PAYLOAD)
-                else:
-                    stream.complete()
-            raised = np.nonzero(peak > peak0)[0]
-            tracker.fold_epoch(
-                samples,
-                {live[int(i)].stream_id: int(peak[int(i)]) for i in raised})
-            disks = self.array.disks
-            for disk_id in np.nonzero(total_loads)[0]:
-                disks[int(disk_id)].reads += int(total_loads[disk_id])
-            self.report.ff_engaged_cycles += done
-        self._ff_note(bail)
-        return done
-
-    # -- degraded-epoch fast-forward --------------------------------------------------
-
-    def _ff_degraded_ready(self) -> bool:
-        """Scheme veto for the degraded-epoch engine.
-
-        Defaults to the quiescent veto (:meth:`_fast_forward_ready`): a
-        scheme whose healthy steady state the engine cannot model
-        certainly cannot be modelled degraded.  Non-clustered overrides
-        this — its quiescent veto fires on any degraded cluster, but the
-        degraded engine models exactly that state, open accumulators
-        included.
-        """
-        return self._fast_forward_ready()
-
-    def _ff_degraded_stream_ok(self, stream: Stream) -> bool:
-        """Per-stream canonical-state check at degraded-engine entry.
-
-        The group schemes never hold accumulators, so any accumulator is
-        leftover transition state: the stream stays on the scalar path
-        until its buffers return to the canonical degraded shape (at
-        most one group's worth of cycles).
-        """
-        return not stream.accumulators
-
-    def _ff_degraded_sync_stream(self, stream: Stream) -> None:
-        """Rematerialise scheme-specific stream state at epoch exit."""
-
-    def _ff_degraded_credit(self, reconstructions: int) -> None:
-        """Fold an epoch's reconstruction count into scheme counters."""
-
-    def _ff_degraded_pool_tracks(self, open_accumulators: int) -> int:
-        """Pool tracks held outside streams for ``open_accumulators``."""
-        return 0
-
-    def _ff_degraded_read_table(self, obj: MediaObject,
-                                failed: list[int]) -> Optional[tuple]:
+    def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
         """Per-object read table under the current failure set.
 
-        Mirrors :meth:`_ff_read_table` with the degraded columns the
-        epoch engine needs: ``(cnt, ptr, disks, next_pointers,
-        data_counts, parity_flags, valid, deg_pairs, acc_info,
-        divisor)`` where a degraded position's member slice includes the
-        parity-fallback disk, *parity_flags* marks positions whose read
-        carries one parity fetch **and** one same-cycle reconstruction,
-        and *valid* is False where the scalar planner cannot recover the
-        position (the engine bails before touching it).  ``deg_pairs``
-        are the ``(group, acquired-at-pointer)`` pairs that predict a
-        stream's parity buffer; ``acc_info`` the accumulator
-        open-windows (empty for group-at-a-time schemes).  ``None``
-        means the scheme has no vectorisable degraded plan.
+        ``(cnt, disks, next_pointers, divisor, degraded)``: a stream
+        whose read pointer is ``p`` (with ``p % divisor == 0`` for
+        group-at-a-time schemes) performs one read on each of the
+        ``cnt[q]`` disks that position ``q = p // divisor`` owns in
+        ``disks`` (positions in order), and its pointer becomes
+        ``next_pointers[q]``.  ``degraded`` is None when no position is
+        degraded: the healthy whole-group walk, straight from the cached
+        geometry.  Otherwise it is ``(data_counts, parity_flags, valid,
+        deg_pairs, acc_info)``: a degraded position's member slice
+        includes the parity-fallback disk, *parity_flags* marks
+        positions whose read carries one parity fetch **and** one
+        same-cycle reconstruction, and *valid* is False where the scalar
+        planner cannot recover the position (the engine bails before
+        touching it).  ``deg_pairs`` are the ``(group,
+        acquired-at-pointer)`` pairs that predict a stream's parity
+        buffer; ``acc_info`` the accumulator open-windows (empty for
+        group-at-a-time schemes).
 
         Built as a failure overlay on the cached geometry: only groups
         that actually lost a member are re-derived in Python, so a
@@ -1424,7 +938,8 @@ class CycleScheduler(abc.ABC):
         every other object's table is a zero-copy view of its geometry.
         """
         cnt, ptr, disks, parity, nxt = self._ff_object_geometry(obj)
-        positions = len(cnt)
+        if not failed:
+            return cnt, disks, nxt, self._stripe, None
         if len(failed) == 1:
             down = disks == failed[0]
             parity_down = parity == failed[0]
@@ -1435,9 +950,8 @@ class CycleScheduler(abc.ABC):
         if not bool(down.any()):
             # No data member down (a failed parity disk never appears
             # in a healthy group read): the healthy walk verbatim.
-            return (cnt, ptr, disks, nxt, cnt,
-                    np.zeros(positions, dtype=np.int64),
-                    np.ones(positions, dtype=bool), (), {}, self._stripe)
+            return cnt, disks, nxt, self._stripe, None
+        positions = len(cnt)
         fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
         recoverable = (fcnt == 1) & ~parity_down
         dat = cnt - fcnt
@@ -1467,199 +981,252 @@ class CycleScheduler(abc.ABC):
             prev = hi
         if prev < len(disks):
             segments.append(disks[prev:])
-        new_disks = np.concatenate(segments)
-        new_ptr = np.zeros(positions + 1, dtype=np.int64)
-        np.cumsum(new_cnt, out=new_ptr[1:])
-        return (new_cnt, new_ptr, new_disks, nxt, dat, par, val,
-                tuple(deg_pairs), {}, self._stripe)
+        return (new_cnt, np.concatenate(segments), nxt, self._stripe,
+                (dat, par, val, tuple(deg_pairs), {}))
 
-    def _ff_degraded_flat_tables(self, objects: list[MediaObject],
-                                 ) -> Optional[tuple]:
-        """Concatenated degraded read tables for a set of objects.
+    def _ff_flat_tables(self, objects: list[MediaObject]) -> tuple:
+        """Concatenated read tables for a set of objects.
 
-        The degraded counterpart of :meth:`_ff_flat_tables`: per-object
-        tables (including the pointer-indexed parity-held / released /
-        accumulator-window prefix sums the engine uses to reproduce
-        ``buffered_track_count`` arithmetically) are cached against the
-        plan-cache key, so every fail/repair/media transition re-derives
-        them; the concatenation is memoized against the object tuple.
+        Returns ``(counts, offsets, member_disks, next_pointers,
+        pos_base, divisor, degraded)``: the per-object tables of
+        :meth:`_ff_read_table` concatenated position by position, with
+        ``pos_base`` each object's first position.  ``degraded`` is None
+        when no object has a degraded position; otherwise it holds the
+        engine's reconstruction and buffer-accounting columns,
+        ``(data_counts, parity_flags, valid, pheld, prel, acch,
+        ptr_base, pairs_by_name)``, with healthy objects at the neutral
+        values.  The pointer-indexed prefix sums (``ptr_base`` locates
+        each object's) reproduce ``buffered_track_count``
+        arithmetically: with read pointer ``r`` and delivery pointer
+        ``d``, a canonical stream holds ``pheld[r] - prel[d]`` parity
+        blocks and ``acch[r]`` open accumulators (acquired at the
+        group's end pointer, released once delivery passes the group).
+
+        Per-object tables are cached against the plan-cache key, so
+        every fail/repair/media transition re-derives them; the
+        concatenation is memoized against the object tuple, so an epoch
+        re-entering with the same working set pays nothing.
         """
-        if self._ff_deg_tables_key != self._plan_cache_key:
-            self._ff_deg_tables = {}
-            self._ff_deg_tables_key = self._plan_cache_key
-            self._ff_deg_flat = None
-            self._ff_deg_flat_names = None
+        if self._ff_tables_key != self._plan_cache_key:
+            self._ff_tables = {}
+            self._ff_tables_key = self._plan_cache_key
+            self._ff_flat = None
+            self._ff_flat_names = None
         names = tuple(obj.name for obj in objects)
-        if self._ff_deg_flat is not None \
-                and self._ff_deg_flat_names == names:
-            return self._ff_deg_flat
-        cache = self._ff_deg_tables
+        if self._ff_flat is not None and self._ff_flat_names == names:
+            return self._ff_flat
+        cache = self._ff_tables
         stripe = self._stripe
         failed = self.array.failed_ids
         per_obj = []
         for obj in objects:
             entry = cache.get(obj.name)
             if entry is None:
-                raw = self._ff_degraded_read_table(obj, failed)
-                if raw is None:
-                    return None
-                (cnt, ptr, disks, nxt, dat, par, val,
-                 deg_pairs, acc_info, divisor) = raw
-                # Pointer-indexed prefix sums: with read pointer ``r``
-                # and delivery pointer ``d``, a canonical stream holds
-                # ``pheld[r] - prel[d]`` parity blocks and ``acch[r]``
-                # open accumulators (acquired at the group's end
-                # pointer, released once delivery passes the group).
-                tracks = obj.num_tracks
-                diff_held = np.zeros(tracks + 2, dtype=np.int64)
-                diff_rel = np.zeros(tracks + 2, dtype=np.int64)
-                for group, acquired in deg_pairs:
-                    diff_held[acquired] += 1
-                    released = (group + 1) * stripe
-                    if released <= tracks:
-                        diff_rel[released] += 1
-                pheld = np.cumsum(diff_held)[:tracks + 1]
-                prel = np.cumsum(diff_rel)[:tracks + 1]
-                acch = np.zeros(tracks + 1, dtype=np.int64)
-                for lo, hi in acc_info.values():
-                    acch[lo:hi + 1] += 1
-                entry = (cnt, ptr, disks, nxt, dat, par, val,
-                         pheld, prel, acch, deg_pairs, acc_info, divisor)
+                cnt, disks, nxt, divisor, deg = self._ff_read_table(obj,
+                                                                    failed)
+                if deg is not None:
+                    dat, par, val, deg_pairs, acc_info = deg
+                    tracks = obj.num_tracks
+                    diff_held = np.zeros(tracks + 2, dtype=np.int64)
+                    diff_rel = np.zeros(tracks + 2, dtype=np.int64)
+                    for group, acquired in deg_pairs:
+                        diff_held[acquired] += 1
+                        released = (group + 1) * stripe
+                        if released <= tracks:
+                            diff_rel[released] += 1
+                    acch = np.zeros(tracks + 1, dtype=np.int64)
+                    for lo, hi in acc_info.values():
+                        acch[lo:hi + 1] += 1
+                    deg = (dat, par, val, np.cumsum(diff_held)[:tracks + 1],
+                           np.cumsum(diff_rel)[:tracks + 1], acch,
+                           deg_pairs)
+                entry = (cnt, disks, nxt, divisor, deg)
                 cache[obj.name] = entry
             per_obj.append(entry)
-        divisor = per_obj[0][12]
         pos_base: list[int] = []
-        ptr_base: list[int] = []
-        position_total = pointer_total = 0
+        position_total = 0
         for entry in per_obj:
             pos_base.append(position_total)
             position_total += len(entry[0])
-            ptr_base.append(pointer_total)
-            pointer_total += len(entry[7])
         counts = np.concatenate([e[0] for e in per_obj])
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
         np.cumsum(counts, out=offsets[1:])
-        member_disks = np.concatenate([e[2] for e in per_obj])
-        next_pointers = np.concatenate([e[3] for e in per_obj])
-        data_counts = np.concatenate([e[4] for e in per_obj])
-        parity_flags = np.concatenate([e[5] for e in per_obj])
-        valid = np.concatenate([e[6] for e in per_obj])
-        pheld = np.concatenate([e[7] for e in per_obj])
-        prel = np.concatenate([e[8] for e in per_obj])
-        acch = np.concatenate([e[9] for e in per_obj])
-        deg_by_name = {name: per_obj[i][10] for i, name in enumerate(names)}
-        flat = (counts, offsets, member_disks, next_pointers, data_counts,
-                parity_flags, valid, pheld, prel, acch, pos_base, ptr_base,
-                deg_by_name, divisor)
-        self._ff_deg_flat = flat
-        self._ff_deg_flat_names = names
+        member_disks = np.concatenate([e[1] for e in per_obj])
+        next_pointers = np.concatenate([e[2] for e in per_obj])
+        degraded = None
+        if any(e[4] is not None for e in per_obj):
+            # Neutral columns first: every member is data, no parity,
+            # every position valid, nothing held beyond the data range.
+            data_counts = counts.copy()
+            parity_flags = np.zeros(position_total, dtype=np.int64)
+            valid = np.ones(position_total, dtype=bool)
+            ptr_base: list[int] = []
+            pointer_total = 0
+            for obj in objects:
+                ptr_base.append(pointer_total)
+                pointer_total += obj.num_tracks + 1
+            pheld = np.zeros(pointer_total, dtype=np.int64)
+            prel = np.zeros(pointer_total, dtype=np.int64)
+            acch = np.zeros(pointer_total, dtype=np.int64)
+            pairs_by_name: dict[str, tuple[tuple[int, int], ...]] = {}
+            for i, (obj, entry) in enumerate(zip(objects, per_obj)):
+                deg = entry[4]
+                if deg is None:
+                    pairs_by_name[obj.name] = ()
+                    continue
+                lo, hi = pos_base[i], pos_base[i] + len(entry[0])
+                data_counts[lo:hi] = deg[0]
+                parity_flags[lo:hi] = deg[1]
+                valid[lo:hi] = deg[2]
+                lo, hi = ptr_base[i], ptr_base[i] + obj.num_tracks + 1
+                pheld[lo:hi] = deg[3]
+                prel[lo:hi] = deg[4]
+                acch[lo:hi] = deg[5]
+                pairs_by_name[obj.name] = deg[6]
+            degraded = (data_counts, parity_flags, valid, pheld, prel, acch,
+                        ptr_base, pairs_by_name)
+        flat = (counts, offsets, member_disks, next_pointers, pos_base,
+                per_obj[0][3], degraded)
+        self._ff_flat = flat
+        self._ff_flat_names = names
         return flat
 
-    def _fast_forward_degraded(
-            self, limit: int, live: list[Stream],
-            reports: list[CycleReport],
+    def _ff_epoch(
+            self, limit: int, reports: list[CycleReport],
             stop_on_completion: bool = False,
             arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
     ) -> tuple[int, int, int, bool]:
-        """Vectorised epoch engine for stable degraded states, with churn.
+        """The batched epoch engine behind every fast-forward entry.
 
-        Handles any number of failed disks whose parity groups are
-        pairwise disjoint (:meth:`_ff_classify` proves disjointness via
-        the empty lost-track set): per-group reconstruction reads appear
-        as extra rows in the flat read tables (the parity-fallback disk
-        joins the group's member list), reconstruction commits are pure
-        arithmetic (a degraded group read always completes its rebuild
-        in the same cycle, since every survivor is resident by
-        construction), and every in-flight online rebuild advances as a
-        vectorised cursor fed with the cycle's idle slots — in scalar
-        rebuilder order, sharing one idle budget, exactly like
-        :meth:`_rebuild_phase`.
+        Stream state lives in numpy row arrays for the whole epoch; each
+        cycle is a handful of whole-array operations over the read
+        tables of :meth:`_ff_flat_tables` (delivery quotas, table
+        gathers, one ``bincount`` for per-disk loads) staged on scratch
+        state, so a bail leaves no trace.  Stream, disk and tracker
+        objects are written back once, at the epoch boundary, so the
+        post-run state is indistinguishable from a scalar run.
 
-        With ``arrivals``, each arrival cycle admits its batch through
-        the *same* :meth:`_admit_checked` decision the scalar front
-        door uses — including degraded-capacity enforcement, since
-        :meth:`effective_admission_limit` is constant for the epoch
-        (every ``_capacity_penalty`` override is a pure function of
-        array/layout/degraded-cluster state, which only changes on the
-        transitions the engine bails on) — and accepted streams join
-        the row arrays in place at read pointer 0, which is trivially
-        canonical (no parity held, no open accumulators).
+        One mechanism covers every stable state:
 
-        The engine bails only on state transitions: a rebuild that
-        could complete, a stream crossing an unreconstructable
-        position, or the generic quiescence breaks (imminent hiccup,
-        slot overflow).  Cycle reports, disk loads, tracker samples and
-        per-stream peaks are bit-identical to the scalar path.
+        * **healthy** is the degenerate case with no failed disk: no
+          table carries degraded columns, so the engine skips the
+          per-cycle validity check, reconstruction counting and
+          prefix-sum buffer arithmetic, and the per-entry parity-buffer
+          check and write-back;
+        * **degraded** — failed disks in pairwise-disjoint parity groups
+          (:meth:`_ff_classify` proves disjointness via the empty
+          lost-track set): reconstruction reads are extra rows in the
+          tables (the parity-fallback disk joins the group's members),
+          and reconstruction commits are pure arithmetic (a degraded
+          group read completes its rebuild in the same cycle, since
+          every survivor is resident by construction);
+        * **rebuilding** — every in-flight online rebuild advances as a
+          vectorised cursor fed with the cycle's idle slots, in scalar
+          rebuilder order, sharing one idle budget, exactly like
+          :meth:`_rebuild_phase`;
+        * **mixed rates** — a rate-``r`` row takes up to ``r`` table
+          steps per cycle, each gated like the first, as the scalar
+          planners plan ``rate`` group reads or quanta per stream;
+        * **churn** — each ``arrivals`` cycle admits its batch through
+          the *same* :meth:`_admit_checked` decision the scalar front
+          door uses, against :meth:`effective_admission_limit` (constant
+          for the epoch: every ``_capacity_penalty`` is a pure function
+          of array/layout/degraded-cluster state, which only changes on
+          the transitions the engine bails on); accepted streams join
+          the row arrays in place at read pointer 0, which is trivially
+          canonical.
+
+        The engine bails only on state transitions: a rebuild that could
+        complete, a stream crossing an unreconstructable position, a
+        mid-group read pointer, an imminent hiccup or a slot overflow.
+        With ``stop_on_completion`` it also stops right after a cycle in
+        which a stream completed, so drivers that re-admit per completed
+        object observe scalar admission timing.
 
         Returns ``(cycles done, admitted, rejected, consumed)`` where
         ``consumed`` means the *current* cycle's arrivals were already
         admitted before a bail, so the scalar fallback must not
         re-admit them.
         """
-        rows = list(live)
+        width = self.config.stripe_width
+        # -- one walk over the stream table: canonical-state checks, the
+        #    live rows and their objects, status counts, phase loads ----
+        rows: list[Stream] = []
         distinct: dict[str, int] = {}
         objects: list[MediaObject] = []
-        for stream in rows:
+        phase_load = [0] * width
+        parity_held = False
+        active = terminated = 0
+        for stream in self.streams.values():
+            status = stream.status
+            if status is StreamStatus.ACTIVE:
+                active += 1
+            elif status is StreamStatus.TERMINATED:
+                terminated += 1
+            if not stream.is_active:
+                continue
+            # The data buffer must be the contiguous range
+            # [next_delivery, next_read): reconstruction lands a failed
+            # member's track in the cycle its group is read, and holes
+            # always come with lost-track state.
+            if stream.lost_tracks or len(stream.buffer) != (
+                    stream.next_read_track - stream.next_delivery_track) \
+                    or not self._ff_stream_ok(stream):
+                self._ff_note("stream-state")
+                return 0, 0, 0, False
+            if stream.parity_buffer:
+                parity_held = True
+            rows.append(stream)
+            phase_load[stream.phase % width] += stream.rate
             name = stream.object.name
             if name not in distinct:
                 distinct[name] = len(objects)
                 objects.append(stream.object)
-        start_cycle = self.cycle_index
-        end_cycle = start_cycle + limit
-        stop_cycle = end_cycle
         cap = len(rows)
         if arrivals:
-            # Working set: live objects plus every placed rate-1 arrival
-            # in the window.  A placed arrival whose rate is not 1
-            # cannot join the uniform row engine: the epoch must end
-            # *before* its cycle.
+            # Working set: live objects plus every placed arrival in the
+            # window (unplaced ones are rejected in-engine).
+            start_cycle = self.cycle_index
+            has_object = self.layout.has_object
             for cycle, batch in arrivals.items():
-                if not start_cycle <= cycle < end_cycle:
+                if not start_cycle <= cycle < start_cycle + limit:
                     continue
                 for obj in batch:
-                    if not self.layout.has_object(obj.name):
-                        continue  # _admit_checked rejects it in-engine
-                    try:
-                        rate = self._rate_of(obj)
-                    except AdmissionError:
-                        continue  # ditto
-                    if rate != 1:
-                        stop_cycle = min(stop_cycle, cycle)
-                        break
+                    if not has_object(obj.name):
+                        continue
                     cap += 1
                     if obj.name not in distinct:
                         distinct[obj.name] = len(objects)
                         objects.append(obj)
-            if stop_cycle <= start_cycle:
-                return 0, 0, 0, False
         if objects:
-            flat = self._ff_degraded_flat_tables(objects)
-            if flat is None:
-                self._ff_note("no-read-table")
+            flat = self._ff_flat_tables(objects)
+        else:
+            # No live streams and no placed arrivals in the window: every
+            # batched request is a guaranteed rejection and the cycles
+            # themselves are empty.
+            zeros = np.zeros(0, dtype=np.int64)
+            flat = (zeros, np.zeros(1, dtype=np.int64), zeros, zeros, [], 1,
+                    None)
+        (counts, offsets, member_disks, next_pointers, pos_base, divisor,
+         degraded) = flat
+        stripe = self._stripe
+        if degraded is None:
+            if parity_held:
+                # No position reads parity, so no held parity is canonical.
+                self._ff_note("stream-state")
                 return 0, 0, 0, False
         else:
-            zeros = np.zeros(0, dtype=np.int64)
-            flat = (zeros, np.zeros(1, dtype=np.int64), zeros, zeros,
-                    zeros, zeros, np.zeros(0, dtype=bool), zeros, zeros,
-                    zeros, [], [], {}, 1)
-        (counts, offsets, member_disks, next_pointers, data_counts,
-         parity_flags, valid, pheld, prel, acch, pos_base, ptr_base,
-         deg_by_name, divisor) = flat
-        stripe = self._stripe
-        # -- canonical-state entry checks: every stream must sit exactly
-        #    where the scalar degraded steady state would leave it ------
-        for stream in rows:
-            pairs = deg_by_name[stream.object.name]
-            pointer = stream.next_read_track
-            floor = stream.next_delivery_track // stripe
-            predicted = [g for g, acquired in pairs
-                         if acquired <= pointer and g >= floor]
-            if sorted(stream.parity_buffer) != predicted:
-                self._ff_note("stream-state")
-                return 0, 0, 0, False
-            if not self._ff_degraded_stream_ok(stream):
-                self._ff_note("stream-state")
-                return 0, 0, 0, False
+            (data_counts, parity_flags, valid, pheld, prel, acch, ptr_base,
+             pairs_by_name) = degraded
+            for stream in rows:
+                pointer = stream.next_read_track
+                floor = stream.next_delivery_track // stripe
+                predicted = [g for g, acquired
+                             in pairs_by_name[stream.object.name]
+                             if acquired <= pointer and g >= floor]
+                if sorted(stream.parity_buffer) != predicted:
+                    self._ff_note("stream-state")
+                    return 0, 0, 0, False
         rebuilders = list(self.rebuilders)
         for rebuilder in rebuilders:
             if rebuilder.prepare_fast_plan() is None:
@@ -1671,9 +1238,9 @@ class CycleScheduler(abc.ABC):
         k_prime = self.config.k_prime
         base_quota = self._base_quota
         tracker = self.tracker
-        phase_load = self._phase_loads()
-        width = len(phase_load)
-        limit_units = self.effective_admission_limit()
+        # Pool leases change only on fail/repair: constant for the epoch.
+        pool_now = self._extra_buffer_tracks()
+        limit_units = self.effective_admission_limit() if arrivals else 0
         # Row arrays over the window's worst-case population; rows past
         # the current count are neutral (not live, not reading).
         obj_base = np.zeros(cap, dtype=np.int64)
@@ -1681,13 +1248,13 @@ class CycleScheduler(abc.ABC):
         next_read = np.zeros(cap, dtype=np.int64)
         next_del = np.zeros(cap, dtype=np.int64)
         num_tracks = np.zeros(cap, dtype=np.int64)
+        rate = np.ones(cap, dtype=np.int64)
         start = np.full(cap, -1, dtype=np.int64)
         quota = np.zeros(cap, dtype=np.int64)
         pace_rate = np.zeros(cap, dtype=np.int64)
         pace_base = np.zeros(cap, dtype=np.int64)
         phase_mod = np.ones(cap, dtype=np.int64)
         phase_val = np.zeros(cap, dtype=np.int64)
-        unpaced = np.ones(cap, dtype=bool)
         admitted_mask = np.zeros(cap, dtype=bool)
         live_mask = np.zeros(cap, dtype=bool)
         deliv_delta = np.zeros(cap, dtype=np.int64)
@@ -1696,15 +1263,18 @@ class CycleScheduler(abc.ABC):
         obj_base[:n] = np.fromiter(
             (pos_base[distinct[s.object.name]] for s in rows),
             dtype=np.int64, count=n)
-        held_base[:n] = np.fromiter(
-            (ptr_base[distinct[s.object.name]] for s in rows),
-            dtype=np.int64, count=n)
+        if degraded is not None:
+            held_base[:n] = np.fromiter(
+                (ptr_base[distinct[s.object.name]] for s in rows),
+                dtype=np.int64, count=n)
         next_read[:n] = np.fromiter((s.next_read_track for s in rows),
                                     dtype=np.int64, count=n)
         next_del[:n] = np.fromiter((s.next_delivery_track for s in rows),
                                    dtype=np.int64, count=n)
         num_tracks[:n] = np.fromiter((s.num_tracks for s in rows),
                                      dtype=np.int64, count=n)
+        rate[:n] = np.fromiter((s.rate for s in rows), dtype=np.int64,
+                               count=n)
         start[:n] = np.fromiter(
             (-1 if s.delivery_start_cycle is None
              else s.delivery_start_cycle for s in rows),
@@ -1722,8 +1292,10 @@ class CycleScheduler(abc.ABC):
                                     count=n)
         phase_val[:n] = np.fromiter((g[3] for g in gates), dtype=np.int64,
                                     count=n)
-        unpaced[:n] = pace_rate[:n] == 0
-        ungated = bool((phase_mod == 1).all())
+        unpaced = pace_rate == 0
+        paced = not bool(unpaced.all())
+        gated = not bool((phase_mod == 1).all())
+        max_rate = int(rate.max(initial=1))
         admitted_mask[:n] = np.fromiter(
             (s.status is StreamStatus.ADMITTED for s in rows),
             dtype=bool, count=n)
@@ -1734,29 +1306,15 @@ class CycleScheduler(abc.ABC):
         peak = peak0.copy()
         total_loads = np.zeros(num_disks, dtype=np.int64)
         failed_ids = np.asarray(self.array.failed_ids, dtype=np.int64)
-        # The shared pool must hold exactly the open accumulators' pages
-        # (anything else is unmodelled transition state).
-        entry_open = int(np.where(live_mask, acch[held_base + next_read],
-                                  0).sum()) if cap else 0
-        if self._ff_degraded_pool_tracks(entry_open) \
-                != self._extra_buffer_tracks():
-            self._ff_note("pool-buffers")
-            return 0, 0, 0, False
-        active = terminated = 0
-        for stream in self.streams.values():
-            if stream.status is StreamStatus.ACTIVE:
-                active += 1
-            elif stream.status is StreamStatus.TERMINATED:
-                terminated += 1
         samples: list[int] = []
-        done = 0
-        admitted_n = rejected_n = 0
+        done = admitted_n = rejected_n = 0
         consumed = False
         bail: Optional[str] = None
-        while done < limit and self.cycle_index < stop_cycle:
+        while done < limit:
             cycle = self.cycle_index
-            if any(rb.total_blocks - rb.blocks_rebuilt
-                   <= rb.writes_per_cycle for rb in rebuilders):
+            if rebuilders and any(rb.total_blocks - rb.blocks_rebuilt
+                                  <= rb.writes_per_cycle
+                                  for rb in rebuilders):
                 # A rebuild could finish this cycle.  Completion is a
                 # state transition with in-cycle side effects the engine
                 # does not model (repair_disk releases pool leases and
@@ -1780,16 +1338,21 @@ class CycleScheduler(abc.ABC):
                     i = len(rows)
                     rows.append(stream)
                     obj_base[i] = pos_base[distinct[obj.name]]
-                    held_base[i] = ptr_base[distinct[obj.name]]
+                    if degraded is not None:
+                        held_base[i] = ptr_base[distinct[obj.name]]
                     num_tracks[i] = stream.num_tracks
+                    rate[i] = stream.rate
+                    max_rate = max(max_rate, stream.rate)
                     quota[i] = (k_prime * stream.rate if base_quota
                                 else self.deliveries_per_cycle(stream))
                     gate = self._ff_gate_params(stream)
                     pace_rate[i], pace_base[i] = gate[0], gate[1]
                     phase_mod[i], phase_val[i] = gate[2], gate[3]
-                    unpaced[i] = gate[0] == 0
+                    if gate[0]:
+                        unpaced[i] = False
+                        paced = True
                     if gate[2] != 1:
-                        ungated = False
+                        gated = True
                     admitted_mask[i] = True
                     live_mask[i] = True
                     peak0[i] = tracker.stream_peak(stream.stream_id)
@@ -1802,24 +1365,42 @@ class CycleScheduler(abc.ABC):
                 bail = "imminent-hiccup"
                 break
             reading = live_mask & (next_read < num_tracks)
-            if not ungated:
+            if gated:
                 reading &= (cycle % phase_mod) == phase_val
-            reading &= unpaced | (next_read
-                                  < (cycle + 1 - pace_base) * pace_rate)
-            if divisor > 1 \
-                    and bool((reading & (next_read % divisor != 0)).any()):
-                bail = "mid-group-pointer"
+            if paced:
+                pace = (cycle + 1 - pace_base) * pace_rate
+                reading &= unpaced | (next_read < pace)
+            # Table steps: a rate-r row takes up to r, each gated like
+            # the first on the pointer the previous step left.
+            pointer = next_read
+            steps: list[tuple[np.ndarray, np.ndarray]] = []
+            for step in range(max_rate):
+                if step:
+                    reading = reading & (rate > step) \
+                        & (pointer < num_tracks)
+                    if paced:
+                        reading &= unpaced | (pointer < pace)
+                    if not reading.any():
+                        break
+                if divisor > 1 and bool(
+                        (reading & (pointer % divisor != 0)).any()):
+                    bail = "mid-group-pointer"  # the scalar path raises
+                    break
+                idx = np.where(reading, obj_base + pointer // divisor, 0)
+                if degraded is not None \
+                        and bool((reading & ~valid[idx]).any()):
+                    bail = "unrecoverable-group"  # scalar sheds: transition
+                    break
+                steps.append((reading, idx))
+                pointer = np.where(reading, next_pointers[idx], pointer)
+            if bail is not None:
                 break
-            idx = np.where(reading, obj_base + next_read // divisor, 0)
-            if bool((reading & ~valid[idx]).any()):
-                bail = "unrecoverable-group"  # scalar sheds: transition
-                break
-            cnt = np.where(reading, counts[idx], 0)
-            planned_total = int(cnt.sum())
+            r_idx = (steps[0][1][steps[0][0]] if len(steps) == 1
+                     else np.concatenate([idx[mask] for mask, idx in steps]))
+            r_cnt = counts[r_idx]
+            planned_total = int(r_cnt.sum())
             loads = None
             if planned_total:
-                r_idx = idx[reading]
-                r_cnt = counts[r_idx]
                 ends = np.cumsum(r_cnt)
                 within = np.arange(planned_total) \
                     - np.repeat(ends - r_cnt, r_cnt)
@@ -1827,26 +1408,32 @@ class CycleScheduler(abc.ABC):
                                         + within]
                 loads = np.bincount(disk_ids, minlength=num_disks)
                 if int(loads.max(initial=0)) > slots:
-                    bail = "slot-overflow"
+                    bail = "slot-overflow"  # scalar drops / cascades
                     break
                 total_loads += loads
-            recon_vec = np.where(reading, parity_flags[idx], 0)
-            parity_cycle = int(recon_vec.sum())
             # -- commit ---------------------------------------------------
-            recon_delta += recon_vec
+            parity_cycle = 0
+            if degraded is not None:
+                parity_cycle = int(parity_flags[r_idx].sum())
+                for mask, idx in steps:
+                    recon_delta += np.where(mask, parity_flags[idx], 0)
             newly = admitted_mask & (due > 0)
             if bool(newly.any()):
                 active += int(newly.sum())
                 admitted_mask &= ~newly
-            # Parity fetches never start the delivery clock: only a
-            # cycle with at least one *data* read does.
-            first_read = (start < 0) \
-                & (np.where(reading, data_counts[idx], 0) > 0)
+            # The delivery clock starts the cycle after a stream's first
+            # *data* read; parity fetches never start it.
+            data = counts if degraded is None else data_counts
+            mask, idx = steps[0]
+            got = mask & (data[idx] > 0)
+            for mask, idx in steps[1:]:
+                got |= mask & (data[idx] > 0)
+            first_read = (start < 0) & got
             if bool(first_read.any()):
                 start[first_read] = cycle + 1
             next_del += due
             deliv_delta += due
-            next_read = np.where(reading, next_pointers[idx], next_read)
+            next_read = pointer
             finished = live_mask & (next_del >= num_tracks)
             finished_any = bool(finished.any())
             if finished_any:
@@ -1865,13 +1452,15 @@ class CycleScheduler(abc.ABC):
                 idle[failed_ids] = 0
                 for rebuilder in rebuilders:
                     blocks += rebuilder.fast_step(idle, total_loads)
-            pointer_idx = held_base + next_read
-            acc_open = np.where(live_mask, acch[pointer_idx], 0)
-            held = np.where(live_mask,
-                            next_read - next_del + pheld[pointer_idx]
-                            - prel[held_base + next_del] + acc_open, 0)
+            if degraded is None:
+                held = np.where(live_mask, next_read - next_del, 0)
+            else:
+                pointer_idx = held_base + next_read
+                held = np.where(live_mask,
+                                next_read - next_del + pheld[pointer_idx]
+                                - prel[held_base + next_del]
+                                + acch[pointer_idx], 0)
             np.maximum(peak, held, out=peak)
-            pool_now = self._ff_degraded_pool_tracks(int(acc_open.sum()))
             buffered = int(held.sum()) + pool_now
             samples.append(buffered)
             report = CycleReport(cycle=cycle)
@@ -1895,30 +1484,39 @@ class CycleScheduler(abc.ABC):
                 break
         if done or len(rows) > n:
             # -- write the epoch's state back to the Python objects -------
+            used = len(rows)
+            reads = next_read[:used].tolist()
+            delivers = next_del[:used].tolist()
+            delivered = deliv_delta[:used].tolist()
+            starts = start[:used].tolist()
+            waiting = admitted_mask[:used].tolist()
+            live = live_mask[:used].tolist()
+            rebuilt = recon_delta[:used].tolist()
             for i, stream in enumerate(rows):
-                stream.next_read_track = int(next_read[i])
-                stream.next_delivery_track = int(next_del[i])
-                stream.delivered_tracks += int(deliv_delta[i])
-                stream.reconstructed_tracks += int(recon_delta[i])
-                if stream.delivery_start_cycle is None and start[i] >= 0:
-                    stream.delivery_start_cycle = int(start[i])
+                stream.next_read_track = reads[i]
+                stream.next_delivery_track = delivers[i]
+                stream.delivered_tracks += delivered[i]
+                if stream.delivery_start_cycle is None and starts[i] >= 0:
+                    stream.delivery_start_cycle = starts[i]
                 if stream.status is StreamStatus.ADMITTED \
-                        and not admitted_mask[i]:
+                        and not waiting[i]:
                     stream.activate()
-                if live_mask[i]:
+                if live[i]:
                     stream.buffer = dict.fromkeys(
-                        range(stream.next_delivery_track,
-                              stream.next_read_track), META_PAYLOAD)
-                    pairs = deg_by_name[stream.object.name]
-                    pointer = stream.next_read_track
-                    floor = stream.next_delivery_track // stripe
-                    stream.parity_buffer = {
-                        g: META_PAYLOAD for g, acquired in pairs
-                        if acquired <= pointer and g >= floor}
+                        range(delivers[i], reads[i]), META_PAYLOAD)
+                    if degraded is not None:
+                        floor = delivers[i] // stripe
+                        stream.parity_buffer = {
+                            g: META_PAYLOAD for g, acquired
+                            in pairs_by_name[stream.object.name]
+                            if acquired <= reads[i] and g >= floor}
                 else:
                     stream.complete()
-                self._ff_degraded_sync_stream(stream)
-            self._ff_degraded_credit(int(recon_delta.sum()))
+                if degraded is not None:
+                    stream.reconstructed_tracks += rebuilt[i]
+                    self._ff_sync_stream(stream)
+            if degraded is not None:
+                self._ff_credit(int(recon_delta.sum()))
             raised = np.nonzero(peak > peak0)[0]
             tracker.fold_epoch(
                 samples,
@@ -1930,7 +1528,7 @@ class CycleScheduler(abc.ABC):
         self._ff_note(bail)
         return done, admitted_n, rejected_n, consumed
 
-    # -- churn-tolerant fast-forward --------------------------------------------------
+    # -- churn -------------------------------------------------------------------------
 
     def run_churn(self, count: int,
                   arrivals: dict[int, tuple[MediaObject, ...]],
@@ -1939,46 +1537,29 @@ class CycleScheduler(abc.ABC):
         """Run ``count`` cycles with per-cycle arrival batches.
 
         ``arrivals`` maps *absolute* cycle indices to the objects
-        requested in that cycle.  With ``fast_forward`` on, quiescent
-        stretches — including the arrival cycles themselves — run on the
-        churn engine (:meth:`_fast_forward_churn`), which admits batches
-        in-engine instead of ending the epoch at every arrival; anything
-        the engine cannot prove quiescent falls back to the scalar cycle
-        with :meth:`admit_batch` at the front door.  Results are
-        bit-identical either way.  Returns ``(reports, admitted,
-        rejected)``.
+        requested in that cycle.  With ``fast_forward`` on, the epoch
+        engine (:meth:`_fast_forward`) admits each batch in-engine
+        instead of ending the epoch at every arrival; a cycle the engine
+        cannot prove identical to the scalar one runs scalar, with
+        :meth:`admit_batch` at the front door.  Results are bit-identical
+        either way.  Returns ``(reports, admitted, rejected)``.
         """
         reports: list[CycleReport] = []
         admitted = rejected = 0
         end = self.cycle_index + count
-        arrival_cycles = sorted(arrivals) if fast_forward else []
-        consumed = False
         while self.cycle_index < end:
+            consumed = False
             if fast_forward:
-                _done, a, r, consumed = self._fast_forward_churn(
-                    end - self.cycle_index, arrivals, reports)
+                _done, a, r, consumed = self._fast_forward(
+                    end - self.cycle_index, reports, arrivals=arrivals)
                 admitted += a
                 rejected += r
                 if self.cycle_index >= end:
                     break
-                if not consumed and not arrivals.get(self.cycle_index):
-                    # The churn engine models healthy and stable-degraded
-                    # rate-1 populations; a mixed-rate stretch between
-                    # arrival cycles can still ride the generic epoch
-                    # engine up to the next arrival boundary.
-                    pos = bisect_right(arrival_cycles, self.cycle_index)
-                    boundary = (arrival_cycles[pos]
-                                if pos < len(arrival_cycles)
-                                and arrival_cycles[pos] < end
-                                else end)
-                    if self._fast_forward(boundary - self.cycle_index,
-                                          reports):
-                        continue
             if not consumed:
                 a, r = self._admit_cycle_arrivals(arrivals)
                 admitted += a
                 rejected += r
-            consumed = False
             reports.append(self.run_cycle())
         return reports, admitted, rejected
 
@@ -1991,284 +1572,6 @@ class CycleScheduler(abc.ABC):
             return 0, 0
         streams, rejected = self.admit_batch(list(batch))
         return len(streams), rejected
-
-    def _fast_forward_churn(self, limit: int,
-                            arrivals: dict[int, tuple[MediaObject, ...]],
-                            reports: list[CycleReport],
-                            ) -> tuple[int, int, int, bool]:
-        """The vector engine extended with in-engine batch admission.
-
-        Stream rows live in preallocated numpy arrays sized for the
-        window's worst case; each arrival cycle admits its batch through
-        the *same* :meth:`_admit_checked` decision the scalar front door
-        uses (so acceptance, phase assignment, stream ids, and error
-        accounting are identical by construction) and the accepted
-        streams join the arrays in place — no epoch break, no table
-        rebuild.  Returns ``(cycles done, admitted, rejected,
-        consumed)`` where ``consumed`` means the *current* cycle's
-        arrivals were already admitted before a bail, so the scalar
-        fallback must not re-admit them.
-        """
-        self._refresh_plan_cache()
-        if limit <= 0:
-            return 0, 0, 0, False
-        mode, reason = self._ff_classify()
-        if mode is None:
-            self._ff_note(reason)
-            return 0, 0, 0, False
-        rows = [s for s in self.streams.values() if s.is_active]
-        if any(s.rate != 1 for s in rows):
-            self._ff_note("mixed-rates")
-            return 0, 0, 0, False
-        if mode == "degraded":
-            # Stable degraded state under churn: the merged engine
-            # absorbs arrivals in-epoch with reconstruction rows and
-            # rebuild cursors in the same batched accounting.
-            return self._fast_forward_degraded(limit, rows, reports,
-                                               arrivals=arrivals)
-        start_cycle = self.cycle_index
-        end_cycle = start_cycle + limit
-        # Working set: live objects plus every placed rate-1 arrival in
-        # the window.  A placed arrival whose rate is not 1 cannot join
-        # the uniform row engine: the epoch must end *before* its cycle.
-        distinct: dict[str, int] = {}
-        objects: list[MediaObject] = []
-        for stream in rows:
-            name = stream.object.name
-            if name not in distinct:
-                distinct[name] = len(objects)
-                objects.append(stream.object)
-        stop_cycle = end_cycle
-        cap = len(rows)
-        for cycle, batch in arrivals.items():
-            if not start_cycle <= cycle < end_cycle:
-                continue
-            for obj in batch:
-                if not self.layout.has_object(obj.name):
-                    continue  # _admit_checked rejects it in-engine
-                try:
-                    rate = self._rate_of(obj)
-                except AdmissionError:
-                    continue  # ditto
-                if rate != 1:
-                    stop_cycle = min(stop_cycle, cycle)
-                    break
-                cap += 1
-                if obj.name not in distinct:
-                    distinct[obj.name] = len(objects)
-                    objects.append(obj)
-        if stop_cycle <= start_cycle:
-            return 0, 0, 0, False
-        if objects:
-            flat = self._ff_flat_tables(objects)
-            if flat is None:
-                return 0, 0, 0, False
-        else:
-            # No live streams and no admittable arrivals in the window:
-            # every batched request below is a guaranteed rejection, and
-            # the cycles themselves are empty.
-            flat = (np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64),
-                    np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-                    [], 1)
-        counts, offsets, member_disks, next_pointers, pos_base, divisor = \
-            flat
-        n = len(rows)
-        num_disks = len(self.array.disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        tracker = self.tracker
-        phase_load = self._phase_loads()
-        width = len(phase_load)
-        limit_units = self.effective_admission_limit()
-        # Row arrays over the window's worst-case population; rows past
-        # the current count are neutral (not live, not reading).
-        obj_base = np.zeros(cap, dtype=np.int64)
-        next_read = np.zeros(cap, dtype=np.int64)
-        next_del = np.zeros(cap, dtype=np.int64)
-        num_tracks = np.zeros(cap, dtype=np.int64)
-        start = np.full(cap, -1, dtype=np.int64)
-        quota = np.zeros(cap, dtype=np.int64)
-        pace_rate = np.zeros(cap, dtype=np.int64)
-        pace_base = np.zeros(cap, dtype=np.int64)
-        phase_mod = np.ones(cap, dtype=np.int64)
-        phase_val = np.zeros(cap, dtype=np.int64)
-        unpaced = np.ones(cap, dtype=bool)
-        admitted_mask = np.zeros(cap, dtype=bool)
-        live_mask = np.zeros(cap, dtype=bool)
-        deliv_delta = np.zeros(cap, dtype=np.int64)
-        peak0 = np.zeros(cap, dtype=np.int64)
-        obj_base[:n] = np.fromiter(
-            (pos_base[distinct[s.object.name]] for s in rows),
-            dtype=np.int64, count=n)
-        next_read[:n] = np.fromiter((s.next_read_track for s in rows),
-                                    dtype=np.int64, count=n)
-        next_del[:n] = np.fromiter((s.next_delivery_track for s in rows),
-                                   dtype=np.int64, count=n)
-        num_tracks[:n] = np.fromiter((s.num_tracks for s in rows),
-                                     dtype=np.int64, count=n)
-        start[:n] = np.fromiter(
-            (-1 if s.delivery_start_cycle is None
-             else s.delivery_start_cycle for s in rows),
-            dtype=np.int64, count=n)
-        quota[:n] = np.fromiter(
-            (k_prime * s.rate if base_quota
-             else self.deliveries_per_cycle(s) for s in rows),
-            dtype=np.int64, count=n)
-        gates = [self._ff_gate_params(s) for s in rows]
-        pace_rate[:n] = np.fromiter((g[0] for g in gates), dtype=np.int64,
-                                    count=n)
-        pace_base[:n] = np.fromiter((g[1] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_mod[:n] = np.fromiter((g[2] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_val[:n] = np.fromiter((g[3] for g in gates), dtype=np.int64,
-                                    count=n)
-        unpaced[:n] = pace_rate[:n] == 0
-        ungated = bool((phase_mod == 1).all())
-        admitted_mask[:n] = np.fromiter(
-            (s.status is StreamStatus.ADMITTED for s in rows),
-            dtype=bool, count=n)
-        live_mask[:n] = True
-        peak0[:n] = np.fromiter(
-            (tracker.stream_peak(s.stream_id) for s in rows),
-            dtype=np.int64, count=n)
-        peak = peak0.copy()
-        total_loads = np.zeros(num_disks, dtype=np.int64)
-        active = terminated = 0
-        for stream in self.streams.values():
-            if stream.status is StreamStatus.ACTIVE:
-                active += 1
-            elif stream.status is StreamStatus.TERMINATED:
-                terminated += 1
-        samples: list[int] = []
-        done = 0
-        admitted_n = rejected_n = 0
-        bailed = False
-        while done < limit and self.cycle_index < stop_cycle:
-            cycle = self.cycle_index
-            # -- admit this cycle's batch through the scalar decision -----
-            batch = arrivals.get(cycle)
-            if batch:
-                for obj in batch:
-                    try:
-                        stream = self._admit_checked(obj, phase_load,
-                                                     limit_units)
-                    except AdmissionError:
-                        rejected_n += 1
-                        continue
-                    admitted_n += 1
-                    i = len(rows)
-                    rows.append(stream)
-                    obj_base[i] = pos_base[distinct[obj.name]]
-                    num_tracks[i] = stream.num_tracks
-                    quota[i] = (k_prime * stream.rate if base_quota
-                                else self.deliveries_per_cycle(stream))
-                    gate = self._ff_gate_params(stream)
-                    pace_rate[i], pace_base[i] = gate[0], gate[1]
-                    phase_mod[i], phase_val[i] = gate[2], gate[3]
-                    unpaced[i] = gate[0] == 0
-                    if gate[2] != 1:
-                        ungated = False
-                    admitted_mask[i] = True
-                    live_mask[i] = True
-                    peak0[i] = tracker.stream_peak(stream.stream_id)
-                    peak[i] = peak0[i]
-            # -- stage (no mutation yet, so a bail leaves no trace) -------
-            started = live_mask & (start >= 0) & (start <= cycle)
-            due = np.where(started,
-                           np.minimum(quota, num_tracks - next_del), 0)
-            if bool((due > next_read - next_del).any()):
-                bailed = True  # an imminent hiccup: go scalar
-                self._ff_note("imminent-hiccup")
-                break
-            reading = live_mask & (next_read < num_tracks)
-            if not ungated:
-                reading &= (cycle % phase_mod) == phase_val
-            reading &= unpaced | (next_read
-                                  < (cycle + 1 - pace_base) * pace_rate)
-            if divisor > 1 \
-                    and bool((reading & (next_read % divisor != 0)).any()):
-                bailed = True  # mid-group pointer: the scalar path raises
-                self._ff_note("mid-group-pointer")
-                break
-            idx = np.where(reading, obj_base + next_read // divisor, 0)
-            cnt = np.where(reading, counts[idx], 0)
-            planned_total = int(cnt.sum())
-            if planned_total:
-                r_idx = idx[reading]
-                r_cnt = counts[r_idx]
-                ends = np.cumsum(r_cnt)
-                within = np.arange(planned_total) \
-                    - np.repeat(ends - r_cnt, r_cnt)
-                disk_ids = member_disks[np.repeat(offsets[r_idx], r_cnt)
-                                        + within]
-                loads = np.bincount(disk_ids, minlength=num_disks)
-                if int(loads.max(initial=0)) > slots:
-                    bailed = True  # slot overflow: scalar drops / cascades
-                    self._ff_note("slot-overflow")
-                    break
-                total_loads += loads
-            # -- commit ---------------------------------------------------
-            newly = admitted_mask & (due > 0)
-            if bool(newly.any()):
-                active += int(newly.sum())
-                admitted_mask &= ~newly
-            first_read = (start < 0) & (cnt > 0)
-            if bool(first_read.any()):
-                start[first_read] = cycle + 1
-            next_del += due
-            deliv_delta += due
-            next_read = np.where(reading, next_pointers[idx], next_read)
-            finished = live_mask & (next_del >= num_tracks)
-            if bool(finished.any()):
-                active -= int(finished.sum())
-                live_mask &= ~finished
-                # Completed rows free their capacity for later batches.
-                for i in np.nonzero(finished)[0]:
-                    row = rows[int(i)]
-                    phase_load[row.phase % width] -= row.rate
-            held = np.where(live_mask, next_read - next_del, 0)
-            np.maximum(peak, held, out=peak)
-            buffered = int(held.sum())
-            samples.append(buffered)
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.tracks_delivered = int(due.sum())
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = buffered
-            reports.append(report)
-            self.report.record(report)
-            self.cycle_index = cycle + 1
-            done += 1
-        if done or len(rows) > n:
-            # -- write the epoch's state back to the Python objects -------
-            for i, stream in enumerate(rows):
-                stream.next_read_track = int(next_read[i])
-                stream.next_delivery_track = int(next_del[i])
-                stream.delivered_tracks += int(deliv_delta[i])
-                if stream.delivery_start_cycle is None and start[i] >= 0:
-                    stream.delivery_start_cycle = int(start[i])
-                if stream.status is StreamStatus.ADMITTED \
-                        and not admitted_mask[i]:
-                    stream.activate()
-                if live_mask[i]:
-                    stream.buffer = dict.fromkeys(
-                        range(stream.next_delivery_track,
-                              stream.next_read_track), META_PAYLOAD)
-                else:
-                    stream.complete()
-            raised = np.nonzero(peak > peak0)[0]
-            tracker.fold_epoch(
-                samples,
-                {rows[int(i)].stream_id: int(peak[int(i)]) for i in raised})
-            disks = self.array.disks
-            for disk_id in np.nonzero(total_loads)[0]:
-                disks[int(disk_id)].reads += int(total_loads[disk_id])
-            self.report.ff_engaged_cycles += done
-        return done, admitted_n, rejected_n, bailed
 
     # -- phases ------------------------------------------------------------------------
 

@@ -429,58 +429,11 @@ class NonClusteredScheduler(CycleScheduler):
                                    - self._reconstructions_credited)
         self._reconstructions_credited = self._completed_reconstructions
 
-    # -- quiescent fast-forward --------------------------------------------------------
-
-    def _fast_forward_ready(self) -> bool:
-        """Veto while any cluster is degraded or a running XOR is open."""
-        return (not self._degraded and not self._unprotected
-                and not self._accumulators)
+    # -- fast-forward -----------------------------------------------------------------
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
-        """Vector gate: pace reads on the natural delivery schedule."""
+        """Fast-forward gate: pace reads on the natural delivery schedule."""
         return stream.rate, stream.admitted_cycle, 1, 0
-
-    def _ff_read_table(self, obj: MediaObject,
-                       ) -> Optional[tuple[np.ndarray, np.ndarray,
-                                           np.ndarray, np.ndarray, int]]:
-        """Vector table: one data-disk read per track, natural order.
-
-        The cached geometry's flat member array already lists the data
-        disk of every track in order, so the per-track table is a
-        reindexing of it — no per-track address lookups.
-        """
-        _cnt, _ptr, disks, _parity, _nxt = self._ff_object_geometry(obj)
-        tracks = obj.num_tracks
-        pointers = np.arange(tracks + 1, dtype=np.int64)
-        return (np.ones(tracks, dtype=np.int64), pointers, disks,
-                pointers[1:], 1)
-
-    def _ff_stream_plan(self, stream: Stream, cycle: int,
-                        loads: list[int]) -> Optional[tuple[int, int]]:
-        """Quiescent plan: rate-paced single-track reads on the natural
-        schedule (the healthy branch of :meth:`_plan_one_quantum`)."""
-        new_read = stream.next_read_track
-        num_tracks = stream.num_tracks
-        target = self._schedule_target(stream, cycle)
-        name = stream.object.name
-        data_address = self.layout.data_address
-        planned = 0
-        for _ in range(stream.rate):
-            if new_read >= num_tracks or new_read >= target:
-                break
-            loads[data_address(name, new_read).disk_id] += 1
-            planned += 1
-            new_read += 1
-        return new_read, planned
-
-    # -- degraded fast-forward ---------------------------------------------------------
-
-    def _ff_degraded_ready(self) -> bool:
-        """The degraded engine models exactly the states the quiescent
-        veto refuses: degraded clusters, open running XORs, and even
-        unprotected clusters (whose lost-track positions the read table
-        marks invalid, bailing before the scalar path would shed)."""
-        return True
 
     def _ff_lazy_window(self, stream: Stream,
                         ) -> Optional[tuple[int, list[int], int]]:
@@ -506,17 +459,18 @@ class NonClusteredScheduler(CycleScheduler):
             return None
         return group, tracks, failed[0]
 
-    def _ff_degraded_stream_ok(self, stream: Stream) -> bool:
-        """The stream must rest exactly on the canonical degraded
-        trajectory: one open running XOR iff the pointer is inside a
-        LAZY recovery window (with precisely the already-read members
-        folded), and never strictly past a recoverable group's burst
-        offset — a stream there crossed the group before the failure, so
-        it holds neither parity nor XOR and the static tables cannot
-        predict its buffers (it re-enters once delivery drains the
-        group)."""
+    def _ff_stream_ok(self, stream: Stream) -> bool:
+        """The stream must rest exactly on the canonical trajectory: one
+        open running XOR iff the pointer is inside a LAZY recovery
+        window (with precisely the already-read members folded), and
+        never strictly past a recoverable group's burst offset — a
+        stream there crossed the group before the failure, so it holds
+        neither parity nor XOR and the static tables cannot predict its
+        buffers (it re-enters once delivery drains the group).  With no
+        cluster degraded there is no window and no burst, so only a
+        leftover running XOR disqualifies the stream."""
         sid = stream.stream_id
-        window = self._ff_lazy_window(stream)
+        window = self._ff_lazy_window(stream) if self._degraded else None
         if window is None:
             if stream.accumulators or any(
                     key[0] == sid for key in self._accumulators):
@@ -539,7 +493,7 @@ class NonClusteredScheduler(CycleScheduler):
                     and acc.needed == needed
                     and acc.folded == set(tracks[:offset])):
                 return False
-        if not stream.reads_remaining:
+        if not self._degraded or not stream.reads_remaining:
             return True
         group, offset = divmod(stream.next_read_track, self._stripe)
         name = stream.object.name
@@ -555,7 +509,7 @@ class NonClusteredScheduler(CycleScheduler):
                 return False
         return True
 
-    def _ff_degraded_sync_stream(self, stream: Stream) -> None:
+    def _ff_sync_stream(self, stream: Stream) -> None:
         """Rematerialise the stream's running XOR at its new pointer.
 
         In metadata mode every fold yields the zero-length token, so the
@@ -584,7 +538,7 @@ class NonClusteredScheduler(CycleScheduler):
         self._accumulators[(sid, group)] = acc
         stream.accumulators[group] = acc.payload
 
-    def _ff_degraded_credit(self, reconstructions: int) -> None:
+    def _ff_credit(self, reconstructions: int) -> None:
         """LAZY reconstructions complete through the accumulator path,
         which the scalar run counts on the scheme's counters and credits
         in :meth:`_finalise`; the engine has already folded the count
@@ -595,24 +549,29 @@ class NonClusteredScheduler(CycleScheduler):
             self._completed_reconstructions += reconstructions
             self._reconstructions_credited += reconstructions
 
-    def _ff_degraded_pool_tracks(self, open_accumulators: int) -> int:
-        """Pool commitment is lease-granular (per degraded cluster), not
-        per accumulator, so it is constant across a degraded epoch."""
-        return self.pool.tracks_in_use if self.pool is not None else 0
+    def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
+        """Per-track table (divisor 1): natural-pace single reads.
 
-    def _ff_degraded_read_table(self, obj: MediaObject,
-                                failed: list[int]) -> Optional[tuple]:
-        """Per-track degraded table (divisor 1): natural-pace single
-        reads, with the protocol's recovery burst folded into the group's
-        scalar burst position — EAGER at the group start, LAZY at the
-        failed offset (where the running XOR completes same-cycle).
-        Unrecoverable failed offsets are invalid rows: the scalar path
-        sheds the track there, a transition the engine must not cross.
+        The cached geometry's flat member array already lists the data
+        disk of every track in order, so an object with no group on a
+        degraded cluster gets that array as its table verbatim.  On a
+        degraded cluster the protocol's recovery burst folds into the
+        group's scalar burst position — EAGER at the group start, LAZY
+        at the failed offset (where the running XOR completes
+        same-cycle) — and unrecoverable failed offsets are invalid rows:
+        the scalar path sheds the track there, a transition the engine
+        must not cross.
         """
+        track_disks = self._ff_object_geometry(obj)[2]
+        num_tracks = obj.num_tracks
+        healthy = (np.ones(num_tracks, dtype=np.int64), track_disks,
+                   np.arange(1, num_tracks + 1, dtype=np.int64), 1, None)
+        if not self._degraded:
+            return healthy
         stripe = self._stripe
         layout = self.layout
         name = obj.name
-        data_address = layout.data_address
+        disk_of = track_disks.tolist()
         sizes: list[int] = []
         flat: list[int] = []
         nexts: list[int] = []
@@ -622,10 +581,11 @@ class NonClusteredScheduler(CycleScheduler):
         deg_pairs: list[tuple[int, int]] = []
         acc_info: dict[int, tuple[int, int]] = {}
         eager = self.protocol is TransitionProtocol.EAGER
+        touched = False
 
         def single(track: int) -> None:
             sizes.append(1)
-            flat.append(data_address(name, track).disk_id)
+            flat.append(disk_of[track])
             nexts.append(track + 1)
             data_counts.append(1)
             parity_flags.append(0)
@@ -638,39 +598,44 @@ class NonClusteredScheduler(CycleScheduler):
             parity_flags.append(0)
             valid.append(False)
 
-        for group in range(-(-obj.num_tracks // stripe)):
+        def burst(members: list[int], parity_disk: int, group: int,
+                  after: int) -> None:
+            sizes.append(len(members) + 1)
+            flat.extend(disk_of[m] for m in members)
+            flat.append(parity_disk)
+            nexts.append(after)
+            data_counts.append(len(members))
+            parity_flags.append(1)
+            valid.append(True)
+            deg_pairs.append((group, after))
+
+        for group in range(-(-num_tracks // stripe)):
             tracks = layout.group_tracks(name, group)
             cluster = layout.group_cluster(name, group)
-            failed = [o for o in sorted(self._degraded.get(cluster, ()))
-                      if o < len(tracks)]
-            if not failed:
+            failed_offsets = [o for o in sorted(self._degraded.get(cluster,
+                                                                   ()))
+                              if o < len(tracks)]
+            if not failed_offsets:
                 for track in tracks:
                     single(track)
                 continue
+            touched = True
             parity_disk = layout.parity_address(name, group).disk_id
-            recoverable = (len(failed) == 1
+            recoverable = (len(failed_offsets) == 1
                            and cluster not in self._unprotected
                            and not self.array[parity_disk].is_failed)
-            f = failed[0]
+            f = failed_offsets[0]
             after = tracks[-1] + 1
             for offset, track in enumerate(tracks):
                 if not recoverable:
-                    if offset in failed:
+                    if offset in failed_offsets:
                         lost(track)
                     else:
                         single(track)
                 elif eager:
                     if offset == 0:
-                        burst = [data_address(name, m).disk_id
-                                 for o, m in enumerate(tracks) if o != f]
-                        burst.append(parity_disk)
-                        sizes.append(len(burst))
-                        flat.extend(burst)
-                        nexts.append(after)
-                        data_counts.append(len(tracks) - 1)
-                        parity_flags.append(1)
-                        valid.append(True)
-                        deg_pairs.append((group, after))
+                        burst([m for o, m in enumerate(tracks) if o != f],
+                              parity_disk, group, after)
                     elif offset == f:
                         # Mid-group under EAGER: the burst was missed, so
                         # the scalar path sheds the failed track here.
@@ -678,26 +643,16 @@ class NonClusteredScheduler(CycleScheduler):
                     else:
                         single(track)
                 elif offset == f:
-                    burst = [data_address(name, m).disk_id
-                             for m in tracks[f + 1:]]
-                    burst.append(parity_disk)
-                    sizes.append(len(burst))
-                    flat.extend(burst)
-                    nexts.append(after)
-                    data_counts.append(len(tracks) - f - 1)
-                    parity_flags.append(1)
-                    valid.append(True)
-                    deg_pairs.append((group, after))
+                    burst(tracks[f + 1:], parity_disk, group, after)
                     if f >= 1:
                         acc_info[group] = (tracks[0] + 1, tracks[f])
                 else:
                     single(track)
-        cnt = np.asarray(sizes, dtype=np.int64)
-        ptr = np.zeros(len(cnt) + 1, dtype=np.int64)
-        np.cumsum(cnt, out=ptr[1:])
-        return (cnt, ptr, np.asarray(flat, dtype=np.int64),
-                np.asarray(nexts, dtype=np.int64),
-                np.asarray(data_counts, dtype=np.int64),
-                np.asarray(parity_flags, dtype=np.int64),
-                np.asarray(valid, dtype=bool),
-                tuple(deg_pairs), acc_info, 1)
+        if not touched:
+            return healthy
+        return (np.asarray(sizes, dtype=np.int64),
+                np.asarray(flat, dtype=np.int64),
+                np.asarray(nexts, dtype=np.int64), 1,
+                (np.asarray(data_counts, dtype=np.int64),
+                 np.asarray(parity_flags, dtype=np.int64),
+                 np.asarray(valid, dtype=bool), tuple(deg_pairs), acc_info))

@@ -215,8 +215,8 @@ class MultimediaServer:
 
     def run_cycles(self, count: int,
                    fast_forward: bool = False) -> list[CycleReport]:
-        """Simulate ``count`` cycles (optionally with quiescent-epoch
-        fast-forward; see :meth:`CycleScheduler.run_cycles`)."""
+        """Simulate ``count`` cycles (optionally with epoch fast-forward;
+        see :meth:`CycleScheduler.run_cycles`)."""
         return self.scheduler.run_cycles(count, fast_forward=fast_forward)
 
     def run_with_schedule(self, cycles: int, schedule: FaultSchedule,
@@ -225,7 +225,7 @@ class MultimediaServer:
 
         With ``fast_forward=True`` the run is segmented at the schedule's
         event cycles: each segment starts by applying due events, then
-        advances to the next event boundary with the quiescent-epoch
+        advances to the next event boundary with the epoch fast-forward
         engine enabled — scripted faults therefore land on exactly the
         cycle they name, and results stay bit-identical to the scalar
         loop.  The cycle before a mid-cycle failure strike always runs
@@ -273,10 +273,11 @@ class MultimediaServer:
         falls outside the simulated window are reported as ``unarrived``
         rather than silently dropped.
 
-        With ``fast_forward=True`` the run goes through the scheduler's
-        churn engine (:meth:`CycleScheduler.run_churn`): arrival batches
-        are admitted in-engine and quiescent stretches between them are
-        vectorised, with results bit-identical to the scalar loop.  An
+        With ``fast_forward=True`` the run goes through
+        :meth:`CycleScheduler.run_churn`: arrival batches are admitted
+        inside the epoch fast-forward engine and the stable stretches
+        between them are vectorised, with results bit-identical to the
+        scalar loop.  An
         optional ``schedule`` scripts disk faults; with fast-forward the
         run segments at its event cycles so faults land exactly where
         they are scripted.

@@ -112,7 +112,7 @@ class VideoOnDemandSystem:
         With ``fast_forward=True`` the run segments at the pending-start
         cycles: each staged title still begins streaming on exactly the
         cycle its load completes, and the stretches between completions
-        go through the scheduler's quiescent-epoch engine.  Pins are
+        go through the scheduler's epoch fast-forward engine.  Pins are
         released at segment boundaries instead of every cycle — pin
         counts only matter to purge decisions, which happen inside
         :meth:`request`, never mid-run.

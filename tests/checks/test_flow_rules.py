@@ -81,7 +81,7 @@ def test_r8_call_site_allow_does_not_cover_other_edges() -> None:
                 self._note()  # repro: allow(R8)
                 return "healthy"
 
-            def _ff_eligible(self) -> bool:
+            def _fast_forward_ready(self) -> bool:
                 self._note()
                 return True
 
@@ -89,7 +89,7 @@ def test_r8_call_site_allow_does_not_cover_other_edges() -> None:
                 self.log = 1
     """
     findings = _check([("src/repro/sched/mod.py", code)], ["R8"])
-    # The unsuppressed _ff_eligible path still reports the helper.
+    # The unsuppressed _fast_forward_ready path still reports the helper.
     assert [f.rule_id for f in findings] == ["R8"]
     assert "_note" in findings[0].message
 

@@ -1,13 +1,13 @@
-"""Quiescent-epoch fast-forward: bit-equality against the scalar engine.
+"""Epoch fast-forward: bit-equality against the scalar engine.
 
 Every test builds two identical servers, drives one cycle-by-cycle and
 the other with ``fast_forward=True``, and compares a full state
 fingerprint — cycle reports, per-disk read counters, buffer-tracker
 samples and per-stream peaks, every stream's pointers and buffer
 contents, and the rendered summary.  Equality must hold whether the
-epoch engine runs the vectorised path (all-rate-1 populations), the
-generic per-stream path (mixed rates), or bails to scalar cycles
-(payload mode, standing faults).
+one epoch engine runs healthy or degraded tables, rebuild cursors,
+several table steps per cycle for fast streams (mixed rates), or bails
+to scalar cycles (payload mode, transitions).
 """
 
 from __future__ import annotations
@@ -112,19 +112,40 @@ def _mixed_rate_catalog():
     return catalog
 
 
-def test_fast_forward_matches_scalar_mixed_rates() -> None:
-    """A rate-3 stream forces the generic (non-vector) epoch path."""
+#: (scheme, NC transition protocol) pairs: every scheme once, NC twice.
+MIXED_RATE_SCHEMES = [(scheme, None) for scheme in ALL_IMPLEMENTED_SCHEMES
+                      if scheme is not Scheme.NON_CLUSTERED] + [
+    (Scheme.NON_CLUSTERED, "lazy"), (Scheme.NON_CLUSTERED, "eager")]
+
+
+@pytest.mark.parametrize(
+    "scheme,protocol,drive",
+    [pytest.param(scheme, protocol, drive,
+                  id="-".join(filter(None, (scheme.value, protocol, drive))))
+     for scheme, protocol in MIXED_RATE_SCHEMES
+     for drive in ("plain", "rebuild")])
+def test_fast_forward_matches_scalar_mixed_rates(
+        scheme: Scheme, protocol: "str | None", drive: str) -> None:
+    """A rate-3 stream takes three table steps per cycle in the epoch
+    engine, fault-free and through the fail -> degraded -> rebuild ->
+    restore arc."""
+    from repro.sched.non_clustered import TransitionProtocol
+    kwargs: dict[str, object] = {"catalog": _mixed_rate_catalog()}
+    if protocol is not None:
+        kwargs["protocol"] = TransitionProtocol(protocol)
     results = []
     for fast_forward in (False, True):
-        server = build_server(Scheme.STREAMING_RAID, num_disks=10,
-                              catalog=_mixed_rate_catalog(),
-                              verify_payloads=False)
+        server = _scheme_server(scheme, **kwargs)
         for name in ("m0", "m1", "fast"):
             server.admit(name)
         assert any(s.rate == 3 for s in server.scheduler.streams.values())
-        reports = server.run_cycles(CYCLES, fast_forward=fast_forward)
-        results.append(_fingerprint(server, reports))
+        run = _plain_run if drive == "plain" else _rebuild_drive
+        reports = run(server, fast_forward)
+        results.append(_deep_fingerprint(server, reports))
     assert results[0] == results[1]
+    assert server.report.ff_engaged_cycles > 0
+    if drive == "plain":
+        assert server.report.total_hiccups == 0
 
 
 def test_fast_forward_advances_cycle_index() -> None:

@@ -13,6 +13,7 @@ import pytest
 
 from repro.errors import AdmissionError
 from repro.faults.injector import FaultSchedule
+from repro.media import MediaObject
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer, WorkloadResult
 from repro.workload import WorkloadGenerator, compile_trace
@@ -44,8 +45,10 @@ def _trace(server: MultimediaServer, rate: float, seed: int):
 
 
 def _workload_pair(scheme: Scheme, rate: float = 0.8, seed: int = 7,
-                   with_fault: bool = False,
-                   **kwargs: object) -> tuple[WorkloadResult, WorkloadResult]:
+                   with_fault: bool = False, **kwargs: object,
+                   ) -> tuple[WorkloadResult, WorkloadResult, object]:
+    """Scalar vs fast ``run_workload``; returns both front-door results
+    and the fast server's report."""
     slow = _server(scheme, **kwargs)
     fast = _server(scheme, **kwargs)
     schedule_for = (
@@ -57,13 +60,13 @@ def _workload_pair(scheme: Scheme, rate: float = 0.8, seed: int = 7,
                                     fast_forward=True,
                                     schedule=schedule_for())
     assert _fingerprint(slow, []) == _fingerprint(fast, [])
-    return slow_result, fast_result
+    return slow_result, fast_result, fast.report
 
 
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
                          ids=lambda s: s.value)
 def test_workload_fast_forward_matches_scalar(scheme: Scheme) -> None:
-    slow, fast = _workload_pair(scheme)
+    slow, fast, _ = _workload_pair(scheme)
     assert slow == fast
     assert slow.admitted > 0 and slow.rejected == 0
 
@@ -73,8 +76,8 @@ def test_workload_fast_forward_matches_scalar(scheme: Scheme) -> None:
 def test_workload_rejections_identical(scheme: Scheme) -> None:
     # A tight admission limit forces in-engine rejections on the fast
     # path; the counts and the resulting system state must still match.
-    slow, fast = _workload_pair(scheme, rate=1.5, seed=11,
-                                admission_limit=3)
+    slow, fast, _ = _workload_pair(scheme, rate=1.5, seed=11,
+                                   admission_limit=3)
     assert slow == fast
     assert slow.rejected > 0
 
@@ -84,8 +87,28 @@ def test_workload_rejections_identical(scheme: Scheme) -> None:
 def test_workload_matches_scalar_through_fault(scheme: Scheme) -> None:
     # A mid-trace failure and repair: the fast run segments at the fault
     # cycles and bails around degraded stretches, scalar-identically.
-    slow, fast = _workload_pair(scheme, seed=5, with_fault=True)
+    slow, fast, _ = _workload_pair(scheme, seed=5, with_fault=True)
     assert slow == fast
+
+
+def _mixed_catalog():
+    """The default four base-rate titles plus one rate-3 title (an
+    MPEG-2 stream on an MPEG-1 cycle)."""
+    catalog = tiny_catalog(4, tracks=8)
+    catalog.add(MediaObject("fast", 0.5625, 24, seed=99))
+    return catalog
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_mixed_rate_workload_matches_scalar_and_stays_engaged(
+        scheme: Scheme) -> None:
+    # Rate-3 arrivals join the epoch's rows instead of ending it: the
+    # fault-free run never leaves the engine and never hiccups.
+    slow, fast, report = _workload_pair(scheme, catalog=_mixed_catalog())
+    assert slow == fast
+    assert report.total_hiccups == 0
+    assert report.ff_residency() == 1.0
 
 
 def _churn_arrivals(server: MultimediaServer,
@@ -130,6 +153,32 @@ def test_degraded_churn_matches_scalar_and_engages(scheme: Scheme) -> None:
         scheme, {2: (0,), 7: (1, 2), 13: (3,)})
     assert fast == slow
     assert report.ff_engaged_cycles > 0
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_mixed_rate_degraded_churn_matches_scalar_and_stays_engaged(
+        scheme: Scheme) -> None:
+    # A stable degraded farm admitting rate-3 streams: reconstruction
+    # rows and three table steps per cycle share every epoch.
+    slow, fast, report = _degraded_churn_pair(
+        scheme, {2: (0, 4), 7: (1, 2), 13: (3, 4)},
+        catalog=_mixed_catalog())
+    assert fast == slow
+    assert report.ff_residency() == 1.0
+
+
+def test_refused_entries_are_tallied_once() -> None:
+    # One tally per refused engine entry: run_churn on a payload-mode
+    # server refuses every cycle exactly once, arrival cycle or not,
+    # the same count run_cycles records.
+    churn = _server(Scheme.STREAMING_RAID, verify_payloads=True)
+    obj = churn.catalog.get(churn.catalog.names()[0])
+    churn.scheduler.run_churn(10, {2: (obj,), 7: (obj,)})
+    plain = _server(Scheme.STREAMING_RAID, verify_payloads=True)
+    plain.run_cycles(10, fast_forward=True)
+    assert churn.report.ff_disengagements == {"payload-mode": 10}
+    assert plain.report.ff_disengagements == {"payload-mode": 10}
 
 
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,

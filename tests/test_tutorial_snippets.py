@@ -196,9 +196,9 @@ def test_section8_degraded_fast_forward():
     for name in server.catalog.names()[:3]:
         server.admit(name)
 
-    server.run_cycles(5, fast_forward=True)      # healthy engine
+    server.run_cycles(5, fast_forward=True)      # healthy tables
     server.fail_disk(0)
-    server.run_cycles(10, fast_forward=True)     # degraded engine
+    server.run_cycles(10, fast_forward=True)     # reconstruction rows
     server.scheduler.start_rebuild(0, writes_per_cycle=1)
     server.run_cycles(45, fast_forward=True)     # rebuild rides along
 
