@@ -8,34 +8,28 @@ replays a full campaign script twice (the determinism check) against
 the metadata-only server; the payload-mode replay is skipped because
 it times byte copying, not the fault engine.
 
-Standalone, the script replays one campaign per scheme with the
-segmented fast-forward engine and with the scalar loop, checks the
-campaign digests match, and writes the before/after wall-clock to
-``benchmarks/BENCH_chaos.json``::
+Standalone, the script replays one campaign per scheme on a
+1000-disk, 200-stream farm with the scalar loop and with the segmented
+fast-forward engine (:mod:`repro.experiments.chaosbench`), writes the
+wall-clock to ``benchmarks/BENCH_chaos.json``, and exits non-zero
+unless every campaign digest matches::
 
     python benchmarks/bench_chaos.py [--smoke]
 
-The standalone sweep rages over a **1000-disk farm with 200 streams**
-(the paper's production scale), so the recorded fast-forward speedup is
-honest about what the segmented engine buys under a real storm: the
-scripts are dense, epochs between events are short, and the engine wins
-modestly rather than by the 5x+ it shows on quiescent workloads.  The
-artifact exists to keep that number visible, not to inflate it — the
-at-scale degraded speedup gate is ``bench_degraded.py``.  The pytest
-micro-benchmarks above keep the classic 10-disk chaos server: they time
-the fault-domain harness itself, where farm size is noise.
+The pytest micro-benchmarks below keep the classic 10-disk chaos
+server: they time the fault-domain harness itself, where farm size is
+noise.
 """
 
 import argparse
-import json
-import time
-from pathlib import Path
+import sys
 
+from repro.experiments.chaosbench import SEED, run_chaos_gate
+from repro.experiments.harness import publish
 from repro.faults.chaos import ChaosProfile, run_campaign
 from repro.schemes import Scheme
 
 PROFILE = ChaosProfile(cycles=30)
-SEED = 7
 
 
 def run_chaos(scheme: Scheme) -> None:
@@ -65,79 +59,10 @@ def test_improved_bandwidth_chaos_campaign(benchmark):
     bench_chaos(benchmark, Scheme.IMPROVED_BANDWIDTH)
 
 
-# -- standalone: fast-forward vs scalar wall-clock artifact -------------------
-
-OUTPUT = Path(__file__).resolve().parent / "BENCH_chaos.json"
-
-ALL_SCHEMES = (Scheme.STREAMING_RAID, Scheme.STAGGERED_GROUP,
-               Scheme.NON_CLUSTERED, Scheme.IMPROVED_BANDWIDTH)
-
-#: The standalone sweep's farm: paper scale, 200 concurrent streams.
-FARM_DISKS = 1000
-FARM_OBJECTS = 200
-FARM_TRACKS = 40
-
-
-def farm_profile(cycles: int) -> ChaosProfile:
-    """The 1000-disk campaign profile the standalone sweep runs on."""
-    return ChaosProfile(cycles=cycles, num_disks=FARM_DISKS,
-                        objects=FARM_OBJECTS,
-                        tracks_per_object=FARM_TRACKS)
-
-
-def run_campaign_pair(scheme: Scheme, profile: ChaosProfile) -> dict:
-    """One campaign, fast-forward and scalar, digest-checked."""
-    t0 = time.perf_counter()
-    fast = run_campaign(scheme, SEED, profile=profile,
-                        check_payload_mode=False, fast_forward=True)
-    fast_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    scalar = run_campaign(scheme, SEED, profile=profile,
-                          check_payload_mode=False, fast_forward=False)
-    scalar_s = time.perf_counter() - t0
-    assert fast.passed, fast.violations
-    assert scalar.passed, scalar.violations
-    return {
-        "scheme": scheme.value,
-        "cycles": profile.cycles,
-        "num_disks": profile.num_disks,
-        "streams": profile.objects,
-        "seed": SEED,
-        "digests_equal": fast.digest == scalar.digest,
-        "scalar_s": round(scalar_s, 4),
-        "fast_s": round(fast_s, 4),
-        "speedup": round(scalar_s / fast_s, 2) if fast_s > 0 else None,
-    }
-
-
-def run_sweep(profile: ChaosProfile) -> list[dict]:
-    # One untimed campaign absorbs interpreter/numpy warm-up so the
-    # first timed cell is not charged for it.
-    run_campaign(Scheme.STREAMING_RAID, SEED, profile=ChaosProfile(cycles=12),
-                 check_payload_mode=False)
-    results = []
-    for scheme in ALL_SCHEMES:
-        cell = run_campaign_pair(scheme, profile)
-        results.append(cell)
-        print(f"  {cell['scheme']:24s} scalar {cell['scalar_s']:.3f}s  "
-              f"fast {cell['fast_s']:.3f}s  "
-              f"({cell['speedup']}x, digests_equal="
-              f"{cell['digests_equal']})")
-    return results
-
-
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--smoke", action="store_true",
                         help="shorter campaigns for CI smoke runs")
     args = parser.parse_args()
-    sweep = run_sweep(farm_profile(cycles=30 if args.smoke else 60))
-    assert all(cell["digests_equal"] for cell in sweep), \
-        "fast-forward campaign digest diverged from scalar"
-    OUTPUT.write_text(json.dumps({
-        "benchmark": "bench_chaos",
-        "farm": {"num_disks": FARM_DISKS, "streams": FARM_OBJECTS,
-                 "tracks_per_object": FARM_TRACKS},
-        "runs": sweep,
-    }, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
+    report = run_chaos_gate(cycles=30 if args.smoke else 60)
+    sys.exit(1 if publish(__file__, report) else 0)

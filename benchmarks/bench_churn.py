@@ -1,82 +1,35 @@
-"""VoD-scale churn: the fast-forward engine against the scalar loop.
+"""VoD churn gate: the churn engine >= 3x the scalar loop, bit-identical.
 
-A 1000-disk Streaming-RAID farm under a high-rate Zipf/Poisson request
-trace — roughly 40 arrivals per cycle against ~1000-stream capacity, so
-the front door admits, rejects, and retires streams continuously.  The
-same compiled trace is run twice: through the per-cycle scalar loop and
-through ``run_workload(fast_forward=True)`` (the scheduler's churn
-engine with in-engine batch admission).
+A 1000-disk Streaming-RAID farm under ~30 Zipf/Poisson arrivals per
+cycle against a 600-stream limit; the farm, trace and measured segment
+live in :mod:`repro.experiments.churnbench`, the pair and its verdict in
+:mod:`repro.experiments.harness`.  Results land in
+``benchmarks/BENCH_churn.json``::
 
-The gate is honest by construction: both runs must report identical
-trace digests and identical metrics fingerprints (see
-:mod:`repro.experiments.churnbench`) before the >= 3x wall-clock
-speedup is even evaluated.
-
-Results land in ``benchmarks/BENCH_churn.json``.  Run standalone::
-
-    python benchmarks/bench_churn.py
-
-or through pytest (the acceptance gate)::
-
+    python benchmarks/bench_churn.py        # exits 1 when a gate fails
     pytest benchmarks/bench_churn.py -s
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import sys
 
-from repro.experiments.churnbench import (
-    ARRIVALS_PER_CYCLE,
-    CYCLES,
-    MIN_SPEEDUP,
-    NUM_DISKS,
-    SEED,
-    check_pair,
-    run_churn_cell,
-)
+from repro.experiments.churnbench import run_churn_gate
+from repro.experiments.harness import publish
 
-OUTPUT = Path(__file__).resolve().parent / "BENCH_churn.json"
-
-
-def run_pair() -> tuple[dict, dict, dict]:
-    scalar = run_churn_cell(fast_forward=False)
-    churn = run_churn_cell(fast_forward=True)
-    gate = check_pair(scalar, churn)
-    for cell in (scalar, churn):
-        print(f"  {cell['engine']:6s} D={cell['num_disks']} "
-              f"cycles={cell['cycles']}  run {cell['run_s']:.2f}s  "
-              f"({cell['us_per_cycle']:.0f} us/cycle)  "
-              f"admitted {cell['admitted']} / rejected {cell['rejected']} "
-              f"/ unarrived {cell['unarrived']}")
-    print(f"  speedup {gate['speedup']:.2f}x "
-          f"(gate {gate['min_speedup']:.0f}x, digests equal)")
-    return scalar, churn, gate
-
-
-def write_report(scalar: dict, churn: dict, gate: dict) -> None:
-    OUTPUT.write_text(json.dumps({
-        "benchmark": "bench_churn",
-        "seed": SEED,
-        "arrivals_per_cycle": ARRIVALS_PER_CYCLE,
-        "gate": gate,
-        "runs": [scalar, churn],
-    }, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-
-
-# -- pytest entry point -------------------------------------------------------
 
 def test_churn_speedup_with_equality_guards():
-    """Byte-identical trace, bit-identical metrics, >= 3x faster."""
-    scalar, churn, gate = run_pair()
-    write_report(scalar, churn, gate)
+    """Byte-identical trace, bit-identical state, >= 3x faster."""
+    report = run_churn_gate()
+    failed = publish(__file__, report)
+    scalar, churn = (report["pairs"]["churn"][side]
+                     for side in ("reference", "candidate"))
+    assert scalar["trace_sha256"] == churn["trace_sha256"], (
+        "trace digests diverge: the two runs did not consume the same "
+        "request trace")
     assert scalar["rejected"] > 0, "trace never saturated the front door"
-    assert gate["passed"], (
-        f"churn engine speedup {gate['speedup']}x below the "
-        f"{MIN_SPEEDUP}x gate: scalar {scalar['run_s']}s vs "
-        f"churn {churn['run_s']}s at {NUM_DISKS} disks / {CYCLES} cycles")
+    assert not failed, failed
 
 
 if __name__ == "__main__":
-    write_report(*run_pair())
+    sys.exit(1 if publish(__file__, run_churn_gate()) else 0)

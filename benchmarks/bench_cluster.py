@@ -1,129 +1,40 @@
-"""Cluster scale-out benchmark: near-linear shard scaling, bit-identical.
+"""Cluster scale-out gate: near-linear shard scaling, bit-identical.
 
-One workload — a 4-shard x 1000-disk cluster (4000 disks, ~10.4k stream
-capacity, 12k requests) — run twice through the session pool:
-
-1. ``workers=1``: every shard server lives in the parent process and is
-   stepped serially between routing barriers;
-2. ``workers=4``: each shard server is built once inside its own spawn
-   worker and stepped in place, windows running concurrently.
-
-The two runs must produce the *same cluster digest* (every admit/reject
-decision, every shard metric, every per-disk read counter — the
-determinism contract); only then does the wall-clock ratio count as
-speedup.  The speedup gate applies when the host actually has the cores
-(CI runners vary, containers are often single-core) — digest equality is
-gated unconditionally, at reduced scale, so every host checks the
-contract.
-
-The report also carries the cost-per-stream-versus-shard-count curve
-(the Figure 9 extension from the cluster cost closed form).  Results
-land in ``benchmarks/BENCH_cluster.json``.  Run standalone::
+A 4-shard x 1000-disk cluster (4000 disks, ~10.4k stream capacity, 12k
+requests) runs at ``workers=1`` and then over a 4-wide session pool;
+the cluster digests must match before the wall-clock ratio counts, and
+the >= 3x gate applies only where the host has the cores.  Elsewhere a
+2-shard reduced grid still checks the digests.  The specs live in
+:mod:`repro.experiments.clusterbench`, the pair and its verdict in
+:mod:`repro.experiments.harness`; the report also carries the
+cost-per-stream-versus-shard-count curve (the Figure 9 extension).
+Results land in ``benchmarks/BENCH_cluster.json``::
 
     python benchmarks/bench_cluster.py            # full 4x1000-disk config
     python benchmarks/bench_cluster.py --smoke    # 2-shard reduced grid
-
-or through pytest (the acceptance gates)::
-
     pytest benchmarks/bench_cluster.py -s
 """
 
 from __future__ import annotations
 
-import json
-import os
-from pathlib import Path
+import argparse
+import sys
 
-from repro.cluster import ClusterSpec
-from repro.experiments.clusterbench import (
-    cell_digest,
-    cost_per_stream_curve,
-    full_spec,
-    run_cluster_cell,
-    smoke_spec,
-)
+from repro.experiments.clusterbench import run_cluster_gate
+from repro.experiments.harness import POOL_GATE_WORKERS, pool_width, publish
 
-OUTPUT = Path(__file__).resolve().parent / "BENCH_cluster.json"
-
-SPEEDUP_GATE = 3.0
-GATE_WORKERS = 4
-
-
-def measure_scaling(spec: ClusterSpec, workers: int) -> dict:
-    """Run the workload serially and pooled; compare digests and clocks."""
-    serial = run_cluster_cell(spec, workers=1)
-    pooled = run_cluster_cell(spec, workers=workers)
-    return {
-        "shards": spec.shards,
-        "disks_per_shard": spec.disks_per_shard,
-        "total_disks": spec.shards * spec.disks_per_shard,
-        "requests": serial["admitted"] + serial["rejected"]
-        + serial["unarrived"],
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial": serial,
-        "pooled": pooled,
-        "speedup": round(serial["wall_s"] / pooled["wall_s"], 2),
-        "digests_equal": (serial["digest"] == pooled["digest"]
-                          and cell_digest(serial) == cell_digest(pooled)),
-        "cluster_digest": serial["digest"],
-    }
-
-
-def run_benchmark(smoke: bool = False,
-                  workers: int = GATE_WORKERS) -> dict:
-    spec = smoke_spec() if smoke else full_spec()
-    scaling = measure_scaling(spec, workers)
-    report = {
-        "benchmark": "bench_cluster",
-        "mode": "smoke" if smoke else "full",
-        "cpu_count": os.cpu_count(),
-        "scaling": scaling,
-        "cost_per_stream_curve": cost_per_stream_curve(),
-    }
-    serial, pooled = scaling["serial"], scaling["pooled"]
-    print(f"  cluster: {scaling['shards']} shards x "
-          f"{scaling['disks_per_shard']} disks "
-          f"({scaling['total_disks']} total), "
-          f"{scaling['requests']} requests, "
-          f"admitted {serial['admitted']}")
-    print(f"  serial {serial['wall_s']:.2f}s vs {scaling['workers']} "
-          f"workers {pooled['wall_s']:.2f}s ({scaling['speedup']:.2f}x, "
-          f"digests "
-          f"{'equal' if scaling['digests_equal'] else 'DIVERGED'})")
-    curve = report["cost_per_stream_curve"]
-    print("  cost/stream: " + ", ".join(
-        f"{row['shards']}sh ${row['cost_per_stream']:.2f}"
-        for row in curve))
-    return report
-
-
-def write_report(report: dict) -> None:
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-
-
-# -- pytest entry points ------------------------------------------------------
 
 def test_cluster_benchmark():
     """Digest equality always; the 3x gate when the host has the cores."""
-    cpus = os.cpu_count() or 1
-    full_gate = cpus >= GATE_WORKERS
-    report = run_benchmark(smoke=not full_gate,
-                           workers=GATE_WORKERS if full_gate else 2)
-    write_report(report)
-
-    scaling = report["scaling"]
-    assert scaling["digests_equal"], \
-        "workers=1 and pooled cluster runs diverged — determinism " \
-        "regression"
-    serial = scaling["serial"]
-    assert serial["admitted"] + serial["rejected"] + serial["unarrived"] \
-        == scaling["requests"]
-    if full_gate:
-        assert scaling["total_disks"] == 4000, scaling
+    workers = pool_width()
+    full = workers >= POOL_GATE_WORKERS
+    report = run_cluster_gate(smoke=not full, workers=workers)
+    failed = publish(__file__, report)
+    assert not failed, failed
+    serial = report["pairs"]["scaling"]["reference"]
+    if full:
+        assert serial["total_disks"] == 4000, serial
         assert serial["admitted"] >= 10_000, serial
-        assert scaling["speedup"] >= SPEEDUP_GATE, scaling
 
     curve = report["cost_per_stream_curve"]
     assert [row["shards"] for row in curve] == [1, 2, 4, 8, 16]
@@ -131,16 +42,11 @@ def test_cluster_benchmark():
 
 
 if __name__ == "__main__":
-    import argparse
-    import sys
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="run the 2-shard reduced grid")
-    parser.add_argument("--workers", type=int, default=GATE_WORKERS,
+    parser.add_argument("--workers", type=int, default=POOL_GATE_WORKERS,
                         help="session-pool width for the pooled run")
     args = parser.parse_args()
-    benchmark_report = run_benchmark(smoke=args.smoke,
-                                     workers=args.workers)
-    write_report(benchmark_report)
-    # The determinism contract holds on any host; speedup does not.
-    sys.exit(0 if benchmark_report["scaling"]["digests_equal"] else 1)
+    sys.exit(1 if publish(__file__, run_cluster_gate(
+        smoke=args.smoke, workers=args.workers)) else 0)

@@ -1,83 +1,30 @@
-"""Degraded-mode fast-forward: the single biggest reliability lever.
+"""Degraded-mode gate: the epoch engine >= 5x the scalar loop.
 
-A warm 1000-disk Streaming-RAID farm loses one disk; an online rebuild
-trickles onto the spare while every stream keeps playing through parity
-reconstruction.  The paper's MTTF/MTTDS results are dominated by
-simulated time spent in exactly this state, so this benchmark times the
-stable-degraded epoch engine against the scalar per-stream loop on a
-150-cycle segment of it.
+A warm 1000-disk Streaming-RAID farm loses a disk and rebuilds onto a
+slow spare while every stream plays through parity reconstruction —
+the state the paper's MTTF/MTTDS results spend their simulated time
+in.  The farm, warm-up arc and measured segment live in
+:mod:`repro.experiments.degradedbench`, the pair and its verdict in
+:mod:`repro.experiments.harness`.  Results land in
+``benchmarks/BENCH_degraded.json``::
 
-The gate is honest by construction: both runs must produce identical
-full-state digests (cycle rows, per-disk reads *and* rebuild writes,
-stream pointers/buffers, rebuild cursor — see
-:mod:`repro.experiments.degradedbench`) before the >= 5x wall-clock
-speedup is evaluated.
-
-Results land in ``benchmarks/BENCH_degraded.json``.  Run standalone::
-
-    python benchmarks/bench_degraded.py
-
-or through pytest (the acceptance gate)::
-
+    python benchmarks/bench_degraded.py     # exits 1 when a gate fails
     pytest benchmarks/bench_degraded.py -s
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import sys
 
-from repro.experiments.degradedbench import (
-    CYCLES,
-    MIN_SPEEDUP,
-    NUM_DISKS,
-    check_pair,
-    run_degraded_cell,
-)
+from repro.experiments.degradedbench import run_degraded_gate
+from repro.experiments.harness import publish
 
-OUTPUT = Path(__file__).resolve().parent / "BENCH_degraded.json"
-
-
-def run_pair() -> tuple[dict, dict, dict]:
-    scalar = run_degraded_cell(fast_forward=False)
-    fast = run_degraded_cell(fast_forward=True)
-    gate = check_pair(scalar, fast)
-    for cell in (scalar, fast):
-        print(f"  {cell['engine']:6s} D={cell['num_disks']} "
-              f"cycles={cell['cycles']}  run {cell['run_s']:.2f}s  "
-              f"({cell['us_per_cycle']:.0f} us/cycle)  "
-              f"residency {cell['ff_residency']:.2f}  "
-              f"rebuild {cell['rebuild_blocks']} blocks "
-              f"(done={cell['rebuild_completed']})")
-    print(f"  speedup {gate['speedup']:.2f}x "
-          f"(gate {gate['min_speedup']:.0f}x, "
-          f"digests_equal={gate['digests_equal']})")
-    return scalar, fast, gate
-
-
-def write_report(scalar: dict, fast: dict, gate: dict) -> None:
-    OUTPUT.write_text(json.dumps({
-        "benchmark": "bench_degraded",
-        "gate": gate,
-        "runs": [scalar, fast],
-    }, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-
-
-# -- pytest entry point -------------------------------------------------------
 
 def test_degraded_speedup_with_equality_guard():
     """Bit-identical degraded state, >= 5x faster with the engine on."""
-    scalar, fast, gate = run_pair()
-    write_report(scalar, fast, gate)
-    assert gate["digests_equal"], (
-        "fast-forward degraded state diverged from the scalar loop")
-    assert fast["ff_engaged_cycles"] > 0, "engine never engaged"
-    assert gate["passed"], (
-        f"degraded engine speedup {gate['speedup']}x below the "
-        f"{MIN_SPEEDUP}x gate: scalar {scalar['run_s']}s vs fast "
-        f"{fast['run_s']}s at {NUM_DISKS} disks / {CYCLES} cycles")
+    failed = publish(__file__, run_degraded_gate())
+    assert not failed, failed
 
 
 if __name__ == "__main__":
-    write_report(*run_pair())
+    sys.exit(1 if publish(__file__, run_degraded_gate()) else 0)

@@ -1,103 +1,29 @@
-"""Degraded-churn fast-forward: faults and arrivals at the same time.
+"""Degraded-churn gate: faults and arrivals at once, >= 5x, bit-identical.
 
-A warm 1000-disk Streaming-RAID farm loses a disk, starts an online
-rebuild, and then faces ~30 arrivals per cycle for 120 cycles — the
-"degraded + churning" state where the engines previously handed every
-cycle back to the scalar loop.  The merged degraded-churn engine must
-carry the segment >= 5x faster, and the gate is honest by construction:
-full-state digests *and* admit/reject tallies must match the scalar run
-first (see :mod:`repro.experiments.degradedchurnbench`).
+A warm 1000-disk Streaming-RAID farm loses a disk, then faces 30
+arrivals per cycle for 150 cycles; a second, smaller arc with two
+failures in disjoint parity groups must keep ``ff_residency > 0``.
+Both scenarios live in :mod:`repro.experiments.degradedbench`, the
+pairs and their verdicts in :mod:`repro.experiments.harness`.  Results
+land in ``benchmarks/BENCH_degraded_churn.json``::
 
-A second arc runs two failures in disjoint parity groups under churn
-and requires at least one vectorised epoch (``ff_residency > 0``) —
-the multi-failure generalisation, previously 100% scalar.
-
-Results land in ``benchmarks/BENCH_degraded_churn.json``.  Run
-standalone::
-
-    python benchmarks/bench_degraded_churn.py
-
-or through pytest (the acceptance gate)::
-
+    python benchmarks/bench_degraded_churn.py   # exits 1 when a gate fails
     pytest benchmarks/bench_degraded_churn.py -s
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import sys
 
-from repro.experiments.degradedchurnbench import (
-    CYCLES,
-    MIN_SPEEDUP,
-    NUM_DISKS,
-    check_pair,
-    run_degraded_churn_cell,
-    run_double_failure_arc,
-)
+from repro.experiments.degradedbench import run_degraded_churn_gate
+from repro.experiments.harness import publish
 
-OUTPUT = Path(__file__).resolve().parent / "BENCH_degraded_churn.json"
-
-
-def run_pair() -> tuple[dict, dict, dict]:
-    scalar = run_degraded_churn_cell(fast_forward=False)
-    fast = run_degraded_churn_cell(fast_forward=True)
-    gate = check_pair(scalar, fast)
-    for cell in (scalar, fast):
-        print(f"  {cell['engine']:6s} D={cell['num_disks']} "
-              f"cycles={cell['cycles']}  run {cell['run_s']:.2f}s  "
-              f"({cell['us_per_cycle']:.0f} us/cycle)  "
-              f"residency {cell['ff_residency']:.2f}  "
-              f"admitted {cell['admitted']} rejected {cell['rejected']}")
-    print(f"  speedup {gate['speedup']:.2f}x "
-          f"(gate {gate['min_speedup']:.0f}x, "
-          f"digests_equal={gate['digests_equal']})")
-    return scalar, fast, gate
-
-
-def run_arc_pair() -> tuple[dict, dict]:
-    arc_scalar = run_double_failure_arc(fast_forward=False)
-    arc_fast = run_double_failure_arc(fast_forward=True)
-    print(f"  double-failure arc: disks {arc_fast['failed_disks']}  "
-          f"residency {arc_fast['ff_residency']:.2f}  "
-          f"digests_equal="
-          f"{arc_scalar['state_sha256'] == arc_fast['state_sha256']}")
-    return arc_scalar, arc_fast
-
-
-def write_report(scalar: dict, fast: dict, gate: dict,
-                 arc_scalar: dict, arc_fast: dict) -> None:
-    OUTPUT.write_text(json.dumps({
-        "benchmark": "bench_degraded_churn",
-        "gate": gate,
-        "runs": [scalar, fast],
-        "double_failure_arc": [arc_scalar, arc_fast],
-    }, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-
-
-# -- pytest entry point -------------------------------------------------------
 
 def test_degraded_churn_speedup_with_equality_guard():
-    """Bit-identical degraded-churn state, >= 5x faster with the engine."""
-    scalar, fast, gate = run_pair()
-    arc_scalar, arc_fast = run_arc_pair()
-    write_report(scalar, fast, gate, arc_scalar, arc_fast)
-    assert gate["digests_equal"], (
-        "degraded-churn fast path diverged from the scalar loop")
-    assert fast["ff_engaged_cycles"] > 0, "engine never engaged"
-    assert gate["passed"], (
-        f"degraded-churn speedup {gate['speedup']}x below the "
-        f"{MIN_SPEEDUP}x gate: scalar {scalar['run_s']}s vs fast "
-        f"{fast['run_s']}s at {NUM_DISKS} disks / {CYCLES} cycles")
-    assert arc_scalar["state_sha256"] == arc_fast["state_sha256"], (
-        "double-failure arc diverged from the scalar loop")
-    assert (arc_scalar["admitted"], arc_scalar["rejected"]) \
-        == (arc_fast["admitted"], arc_fast["rejected"])
-    assert arc_fast["ff_residency"] > 0, (
-        "disjoint double-failure arc never built a vectorised epoch")
+    """Bit-identical state and tallies, >= 5x; the arc stays engaged."""
+    failed = publish(__file__, run_degraded_churn_gate())
+    assert not failed, failed
 
 
 if __name__ == "__main__":
-    scalar, fast, gate = run_pair()
-    write_report(scalar, fast, gate, *run_arc_pair())
+    sys.exit(1 if publish(__file__, run_degraded_churn_gate()) else 0)

@@ -1,202 +1,36 @@
-"""Deterministic-parallelism benchmark: pool speedup + fast-forward.
+"""Deterministic-parallelism gates: pool speedup and epoch fast-forward.
 
-Two measurements, both guarded by bit-equality regression checks:
+Two pairs, both behind bit-equality (see
+:func:`repro.experiments.scalegrid.run_parallel_gates`): the scale-grid
+sweep serial vs a spawn pool, with equal grid digests (>= 2.5x only
+where the host has 4 CPUs and the pool is 4 wide), and a 1000-disk
+steady-state Streaming-RAID segment scalar vs fast-forward, with equal
+state digests and >= 5x.  Results land in
+``benchmarks/BENCH_parallel.json``::
 
-1. **Ensemble wall-clock** — the scale-grid sweep run serially and then
-   over a spawn process pool.  The grid digest must be identical either
-   way (the determinism contract); the speedup gate only applies when
-   the host actually has the cores (CI runners vary, containers are
-   often single-core).
-
-2. **Quiescent-epoch fast-forward** — a 1000-disk steady-state
-   Streaming-RAID segment run cycle-by-cycle and then with
-   ``fast_forward=True``.  The full state fingerprint (cycle rows,
-   per-disk read counters, buffer samples) must match exactly, and the
-   warm fast-forward run must clear a 5x cycles/second speedup.
-
-Results land in ``benchmarks/BENCH_parallel.json``.  Run standalone::
-
-    python benchmarks/bench_parallel.py
-
-or through pytest (the acceptance gates)::
-
+    python benchmarks/bench_parallel.py [--workers N]   # exits 1 on failure
     pytest benchmarks/bench_parallel.py -s
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import time
-from pathlib import Path
+import argparse
+import sys
 
-from repro.experiments.scalegrid import (
-    SLOTS_PER_DISK,
-    cluster_size,
-    grid_digest,
-    run_scale_grid,
-    scale_catalog,
-    scale_params,
-)
-from repro.schemes import Scheme
-from repro.server.server import MultimediaServer
+from repro.experiments.harness import pool_width, publish
+from repro.experiments.scalegrid import run_parallel_gates
 
-OUTPUT = Path(__file__).resolve().parent / "BENCH_parallel.json"
-
-#: Ensemble sweep: small enough for CI, wide enough to amortise spawn.
-ENSEMBLE_SIZES = (40, 100)
-ENSEMBLE_WORKERS = 2
-
-#: Steady-state segment: 400-track objects keep reading for all 100
-#: cycles, so the whole segment is one quiescent epoch.  The epoch's
-#: one-time flat-table build (~0.4 s at 1000 disks) amortises over the
-#: segment; very short segments stay closer to scalar speed.
-FF_DISKS = 1000
-FF_TRACKS = 400
-FF_CYCLES = 100
-FF_WARMUP_CYCLES = 6
-FF_SPEEDUP_GATE = 5.0
-POOL_SPEEDUP_GATE = 2.5
-POOL_GATE_WORKERS = 4
-
-
-def _steady_server(num_disks: int, tracks: int) -> MultimediaServer:
-    """A metadata-only Streaming-RAID server loaded to one stream/disk."""
-    objects = num_disks // cluster_size(Scheme.STREAMING_RAID)
-    server = MultimediaServer.build(
-        scale_params(num_disks), 5, Scheme.STREAMING_RAID,
-        catalog=scale_catalog(objects, tracks=tracks),
-        slots_per_disk=SLOTS_PER_DISK, verify_payloads=False)
-    names = server.catalog.names()
-    per_object = max(1, num_disks // len(names))
-    target = min(num_disks, server.scheduler.admission_limit)
-    admitted = 0
-    for name in names:
-        for _ in range(per_object):
-            if admitted >= target:
-                break
-            server.admit(name)
-            admitted += 1
-    return server
-
-
-def _fingerprint(server: MultimediaServer) -> str:
-    """SHA-256 over everything the fast-forward engine must preserve."""
-    state = {
-        "rows": server.report.to_rows(),
-        "reads": [disk.reads for disk in server.array.disks],
-        "samples": server.scheduler.tracker.samples,
-        "cycle_index": server.scheduler.cycle_index,
-        "summary": server.report.summary(),
-    }
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _timed_segment(fast_forward: bool, cycles: int = FF_CYCLES,
-                   num_disks: int = FF_DISKS) -> tuple[float, str]:
-    server = _steady_server(num_disks, FF_TRACKS)
-    t0 = time.perf_counter()
-    server.run_cycles(cycles, fast_forward=fast_forward)
-    elapsed = time.perf_counter() - t0
-    return elapsed, _fingerprint(server)
-
-
-def measure_fast_forward() -> dict:
-    """Warm both engines, then time the scalar-vs-fast-forward segment."""
-    for fast_forward in (False, True):
-        _timed_segment(fast_forward, cycles=FF_WARMUP_CYCLES)
-    scalar_s, scalar_print = _timed_segment(False)
-    fast_s, fast_print = _timed_segment(True)
-    return {
-        "num_disks": FF_DISKS,
-        "cycles": FF_CYCLES,
-        "tracks_per_object": FF_TRACKS,
-        "scalar_s": round(scalar_s, 4),
-        "fast_forward_s": round(fast_s, 4),
-        "scalar_cycles_per_s": round(FF_CYCLES / scalar_s, 1),
-        "fast_forward_cycles_per_s": round(FF_CYCLES / fast_s, 1),
-        "speedup": round(scalar_s / fast_s, 2),
-        "fingerprints_equal": scalar_print == fast_print,
-        "fingerprint": scalar_print,
-    }
-
-
-def measure_ensemble(workers: int = ENSEMBLE_WORKERS) -> dict:
-    """Time the scale sweep serially and over a spawn pool."""
-    t0 = time.perf_counter()
-    serial = run_scale_grid(ENSEMBLE_SIZES, workers=1)
-    serial_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    pooled = run_scale_grid(ENSEMBLE_SIZES, workers=workers)
-    parallel_s = time.perf_counter() - t0
-    return {
-        "sizes": list(ENSEMBLE_SIZES),
-        "cells": len(serial),
-        "workers": workers,
-        "cpu_count": os.cpu_count(),
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 2),
-        "digests_equal": grid_digest(pooled) == grid_digest(serial),
-        "grid_digest": grid_digest(serial),
-    }
-
-
-def run_benchmark(workers: int = ENSEMBLE_WORKERS) -> dict:
-    ensemble = measure_ensemble(workers)
-    fast_forward = measure_fast_forward()
-    report = {
-        "benchmark": "bench_parallel",
-        "cpu_count": os.cpu_count(),
-        "ensemble": ensemble,
-        "fast_forward": fast_forward,
-    }
-    print(f"  ensemble: {ensemble['cells']} cells, "
-          f"serial {ensemble['serial_s']:.2f}s vs "
-          f"{ensemble['workers']} workers {ensemble['parallel_s']:.2f}s "
-          f"({ensemble['speedup']:.2f}x, digests "
-          f"{'equal' if ensemble['digests_equal'] else 'DIVERGED'})")
-    print(f"  fast-forward: {fast_forward['num_disks']} disks, "
-          f"scalar {fast_forward['scalar_cycles_per_s']:.0f} cycles/s vs "
-          f"{fast_forward['fast_forward_cycles_per_s']:.0f} cycles/s "
-          f"({fast_forward['speedup']:.2f}x, fingerprints "
-          f"{'equal' if fast_forward['fingerprints_equal'] else 'DIVERGED'})")
-    return report
-
-
-def write_report(report: dict) -> None:
-    OUTPUT.write_text(json.dumps(report, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-
-
-# -- pytest entry points ------------------------------------------------------
 
 def test_parallel_benchmark():
     """Digest equality always; speedups gated on what the host can show."""
-    cpus = os.cpu_count() or 1
-    workers = POOL_GATE_WORKERS if cpus >= POOL_GATE_WORKERS \
-        else ENSEMBLE_WORKERS
-    report = run_benchmark(workers)
-    write_report(report)
-
-    ensemble = report["ensemble"]
-    assert ensemble["digests_equal"], \
-        "serial and pooled sweeps diverged — determinism regression"
-    if cpus >= POOL_GATE_WORKERS:
-        assert ensemble["speedup"] >= POOL_SPEEDUP_GATE, ensemble
-
-    fast_forward = report["fast_forward"]
-    assert fast_forward["fingerprints_equal"], \
-        "fast-forward diverged from the scalar engine — bit-equality broken"
-    assert fast_forward["speedup"] >= FF_SPEEDUP_GATE, fast_forward
+    failed = publish(__file__, run_parallel_gates(pool_width()))
+    assert not failed, failed
 
 
 if __name__ == "__main__":
-    import argparse
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workers", type=int, default=ENSEMBLE_WORKERS,
+    parser.add_argument("--workers", type=int, default=2,
                         help="pool width for the ensemble measurement")
     args = parser.parse_args()
-    write_report(run_benchmark(workers=args.workers))
+    sys.exit(1 if publish(__file__, run_parallel_gates(args.workers))
+             else 0)

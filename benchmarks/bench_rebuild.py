@@ -1,93 +1,32 @@
-"""Distributed rebuild: declustered vs clustered window at 1000 disks.
+"""Distributed rebuild gate: declustered vs clustered window at 1000 disks.
 
-One disk of a warm 1000-disk farm fails.  Streaming RAID reconstructs
-it from the 4 surviving members of one cluster — the rest of the farm
-idles while that cluster's spare idle bandwidth bounds the window.  The
-parity-declustered layout spreads the same parity groups over a
-balanced block design, so every survivor contributes a sliver and the
-window shrinks by roughly the declustering ratio
-``alpha = (C-1)/(D-1)``.
+One disk of a warm 1000-disk farm fails and rebuilds, under Streaming
+RAID and under the parity-declustered layout, each scalar and then
+fast-forward with equal full-state digests.  Then the declustered
+window must be <= 0.5x the clustered one and its survivor read spread
+<= 1.1 (~250 clustered).  The farms and measured segments live in
+:mod:`repro.experiments.rebuildbench`, the pairs and their verdicts in
+:mod:`repro.experiments.harness`.  Results land in
+``benchmarks/BENCH_rebuild.json``::
 
-The gates are honest by construction: for each scheme the measured run
-executes twice — scalar per-stream loop and degraded fast-forward
-engine — and their full-state digests must match before any window is
-compared (see :mod:`repro.experiments.rebuildbench`).  Then:
-
-* declustered window <= 0.5x the clustered window;
-* declustered survivor read spread (max/mean) <= 1.1, versus ~250 for
-  the clustered rebuild.
-
-Results land in ``benchmarks/BENCH_rebuild.json``.  Run standalone::
-
-    python benchmarks/bench_rebuild.py
-
-or through pytest (the acceptance gate)::
-
+    python benchmarks/bench_rebuild.py      # exits 1 when a gate fails
     pytest benchmarks/bench_rebuild.py -s
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+import sys
 
-from repro.experiments.rebuildbench import (
-    MAX_READ_SPREAD,
-    MAX_WINDOW_RATIO,
-    check_gates,
-    run_scheme_pair,
-)
-from repro.schemes import Scheme
+from repro.experiments.harness import publish
+from repro.experiments.rebuildbench import run_rebuild_gate
 
-OUTPUT = Path(__file__).resolve().parent / "BENCH_rebuild.json"
-
-
-def run_comparison() -> tuple[dict, dict, dict]:
-    pairs = {}
-    for scheme in (Scheme.STREAMING_RAID, Scheme.PARITY_DECLUSTERED):
-        pair = run_scheme_pair(scheme)
-        pairs[scheme] = pair
-        fast = pair["fast"]
-        print(f"  {pair['scheme']:>4} place {pair['place_s']:.0f}s  "
-              f"window {fast['window_cycles']} cycles "
-              f"({fast['rebuild_blocks']} blocks)  "
-              f"spread {fast['read_spread']:.3f}  "
-              f"digests_equal={pair['digests_equal']}")
-    sr = pairs[Scheme.STREAMING_RAID]
-    pd = pairs[Scheme.PARITY_DECLUSTERED]
-    gate = check_gates(sr, pd)
-    print(f"  window ratio PD/SR {gate['window_ratio']:.3f} "
-          f"(gate {gate['max_window_ratio']}), PD spread "
-          f"{gate['pd_read_spread']:.3f} (gate {gate['max_read_spread']}, "
-          f"SR {gate['sr_read_spread']:.1f})")
-    return sr, pd, gate
-
-
-def write_report(sr: dict, pd: dict, gate: dict) -> None:
-    OUTPUT.write_text(json.dumps({
-        "benchmark": "bench_rebuild",
-        "gate": gate,
-        "schemes": [sr, pd],
-    }, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
-
-
-# -- pytest entry point -------------------------------------------------------
 
 def test_declustered_rebuild_window_with_equality_guard():
     """Bit-identical windows per scheme; PD <= 0.5x SR, spread <= 1.1."""
-    sr, pd, gate = run_comparison()
-    write_report(sr, pd, gate)
-    assert gate["digests_equal"], (
-        "fast-forward rebuild state diverged from the scalar loop")
-    assert gate["window_ratio"] <= MAX_WINDOW_RATIO, (
-        f"declustered window only {gate['window_ratio']}x the clustered "
-        f"one (gate {MAX_WINDOW_RATIO}x)")
-    assert gate["pd_read_spread"] <= MAX_READ_SPREAD, (
-        f"declustered survivor spread {gate['pd_read_spread']} above "
-        f"{MAX_READ_SPREAD}")
-    assert gate["passed"]
+    report = run_rebuild_gate()
+    failed = publish(__file__, report)
+    assert not failed, (failed, report["windows"])
 
 
 if __name__ == "__main__":
-    write_report(*run_comparison())
+    sys.exit(1 if publish(__file__, run_rebuild_gate()) else 0)

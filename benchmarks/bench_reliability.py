@@ -13,17 +13,16 @@ the birth-death approximation the paper relies on.
 
 Standalone, the script times the cycle-accurate rebuild-window
 measurement (the input to the measured-window MTTDS pipeline) with the
-degraded fast-forward engine against the scalar loop on a warm
-Streaming-RAID farm, checks the two windows are identical, and writes
-``benchmarks/BENCH_reliability.json``::
+fast-forward engine against the scalar loop on a warm Streaming-RAID
+farm (:func:`repro.experiments.rebuildbench.run_reliability_gate`),
+exits non-zero unless the two windows and final states are identical,
+and writes ``benchmarks/BENCH_reliability.json``::
 
     python benchmarks/bench_reliability.py [--smoke]
 """
 
 import argparse
-import json
-import time
-from pathlib import Path
+import sys
 
 import pytest
 
@@ -37,13 +36,9 @@ from repro.analysis.reliability import (
     declustering_ratio,
     mttf_catastrophic_years,
 )
-from repro.experiments.scalegrid import build_scale_server
-from repro.faults import (
-    catastrophic_condition,
-    measure_rebuild_window,
-    simulate_mean_time_to,
-    simulate_mttds_with_measured_window,
-)
+from repro.experiments.harness import publish
+from repro.experiments.rebuildbench import run_reliability_gate
+from repro.faults import catastrophic_condition, simulate_mean_time_to
 from repro.faults.markov import (
     exact_mttf_clustered_hours,
     exact_mttf_improved_hours,
@@ -145,87 +140,10 @@ def test_reliability_monte_carlo(benchmark):
           "((k-1)! = 2x more conservative)")
 
 
-# -- standalone: measured-window wall-clock artifact --------------------------
-
-OUTPUT = Path(__file__).resolve().parent / "BENCH_reliability.json"
-
-
-def _measure_window(num_disks: int, fast_forward: bool) -> dict:
-    """Warm farm, then one timed cycle-accurate rebuild-window run."""
-    server = build_scale_server(Scheme.STREAMING_RAID, num_disks)
-    names = server.catalog.names()
-    per_object = max(1, num_disks // len(names))
-    target = min(num_disks, server.scheduler.admission_limit)
-    admitted = 0
-    for name in names:
-        for _ in range(per_object):
-            if admitted >= target:
-                break
-            server.admit(name)
-            admitted += 1
-    server.run_cycles(5, fast_forward=fast_forward)
-    t0 = time.perf_counter()
-    window = measure_rebuild_window(server, disk_id=0, writes_per_cycle=1,
-                                    fast_forward=fast_forward)
-    wall_s = time.perf_counter() - t0
-    return {
-        "engine": "fast" if fast_forward else "scalar",
-        "num_disks": num_disks,
-        "streams": admitted,
-        "window_cycles": window.cycles,
-        "window_hours": window.hours,
-        "window_blocks": window.blocks,
-        "ff_engaged_cycles": window.ff_engaged_cycles,
-        "ff_residency": round(window.ff_residency, 4),
-        "wall_s": round(wall_s, 4),
-    }
-
-
-def run_window_pair(num_disks: int = 500) -> dict:
-    """Scalar-vs-fast rebuild window plus one measured-window MTTDS."""
-    scalar = _measure_window(num_disks, fast_forward=False)
-    fast = _measure_window(num_disks, fast_forward=True)
-    windows_equal = all(
-        scalar[key] == fast[key]
-        for key in ("window_cycles", "window_hours", "window_blocks"))
-    mc_server = build_scale_server(Scheme.STREAMING_RAID, 100)
-    t0 = time.perf_counter()
-    window, estimate = simulate_mttds_with_measured_window(
-        mc_server, catastrophic_condition(mc_server.layout),
-        mttf_disk_hours=0.01, replications=100, seed=3)
-    mc_wall_s = time.perf_counter() - t0
-    speedup = (scalar["wall_s"] / fast["wall_s"]
-               if fast["wall_s"] > 0 else float("inf"))
-    report = {
-        "benchmark": "bench_reliability",
-        "windows_equal": windows_equal,
-        "window_speedup": round(speedup, 2),
-        "runs": [scalar, fast],
-        "measured_window_mttds": {
-            "num_disks": 100,
-            "window_hours": window.hours,
-            "mean_hours": estimate.mean_hours,
-            "ci95_hours": estimate.ci95_hours,
-            "wall_s": round(mc_wall_s, 4),
-        },
-    }
-    for cell in (scalar, fast):
-        print(f"  {cell['engine']:6s} D={cell['num_disks']}  "
-              f"window {cell['window_cycles']} cycles "
-              f"({cell['window_blocks']} blocks)  "
-              f"wall {cell['wall_s']:.3f}s  "
-              f"residency {cell['ff_residency']:.2f}")
-    print(f"  window speedup {speedup:.2f}x "
-          f"(windows_equal={windows_equal})")
-    return report
-
-
 if __name__ == "__main__":
     parser = argparse.ArgumentParser()
     parser.add_argument("--smoke", action="store_true",
                         help="smaller farm for CI smoke runs")
     args = parser.parse_args()
-    result = run_window_pair(num_disks=200 if args.smoke else 500)
-    assert result["windows_equal"], "fast window diverged from scalar"
-    OUTPUT.write_text(json.dumps(result, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
+    report = run_reliability_gate(num_disks=200 if args.smoke else 500)
+    sys.exit(1 if publish(__file__, report) else 0)

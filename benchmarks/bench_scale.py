@@ -1,4 +1,4 @@
-"""Paper-scale sweep: 100/500/1000 disks, all four schemes.
+"""Paper-scale sweep: 100/500/1000 disks, all five schemes.
 
 Not a paper figure — the paper's analysis stops at D = 100 because its
 numbers are closed-form.  This benchmark demonstrates that the simulator
@@ -28,23 +28,18 @@ must finish in under 60 s)::
 from __future__ import annotations
 
 import argparse
-import json
-from pathlib import Path
 
+from repro.experiments.harness import write_artifact
 from repro.experiments.scalegrid import (
     CYCLES,
+    TRACK_BYTES,
     grid_digest,
     run_scale_cell,
     run_scale_grid,
 )
-from repro.schemes import Scheme
+from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 
 SIZES = (100, 500, 1000)
-OUTPUT = Path(__file__).resolve().parent / "BENCH_scale.json"
-
-ALL_SCHEMES = (Scheme.STREAMING_RAID, Scheme.STAGGERED_GROUP,
-               Scheme.NON_CLUSTERED, Scheme.IMPROVED_BANDWIDTH,
-               Scheme.PARITY_DECLUSTERED)
 
 
 def run_one(scheme: Scheme, num_disks: int, with_failure: bool) -> dict:
@@ -52,8 +47,9 @@ def run_one(scheme: Scheme, num_disks: int, with_failure: bool) -> dict:
     return run_scale_cell(scheme, num_disks, with_failure)
 
 
-def run_sweep(sizes=SIZES, schemes=ALL_SCHEMES, workers: int = 1,
-              fast_forward: bool = False) -> list[dict]:
+def run_sweep(sizes=SIZES, schemes=ALL_IMPLEMENTED_SCHEMES,
+              workers: int = 1, fast_forward: bool = False) -> dict:
+    """The sweep as an artifact payload; the cells are under ``runs``."""
     results = run_scale_grid(tuple(sizes), tuple(schemes), workers=workers,
                              fast_forward=fast_forward)
     for result in results:
@@ -64,18 +60,8 @@ def run_sweep(sizes=SIZES, schemes=ALL_SCHEMES, workers: int = 1,
               f"({result['us_per_cycle']:.0f} us/cycle, "
               f"{result['streams']} streams, "
               f"{result['hiccups']} hiccups)")
-    return results
-
-
-def write_report(results: list[dict]) -> None:
-    OUTPUT.write_text(json.dumps({
-        "benchmark": "bench_scale",
-        "track_bytes": 64,
-        "cycles_per_run": CYCLES,
-        "grid_digest": grid_digest(results),
-        "runs": results,
-    }, indent=2) + "\n")
-    print(f"wrote {OUTPUT}")
+    return {"track_bytes": TRACK_BYTES, "cycles_per_run": CYCLES,
+            "grid_digest": grid_digest(results), "runs": results}
 
 
 # -- pytest entry points ------------------------------------------------------
@@ -83,8 +69,9 @@ def write_report(results: list[dict]) -> None:
 def test_scale_sweep():
     """Full sweep completes; healthy fault-tolerant runs are hiccup-free
     and the 1000-disk Streaming-RAID run beats the 60 s gate."""
-    results = run_sweep()
-    write_report(results)
+    sweep = run_sweep()
+    write_artifact(__file__, sweep)
+    results = sweep["runs"]
     for result in results:
         # Metadata mode must not silently drop the workload.
         assert result["tracks_delivered"] > 0, result
@@ -119,5 +106,5 @@ if __name__ == "__main__":
     parser.add_argument("--fast-forward", action="store_true",
                         help="enable the quiescent-epoch fast-forward")
     args = parser.parse_args()
-    write_report(run_sweep(workers=args.workers,
-                           fast_forward=args.fast_forward))
+    write_artifact(__file__, run_sweep(workers=args.workers,
+                                       fast_forward=args.fast_forward))

@@ -12,22 +12,24 @@ Two equality guards make the speedup claim falsifiable:
 
 * the **trace digest** proves both runs consumed byte-identical request
   traces (the vectorised generator against its scalar contract);
-* the **metrics fingerprint** hashes every deterministic outcome — the
-  admitted/rejected/unarrived split, per-disk read counters, cycle
-  aggregates, and the rendered summary — so a fast-but-wrong engine
-  cannot pass.
+* the harness's **state digests** cover every deterministic outcome —
+  cycle rows, per-disk counters, stream state, the rendered summary —
+  and the record adds the admitted/rejected/unarrived split, so a
+  fast-but-wrong engine cannot pass.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
 from typing import Any
 
+from repro.experiments.harness import (
+    Record,
+    Stopwatch,
+    engine_record,
+    run_pair,
+)
 from repro.experiments.scalegrid import scale_catalog, scale_params
 from repro.schemes import Scheme
-from repro.units import seconds_to_microseconds
 from repro.workload import CompiledTrace, WorkloadGenerator, compile_trace
 
 NUM_DISKS = 1000
@@ -71,72 +73,24 @@ def churn_trace(server: Any) -> CompiledTrace:
                          cycle_length)
 
 
-def churn_fingerprint(server: Any, result: Any) -> str:
-    """SHA-256 over every deterministic outcome of one churn run."""
-    cycles = server.report.cycles
-    stable = {
-        "admitted": result.admitted,
-        "rejected": result.rejected,
-        "unarrived": result.unarrived,
-        "reads_executed": sum(r.reads_executed for r in cycles),
-        "parity_reads": sum(r.parity_reads for r in cycles),
-        "tracks_delivered": sum(r.tracks_delivered for r in cycles),
-        "reconstructions": sum(r.reconstructions for r in cycles),
-        "hiccups": sum(len(r.hiccups) for r in cycles),
-        "streams_active": [r.streams_active for r in cycles],
-        "streams_terminated": [r.streams_terminated for r in cycles],
-        "buffered_peak": server.report.peak_buffered_tracks,
-        "reads_per_disk": [d.reads for d in server.array.disks],
-        "summary": server.report.summary(),
-    }
-    canonical = json.dumps(stable, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def run_churn_cell(fast_forward: bool,
-                   cycles: int = CYCLES) -> dict[str, Any]:
+def run_churn_cell(fast_forward: bool, cycles: int = CYCLES) -> Record:
     """Build the farm, run the churn trace, return metrics + guards."""
-    t0 = time.perf_counter()
-    server = build_churn_server()
-    build_s = time.perf_counter() - t0
+    with Stopwatch() as build:
+        server = build_churn_server()
     compiled = churn_trace(server)
-
-    t0 = time.perf_counter()
-    result = server.run_workload(compiled, cycles,
-                                 fast_forward=fast_forward)
-    run_s = time.perf_counter() - t0
-
+    with Stopwatch() as run:
+        result = server.run_workload(compiled, cycles,
+                                     fast_forward=fast_forward)
     assert result.admitted > 0
-    return {
-        "engine": "churn" if fast_forward else "scalar",
-        "num_disks": NUM_DISKS,
-        "cycles": cycles,
-        "requests": compiled.total,
-        "admitted": result.admitted,
-        "rejected": result.rejected,
-        "unarrived": result.unarrived,
-        "build_s": round(build_s, 4),
-        "run_s": round(run_s, 4),
-        "us_per_cycle": round(seconds_to_microseconds(run_s) / cycles, 1),
-        "trace_sha256": compiled.digest(),
-        "metrics_sha256": churn_fingerprint(server, result),
-    }
+    return engine_record(
+        server, fast_forward, run.seconds, num_disks=NUM_DISKS,
+        cycles=cycles, requests=compiled.total, admitted=result.admitted,
+        rejected=result.rejected, unarrived=result.unarrived,
+        build_s=build.seconds, trace_sha256=compiled.digest())
 
 
-def check_pair(scalar: dict[str, Any], churn: dict[str, Any],
-               ) -> dict[str, Any]:
-    """The gate: identical traces, identical metrics, >= 3x speedup."""
-    if scalar["trace_sha256"] != churn["trace_sha256"]:
-        raise AssertionError("trace digests diverge: the two runs did not "
-                             "consume the same request trace")
-    if scalar["metrics_sha256"] != churn["metrics_sha256"]:
-        raise AssertionError("metrics fingerprints diverge: the churn "
-                             "engine changed simulation outcomes")
-    speedup = scalar["run_s"] / churn["run_s"]
-    return {
-        "speedup": round(speedup, 2),
-        "min_speedup": MIN_SPEEDUP,
-        "passed": speedup >= MIN_SPEEDUP,
-        "trace_sha256": scalar["trace_sha256"],
-        "metrics_sha256": scalar["metrics_sha256"],
-    }
+def run_churn_gate() -> Record:
+    """bench_churn: the trace through the scalar loop, then the engine."""
+    return {"seed": SEED, "arrivals_per_cycle": ARRIVALS_PER_CYCLE,
+            "pairs": {"churn": run_pair("churn", run_churn_cell,
+                                        min_speedup=MIN_SPEEDUP)}}

@@ -7,22 +7,22 @@ can only run functions they can import, so — like the scale grid — the
 cell logic lives here and the benchmark script delegates.
 
 A cell returns wall-clock timings plus the deterministic cluster
-metrics; :func:`cell_digest` hashes only the deterministic part, and the
-:class:`~repro.cluster.runner.ClusterReport` digest inside it is the
-serial-vs-parallel regression guard.  :func:`cost_per_stream_curve`
-extends the Figure 9 analysis with the cluster cost closed form.
+metrics; the :class:`~repro.cluster.runner.ClusterReport` digest among
+them is the serial-vs-parallel regression guard.
+:func:`cost_per_stream_curve` extends the Figure 9 analysis with the
+cluster cost closed form.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
+from dataclasses import replace
+from functools import partial
 from typing import Any, Sequence
 
 from repro.analysis.cost import cluster_cost_series
 from repro.analysis.parameters import SystemParameters
 from repro.cluster import ClusterSpec, run_cluster
+from repro.experiments.harness import Record, Stopwatch, pool_gate, run_pair
 from repro.schemes import Scheme
 
 #: The acceptance-scale cluster: 4 x 1000 disks, ~10.4k stream capacity.
@@ -45,8 +45,9 @@ CURVE_WORKING_SET_MB = 100_000.0
 CURVE_REPLICATED_MB = 2_000.0
 CURVE_SHARD_COUNTS = (1, 2, 4, 8, 16)
 
-#: Keys of a cell result that depend on the host, not the simulation.
-WALL_CLOCK_KEYS = frozenset({"wall_s", "streams_per_s"})
+#: The pooled run must beat serial by this factor (full spec only, and
+#: only where the host has the cores; see :func:`harness.pool_gate`).
+SPEEDUP_GATE = 3.0
 
 
 def full_spec(scheme: Scheme = Scheme.STREAMING_RAID,
@@ -72,28 +73,17 @@ def full_spec(scheme: Scheme = Scheme.STREAMING_RAID,
 def smoke_spec(scheme: Scheme = Scheme.STREAMING_RAID,
                seed: int = 3) -> ClusterSpec:
     """A 2-shard reduced grid with the full spec's shape."""
-    return ClusterSpec(
-        scheme=scheme,
-        shards=SMOKE_SHARDS,
-        disks_per_shard=SMOKE_DISKS_PER_SHARD,
-        objects=40,
-        tracks_per_object=100,
-        slots_per_disk=8,
-        admission_limit=60,
-        cycles=30,
-        window=10,
-        arrivals_per_cycle=8.0,
-        replicate_top_k=4,
-        seed=seed,
-        fast_forward=True,
-    )
+    return replace(full_spec(scheme, seed), shards=SMOKE_SHARDS,
+                   disks_per_shard=SMOKE_DISKS_PER_SHARD, objects=40,
+                   tracks_per_object=100, slots_per_disk=8,
+                   admission_limit=60, cycles=30, arrivals_per_cycle=8.0,
+                   replicate_top_k=4)
 
 
-def run_cluster_cell(spec: ClusterSpec, workers: int) -> dict[str, Any]:
+def run_cluster_cell(spec: ClusterSpec, workers: int) -> Record:
     """One timed cluster run; wall clock plus deterministic metrics."""
-    t0 = time.perf_counter()
-    result = run_cluster(spec, workers=workers)
-    wall_s = time.perf_counter() - t0
+    with Stopwatch() as run:
+        result = run_cluster(spec, workers=workers)
     return {
         "scheme": spec.scheme.value,
         "shards": spec.shards,
@@ -108,17 +98,20 @@ def run_cluster_cell(spec: ClusterSpec, workers: int) -> dict[str, Any]:
         "hiccups": result.report.total_hiccups,
         "delivered": result.report.total_delivered,
         "digest": result.digest(),
-        "wall_s": round(wall_s, 4),
-        "streams_per_s": round(result.admitted / wall_s, 1),
+        "run_s": run.seconds,
+        "streams_per_s": round(result.admitted / run.seconds, 1),
     }
 
 
-def cell_digest(result: dict[str, Any]) -> str:
-    """SHA-256 over the deterministic part of one cell result."""
-    stable = {key: value for key, value in result.items()
-              if key not in WALL_CLOCK_KEYS and key != "workers"}
-    canonical = json.dumps(stable, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+def run_cluster_gate(smoke: bool, workers: int) -> Record:
+    """bench_cluster: the spec serial, then over ``workers`` sessions."""
+    spec = smoke_spec() if smoke else full_spec()
+    gate = None if smoke else pool_gate(SPEEDUP_GATE, workers)
+    scaling = run_pair("scaling", partial(run_cluster_cell, spec),
+                       modes=(1, workers), min_speedup=gate)
+    return {"mode": "smoke" if smoke else "full",
+            "pairs": {"scaling": scaling},
+            "cost_per_stream_curve": cost_per_stream_curve()}
 
 
 def cost_per_stream_curve(

@@ -1,143 +1,186 @@
-"""Degraded-mode benchmark cell: the stable-degraded engine at scale.
+"""Degraded-mode benchmark cells: the epoch engine through faults.
 
-``benchmarks/bench_degraded.py`` runs a warm 1000-disk Streaming-RAID
-farm with one failed disk and an online rebuild in flight — the paper's
-single-failure degraded steady state, which dominates the simulated time
-of every reliability experiment.  The measured segment is run twice,
-through the scalar per-stream loop and through the stable-degraded
-fast-forward engine, and the >= 5x wall-clock gate is only evaluated
-after a full-state digest (cycle rows, per-disk read *and* write
-counters, stream pointers and buffers, rebuild cursor) proves the two
-runs bit-identical.
+Two gates share one farm — a warm 1000-disk Streaming-RAID farm, one
+stream per disk, that loses a disk and settles into the paper's
+single-failure degraded steady state, which dominates the simulated
+time of every reliability experiment:
 
-The cell logic lives here (importable, spawn-safe) so notebooks and the
-benchmark script share one implementation.
+* ``benchmarks/bench_degraded.py`` starts an online rebuild onto a slow
+  spare and times 150 cycles of it, every stream playing through
+  parity reconstruction;
+* ``benchmarks/bench_degraded_churn.py`` instead faces the degraded
+  farm with 30 arrivals every cycle for 150 cycles — the "degraded +
+  churning" state of replication studies and flash-crowd campaigns.
+  (No rebuild runs in that segment: a toy farm rebuilds in a couple
+  dozen cycles and would spend the rest of the segment healthy; the
+  rebuild-under-churn merge is covered bit-exactly by the determinism
+  tests.)
+
+Each measured segment runs through the scalar per-cycle loop and
+through the epoch engine, and the >= 5x wall-clock gate is evaluated
+only after the full-state digests (cycle rows, per-disk read *and*
+write counters, stream pointers and buffers, rebuild cursor) and the
+admit/reject tallies prove the two runs bit-identical.  The warm-up
+runs in the same mode as the measured segment, so the fast cell enters
+the timed window with its geometry and degraded tables warm — the
+gates measure steady-state degraded throughput, not one-time cache
+population.
+
+A third, smaller arc exercises the multi-failure generalisation: two
+failed disks in *disjoint* parity groups under churn must still build
+vectorised epochs (``ff_residency > 0``).
+
+:func:`degraded_digest` (the harness's state digest) keeps this
+module's import path for the end-to-end benchmark.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import time
 from typing import Any
 
+from repro.experiments.harness import (
+    Record,
+    Stopwatch,
+    degraded_digest as degraded_digest,
+    engine_record,
+    load_one_stream_per_disk,
+    run_pair,
+)
 from repro.experiments.scalegrid import build_scale_server
 from repro.schemes import Scheme
-from repro.units import seconds_to_microseconds
 
 NUM_DISKS = 1000
 SCHEME = Scheme.STREAMING_RAID
-#: Scalar cycles before the failure lands (stream start-up transient).
+#: Cycles before the failure lands (stream start-up transient).
 WARMUP_CYCLES = 5
-#: Scalar cycles of degraded steady state before the rebuild starts.
+#: Degraded steady-state cycles before the measured segment.
 DEGRADED_WARMUP_CYCLES = 3
-#: The measured segment: degraded steady state with the rebuild running.
+#: The measured segment: degraded steady state throughout.
 CYCLES = 150
 FAILED_DISK = 0
 #: Slow spare, so the rebuild spans a realistic slice of the segment.
 REBUILD_WRITES_PER_CYCLE = 1
+#: Requests per cycle, sustained over the degraded-churn segment.
+ARRIVALS_PER_CYCLE = 30
 MIN_SPEEDUP = 5.0
 
+#: The double-failure arc runs on a smaller farm: residency, not
+#: wall-clock, is what it gates.
+ARC_DISKS = 200
+ARC_CYCLES = 40
+ARC_ARRIVALS_PER_CYCLE = 4
 
-def degraded_digest(server: Any) -> str:
-    """SHA-256 over the full deterministic state of a finished cell.
 
-    Everything the scalar loop mutates is covered: report rows, per-disk
-    read and write counters (rebuild writes land on the spare), buffer
-    tracker samples, every stream's pointers/buffers/parity holdings,
-    and each rebuilder's cursor.  Wall-clock and the ff_* residency
-    counters stay out by construction.
+def degraded_farm(fast_forward: bool) -> tuple[Any, int, float]:
+    """The warm degraded farm: ``(server, streams, build seconds)``.
+
+    The build time covers construction and loading; the warm-up arc —
+    five cycles, the failure, three degraded cycles — is untimed.
     """
-    scheduler = server.scheduler
-    streams = [
-        [s.stream_id, s.status.value, s.next_read_track,
-         s.next_delivery_track, s.delivery_start_cycle,
-         s.delivered_tracks, s.hiccup_count, s.reconstructed_tracks,
-         sorted(s.buffer), sorted(s.parity_buffer), sorted(s.lost_tracks)]
-        for s in sorted(scheduler.streams.values(),
-                        key=lambda s: s.stream_id)
-    ]
-    state = {
-        "rows": server.report.to_rows(),
-        "reads_per_disk": [d.reads for d in server.array.disks],
-        "writes_per_disk": [d.writes for d in server.array.disks],
-        "disk_states": [d.state.name for d in server.array.disks],
-        "tracker": list(scheduler.tracker.samples),
-        "streams": streams,
-        "rebuilders": [
-            [r.disk_id, r.blocks_rebuilt, r.reads_consumed, r.completed]
-            for r in scheduler.rebuilders
-        ],
-        "cycle_index": scheduler.cycle_index,
-    }
-    canonical = json.dumps(state, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def run_degraded_cell(fast_forward: bool) -> dict[str, Any]:
-    """One measured run: warm farm, fail, start rebuild, time the rest.
-
-    The warm-up segments run in the same mode as the measured segment,
-    so the fast cell enters the timed window with its geometry and
-    degraded tables warm — the benchmark measures steady-state degraded
-    throughput, not one-time cache population.  The full-state digest
-    guard keeps this honest: both cells must still land on bit-identical
-    state at the end.
-    """
-    t0 = time.perf_counter()
-    server = build_scale_server(SCHEME, NUM_DISKS)
-    names = server.catalog.names()
-    per_object = max(1, NUM_DISKS // len(names))
-    target = min(NUM_DISKS, server.scheduler.admission_limit)
-    admitted = 0
-    for name in names:
-        for _ in range(per_object):
-            if admitted >= target:
-                break
-            server.admit(name)
-            admitted += 1
-    build_s = time.perf_counter() - t0
-
+    with Stopwatch() as build:
+        server = build_scale_server(SCHEME, NUM_DISKS)
+        streams = load_one_stream_per_disk(server)
     server.run_cycles(WARMUP_CYCLES, fast_forward=fast_forward)
     server.scheduler.fail_disk(FAILED_DISK)
     server.run_cycles(DEGRADED_WARMUP_CYCLES, fast_forward=fast_forward)
+    return server, streams, build.seconds
+
+
+def run_degraded_cell(fast_forward: bool) -> Record:
+    """bench_degraded's run: start the rebuild, time the rest."""
+    server, streams, build_s = degraded_farm(fast_forward)
     rebuilder = server.scheduler.start_rebuild(
         FAILED_DISK, writes_per_cycle=REBUILD_WRITES_PER_CYCLE)
-
-    t0 = time.perf_counter()
-    server.run_cycles(CYCLES, fast_forward=fast_forward)
-    run_s = time.perf_counter() - t0
-
-    report = server.report
-    return {
-        "engine": "fast" if fast_forward else "scalar",
-        "scheme": SCHEME.value,
-        "num_disks": NUM_DISKS,
-        "streams": admitted,
-        "cycles": CYCLES,
-        "rebuild_blocks": rebuilder.total_blocks,
-        "rebuild_completed": rebuilder.completed,
-        "build_s": round(build_s, 4),
-        "run_s": round(run_s, 4),
-        "us_per_cycle": round(seconds_to_microseconds(run_s) / CYCLES, 1),
-        "ff_engaged_cycles": report.ff_engaged_cycles,
-        "ff_residency": round(report.ff_residency(), 4),
-        "ff_disengagements": dict(sorted(
-            report.ff_disengagements.items())),
-        "state_sha256": degraded_digest(server),
-    }
+    with Stopwatch() as run:
+        server.run_cycles(CYCLES, fast_forward=fast_forward)
+    return engine_record(
+        server, fast_forward, run.seconds, scheme=SCHEME.value,
+        num_disks=NUM_DISKS, streams=streams, cycles=CYCLES,
+        rebuild_blocks=rebuilder.total_blocks,
+        rebuild_completed=rebuilder.completed, build_s=build_s)
 
 
-def check_pair(scalar: dict[str, Any], fast: dict[str, Any],
-               min_speedup: float = MIN_SPEEDUP) -> dict[str, Any]:
-    """The gate: digests must match *before* the speedup is evaluated."""
-    digests_equal = scalar["state_sha256"] == fast["state_sha256"]
-    speedup = (scalar["run_s"] / fast["run_s"]
-               if fast["run_s"] > 0 else float("inf"))
-    return {
-        "digests_equal": digests_equal,
-        "speedup": round(speedup, 2),
-        "min_speedup": min_speedup,
-        "fast_residency": fast["ff_residency"],
-        "passed": digests_equal and speedup >= min_speedup,
-    }
+def churn_arrivals(server: Any, start: int, cycles: int,
+                   per_cycle: int) -> dict[int, tuple[Any, ...]]:
+    """A deterministic round-robin arrival batch for every cycle."""
+    names = server.catalog.names()
+    arrivals: dict[int, tuple[Any, ...]] = {}
+    for offset in range(cycles):
+        base = offset * per_cycle
+        arrivals[start + offset] = tuple(
+            server.catalog.get(names[(base + k) % len(names)])
+            for k in range(per_cycle))
+    return arrivals
+
+
+def run_degraded_churn_cell(fast_forward: bool) -> Record:
+    """bench_degraded_churn's run: time the churn on the degraded farm."""
+    server, streams, build_s = degraded_farm(fast_forward)
+    arrivals = churn_arrivals(server, server.cycle_index, CYCLES,
+                              ARRIVALS_PER_CYCLE)
+    with Stopwatch() as run:
+        reports, admitted, rejected = server.scheduler.run_churn(
+            CYCLES, arrivals, fast_forward=fast_forward)
+    assert len(reports) == CYCLES
+    return engine_record(
+        server, fast_forward, run.seconds, scheme=SCHEME.value,
+        num_disks=NUM_DISKS, streams=streams, cycles=CYCLES,
+        arrivals_per_cycle=ARRIVALS_PER_CYCLE, admitted=admitted,
+        rejected=rejected, build_s=build_s)
+
+
+def _disjoint_partner(server: Any, first: int) -> int:
+    """A second disk whose failure loses no data alongside ``first``."""
+    for candidate in range(len(server.array.disks)):
+        if candidate == first:
+            continue
+        probe = build_scale_server(SCHEME, len(server.array.disks))
+        probe.scheduler.fail_disk(first)
+        probe.scheduler.fail_disk(candidate)
+        if not probe.scheduler._known_lost_tracks:
+            return candidate
+    raise RuntimeError("no disjoint failure partner in this layout")
+
+
+def run_double_failure_arc(fast_forward: bool = True) -> Record:
+    """Two disjoint failures under churn: the multi-failure epoch arc.
+
+    Small on purpose — the gate here is residency (the engine builds
+    >= 1 vectorised epoch) and equality with the scalar loop, not
+    wall-clock.
+    """
+    server = build_scale_server(SCHEME, ARC_DISKS)
+    partner = _disjoint_partner(server, FAILED_DISK)
+    for name in server.catalog.names():
+        server.admit(name)
+    server.run_cycles(WARMUP_CYCLES, fast_forward=fast_forward)
+    server.scheduler.fail_disk(FAILED_DISK)
+    server.scheduler.fail_disk(partner)
+    arrivals = churn_arrivals(server, server.cycle_index + 2, ARC_CYCLES,
+                              ARC_ARRIVALS_PER_CYCLE)
+    with Stopwatch() as run:
+        reports, admitted, rejected = server.scheduler.run_churn(
+            ARC_CYCLES, arrivals, fast_forward=fast_forward)
+    assert len(reports) == ARC_CYCLES
+    return engine_record(
+        server, fast_forward, run.seconds, num_disks=ARC_DISKS,
+        failed_disks=[FAILED_DISK, partner], cycles=ARC_CYCLES,
+        admitted=admitted, rejected=rejected)
+
+
+def run_degraded_gate() -> Record:
+    """bench_degraded: the rebuild segment, scalar then fast."""
+    return {"pairs": {"degraded": run_pair(
+        "degraded", run_degraded_cell, min_speedup=MIN_SPEEDUP)}}
+
+
+def run_degraded_churn_gate() -> Record:
+    """bench_degraded_churn: the churn segment, then the double-failure
+    arc (no threshold; residency and equality only)."""
+    return {"pairs": {
+        "degraded_churn": run_pair("degraded_churn",
+                                   run_degraded_churn_cell,
+                                   min_speedup=MIN_SPEEDUP),
+        "double_failure_arc": run_pair("double_failure_arc",
+                                       run_double_failure_arc),
+    }}

@@ -26,19 +26,35 @@ scheme and shared between that scheme's scalar and fast cells:
 placement is immutable after ``place()`` and the only state the cells
 mutate lives in their private arrays and schedulers.
 
+``benchmarks/bench_reliability.py`` times the same measurement — the
+input to the measured-window MTTDS pipeline — on the scale grid's
+warm Streaming-RAID farm (:func:`run_reliability_gate`), where the
+gate is window and state equality, not speed.
+
 The cell logic lives here (importable, spawn-safe) so notebooks and the
-benchmark script share one implementation.
+benchmark scripts share one implementation.
 """
 
 from __future__ import annotations
 
-import time
+from functools import partial
 from typing import Any
 
 from repro.analysis.parameters import SystemParameters
 from repro.disk.drive import DiskArray
-from repro.experiments.degradedbench import degraded_digest
-from repro.faults.reliability import measure_rebuild_window
+from repro.experiments.harness import (
+    Record,
+    Stopwatch,
+    engine_record,
+    load_one_stream_per_disk,
+    run_pair,
+)
+from repro.experiments.scalegrid import build_scale_server
+from repro.faults import (
+    catastrophic_condition,
+    measure_rebuild_window,
+    simulate_mttds_with_measured_window,
+)
 from repro.layout.clustered import ClusteredParityLayout
 from repro.layout.declustered import DeclusteredParityLayout
 from repro.media.catalog import Catalog
@@ -92,21 +108,36 @@ def full_design_catalog(design_rows: int) -> Catalog:
 def build_scheme_layout(scheme: Scheme) -> tuple[Any, Catalog, float]:
     """Layout + placed catalog for one scheme (the expensive step, done
     once per scheme and shared by its scalar and fast cells)."""
-    t0 = time.perf_counter()
-    if scheme is Scheme.PARITY_DECLUSTERED:
-        layout: Any = DeclusteredParityLayout(NUM_DISKS, PARITY_GROUP)
-        rows = layout.design_size()
-    else:
-        layout = ClusteredParityLayout(NUM_DISKS, PARITY_GROUP)
-        rows = DeclusteredParityLayout(NUM_DISKS,
-                                       PARITY_GROUP).design_size()
-    catalog = full_design_catalog(rows)
-    layout.place_catalog(catalog, start_cluster=0)
-    return layout, catalog, time.perf_counter() - t0
+    with Stopwatch() as place:
+        if scheme is Scheme.PARITY_DECLUSTERED:
+            layout: Any = DeclusteredParityLayout(NUM_DISKS, PARITY_GROUP)
+            rows = layout.design_size()
+        else:
+            layout = ClusteredParityLayout(NUM_DISKS, PARITY_GROUP)
+            rows = DeclusteredParityLayout(NUM_DISKS,
+                                           PARITY_GROUP).design_size()
+        catalog = full_design_catalog(rows)
+        layout.place_catalog(catalog, start_cluster=0)
+    return layout, catalog, place.seconds
+
+
+def window_record(server: Any, fast_forward: bool, fields: Record,
+                  **window_args: Any) -> Record:
+    """Time one measured rebuild window; record it beside ``fields``."""
+    with Stopwatch() as run:
+        window = measure_rebuild_window(server, fast_forward=fast_forward,
+                                        **window_args)
+    return engine_record(
+        server, fast_forward, run.seconds, **fields,
+        window_cycles=window.cycles, window_hours=window.hours,
+        rebuild_blocks=window.blocks,
+        read_spread=round(window.read_spread, 4),
+        max_survivor_reads=window.max_survivor_reads,
+        mean_survivor_reads=round(window.mean_survivor_reads, 4))
 
 
 def run_rebuild_cell(scheme: Scheme, layout: Any, catalog: Catalog,
-                     fast_forward: bool) -> dict[str, Any]:
+                     fast_forward: bool) -> Record:
     """One measured run: warm farm, fail disk 0, rebuild to completion.
 
     The shared layout is read-only here; the array and scheduler are
@@ -132,57 +163,84 @@ def run_rebuild_cell(scheme: Scheme, layout: Any, catalog: Catalog,
         server.admit("archive")
     server.run_cycles(WARMUP_CYCLES, fast_forward=fast_forward)
 
-    t0 = time.perf_counter()
-    window = measure_rebuild_window(
-        server, FAILED_DISK, writes_per_cycle=REBUILD_WRITES_PER_CYCLE,
-        max_cycles=MAX_WINDOW_CYCLES, fast_forward=fast_forward)
-    run_s = time.perf_counter() - t0
+    return window_record(
+        server, fast_forward,
+        {"scheme": scheme.value, "num_disks": NUM_DISKS, "streams": STREAMS},
+        disk_id=FAILED_DISK, writes_per_cycle=REBUILD_WRITES_PER_CYCLE,
+        max_cycles=MAX_WINDOW_CYCLES)
 
+
+def window_ratio(sr_fast: Record, pd_fast: Record) -> float:
+    """The declustered rebuild window as a fraction of the clustered."""
+    if not sr_fast["window_cycles"]:
+        return float("inf")
+    return float(pd_fast["window_cycles"] / sr_fast["window_cycles"])
+
+
+def window_checks(sr_fast: Record, pd_scalar: Record,
+                  pd_fast: Record) -> dict[str, bool]:
+    """The cross-scheme gates on the PD pair: window and spread."""
     return {
-        "engine": "fast" if fast_forward else "scalar",
-        "scheme": scheme.value,
-        "num_disks": NUM_DISKS,
-        "streams": STREAMS,
-        "window_cycles": window.cycles,
-        "window_hours": round(window.hours, 6),
-        "rebuild_blocks": window.blocks,
-        "read_spread": round(window.read_spread, 4),
-        "max_survivor_reads": window.max_survivor_reads,
-        "mean_survivor_reads": round(window.mean_survivor_reads, 4),
-        "run_s": round(run_s, 4),
-        "ff_engaged_cycles": window.ff_engaged_cycles,
-        "state_sha256": degraded_digest(server),
+        "window_ratio_ok": window_ratio(sr_fast, pd_fast)
+        <= MAX_WINDOW_RATIO,
+        "read_spread_ok": pd_fast["read_spread"] <= MAX_READ_SPREAD,
     }
 
 
-def run_scheme_pair(scheme: Scheme) -> dict[str, Any]:
-    """Scalar + fast cells over one shared placement, with the digest."""
-    layout, catalog, place_s = build_scheme_layout(scheme)
-    scalar = run_rebuild_cell(scheme, layout, catalog, fast_forward=False)
-    fast = run_rebuild_cell(scheme, layout, catalog, fast_forward=True)
+def run_rebuild_gate() -> Record:
+    """bench_rebuild: an SR pair, then a PD pair gated against it.
+
+    Each scheme's layout is placed once and shared by its two cells.
+    """
+    pairs: dict[str, Record] = {}
+    for scheme in (Scheme.STREAMING_RAID, Scheme.PARITY_DECLUSTERED):
+        layout, catalog, place_s = build_scheme_layout(scheme)
+        checks = (partial(window_checks, pairs["SR"]["candidate"])
+                  if pairs else None)
+        pairs[scheme.value] = run_pair(
+            scheme.value, partial(run_rebuild_cell, scheme, layout, catalog),
+            checks=checks)
+        pairs[scheme.value]["place_s"] = place_s
+    sr, pd = pairs["SR"]["candidate"], pairs["PD"]["candidate"]
     return {
-        "scheme": scheme.value,
-        "place_s": round(place_s, 2),
-        "digests_equal": scalar["state_sha256"] == fast["state_sha256"],
-        "scalar": scalar,
-        "fast": fast,
+        "windows": {
+            "window_ratio": round(window_ratio(sr, pd), 4),
+            "max_window_ratio": MAX_WINDOW_RATIO,
+            "pd_read_spread": pd["read_spread"],
+            "max_read_spread": MAX_READ_SPREAD,
+            "sr_read_spread": sr["read_spread"],
+            "alpha": round((PARITY_GROUP - 1) / (NUM_DISKS - 1), 6),
+        },
+        "pairs": pairs,
     }
 
 
-def check_gates(sr: dict[str, Any], pd: dict[str, Any]) -> dict[str, Any]:
-    """The gates: digests must match *before* windows are compared."""
-    digests_equal = sr["digests_equal"] and pd["digests_equal"]
-    ratio = (pd["fast"]["window_cycles"] / sr["fast"]["window_cycles"]
-             if sr["fast"]["window_cycles"] else float("inf"))
-    spread = pd["fast"]["read_spread"]
+def run_window_cell(num_disks: int, fast_forward: bool) -> Record:
+    """bench_reliability's run: a warm farm's timed rebuild window."""
+    server = build_scale_server(Scheme.STREAMING_RAID, num_disks)
+    streams = load_one_stream_per_disk(server)
+    server.run_cycles(5, fast_forward=fast_forward)
+    return window_record(server, fast_forward,
+                         {"num_disks": num_disks, "streams": streams},
+                         disk_id=0, writes_per_cycle=1)
+
+
+def run_reliability_gate(num_disks: int) -> Record:
+    """bench_reliability: the window pair plus one measured-window
+    MTTDS estimate (timed, not gated) on a 100-disk farm."""
+    pair = run_pair("window", partial(run_window_cell, num_disks))
+    server = build_scale_server(Scheme.STREAMING_RAID, 100)
+    with Stopwatch() as mc:
+        window, estimate = simulate_mttds_with_measured_window(
+            server, catastrophic_condition(server.layout),
+            mttf_disk_hours=0.01, replications=100, seed=3)
     return {
-        "digests_equal": digests_equal,
-        "window_ratio": round(ratio, 4),
-        "max_window_ratio": MAX_WINDOW_RATIO,
-        "pd_read_spread": spread,
-        "max_read_spread": MAX_READ_SPREAD,
-        "sr_read_spread": sr["fast"]["read_spread"],
-        "alpha": round((PARITY_GROUP - 1) / (NUM_DISKS - 1), 6),
-        "passed": (digests_equal and ratio <= MAX_WINDOW_RATIO
-                   and spread <= MAX_READ_SPREAD),
+        "pairs": {"window": pair},
+        "measured_window_mttds": {
+            "num_disks": 100,
+            "window_hours": window.hours,
+            "mean_hours": estimate.mean_hours,
+            "ci95_hours": estimate.ci95_hours,
+            "run_s": mc.seconds,
+        },
     }

@@ -8,18 +8,31 @@ directory is not a package on ``PYTHONPATH``.  The cell logic therefore
 lives here; the benchmark script (and any notebook) delegates to it.
 
 A cell returns both wall-clock timings and the deterministic simulator
-metrics.  :func:`cell_digest` hashes only the deterministic part, which
+metrics; :func:`grid_digest` hashes only the deterministic part, which
 is what the serial-vs-parallel regression guard compares.
+
+The same farm carries ``benchmarks/bench_parallel.py``'s two gates
+(:func:`run_parallel_gates`): the small sweep serial against a process
+pool, and a steady-state segment of a warm 1000-disk Streaming-RAID
+farm scalar against the fast-forward engine.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from typing import Any, Optional
 
 from repro.analysis.parameters import SystemParameters
+from repro.experiments.harness import (
+    Record,
+    Stopwatch,
+    engine_record,
+    load_one_stream_per_disk,
+    pool_gate,
+    result_digest,
+    run_pair,
+)
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
 from repro.schemes import Scheme
@@ -33,9 +46,20 @@ FAIL_CYCLE = 5
 REPAIR_CYCLE = 15
 SLOTS_PER_DISK = 8
 
-#: Keys of a cell result that depend on the host, not the simulation.
-WALL_CLOCK_KEYS = frozenset({"build_s", "run_s", "us_per_cycle",
-                             "cycles_per_s"})
+#: bench_parallel's ensemble: small enough for CI, wide enough to
+#: amortise spawn.
+ENSEMBLE_SIZES = (40, 100)
+POOL_SPEEDUP_GATE = 2.5
+
+#: bench_parallel's steady-state segment: 400-track objects keep reading
+#: for all 100 cycles, so the whole segment is one quiescent epoch.  The
+#: epoch's one-time flat-table build (~0.4 s at 1000 disks) amortises
+#: over the segment; very short segments stay closer to scalar speed.
+FF_DISKS = 1000
+FF_TRACKS = 400
+FF_CYCLES = 100
+FF_WARMUP_CYCLES = 6
+FF_SPEEDUP_GATE = 5.0
 
 
 def cluster_size(scheme: Scheme, parity_group_size: int = 5) -> int:
@@ -84,32 +108,21 @@ def run_scale_cell(scheme: Scheme, num_disks: int, with_failure: bool,
     whatever host runs the cell; everything else is deterministic and
     identical across workers, hosts, and ``fast_forward`` settings.
     """
-    t0 = time.perf_counter()
-    server = build_scale_server(scheme, num_disks)
-    build_s = time.perf_counter() - t0
+    with Stopwatch() as build:
+        server = build_scale_server(scheme, num_disks)
+    admitted = load_one_stream_per_disk(server)
 
-    names = server.catalog.names()
-    per_object = max(1, num_disks // len(names))
-    target = min(num_disks, server.scheduler.admission_limit)
-    admitted = 0
-    for name in names:
-        for _ in range(per_object):
-            if admitted >= target:
-                break
-            server.admit(name)
-            admitted += 1
-
-    t0 = time.perf_counter()
-    if with_failure:
-        server.run_cycles(FAIL_CYCLE, fast_forward=fast_forward)
-        server.fail_disk(0)
-        server.run_cycles(REPAIR_CYCLE - FAIL_CYCLE,
-                          fast_forward=fast_forward)
-        server.repair_disk(0)
-        server.run_cycles(CYCLES - REPAIR_CYCLE, fast_forward=fast_forward)
-    else:
-        server.run_cycles(CYCLES, fast_forward=fast_forward)
-    run_s = time.perf_counter() - t0
+    with Stopwatch() as run:
+        if with_failure:
+            server.run_cycles(FAIL_CYCLE, fast_forward=fast_forward)
+            server.fail_disk(0)
+            server.run_cycles(REPAIR_CYCLE - FAIL_CYCLE,
+                              fast_forward=fast_forward)
+            server.repair_disk(0)
+            server.run_cycles(CYCLES - REPAIR_CYCLE,
+                              fast_forward=fast_forward)
+        else:
+            server.run_cycles(CYCLES, fast_forward=fast_forward)
 
     cycles = server.report.cycles
     result: dict[str, Any] = {
@@ -118,10 +131,11 @@ def run_scale_cell(scheme: Scheme, num_disks: int, with_failure: bool,
         "streams": admitted,
         "cycles": CYCLES,
         "with_failure": with_failure,
-        "build_s": round(build_s, 4),
-        "run_s": round(run_s, 4),
-        "us_per_cycle": round(seconds_to_microseconds(run_s) / CYCLES, 1),
-        "cycles_per_s": round(CYCLES / run_s, 1),
+        "build_s": build.seconds,
+        "run_s": run.seconds,
+        "us_per_cycle": round(seconds_to_microseconds(run.seconds) / CYCLES,
+                              1),
+        "cycles_per_s": round(CYCLES / run.seconds, 1),
         "reads_executed": sum(r.reads_executed for r in cycles),
         "parity_reads": sum(r.parity_reads for r in cycles),
         "tracks_delivered": sum(r.tracks_delivered for r in cycles),
@@ -138,17 +152,9 @@ def run_scale_cell(scheme: Scheme, num_disks: int, with_failure: bool,
     return result
 
 
-def cell_digest(result: dict[str, Any]) -> str:
-    """SHA-256 over the deterministic part of one cell result."""
-    stable = {key: value for key, value in result.items()
-              if key not in WALL_CLOCK_KEYS}
-    canonical = json.dumps(stable, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def grid_digest(results: list[dict[str, Any]]) -> str:
     """SHA-256 over a whole sweep (cell digests, in sweep order)."""
-    joined = ",".join(cell_digest(result) for result in results)
+    joined = ",".join(result_digest(result) for result in results)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
@@ -184,3 +190,43 @@ def run_scale_grid(sizes: tuple[int, ...],
     ]
     results: list[dict[str, Any]] = ParallelRunner(workers).run(tasks)
     return results
+
+
+def ensemble_cell(workers: int) -> Record:
+    """The ensemble sweep at one pool width, timed whole."""
+    with Stopwatch() as run:
+        results = run_scale_grid(ENSEMBLE_SIZES, workers=workers)
+    return {"workers": workers, "sizes": list(ENSEMBLE_SIZES),
+            "cells": len(results), "grid_digest": grid_digest(results),
+            "run_s": run.seconds}
+
+
+def steady_cell(fast_forward: bool, cycles: int = FF_CYCLES) -> Record:
+    """A warm steady-state segment: one stream per disk, no faults."""
+    from repro.server.server import MultimediaServer
+    objects = FF_DISKS // cluster_size(Scheme.STREAMING_RAID)
+    server = MultimediaServer.build(
+        scale_params(FF_DISKS), 5, Scheme.STREAMING_RAID,
+        catalog=scale_catalog(objects, tracks=FF_TRACKS),
+        slots_per_disk=SLOTS_PER_DISK, verify_payloads=False)
+    load_one_stream_per_disk(server)
+    with Stopwatch() as run:
+        server.run_cycles(cycles, fast_forward=fast_forward)
+    return engine_record(server, fast_forward, run.seconds,
+                         num_disks=FF_DISKS, cycles=cycles,
+                         tracks_per_object=FF_TRACKS)
+
+
+def run_parallel_gates(workers: int) -> Record:
+    """bench_parallel: the pooled ensemble, then the fast-forward pair.
+
+    Both engines first run a short untimed segment, so neither timed
+    side pays the process's one-time import and allocation costs.
+    """
+    ensemble = run_pair("ensemble", ensemble_cell, modes=(1, workers),
+                        min_speedup=pool_gate(POOL_SPEEDUP_GATE, workers))
+    for fast_forward in (False, True):
+        steady_cell(fast_forward, cycles=FF_WARMUP_CYCLES)
+    steady = run_pair("fast_forward", steady_cell,
+                      min_speedup=FF_SPEEDUP_GATE)
+    return {"pairs": {"ensemble": ensemble, "fast_forward": steady}}

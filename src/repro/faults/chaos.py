@@ -496,31 +496,13 @@ def run_campaigns(seed: int, schemes: Optional[list[Scheme]] = None,
                   fast_forward: bool = True) -> list[ChaosResult]:
     """Run campaigns for several schemes (default: every implemented scheme).
 
-    ``workers > 1`` fans the campaigns out over a spawn process pool;
-    each campaign is a pure function of ``(scheme, seed, profile)``, and
-    results come back in scheme order, so the output is bit-identical to
-    the serial run (the digests are compared by the regression guard in
-    ``benchmarks/bench_parallel.py``).
+    The one-seed row of :func:`run_campaign_grid`: ``workers > 1`` fans
+    the campaigns out over a spawn process pool, and results come back
+    in scheme order, bit-identical to the serial run.
     """
-    from repro.schemes import ALL_IMPLEMENTED_SCHEMES
-    if schemes is None:
-        schemes = list(ALL_IMPLEMENTED_SCHEMES)
-    if workers == 1:
-        return [run_campaign(scheme, seed, profile=profile,
+    return run_campaign_grid([seed], schemes, profile=profile,
                              check_payload_mode=check_payload_mode,
-                             fast_forward=fast_forward)
-                for scheme in schemes]
-    from repro.parallel import ParallelRunner, TaskSpec
-    tasks = [
-        TaskSpec(run_campaign, args=(scheme, seed),
-                 kwargs={"profile": profile,
-                         "check_payload_mode": check_payload_mode,
-                         "fast_forward": fast_forward},
-                 label=f"chaos-{scheme.value}-{seed}")
-        for scheme in schemes
-    ]
-    results: list[ChaosResult] = ParallelRunner(workers).run(tasks)
-    return results
+                             workers=workers, fast_forward=fast_forward)
 
 
 def campaign_seeds(root_seed: int, count: int) -> tuple[int, ...]:

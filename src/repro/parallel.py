@@ -21,9 +21,9 @@ Three design rules make parallel runs bit-identical to serial ones:
    the :class:`TaskSpec` is built — loudly, and identically for
    ``workers=1`` — so a workload never *becomes* unparallelisable.
    Rule R7 of ``repro.checks`` enforces the same contract statically.
-3. **Ordered merge.**  Results are returned (or streamed into a
-   reducer) strictly in task-submission order, whatever order workers
-   finish in.  Aggregations are therefore independent of scheduling.
+3. **Ordered merge.**  Results are returned strictly in
+   task-submission order, whatever order workers finish in.
+   Aggregations are therefore independent of scheduling.
 
 ``workers=1`` never creates a pool: tasks run in-process, in order, so
 small runs and debugging sessions pay zero multiprocessing overhead.
@@ -132,17 +132,8 @@ class ParallelRunner:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
 
-    def run(self, tasks: Iterable[TaskSpec],
-            reducer: Optional[Callable[[Any, Any], Any]] = None,
-            initial: Any = None) -> Any:
-        """Execute every task; return ordered results or a reduction.
-
-        Without ``reducer``: a list of results in task order.  With
-        ``reducer``: results are folded as ``acc = reducer(acc, result)``
-        strictly in task order, starting from ``initial`` — but
-        *streamingly*, so completed shards are merged (and freed) while
-        slower shards still run.
-        """
+    def run(self, tasks: Iterable[TaskSpec]) -> list[Any]:
+        """Execute every task; return the results in task order."""
         specs = list(tasks)
         for spec in specs:
             if not isinstance(spec, TaskSpec):
@@ -150,43 +141,19 @@ class ParallelRunner:
                     f"ParallelRunner.run takes TaskSpec items, got "
                     f"{type(spec).__name__}")
         if self.workers == 1 or len(specs) <= 1:
-            return self._run_serial(specs, reducer, initial)
-        return self._run_pool(specs, reducer, initial)
-
-    def _run_serial(self, specs: Sequence[TaskSpec],
-                    reducer: Optional[Callable[[Any, Any], Any]],
-                    initial: Any) -> Any:
-        if reducer is None:
             return [_execute(spec) for spec in specs]
-        accumulator = initial
-        for spec in specs:
-            accumulator = reducer(accumulator, _execute(spec))
-        return accumulator
+        return self._run_pool(specs)
 
-    def _run_pool(self, specs: Sequence[TaskSpec],
-                  reducer: Optional[Callable[[Any, Any], Any]],
-                  initial: Any) -> Any:
+    def _run_pool(self, specs: Sequence[TaskSpec]) -> list[Any]:
         width = min(self.workers, len(specs))
         with ProcessPoolExecutor(max_workers=width,
                                  mp_context=get_context("spawn")) as pool:
             futures = {pool.submit(_execute, spec): index
                        for index, spec in enumerate(specs)}
-            if reducer is None:
-                results: list[Any] = [None] * len(specs)
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-                return results
-            # Stream the fold in task order: buffer only the shards that
-            # finished ahead of the merge frontier.
-            accumulator = initial
-            frontier = 0
-            ready: dict[int, Any] = {}
+            results: list[Any] = [None] * len(specs)
             for future in as_completed(futures):
-                ready[futures[future]] = future.result()
-                while frontier in ready:
-                    accumulator = reducer(accumulator, ready.pop(frontier))
-                    frontier += 1
-            return accumulator
+                results[futures[future]] = future.result()
+            return results
 
 
 def _session_worker(conn: Connection) -> None:

@@ -92,7 +92,7 @@ class CycleScheduler(abc.ABC):
     __slots__ = (
         "layout", "array", "config", "verify_payloads", "metadata_only",
         "track_bytes", "codec", "slot_table", "report", "tracker",
-        "cycle_index", "streams", "_next_stream_id", "_phase_counter",
+        "cycle_index", "streams", "_next_stream_id",
         "_lost_causes", "_last_executed", "_pending_reconstructions",
         "rebuilders", "_stripe", "_plan_cache", "_plan_cache_key",
         "_all_disks_up", "_read_hook_active", "_delivery_hook_active",
@@ -139,12 +139,12 @@ class CycleScheduler(abc.ABC):
         self.cycle_index = 0
         self.streams: dict[int, Stream] = {}
         self._next_stream_id = 0
-        self._phase_counter = 0
         #: (stream_id, track) -> why it will hiccup at delivery time.
         self._lost_causes: dict[tuple[int, int], HiccupCause] = {}
         #: Reads executed during the most recent cycle (for mid-cycle
-        #: failure semantics).
-        self._last_executed: list[PlannedRead] = []
+        #: failure semantics); None once the epoch engine batched that
+        #: cycle, whose reads were never materialised.
+        self._last_executed: Optional[list[PlannedRead]] = []
         #: Reconstructions performed between cycles (mid-cycle failures
         #: masked by prefetched parity); credited to the next report.
         self._pending_reconstructions = 0
@@ -360,7 +360,6 @@ class CycleScheduler(abc.ABC):
         # capacity bound assumes.
         width = len(phase_load)
         phase = min(range(width), key=lambda p: (phase_load[p], p))
-        self._phase_counter += 1
         stream = Stream(
             stream_id=self._next_stream_id,
             obj=obj,
@@ -409,14 +408,23 @@ class CycleScheduler(abc.ABC):
         the just-finished cycle's reads were in flight: tracks fetched from
         the failed disk in that cycle are invalidated and will hiccup
         (Section 4's "if a failure occurs in the middle of a cycle ... we
-        are forced to ... cause a hiccup").
+        are forced to ... cause a hiccup").  A cycle the epoch engine
+        batched has no in-flight reads to invalidate, so a mid-cycle
+        strike after one raises :class:`~repro.errors.SimulationError`:
+        run the cycle before the strike with :meth:`run_cycle`.
         """
         if self.array[disk_id].is_failed:
             self.redundant_fault_commands += 1
             return
+        if mid_cycle and self._last_executed is None:
+            raise SimulationError(
+                f"mid-cycle failure of disk {disk_id} after a "
+                f"fast-forwarded cycle: the epoch engine keeps no "
+                f"in-flight reads to invalidate; run the cycle before "
+                f"the strike scalar")
         self.array.fail(disk_id)
         self._invalidate_plan_cache()
-        if mid_cycle:
+        if mid_cycle and self._last_executed:
             for plan in self._last_executed:
                 if plan.disk_id != disk_id or plan.kind is not ReadKind.DATA:
                     continue
@@ -734,7 +742,13 @@ class CycleScheduler(abc.ABC):
         proven identical to the scalar cycle (a fault lands, a slot
         would overflow, a hiccup is imminent, a rebuild would complete)
         the engine stops at the cycle boundary and the scalar path takes
-        over, so results are **bit-identical** with the flag on or off.
+        over, so results are **bit-identical** with the flag on or off —
+        with one exception the scheduler refuses rather than gets wrong:
+        a batched cycle materialises no reads, so
+        ``fail_disk(mid_cycle=True)`` right after one raises
+        :class:`~repro.errors.SimulationError`.  Drivers that script
+        mid-cycle strikes (``run_with_schedule``, ``run_workload``, the
+        chaos replay) run the cycle before the strike scalar.
         """
         if not fast_forward:
             return [self.run_cycle() for _ in range(count)]
@@ -1525,6 +1539,8 @@ class CycleScheduler(abc.ABC):
             for disk_id in np.nonzero(total_loads)[0]:
                 disks[int(disk_id)].reads += int(total_loads[disk_id])
             self.report.ff_engaged_cycles += done
+        if done:
+            self._last_executed = None
         self._ff_note(bail)
         return done, admitted_n, rejected_n, consumed
 

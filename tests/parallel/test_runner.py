@@ -30,18 +30,6 @@ def test_pool_results_match_serial_in_order() -> None:
     assert pooled == serial == [n * n + 100 for n in range(10)]
 
 
-def test_streaming_reducer_folds_in_task_order() -> None:
-    tasks = [TaskSpec(square, args=(n,)) for n in range(9)]
-
-    def fold(acc: list, value: int) -> list:
-        acc.append(value)
-        return acc
-
-    serial = ParallelRunner(1).run(tasks, reducer=fold, initial=[])
-    pooled = ParallelRunner(2).run(tasks, reducer=fold, initial=[])
-    assert serial == pooled == [n * n for n in range(9)]
-
-
 def test_lambda_payload_rejected_at_construction() -> None:
     with pytest.raises(SpawnSafetyError):
         TaskSpec(lambda: 1, label="bad")  # repro: allow(R7)

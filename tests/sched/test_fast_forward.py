@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.faults.injector import FaultSchedule
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer
@@ -350,3 +351,34 @@ def test_disengagement_reasons_are_tallied() -> None:
     server.run_cycles(5, fast_forward=True)
     assert server.report.ff_engaged_cycles == 0
     assert server.report.ff_disengagements.get("payload-mode", 0) > 0
+
+
+def _strike_server(scheme: Scheme) -> MultimediaServer:
+    """Four 80-track titles, all admitted: still playing at cycle 15."""
+    server = _scheme_server(scheme, catalog=tiny_catalog(4, tracks=80))
+    for name in server.catalog.names():
+        server.admit(name)
+    return server
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_mid_cycle_strike_after_batched_cycle_raises(scheme: Scheme) -> None:
+    """A batched cycle materialises no reads, so a mid-cycle strike right
+    after one has nothing to invalidate: the scheduler refuses it rather
+    than silently drop the hiccups the scalar run records.  One scalar
+    cycle restores the in-flight reads, and the strike then lands
+    exactly as it does on an all-scalar run."""
+    fast = _strike_server(scheme)
+    fast.run_cycles(6, fast_forward=True)
+    assert fast.report.ff_engaged_cycles > 0
+    with pytest.raises(SimulationError):
+        fast.fail_disk(0, mid_cycle=True)
+    assert not fast.array[0].is_failed
+    fast.run_cycle()
+    slow = _strike_server(scheme)
+    slow.run_cycles(7)
+    for server in (slow, fast):
+        server.fail_disk(0, mid_cycle=True)
+        server.run_cycles(6)
+    assert _fingerprint(fast, []) == _fingerprint(slow, [])
