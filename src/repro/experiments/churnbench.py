@@ -16,6 +16,13 @@ Two equality guards make the speedup claim falsifiable:
   cycle rows, per-disk counters, stream state, the rendered summary —
   and the record adds the admitted/rejected/unarrived split, so a
   fast-but-wrong engine cannot pass.
+
+A second pair, ``scaling``, checks that the engine's host time per
+cycle stays flat in the run length: the engine alone runs the farm for
+a short and a long stretch, each on a trace whose horizon is its own
+length, and the long run may cost at most ``MAX_SCALING`` times the
+short run per cycle.  A per-cycle cost that grows with the streams
+admitted so far fails it.
 """
 
 from __future__ import annotations
@@ -50,6 +57,14 @@ ADMISSION_LIMIT = 600
 #: at least this factor on the flagship cell.
 MIN_SPEEDUP = 3.0
 
+#: Run lengths of the scaling pair (short, long), in cycles.
+SCALING_CYCLES = (300, 2400)
+#: The long run's host time per cycle may be at most this multiple of
+#: the short run's.
+MAX_SCALING = 1.5
+#: Timed runs per length, each on a fresh farm; the fastest counts.
+SCALING_REPEATS = 2
+
 
 def build_churn_server() -> Any:
     """A 1000-disk Streaming-RAID farm shaped for admission churn."""
@@ -62,22 +77,25 @@ def build_churn_server() -> Any:
         verify_payloads=False)
 
 
-def churn_trace(server: Any) -> CompiledTrace:
-    """The benchmark's fixed request trace, compiled once per server."""
+def churn_trace(server: Any,
+                horizon_cycles: int = HORIZON_CYCLES) -> CompiledTrace:
+    """The benchmark's request trace over ``horizon_cycles``, compiled
+    once per server."""
     cycle_length = server.config.cycle_length_s
     generator = WorkloadGenerator(
         server.catalog,
         arrival_rate_per_s=ARRIVALS_PER_CYCLE / cycle_length,
         zipf_theta=ZIPF_THETA, seed=SEED)
-    return compile_trace(generator.trace(HORIZON_CYCLES * cycle_length),
+    return compile_trace(generator.trace(horizon_cycles * cycle_length),
                          cycle_length)
 
 
-def run_churn_cell(fast_forward: bool, cycles: int = CYCLES) -> Record:
+def run_churn_cell(fast_forward: bool, cycles: int = CYCLES,
+                   horizon_cycles: int = HORIZON_CYCLES) -> Record:
     """Build the farm, run the churn trace, return metrics + guards."""
     with Stopwatch() as build:
         server = build_churn_server()
-    compiled = churn_trace(server)
+    compiled = churn_trace(server, horizon_cycles)
     with Stopwatch() as run:
         result = server.run_workload(compiled, cycles,
                                      fast_forward=fast_forward)
@@ -89,8 +107,33 @@ def run_churn_cell(fast_forward: bool, cycles: int = CYCLES) -> Record:
         build_s=build.seconds, trace_sha256=compiled.digest())
 
 
+def run_scaling_pair() -> Record:
+    """The engine alone at each of ``SCALING_CYCLES``, on a trace as long
+    as the run, keeping the fastest of ``SCALING_REPEATS`` runs: the
+    long run's host time per cycle may be at most ``MAX_SCALING`` times
+    the short run's."""
+    short, long = (
+        min((run_churn_cell(True, cycles, horizon_cycles=cycles)
+             for _ in range(SCALING_REPEATS)),
+            key=lambda record: record["run_s"])
+        for cycles in SCALING_CYCLES)
+    per_cycle = [record["run_s"] / record["cycles"] * 1e6
+                 for record in (short, long)]
+    ratio = per_cycle[1] / per_cycle[0]
+    gate = {"us_per_cycle": [round(value, 1) for value in per_cycle],
+            "us_per_cycle_ratio": round(ratio, 2),
+            "max_ratio": MAX_SCALING, "passed": ratio <= MAX_SCALING}
+    print(f"  scaling: {per_cycle[0]:.0f} us/cycle at {short['cycles']} "
+          f"cycles -> {per_cycle[1]:.0f} at {long['cycles']}, "
+          f"{ratio:.2f}x (max {MAX_SCALING}x), "
+          f"{'passed' if gate['passed'] else 'FAILED'}")
+    return {"reference": short, "candidate": long, "verdict": gate}
+
+
 def run_churn_gate() -> Record:
-    """bench_churn: the trace through the scalar loop, then the engine."""
+    """bench_churn: the trace through the scalar loop, then the engine;
+    then the engine's per-cycle cost at a short and a long run."""
     return {"seed": SEED, "arrivals_per_cycle": ARRIVALS_PER_CYCLE,
             "pairs": {"churn": run_pair("churn", run_churn_cell,
-                                        min_speedup=MIN_SPEEDUP)}}
+                                        min_speedup=MIN_SPEEDUP),
+                      "scaling": run_scaling_pair()}}

@@ -57,6 +57,50 @@ from repro.server.metrics import (
 )
 from repro.server.stream import Stream, StreamStatus
 
+#: Epoch-engine row pool sizing: the row arrays start at
+#: ``_FF_ROW_GROWTH`` times the live rows (at least ``_FF_ROW_FLOOR``,
+#: never more than the window's worst case) and grow by that factor when
+#: retiring finished rows leaves no room for a cycle's arrivals.
+_FF_ROW_FLOOR = 64
+_FF_ROW_GROWTH = 2
+
+#: The epoch engine's per-row columns in pool order: dtype and the value
+#: a row past the epoch's streams holds (not live, not reading, nothing
+#: staged).
+_FF_ROW_COLUMNS: tuple[tuple[type, int], ...] = (
+    (np.int64, 0),    # obj_base: the object's first read-table position
+    (np.int64, 0),    # held_base: its first prefix-sum pointer
+    (np.int64, 0),    # next_read
+    (np.int64, 0),    # next_del
+    (np.int64, 0),    # num_tracks
+    (np.int64, 1),    # rate
+    (np.int64, -1),   # start: delivery start cycle, -1 before any read
+    (np.int64, 0),    # quota: tracks delivered per started cycle
+    (np.int64, 0),    # pace_rate
+    (np.int64, 0),    # pace_base
+    (np.int64, 1),    # phase_mod
+    (np.int64, 0),    # phase_val
+    (bool, True),     # unpaced
+    (bool, False),    # admitted_mask: admitted, nothing delivered yet
+    (bool, False),    # live_mask
+    (np.int64, 0),    # deliv_delta: tracks delivered this epoch
+    (np.int64, 0),    # recon_delta: tracks reconstructed this epoch
+    (np.int64, 0),    # peak0: buffer peak at entry
+    (np.int64, 0),    # peak: running buffer peak
+)
+
+
+def _ff_row_pool(size: int, columns: tuple[np.ndarray, ...] = (),
+                 keep: Optional[np.ndarray] = None) -> list[np.ndarray]:
+    """``size`` neutral engine rows per column, ``columns[keep]`` first."""
+    pool = []
+    for i, (dtype, neutral) in enumerate(_FF_ROW_COLUMNS):
+        column = np.full(size, neutral, dtype=dtype)
+        if keep is not None:
+            column[:len(keep)] = columns[i][keep]
+        pool.append(column)
+    return pool
+
 
 class GroupPlan:
     """The cached read plan for one (object, group) under one epoch.
@@ -1116,9 +1160,20 @@ class CycleScheduler(abc.ABC):
         cycle is a handful of whole-array operations over the read
         tables of :meth:`_ff_flat_tables` (delivery quotas, table
         gathers, one ``bincount`` for per-disk loads) staged on scratch
-        state, so a bail leaves no trace.  Stream, disk and tracker
-        objects are written back once, at the epoch boundary, so the
-        post-run state is indistinguishable from a scalar run.
+        state, so a bail leaves no trace.
+
+        The row arrays are a pool sized to the live population, not to
+        the window's arrivals.  When a cycle's batch would not fit, the
+        engine first *retires* the rows that finished in earlier
+        committed cycles — a finished row's state is final, so it is
+        written back exactly as the epoch boundary would write it, with
+        its reconstruction credit and buffer peak folded — then moves
+        the survivors to the front and grows the pool geometrically only
+        if it is still full.  Per-cycle cost therefore follows the live
+        rows, not the admissions so far.  The remaining rows, the disk
+        counters and the tracker samples are written back at the epoch
+        boundary, so the post-run state is indistinguishable from a
+        scalar run.
 
         One mechanism covers every stable state:
 
@@ -1196,7 +1251,8 @@ class CycleScheduler(abc.ABC):
             if name not in distinct:
                 distinct[name] = len(objects)
                 objects.append(stream.object)
-        cap = len(rows)
+        # Placed arrivals per window cycle: the most rows its batch adds.
+        placed: dict[int, int] = {}
         if arrivals:
             # Working set: live objects plus every placed arrival in the
             # window (unplaced ones are rejected in-engine).
@@ -1208,7 +1264,7 @@ class CycleScheduler(abc.ABC):
                 for obj in batch:
                     if not has_object(obj.name):
                         continue
-                    cap += 1
+                    placed[cycle] = placed.get(cycle, 0) + 1
                     if obj.name not in distinct:
                         distinct[obj.name] = len(objects)
                         objects.append(obj)
@@ -1255,25 +1311,17 @@ class CycleScheduler(abc.ABC):
         # Pool leases change only on fail/repair: constant for the epoch.
         pool_now = self._extra_buffer_tracks()
         limit_units = self.effective_admission_limit() if arrivals else 0
-        # Row arrays over the window's worst-case population; rows past
-        # the current count are neutral (not live, not reading).
-        obj_base = np.zeros(cap, dtype=np.int64)
-        held_base = np.zeros(cap, dtype=np.int64)
-        next_read = np.zeros(cap, dtype=np.int64)
-        next_del = np.zeros(cap, dtype=np.int64)
-        num_tracks = np.zeros(cap, dtype=np.int64)
-        rate = np.ones(cap, dtype=np.int64)
-        start = np.full(cap, -1, dtype=np.int64)
-        quota = np.zeros(cap, dtype=np.int64)
-        pace_rate = np.zeros(cap, dtype=np.int64)
-        pace_base = np.zeros(cap, dtype=np.int64)
-        phase_mod = np.ones(cap, dtype=np.int64)
-        phase_val = np.zeros(cap, dtype=np.int64)
-        admitted_mask = np.zeros(cap, dtype=bool)
-        live_mask = np.zeros(cap, dtype=bool)
-        deliv_delta = np.zeros(cap, dtype=np.int64)
-        recon_delta = np.zeros(cap, dtype=np.int64)
-        peak0 = np.zeros(cap, dtype=np.int64)
+        # Row pool: rows [0, len(rows)) are the epoch's streams, rows past
+        # them are neutral (not live, not reading).  It starts at twice
+        # the live rows but never above the window's worst case (every
+        # placed arrival admitted), so a window with no streams and no
+        # placed arrivals allocates nothing.
+        size = min(n + sum(placed.values()),
+                   max(_FF_ROW_FLOOR, _FF_ROW_GROWTH * n))
+        (obj_base, held_base, next_read, next_del, num_tracks, rate, start,
+         quota, pace_rate, pace_base, phase_mod, phase_val, unpaced,
+         admitted_mask, live_mask, deliv_delta, recon_delta, peak0,
+         peak) = _ff_row_pool(size)
         obj_base[:n] = np.fromiter(
             (pos_base[distinct[s.object.name]] for s in rows),
             dtype=np.int64, count=n)
@@ -1306,7 +1354,7 @@ class CycleScheduler(abc.ABC):
                                     count=n)
         phase_val[:n] = np.fromiter((g[3] for g in gates), dtype=np.int64,
                                     count=n)
-        unpaced = pace_rate == 0
+        unpaced[:n] = pace_rate[:n] == 0
         paced = not bool(unpaced.all())
         gated = not bool((phase_mod == 1).all())
         max_rate = int(rate.max(initial=1))
@@ -1317,7 +1365,53 @@ class CycleScheduler(abc.ABC):
         peak0[:n] = np.fromiter(
             (tracker.stream_peak(s.stream_id) for s in rows),
             dtype=np.int64, count=n)
-        peak = peak0.copy()
+        peak[:n] = peak0[:n]
+
+        def write_back(sel: np.ndarray, cycle_samples: list[int]) -> None:
+            """Write rows ``sel`` back to their stream objects, credit
+            their reconstructions and fold their peaks with
+            ``cycle_samples`` into the tracker.  Retirement and the epoch
+            boundary share it, so a retired row lands exactly as the
+            boundary would land it."""
+            picked = sel.tolist()
+            reads = next_read[sel].tolist()
+            delivers = next_del[sel].tolist()
+            delivered = deliv_delta[sel].tolist()
+            starts = start[sel].tolist()
+            waiting = admitted_mask[sel].tolist()
+            live = live_mask[sel].tolist()
+            rebuilt = recon_delta[sel].tolist()
+            for j, i in enumerate(picked):
+                stream = rows[i]
+                stream.next_read_track = reads[j]
+                stream.next_delivery_track = delivers[j]
+                stream.delivered_tracks += delivered[j]
+                if stream.delivery_start_cycle is None and starts[j] >= 0:
+                    stream.delivery_start_cycle = starts[j]
+                if stream.status is StreamStatus.ADMITTED \
+                        and not waiting[j]:
+                    stream.activate()
+                if live[j]:
+                    stream.buffer = dict.fromkeys(
+                        range(delivers[j], reads[j]), META_PAYLOAD)
+                    if degraded is not None:
+                        floor = delivers[j] // stripe
+                        stream.parity_buffer = {
+                            g: META_PAYLOAD for g, acquired
+                            in pairs_by_name[stream.object.name]
+                            if acquired <= reads[j] and g >= floor}
+                else:
+                    stream.complete()
+                if degraded is not None:
+                    stream.reconstructed_tracks += rebuilt[j]
+                    self._ff_sync_stream(stream)
+            if degraded is not None:
+                self._ff_credit(sum(rebuilt))
+            tracker.fold_epoch(
+                cycle_samples,
+                {rows[i].stream_id: int(peak[i])
+                 for i in sel[peak[sel] > peak0[sel]].tolist()})
+
         total_loads = np.zeros(num_disks, dtype=np.int64)
         failed_ids = np.asarray(self.array.failed_ids, dtype=np.int64)
         samples: list[int] = []
@@ -1341,6 +1435,27 @@ class CycleScheduler(abc.ABC):
             batch = arrivals.get(cycle) if arrivals else None
             if batch:
                 consumed = True
+                need = len(rows) + placed.get(cycle, 0)
+                if need > size:
+                    # -- make room: retire the rows that finished in
+                    #    committed cycles, move the survivors to the
+                    #    front, grow only if the pool is still full ------
+                    write_back(np.flatnonzero(~live_mask[:len(rows)]), [])
+                    keep = np.flatnonzero(live_mask[:len(rows)])
+                    rows = [rows[i] for i in keep.tolist()]
+                    need = len(rows) + placed.get(cycle, 0)
+                    if need > size:
+                        size = max(need, _FF_ROW_GROWTH * size)
+                    (obj_base, held_base, next_read, next_del, num_tracks,
+                     rate, start, quota, pace_rate, pace_base, phase_mod,
+                     phase_val, unpaced, admitted_mask, live_mask,
+                     deliv_delta, recon_delta, peak0,
+                     peak) = _ff_row_pool(size, (
+                         obj_base, held_base, next_read, next_del,
+                         num_tracks, rate, start, quota, pace_rate,
+                         pace_base, phase_mod, phase_val, unpaced,
+                         admitted_mask, live_mask, deliv_delta,
+                         recon_delta, peak0, peak), keep)
                 for obj in batch:
                     try:
                         stream = self._admit_checked(obj, phase_load,
@@ -1496,45 +1611,9 @@ class CycleScheduler(abc.ABC):
             if stop_on_completion and finished_any:
                 bail = "stream-completed"
                 break
-        if done or len(rows) > n:
+        if done or admitted_n:
             # -- write the epoch's state back to the Python objects -------
-            used = len(rows)
-            reads = next_read[:used].tolist()
-            delivers = next_del[:used].tolist()
-            delivered = deliv_delta[:used].tolist()
-            starts = start[:used].tolist()
-            waiting = admitted_mask[:used].tolist()
-            live = live_mask[:used].tolist()
-            rebuilt = recon_delta[:used].tolist()
-            for i, stream in enumerate(rows):
-                stream.next_read_track = reads[i]
-                stream.next_delivery_track = delivers[i]
-                stream.delivered_tracks += delivered[i]
-                if stream.delivery_start_cycle is None and starts[i] >= 0:
-                    stream.delivery_start_cycle = starts[i]
-                if stream.status is StreamStatus.ADMITTED \
-                        and not waiting[i]:
-                    stream.activate()
-                if live[i]:
-                    stream.buffer = dict.fromkeys(
-                        range(delivers[i], reads[i]), META_PAYLOAD)
-                    if degraded is not None:
-                        floor = delivers[i] // stripe
-                        stream.parity_buffer = {
-                            g: META_PAYLOAD for g, acquired
-                            in pairs_by_name[stream.object.name]
-                            if acquired <= reads[i] and g >= floor}
-                else:
-                    stream.complete()
-                if degraded is not None:
-                    stream.reconstructed_tracks += rebuilt[i]
-                    self._ff_sync_stream(stream)
-            if degraded is not None:
-                self._ff_credit(int(recon_delta.sum()))
-            raised = np.nonzero(peak > peak0)[0]
-            tracker.fold_epoch(
-                samples,
-                {rows[int(i)].stream_id: int(peak[int(i)]) for i in raised})
+            write_back(np.arange(len(rows)), samples)
             disks = self.array.disks
             for disk_id in np.nonzero(total_loads)[0]:
                 disks[int(disk_id)].reads += int(total_loads[disk_id])

@@ -3,11 +3,12 @@
 Every test builds two identical servers, drives one cycle-by-cycle and
 the other with ``fast_forward=True``, and compares a full state
 fingerprint — cycle reports, per-disk read counters, buffer-tracker
-samples and per-stream peaks, every stream's pointers and buffer
-contents, and the rendered summary.  Equality must hold whether the
-one epoch engine runs healthy or degraded tables, rebuild cursors,
-several table steps per cycle for fast streams (mixed rates), or bails
-to scalar cycles (payload mode, transitions).
+samples and per-stream peaks, every stream's pointers, buffer contents,
+reconstruction credit, lost tracks and open accumulators, and the
+rendered summary.  Equality must hold whether the one epoch engine runs
+healthy or degraded tables, rebuild cursors, several table steps per
+cycle for fast streams (mixed rates), or bails to scalar cycles (payload
+mode, transitions).
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ def _fingerprint(server: MultimediaServer,
     streams = tuple(
         (s.stream_id, s.status.name, s.next_read_track,
          s.next_delivery_track, s.delivery_start_cycle,
-         s.delivered_tracks, s.hiccup_count,
-         tuple(sorted(s.buffer)), tuple(sorted(s.parity_buffer)))
+         s.delivered_tracks, s.hiccup_count, s.reconstructed_tracks,
+         tuple(sorted(s.buffer)), tuple(sorted(s.parity_buffer)),
+         tuple(sorted(s.lost_tracks)), tuple(sorted(s.accumulators)))
         for s in sorted(server.scheduler.streams.values(),
                         key=lambda s: s.stream_id))
     tracker = server.scheduler.tracker
@@ -161,16 +163,11 @@ def test_fast_forward_advances_cycle_index() -> None:
 
 
 def _deep_fingerprint(server: MultimediaServer, reports: list) -> tuple:
-    """The PR-4 fingerprint plus the degraded/rebuild surface: per-disk
-    writes and fault-domain states, per-stream reconstruction credit,
-    and every rebuilder's cursor."""
-    streams = sorted(server.scheduler.streams.values(),
-                     key=lambda s: s.stream_id)
+    """The fingerprint plus the disk and rebuild surface: per-disk
+    writes and fault-domain states, and every rebuilder's cursor."""
     return _fingerprint(server, reports) + (
         tuple(disk.writes for disk in server.array.disks),
         tuple(disk.state.name for disk in server.array.disks),
-        tuple(s.reconstructed_tracks for s in streams),
-        tuple(sorted(s.lost_tracks) for s in streams),
         tuple((r.disk_id, r.blocks_rebuilt, r.reads_consumed, r.completed)
               for r in server.scheduler.rebuilders),
     )

@@ -120,17 +120,15 @@ def _churn_arrivals(server: MultimediaServer,
             for cycle, picks in spec.items()}
 
 
-def _degraded_churn_pair(scheme: Scheme,
-                         spec: dict[int, tuple[int, ...]],
-                         cycles: int = 20,
-                         prepare=None,
-                         **kwargs: object) -> tuple[tuple, tuple, object]:
-    """Scalar vs churn-engine run over a *degraded* server."""
+def _churn_pair(scheme: Scheme, spec: dict[int, tuple[int, ...]],
+                cycles: int = 20, prepare=None,
+                **kwargs: object) -> tuple[tuple, tuple, object]:
+    """Scalar vs churn-engine ``run_churn`` from the state ``prepare``
+    leaves; each side's fingerprint ends with (admitted, rejected)."""
     results = []
     fast_report = None
     for fast_forward in (False, True):
         server = _server(scheme, **kwargs)
-        server.fail_disk(1)
         if prepare is not None:
             prepare(server)
         reports, admitted, rejected = server.scheduler.run_churn(
@@ -141,6 +139,20 @@ def _degraded_churn_pair(scheme: Scheme,
         if fast_forward:
             fast_report = server.report
     return results[0], results[1], fast_report
+
+
+def _degraded_churn_pair(scheme: Scheme,
+                         spec: dict[int, tuple[int, ...]],
+                         cycles: int = 20,
+                         prepare=None,
+                         **kwargs: object) -> tuple[tuple, tuple, object]:
+    """Scalar vs churn-engine run over a *degraded* server."""
+    def degrade(server: MultimediaServer) -> None:
+        server.fail_disk(1)
+        if prepare is not None:
+            prepare(server)
+
+    return _churn_pair(scheme, spec, cycles, degrade, **kwargs)
 
 
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
@@ -166,6 +178,62 @@ def test_mixed_rate_degraded_churn_matches_scalar_and_stays_engaged(
         catalog=_mixed_catalog())
     assert fast == slow
     assert report.ff_residency() == 1.0
+
+
+def _start_rebuild(server: MultimediaServer) -> None:
+    server.fail_disk(1)
+    server.scheduler.start_rebuild(1, writes_per_cycle=1)
+
+
+#: Fault states a churn run can start from: healthy, one failed disk,
+#: and that disk under online rebuild.
+CHURN_STATES = {
+    "healthy": None,
+    "degraded": lambda server: server.fail_disk(1),
+    "rebuild": _start_rebuild,
+}
+
+#: Long enough that the engine's row pool retires and compacts: two
+#: requests a cycle make 240 admissions, while at most 16 streams are
+#: active at once.
+COMPACTION_CYCLES = 120
+
+
+@pytest.mark.parametrize("state", list(CHURN_STATES))
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_churn_across_row_compaction_matches_scalar(
+        scheme: Scheme, state: str) -> None:
+    # A base-rate and a rate-3 request every cycle: 240 requests in one
+    # epoch, far more than the live rows, so finished rows are retired
+    # and the survivors compacted several times mid-epoch.  Fingerprints
+    # and the admitted/rejected split must match the scalar front door.
+    slow, fast, report = _churn_pair(
+        scheme, {cycle: (0, 4) for cycle in range(COMPACTION_CYCLES)},
+        cycles=COMPACTION_CYCLES, prepare=CHURN_STATES[state],
+        catalog=_mixed_catalog())
+    assert fast == slow
+    if state == "rebuild":
+        assert report.ff_disengagements.get("rebuild-complete") == 1
+    else:
+        assert report.ff_engaged_cycles == COMPACTION_CYCLES
+
+
+def test_unplaced_arrivals_on_an_idle_farm_match_scalar() -> None:
+    # No streams and no placed title in the window: the engine's working
+    # set is empty, it allocates no rows, and it rejects every request
+    # exactly as the scalar front door does.
+    ghost = MediaObject("ghost", 0.1875, 8, seed=5)
+    results = []
+    for fast_forward in (False, True):
+        server = _server(Scheme.STREAMING_RAID)
+        reports, admitted, rejected = server.scheduler.run_churn(
+            10, {2: (ghost,), 5: (ghost, ghost)},
+            fast_forward=fast_forward)
+        results.append(_fingerprint(server, reports) + (admitted, rejected))
+    assert results[0] == results[1]
+    assert results[1][-2:] == (0, 3)
+    assert server.report.ff_engaged_cycles == 10
 
 
 def test_refused_entries_are_tallied_once() -> None:
