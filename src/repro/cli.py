@@ -269,6 +269,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Run the cycle simulator and print the delivery report."""
+    from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
     from repro.server import MultimediaServer
     if args.fast_forward and not args.metadata_only:
         print("--fast-forward requires --metadata-only (payload "
@@ -285,24 +286,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     names = server.catalog.names()
     for index in range(args.streams):
         server.admit(names[index % len(names)])
-    boundaries = sorted({
-        cycle for cycle in (
-            args.fail_cycle if args.fail_disk is not None else None,
-            args.repair_cycle if args.fail_disk is not None else None)
-        if cycle is not None and 0 <= cycle < args.cycles})
-    previous = 0
-    for boundary in boundaries:
-        server.run_cycles(boundary - previous,
-                          fast_forward=args.fast_forward)
-        if boundary == args.fail_cycle:
-            server.fail_disk(args.fail_disk)
-            print(f"[cycle {boundary}] disk {args.fail_disk} failed")
-        if boundary == args.repair_cycle:
-            server.repair_disk(args.fail_disk)
-            print(f"[cycle {boundary}] disk {args.fail_disk} repaired")
-        previous = boundary
-    server.run_cycles(args.cycles - previous,
-                      fast_forward=args.fast_forward)
+    events: list[FaultEvent] = []
+    if args.fail_disk is not None:
+        events = [FaultEvent(cycle, args.fail_disk, action)
+                  for cycle, action in (
+                      (args.fail_cycle, FaultAction.FAIL),
+                      (args.repair_cycle, FaultAction.REPAIR))
+                  if cycle is not None and 0 <= cycle < args.cycles]
+    schedule = FaultSchedule(events)
+    server.run_with_schedule(args.cycles, schedule,
+                             fast_forward=args.fast_forward)
+    for event in schedule:
+        verb = "failed" if event.action is FaultAction.FAIL else "repaired"
+        print(f"[cycle {event.cycle}] disk {event.disk_id} {verb}")
     report = server.report
     print(f"{args.scheme.display_name}: {report.summary()}")
     for cause, count in sorted(report.hiccups_by_cause().items(),

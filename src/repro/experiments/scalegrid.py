@@ -108,21 +108,17 @@ def run_scale_cell(scheme: Scheme, num_disks: int, with_failure: bool,
     whatever host runs the cell; everything else is deterministic and
     identical across workers, hosts, and ``fast_forward`` settings.
     """
+    from repro.faults.injector import FaultSchedule
     with Stopwatch() as build:
         server = build_scale_server(scheme, num_disks)
     admitted = load_one_stream_per_disk(server)
 
     with Stopwatch() as run:
-        if with_failure:
-            server.run_cycles(FAIL_CYCLE, fast_forward=fast_forward)
-            server.fail_disk(0)
-            server.run_cycles(REPAIR_CYCLE - FAIL_CYCLE,
-                              fast_forward=fast_forward)
-            server.repair_disk(0)
-            server.run_cycles(CYCLES - REPAIR_CYCLE,
-                              fast_forward=fast_forward)
-        else:
-            server.run_cycles(CYCLES, fast_forward=fast_forward)
+        schedule = (FaultSchedule.single_failure(
+            FAIL_CYCLE, 0, repair_cycle=REPAIR_CYCLE)
+            if with_failure else FaultSchedule())
+        server.run_with_schedule(CYCLES, schedule,
+                                 fast_forward=fast_forward)
 
     cycles = server.report.cycles
     result: dict[str, Any] = {

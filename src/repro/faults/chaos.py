@@ -242,8 +242,10 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
     stable-degraded) batch the cycles in between; the segmentation rules
     keep the snapshot bit-identical to the scalar loop:
 
-    * an epoch never crosses a scripted event (faults land on exactly
-      the cycle the scalar loop applies them);
+    * an epoch stops at :meth:`FaultSchedule.epoch_end` — it never
+      crosses a scripted event (faults land on exactly the cycle the
+      scalar loop applies them), and the cycle feeding a mid-cycle
+      strike runs scalar;
     * the admission loop runs at every scalar cycle top, so an epoch is
       only attempted while every object is playing (a stream completion
       ends the epoch via ``stop_on_completion`` and hands the next cycle
@@ -264,8 +266,6 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
     scrubber = SectorScrubber(server.array, tracks_per_pass=2)
     scheduler = server.scheduler
     names = server.catalog.names()
-    boundaries = [c for c in schedule.event_cycles() if c < cycles]
-    mid_cycles = set(schedule.mid_cycle_event_cycles())
     rejected = 0
     cycle = 0
     while cycle < cycles:
@@ -284,10 +284,7 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
                 rejected += 1
         if fast_forward and playing.issuperset(names) \
                 and not scrubber.has_pending():
-            boundary = next((b for b in boundaries if b > cycle), cycles)
-            # The cycle feeding a mid-cycle strike must execute real
-            # reads the strike can invalidate — keep it scalar.
-            limit = boundary - cycle - (1 if boundary in mid_cycles else 0)
+            limit = schedule.epoch_end(cycle, cycles) - cycle
             advanced = (scheduler.run_epoch(limit, stop_on_completion=True)
                         if limit >= MIN_EPOCH_SPAN else 0)
             if advanced:

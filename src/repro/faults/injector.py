@@ -12,6 +12,7 @@ Two flavours:
 
 from __future__ import annotations
 
+import bisect
 import enum
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator,
@@ -85,6 +86,10 @@ class FaultSchedule:
         self._by_cycle: dict[int, list[FaultEvent]] = {}
         for event in self._events:
             self._by_cycle.setdefault(event.cycle, []).append(event)
+        self._cycles = sorted(self._by_cycle)
+        self._mid_cycle_strikes = frozenset(
+            event.cycle for event in self._events
+            if event.action is FaultAction.FAIL and event.mid_cycle)
 
     @classmethod
     def single_failure(cls, cycle: int, disk_id: int,
@@ -103,22 +108,20 @@ class FaultSchedule:
         """Events that strike just before the given cycle runs."""
         return list(self._by_cycle.get(cycle, ()))
 
-    def event_cycles(self) -> list[int]:
-        """Every cycle with at least one event, ascending (fast-forward
-        segmentation boundaries)."""
-        return sorted(self._by_cycle)
+    def epoch_end(self, cycle: int, end: int) -> int:
+        """Where a fast-forward epoch entered at ``cycle`` must stop.
 
-    def mid_cycle_event_cycles(self) -> list[int]:
-        """Cycles with a mid-cycle failure strike, ascending.
-
-        A mid-cycle FAIL invalidates tracks fetched by the *previous*
-        cycle's executed reads — state a fast-forwarded cycle never
-        materialises — so segmenting drivers must run the cycle just
-        before such an event on the scalar path.
+        The next cycle after ``cycle`` that has an event, capped at
+        ``end``, so every event lands at the top of the cycle it names.
+        A mid-cycle FAIL strike there (at ``end`` too) invalidates the
+        reads the previous cycle had in flight — reads a batched cycle
+        never materialises — so the epoch stops one cycle earlier and
+        the cycle feeding the strike runs scalar.
         """
-        return sorted({event.cycle for event in self._events
-                       if event.action is FaultAction.FAIL
-                       and event.mid_cycle})
+        index = bisect.bisect_right(self._cycles, cycle)
+        stop = (min(self._cycles[index], end)
+                if index < len(self._cycles) else end)
+        return stop - 1 if stop in self._mid_cycle_strikes else stop
 
     def apply(self, scheduler: "CycleScheduler",
               cycle: int) -> list[FaultEvent]:

@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 if TYPE_CHECKING:
+    from repro.faults.injector import FaultSchedule
     from repro.sched.rebuild import OnlineRebuilder
 
 from repro.analysis.streams import data_disk_count
@@ -455,7 +456,8 @@ class CycleScheduler(abc.ABC):
         are forced to ... cause a hiccup").  A cycle the epoch engine
         batched has no in-flight reads to invalidate, so a mid-cycle
         strike after one raises :class:`~repro.errors.SimulationError`:
-        run the cycle before the strike with :meth:`run_cycle`.
+        run the cycle before the strike with :meth:`run_cycle`, as
+        :meth:`run_churn` does for a scheduled strike.
         """
         if self.array[disk_id].is_failed:
             self.redundant_fault_commands += 1
@@ -774,7 +776,7 @@ class CycleScheduler(abc.ABC):
 
     def run_cycles(self, count: int,
                    fast_forward: bool = False) -> list[CycleReport]:
-        """Simulate ``count`` cycles.
+        """Simulate ``count`` cycles: :meth:`run_churn` with no arrivals.
 
         With ``fast_forward=True``, stretches of *stable* cycles —
         metadata-only mode, no fail-slow disk or media error, no pending
@@ -790,20 +792,11 @@ class CycleScheduler(abc.ABC):
         with one exception the scheduler refuses rather than gets wrong:
         a batched cycle materialises no reads, so
         ``fail_disk(mid_cycle=True)`` right after one raises
-        :class:`~repro.errors.SimulationError`.  Drivers that script
-        mid-cycle strikes (``run_with_schedule``, ``run_workload``, the
-        chaos replay) run the cycle before the strike scalar.
+        :class:`~repro.errors.SimulationError`.  Script mid-cycle strikes
+        through :meth:`run_churn`'s ``schedule``, which runs the cycle
+        before each strike scalar.
         """
-        if not fast_forward:
-            return [self.run_cycle() for _ in range(count)]
-        reports: list[CycleReport] = []
-        remaining = count
-        while remaining > 0:
-            remaining -= self._fast_forward(remaining, reports)[0]
-            if remaining > 0:
-                reports.append(self.run_cycle())
-                remaining -= 1
-        return reports
+        return self.run_churn(count, {}, fast_forward)[0]
 
     # -- batched epoch fast-forward ---------------------------------------------------
 
@@ -824,8 +817,8 @@ class CycleScheduler(abc.ABC):
         Probes scheduler-wide state only; the per-stream checks run in
         the engine's single entry walk over the stream table.  Checked
         once per fast-forward entry (state cannot change under the
-        engine's feet — fault commands only land between ``run_cycles``
-        calls).  Cheapest checks first, so permanently ineligible runs
+        engine's feet — fault commands only land between engine
+        entries).  Cheapest checks first, so permanently ineligible runs
         (payload mode) pay next to nothing per scalar cycle.  Callers
         tally the reason via :meth:`_ff_note`.
         """
@@ -1628,45 +1621,47 @@ class CycleScheduler(abc.ABC):
     def run_churn(self, count: int,
                   arrivals: dict[int, tuple[MediaObject, ...]],
                   fast_forward: bool = True,
+                  schedule: Optional["FaultSchedule"] = None,
                   ) -> tuple[list[CycleReport], int, int]:
-        """Run ``count`` cycles with per-cycle arrival batches.
+        """Run ``count`` cycles with per-cycle arrivals and scripted faults.
 
-        ``arrivals`` maps *absolute* cycle indices to the objects
-        requested in that cycle.  With ``fast_forward`` on, the epoch
-        engine (:meth:`_fast_forward`) admits each batch in-engine
-        instead of ending the epoch at every arrival; a cycle the engine
-        cannot prove identical to the scalar one runs scalar, with
-        :meth:`admit_batch` at the front door.  Results are bit-identical
-        either way.  Returns ``(reports, admitted, rejected)``.
+        The one loop that mixes fault events, arrival batches, engine
+        epochs and scalar cycles.  ``arrivals`` maps *absolute*
+        cycle indices to the objects requested in that cycle.  Each
+        cycle first applies the ``schedule``'s events due at its top.
+        With ``fast_forward`` on, the epoch engine (:meth:`_fast_forward`)
+        then runs up to :meth:`FaultSchedule.epoch_end`, admitting each
+        batch in-engine.  A cycle the engine did not reach runs scalar:
+        :meth:`admit_batch` at the front door, then :meth:`run_cycle`;
+        with ``fast_forward`` off every cycle does.  Results are
+        bit-identical either way.  Returns ``(reports, admitted,
+        rejected)``.
         """
         reports: list[CycleReport] = []
         admitted = rejected = 0
         end = self.cycle_index + count
         while self.cycle_index < end:
+            cycle = self.cycle_index
+            if schedule is not None:
+                schedule.apply(self, cycle)
             consumed = False
             if fast_forward:
-                _done, a, r, consumed = self._fast_forward(
-                    end - self.cycle_index, reports, arrivals=arrivals)
-                admitted += a
-                rejected += r
-                if self.cycle_index >= end:
-                    break
-            if not consumed:
-                a, r = self._admit_cycle_arrivals(arrivals)
-                admitted += a
+                stop = (end if schedule is None
+                        else schedule.epoch_end(cycle, end))
+                if stop > cycle:
+                    _done, a, r, consumed = self._fast_forward(
+                        stop - cycle, reports, arrivals=arrivals)
+                    admitted += a
+                    rejected += r
+                    if self.cycle_index == stop:
+                        continue
+            batch = arrivals.get(self.cycle_index)
+            if batch and not consumed:
+                streams, r = self.admit_batch(list(batch))
+                admitted += len(streams)
                 rejected += r
             reports.append(self.run_cycle())
         return reports, admitted, rejected
-
-    def _admit_cycle_arrivals(self, arrivals: dict[int, tuple[MediaObject,
-                                                              ...]],
-                              ) -> tuple[int, int]:
-        """Batch-admit the current cycle's arrivals (scalar fallback)."""
-        batch = arrivals.get(self.cycle_index)
-        if not batch:
-            return 0, 0
-        streams, rejected = self.admit_batch(list(batch))
-        return len(streams), rejected
 
     # -- phases ------------------------------------------------------------------------
 

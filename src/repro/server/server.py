@@ -223,38 +223,13 @@ class MultimediaServer:
                           fast_forward: bool = False) -> list[CycleReport]:
         """Simulate with scripted failures applied between cycles.
 
-        With ``fast_forward=True`` the run is segmented at the schedule's
-        event cycles: each segment starts by applying due events, then
-        advances to the next event boundary with the epoch fast-forward
-        engine enabled — scripted faults therefore land on exactly the
-        cycle they name, and results stay bit-identical to the scalar
-        loop.  The cycle before a mid-cycle failure strike always runs
-        scalar, so the strike finds the in-flight reads it invalidates.
+        Each event lands at the top of the cycle it names.  With
+        ``fast_forward=True`` the epoch engine batches the cycles between
+        events, bit-identically to the scalar loop (see
+        :meth:`CycleScheduler.run_churn`).
         """
-        reports: list[CycleReport] = []
-        if not fast_forward:
-            for _ in range(cycles):
-                schedule.apply(self.scheduler, self.scheduler.cycle_index)
-                reports.append(self.scheduler.run_cycle())
-            return reports
-        end = self.scheduler.cycle_index + cycles
-        event_cycles = schedule.event_cycles()
-        mid_cycles = set(schedule.mid_cycle_event_cycles())
-        while self.scheduler.cycle_index < end:
-            current = self.scheduler.cycle_index
-            schedule.apply(self.scheduler, current)
-            boundary = min((c for c in event_cycles if current < c < end),
-                           default=end)
-            span = boundary - current
-            if boundary in mid_cycles:
-                if span > 1:
-                    reports.extend(self.scheduler.run_cycles(
-                        span - 1, fast_forward=True))
-                reports.append(self.scheduler.run_cycle())
-            else:
-                reports.extend(self.scheduler.run_cycles(
-                    span, fast_forward=True))
-        return reports
+        return self.scheduler.run_churn(cycles, {}, fast_forward,
+                                        schedule)[0]
 
     def run_workload(self, trace: Union[Sequence["StreamRequest"],
                                         "CompiledTrace"],
@@ -266,74 +241,33 @@ class MultimediaServer:
 
         ``trace`` is either a sequence of
         :class:`~repro.workload.generator.StreamRequest` or a pre-built
-        :class:`~repro.workload.compiler.CompiledTrace`; each request is
-        admitted at the start of its arrival cycle, and requests that hit
-        the admission limit are counted as rejected (the blocking model
-        of a video-on-demand front door).  Requests whose arrival cycle
-        falls outside the simulated window are reported as ``unarrived``
-        rather than silently dropped.
+        :class:`~repro.workload.compiler.CompiledTrace`; each cycle's
+        requests are batch-admitted at the start of their arrival cycle,
+        and requests that hit the admission limit are counted as rejected
+        (the blocking model of a video-on-demand front door).  Requests
+        whose arrival cycle falls outside the simulated window are
+        reported as ``unarrived`` rather than silently dropped.
 
-        With ``fast_forward=True`` the run goes through
-        :meth:`CycleScheduler.run_churn`: arrival batches are admitted
-        inside the epoch fast-forward engine and the stable stretches
-        between them are vectorised, with results bit-identical to the
-        scalar loop.  An
-        optional ``schedule`` scripts disk faults; with fast-forward the
-        run segments at its event cycles so faults land exactly where
-        they are scripted.
+        The run goes through :meth:`CycleScheduler.run_churn`: with
+        ``fast_forward=True`` arrival batches are admitted inside the
+        epoch fast-forward engine and the stable stretches between them
+        are vectorised, with results bit-identical to the scalar loop.
+        An optional ``schedule`` scripts disk faults, each landing on
+        exactly the cycle it names.
         """
-        from repro.errors import AdmissionError
         from repro.workload.compiler import CompiledTrace, compile_trace
         compiled = (trace if isinstance(trace, CompiledTrace)
                     else compile_trace(trace, self.config.cycle_length_s))
         start = self.scheduler.cycle_index
         end = start + cycles
-        admitted = rejected = 0
-        if not fast_forward:
-            for _ in range(cycles):
-                current = self.scheduler.cycle_index
-                if schedule is not None:
-                    schedule.apply(self.scheduler, current)
-                for name in compiled.arrivals_in(current):
-                    try:
-                        self.admit(name)
-                        admitted += 1
-                    except AdmissionError:
-                        rejected += 1
-                self.scheduler.run_cycle()
-        else:
-            arrivals = {
-                cycle: tuple(self.catalog.get(name)
-                             for name in compiled.arrivals_in(cycle))
-                for cycle in compiled.event_cycles()
-                if start <= cycle < end
-            }
-            event_cycles = (schedule.event_cycles()
-                            if schedule is not None else ())
-            mid_cycles = (set(schedule.mid_cycle_event_cycles())
-                          if schedule is not None else set())
-            while self.scheduler.cycle_index < end:
-                current = self.scheduler.cycle_index
-                if schedule is not None:
-                    schedule.apply(self.scheduler, current)
-                boundary = min((c for c in event_cycles
-                                if current < c < end), default=end)
-                span = boundary - current
-                # The cycle feeding a mid-cycle strike must execute real
-                # reads, so keep it scalar (see run_with_schedule).
-                scalar_tail = 1 if boundary in mid_cycles else 0
-                if span - scalar_tail > 0:
-                    _, batch_admitted, batch_rejected = \
-                        self.scheduler.run_churn(span - scalar_tail,
-                                                 arrivals)
-                    admitted += batch_admitted
-                    rejected += batch_rejected
-                if scalar_tail:
-                    _, batch_admitted, batch_rejected = \
-                        self.scheduler.run_churn(1, arrivals,
-                                                 fast_forward=False)
-                    admitted += batch_admitted
-                    rejected += batch_rejected
+        arrivals = {
+            cycle: tuple(self.catalog.get(name)
+                         for name in compiled.arrivals_in(cycle))
+            for cycle in compiled.event_cycles()
+            if start <= cycle < end
+        }
+        _, admitted, rejected = self.scheduler.run_churn(
+            cycles, arrivals, fast_forward, schedule)
         unarrived = compiled.total - (compiled.arrivals_before(end)
                                       - compiled.arrivals_before(start))
         return WorkloadResult(admitted, rejected, unarrived)

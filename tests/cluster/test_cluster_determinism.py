@@ -11,6 +11,8 @@ degraded-mode routing too, not just the quiescent path.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.cluster import ClusterFault, ClusterSpec, run_cluster
@@ -82,3 +84,17 @@ def test_parity_declustered_fault_replays_identically() -> None:
     # PD rides its distributed-rebuild path through the same contract.
     assert_bit_identical(spec(Scheme.PARITY_DECLUSTERED,
                               faults=SHARD1_FAULT))
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_mid_cycle_strike_on_a_window_start_matches_scalar(
+        scheme: Scheme) -> None:
+    # Cycle 7 opens the second routing window, so the cycle feeding the
+    # strike is the last cycle of the first window's run: it must run
+    # scalar even though the strike falls exactly on that run's end.
+    faulted = spec(scheme, faults=(ClusterFault(
+        shard=1, cycle=7, disk_id=3, mid_cycle=True, repair_cycle=12),))
+    fast = run_cluster(faulted, workers=1)
+    slow = run_cluster(replace(faulted, fast_forward=False), workers=1)
+    assert fast.digest() == slow.digest()

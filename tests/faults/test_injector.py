@@ -61,6 +61,23 @@ class TestFaultSchedule:
         assert [e.action for e in schedule] == [FaultAction.FAIL,
                                                 FaultAction.REPAIR]
 
+    @pytest.mark.parametrize("events, cycle, end, expected", [
+        pytest.param([], 3, 10, 10, id="no-events"),
+        pytest.param([FaultEvent(6, 0)], 3, 10, 6, id="next-event"),
+        pytest.param([FaultEvent(6, 0, mid_cycle=True)], 3, 10, 5,
+                     id="mid-cycle-strike"),
+        pytest.param([FaultEvent(10, 0, mid_cycle=True)], 3, 10, 9,
+                     id="mid-cycle-strike-at-end"),
+        pytest.param([FaultEvent(4, 0, mid_cycle=True)], 3, 10, 3,
+                     id="mid-cycle-strike-next-cycle"),
+        pytest.param([FaultEvent(2, 0), FaultEvent(3, 1, mid_cycle=True)],
+                     3, 10, 10, id="past-events-ignored"),
+        pytest.param([FaultEvent(6, 0, FaultAction.REPAIR, mid_cycle=True)],
+                     3, 10, 6, id="mid-cycle-non-fail"),
+    ])
+    def test_epoch_end(self, events, cycle, end, expected):
+        assert FaultSchedule(events).epoch_end(cycle, end) == expected
+
     def test_apply_dispatches_every_action(self):
         class Recorder:
             def __init__(self):

@@ -4,8 +4,9 @@ Every test builds two identical servers, drives one cycle-by-cycle and
 the other with ``fast_forward=True``, and compares a full state
 fingerprint — cycle reports, per-disk read counters, buffer-tracker
 samples and per-stream peaks, every stream's pointers, buffer contents,
-reconstruction credit, lost tracks and open accumulators, and the
-rendered summary.  Equality must hold whether the one epoch engine runs
+reconstruction credit, lost tracks and open accumulators, the
+rendered summary, and the fault bookkeeping (redundant fault commands,
+data-loss events).  Equality must hold whether the one epoch engine runs
 healthy or degraded tables, rebuild cursors, several table steps per
 cycle for fast streams (mixed rates), or bails to scalar cycles (payload
 mode, transitions).
@@ -58,6 +59,8 @@ def _fingerprint(server: MultimediaServer,
         peaks,
         server.scheduler.cycle_index,
         server.report.summary(),
+        server.scheduler.redundant_fault_commands,
+        tuple(server.report.data_loss_events),
         tuple((r.reads_executed, r.tracks_delivered, r.streams_active,
                r.streams_terminated, r.buffered_tracks) for r in reports),
     )
@@ -86,12 +89,21 @@ def test_fast_forward_matches_scalar(scheme: Scheme) -> None:
     assert fast == slow
 
 
-@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
-                         ids=lambda s: s.value)
-def test_fast_forward_matches_scalar_through_fault(scheme: Scheme) -> None:
+#: Every scheme with a between-cycles strike (ids ``SR``...) and with a
+#: mid-cycle one (``SR-mid``...), whose previous cycle must run scalar.
+STRIKE_TIMINGS = [
+    pytest.param(scheme, mid_cycle,
+                 id=scheme.value + ("-mid" if mid_cycle else ""))
+    for mid_cycle in (False, True) for scheme in ALL_IMPLEMENTED_SCHEMES]
+
+
+@pytest.mark.parametrize("scheme, mid_cycle", STRIKE_TIMINGS)
+def test_fast_forward_matches_scalar_through_fault(scheme: Scheme,
+                                                  mid_cycle: bool) -> None:
     """A scripted fail/repair interrupts the quiescent epoch mid-stride."""
     def drive(server: MultimediaServer, fast_forward: bool) -> list:
-        schedule = FaultSchedule.single_failure(8, 1, repair_cycle=20)
+        schedule = FaultSchedule.single_failure(8, 1, repair_cycle=20,
+                                                mid_cycle=mid_cycle)
         return server.run_with_schedule(CYCLES, schedule,
                                         fast_forward=fast_forward)
 

@@ -18,7 +18,7 @@ from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer, WorkloadResult
 from repro.workload import WorkloadGenerator, compile_trace
 from tests.conftest import build_server, tiny_catalog
-from tests.sched.test_fast_forward import _fingerprint
+from tests.sched.test_fast_forward import STRIKE_TIMINGS, _fingerprint
 
 CYCLES = 60
 HORIZON_CYCLES = 40
@@ -45,14 +45,16 @@ def _trace(server: MultimediaServer, rate: float, seed: int):
 
 
 def _workload_pair(scheme: Scheme, rate: float = 0.8, seed: int = 7,
-                   with_fault: bool = False, **kwargs: object,
+                   with_fault: bool = False, mid_cycle: bool = False,
+                   **kwargs: object,
                    ) -> tuple[WorkloadResult, WorkloadResult, object]:
     """Scalar vs fast ``run_workload``; returns both front-door results
     and the fast server's report."""
     slow = _server(scheme, **kwargs)
     fast = _server(scheme, **kwargs)
     schedule_for = (
-        (lambda: FaultSchedule.single_failure(8, 1, repair_cycle=20))
+        (lambda: FaultSchedule.single_failure(8, 1, repair_cycle=20,
+                                              mid_cycle=mid_cycle))
         if with_fault else (lambda: None))
     slow_result = slow.run_workload(_trace(slow, rate, seed), CYCLES,
                                     schedule=schedule_for())
@@ -82,12 +84,14 @@ def test_workload_rejections_identical(scheme: Scheme) -> None:
     assert slow.rejected > 0
 
 
-@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
-                         ids=lambda s: s.value)
-def test_workload_matches_scalar_through_fault(scheme: Scheme) -> None:
-    # A mid-trace failure and repair: the fast run segments at the fault
-    # cycles and bails around degraded stretches, scalar-identically.
-    slow, fast, _ = _workload_pair(scheme, seed=5, with_fault=True)
+@pytest.mark.parametrize("scheme, mid_cycle", STRIKE_TIMINGS)
+def test_workload_matches_scalar_through_fault(scheme: Scheme,
+                                               mid_cycle: bool) -> None:
+    # A mid-trace failure and repair: the fast run stops its epochs at
+    # the fault cycles (one early for a mid-cycle strike) and bails
+    # around degraded stretches, scalar-identically.
+    slow, fast, _ = _workload_pair(scheme, seed=5, with_fault=True,
+                                   mid_cycle=mid_cycle)
     assert slow == fast
 
 
@@ -342,13 +346,36 @@ def test_precompiled_trace_is_accepted() -> None:
     assert _fingerprint(slow, []) == _fingerprint(fast, [])
 
 
-@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
-                         ids=lambda s: s.value)
-def test_admit_batch_matches_sequential(scheme: Scheme) -> None:
-    sequential = _server(scheme, admission_limit=3)
-    batched = _server(scheme, admission_limit=3)
+#: (scheme, NC buffer-pool clusters, failed disk) per case: every scheme
+#: healthy (ids ``SR``...) and with one failed disk (``SR-failed``...),
+#: plus pool-less NC.  PD and pool-less NC halve their fault-aware limit
+#: on a failure.
+ADMISSION_STATES = [
+    pytest.param(scheme, pool, failed,
+                 id=scheme.value + ("-nopool" if pool == 0 else "")
+                 + ("-failed" if failed else ""))
+    for scheme, pool in [(s, None) for s in ALL_IMPLEMENTED_SCHEMES]
+    + [(Scheme.NON_CLUSTERED, 0)]
+    for failed in (False, True)]
+
+
+@pytest.mark.parametrize("scheme, pool_clusters, failed", ADMISSION_STATES)
+def test_admit_batch_matches_sequential(scheme: Scheme,
+                                        pool_clusters: int | None,
+                                        failed: bool) -> None:
+    # ``run_workload``'s scalar reference admits through ``admit_batch``,
+    # so the batch must match one ``admit`` per request on degraded
+    # farms too, where the fault-aware limit bites.
+    servers = []
+    for _ in range(2):
+        server = _server(scheme, admission_limit=6,
+                         pool_clusters=pool_clusters)
+        if failed:
+            server.fail_disk(1)
+        servers.append(server)
+    sequential, batched = servers
     objects = [sequential.catalog.get(name)
-               for name in sequential.catalog.names() * 2]
+               for name in sequential.catalog.names() * 3]
     admitted, rejected = 0, 0
     for obj in objects:
         try:

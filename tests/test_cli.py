@@ -79,6 +79,19 @@ def test_simulate_with_repair(capsys):
     assert "disk 0 repaired" in out
 
 
+def test_simulate_fast_forward_prints_the_scalar_report(capsys):
+    # The failure window forces reconstructions, so the fast run must
+    # land both scripted events on their cycles to match.
+    argv = ["simulate", "--scheme", "NC", "--disks", "10", "--streams",
+            "8", "--fail-disk", "1", "--fail-cycle", "4",
+            "--repair-cycle", "20", "--cycles", "30", "--metadata-only"]
+    scalar = run(capsys, *argv)
+    fast = run(capsys, *argv, "--fast-forward")
+    assert fast == scalar
+    assert "[cycle 4] disk 1 failed" in scalar[1]
+    assert "[cycle 20] disk 1 repaired" in scalar[1]
+
+
 def test_rebuild(capsys):
     code, out = run(capsys, "rebuild")
     assert code == 0
