@@ -233,11 +233,53 @@ FIXTURES: tuple[Fixture, ...] = (
         path="src/repro/disk/example.py",
         code=_snippet("""
             class Disk:
-                __slots__ = ("service_fraction", "state_changes")
+                __slots__ = ("service_fraction", "state_changes", "_faults")
 
                 def throttle(self, fraction: float) -> None:
                     self.service_fraction = fraction
+                    self._fault_changed()
+
+                def _fault_changed(self) -> None:
                     self.state_changes += 1
+                    self._faults.refile(self)
+        """),
+    ),
+    Fixture(
+        # A bare per-disk bump leaves the array's fault index stale, and
+        # a notifier that skips the index is no notifier at all.
+        label="R3-bad-fault-bump-without-notifier",
+        path="src/repro/disk/example.py",
+        code=_snippet("""
+            class Disk:
+                __slots__ = ("_media_errors", "state_changes")
+
+                def scrub(self, position: int) -> bool:
+                    if self._media_errors.pop(position, None) is None:
+                        return False
+                    self.state_changes += 1
+                    return True
+
+                def _fault_changed(self) -> None:
+                    self.state_changes += 1
+        """),
+        expect=(("R3", 4), ("R3", 10)),
+    ),
+    Fixture(
+        label="R3-good-fault-index-notified",
+        path="src/repro/disk/example.py",
+        code=_snippet("""
+            class Disk:
+                __slots__ = ("_media_errors", "state_changes", "_faults")
+
+                def scrub(self, position: int) -> bool:
+                    if self._media_errors.pop(position, None) is None:
+                        return False
+                    self._fault_changed()
+                    return True
+
+                def _fault_changed(self) -> None:
+                    self.state_changes += 1
+                    self._faults.refile(self)
         """),
     ),
     Fixture(

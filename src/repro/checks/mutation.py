@@ -83,6 +83,12 @@ FIXTURE_OPS: tuple[FixtureOp, ...] = (
     FixtureOp("drop-state-change-bump", "R3-good-fault-domain-bumped",
               "        self.state_changes += 1\n", "",
               "R3"),
+    FixtureOp("drop-fault-notifier", "R3-good-fault-index-notified",
+              "        self._fault_changed()\n", "",
+              "R3"),
+    FixtureOp("drop-fault-index-refile", "R3-good-fault-index-notified",
+              "        self._faults.refile(self)\n", "",
+              "R3"),
     FixtureOp("drop-cache-rekey", "R3-good-cache-evict-rekeyed",
               "        self._plan_cache_key = key\n", "",
               "R3"),
@@ -155,6 +161,9 @@ REAL_OPS: tuple[RealSourceOp, ...] = (
                  "R1"),
     RealSourceOp("real-drop-fault-bump", "src/repro/disk/drive.py",
                  "self.state_changes += 1", "pass",
+                 "R3"),
+    RealSourceOp("real-drop-fault-notify", "src/repro/disk/drive.py",
+                 "self._fault_changed()", "pass",
                  "R3"),
     RealSourceOp("real-untype-param", "src/repro/checks/callgraph.py",
                  "def subsystem_of(path: str) -> str:",

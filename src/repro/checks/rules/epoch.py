@@ -10,7 +10,11 @@ one of those counters.  This rule makes the contract machine-checked:
   call ``_invalidate_caches()`` (or bump ``_epoch``) in the same body;
 * a function in ``disk/`` that assigns the fault-domain state fields
   (``state``, ``is_failed``, ``service_fraction``, ``_media_errors``)
-  must also touch ``state_changes``;
+  must call the fault notifier ``_fault_changed()``; a bare
+  ``state_changes`` bump is not enough, because the array's fault index
+  (which answers ``failed_ids``, ``state_epoch``, capacity and scrub
+  queries) would go stale.  The notifier itself must bump
+  ``state_changes`` and ``refile`` the drive in that index;
 * a function in ``sched/`` or ``faults/`` that moves a disk's fault
   domain through the array (``...array.fail/repair/degrade/restore/
   inject_media_error/begin_rebuild(...)``) must also call
@@ -44,7 +48,7 @@ helpers whose *callers* own the epoch bump carry an
 from __future__ import annotations
 
 import ast
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from repro.checks.core import (
     FileContext,
@@ -67,6 +71,13 @@ PLACEMENT_FIELDS = frozenset({
 DISK_STATE_FIELDS = frozenset({
     "state", "is_failed", "service_fraction", "_media_errors",
 })
+
+#: In ``disk/``, flipping a fault-domain field must call the notifier,
+#: and the notifier must both bump ``state_changes`` and call
+#: ``refile`` on the array's fault index: the index epoch and sets then
+#: move with every per-disk epoch.
+DISK_NOTIFIER = "_fault_changed"
+DISK_INDEX_CALL = "refile"
 
 #: The layout's placement delta log: appending or trimming without an
 #: epoch bump would desynchronise the log from the key it describes.
@@ -118,13 +129,18 @@ class EpochCacheRule(Rule):
             path, "layout/", "sched/", "disk/", "faults/")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
+        in_disk = under(ctx.path, "disk/")
         for node in ast.walk(ctx.tree):
             if not isinstance(node, (ast.FunctionDef,
                                      ast.AsyncFunctionDef)):
                 continue
             if node.name == "__init__":
                 continue
-            mutated = sorted(self._mutated_fields(node))
+            fields = self._mutated_fields(node)
+            if in_disk:
+                yield from self._check_fault_notifier(ctx, node, fields)
+                fields -= DISK_STATE_FIELDS
+            mutated = sorted(fields)
             flips = self._array_state_calls(node)
             rewritten = sorted(self._cache_rewrites(node))
             if rewritten and not self._rekeys_cache(node) \
@@ -149,6 +165,27 @@ class EpochCacheRule(Rule):
                     ctx, node,
                     f"'{node.name}' calls array.{flips[0]}() without "
                     "calling _invalidate_plan_cache()")
+
+    def _check_fault_notifier(
+            self, ctx: FileContext,
+            func: ast.FunctionDef | ast.AsyncFunctionDef,
+            fields: set[str]) -> Iterator[Finding]:
+        """The ``disk/`` clause: fault-field flips go through the notifier."""
+        if func.name == DISK_NOTIFIER and not (
+                _assigns(func, {"state_changes"})
+                and _calls(func, {DISK_INDEX_CALL})):
+            yield self.finding(
+                ctx, func,
+                f"fault notifier '{DISK_NOTIFIER}' must bump state_changes "
+                f"and call {DISK_INDEX_CALL}() — the per-disk epoch and the "
+                "array's fault index would fall behind the fields")
+        flipped = sorted(fields & DISK_STATE_FIELDS)
+        if flipped and not _calls(func, {DISK_NOTIFIER}):
+            yield self.finding(
+                ctx, func,
+                f"'{func.name}' mutates "
+                f"{', '.join(flipped)} without calling {DISK_NOTIFIER}() — "
+                "the array's fault index would go stale")
 
     # -- detection helpers ---------------------------------------------------
 
@@ -226,18 +263,27 @@ class EpochCacheRule(Rule):
         return False
 
     def _bumps_epoch(self, func: ast.AST) -> bool:
-        for node in ast.walk(func):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in BUMP_CALLS:
+        return _calls(func, BUMP_CALLS) or _assigns(func, EPOCH_FIELDS)
+
+
+def _calls(func: ast.AST, methods: AbstractSet[str]) -> bool:
+    """True if ``func`` calls ``<anything>.m(...)`` for an ``m`` in
+    ``methods``."""
+    return any(isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr in methods
+               for node in ast.walk(func))
+
+
+def _assigns(func: ast.AST, fields: AbstractSet[str]) -> bool:
+    """True if ``func`` assigns (or augments) one of ``fields``."""
+    for node in ast.walk(func):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            if any(_assigned_field(t) in fields for t in targets):
                 return True
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if _assigned_field(target) in EPOCH_FIELDS:
-                        return True
-        return False
+    return False
 
 
 def _assigned_field(target: ast.expr) -> str:

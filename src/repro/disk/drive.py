@@ -7,7 +7,10 @@ raises :class:`~repro.errors.DiskFailedError` — schedulers must check
 an exception here means a scheduler bug.
 
 :class:`DiskArray` is the collection of drives of one server plus
-convenience queries (failed set, spare accounting, total capacity).
+convenience queries (failed set, spare accounting, total capacity).  Its
+:class:`FaultIndex` files every drive that is failed, fail-slow or holds
+media errors; each :class:`Disk` transition refiles its drive there, so
+the fault-state queries cost O(faulty drives), not O(drives).
 
 Two I/O modes exist:
 
@@ -66,16 +69,55 @@ class DiskState(enum.Enum):
 _META = None
 
 
+class FaultIndex:
+    """Which drives of one array are failed, fail-slow or hold media errors.
+
+    Every :class:`Disk` transition ends in :meth:`Disk._fault_changed`,
+    which refiles the drive here, so the array answers its fault-state
+    queries from these sets instead of walking every drive.  ``epoch``
+    counts the transitions: it equals the sum of the drives'
+    ``state_changes`` at every moment.
+    """
+
+    __slots__ = ("epoch", "failed", "slow", "media")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        #: Ids of failed drives (``FAILED`` or ``REBUILDING``).
+        self.failed: set[int] = set()
+        #: Ids of drives below full speed (service fraction < 1),
+        #: failed ones included.
+        self.slow: set[int] = set()
+        #: Ids of drives holding media errors, failed ones included.
+        self.media: set[int] = set()
+
+    def refile(self, disk: "Disk") -> None:
+        """Count one transition of ``disk`` and re-derive its entries."""
+        self.epoch += 1
+        disk_id = disk.disk_id
+        _file(self.failed, disk_id, disk.is_failed)
+        _file(self.slow, disk_id, disk.service_fraction < 1.0)
+        _file(self.media, disk_id, disk.has_media_errors)
+
+
+def _file(ids: set[int], disk_id: int, member: bool) -> None:
+    if member:
+        ids.add(disk_id)
+    else:
+        ids.discard(disk_id)
+
+
 class Disk:
     """One simulated drive: payload store + failure state + counters."""
 
     __slots__ = ("disk_id", "spec", "state", "is_failed", "store_payloads",
                  "service_fraction", "_tracks", "_media_errors", "reads",
                  "writes", "failures", "state_changes",
-                 "media_errors_injected", "media_errors_cleared")
+                 "media_errors_injected", "media_errors_cleared", "_faults")
 
     def __init__(self, disk_id: int, spec: DiskSpec,
-                 store_payloads: bool = True) -> None:
+                 store_payloads: bool = True,
+                 faults: Optional[FaultIndex] = None) -> None:
         if disk_id < 0:
             raise ValueError(f"disk id must be non-negative, got {disk_id}")
         self.disk_id = disk_id
@@ -101,6 +143,8 @@ class Disk:
         self.state_changes = 0
         self.media_errors_injected = 0
         self.media_errors_cleared = 0
+        #: The owning array's fault index (a private one when standalone).
+        self._faults = faults if faults is not None else FaultIndex()
 
     def __repr__(self) -> str:
         return f"Disk(id={self.disk_id}, state={self.state.value}, " \
@@ -110,6 +154,16 @@ class Disk:
     def stored_tracks(self) -> int:
         """Number of track payloads currently written."""
         return len(self._tracks)
+
+    def _fault_changed(self) -> None:
+        """Count one fault-state transition and refile the drive.
+
+        Every method that moves the fault-domain fields (``state``,
+        ``is_failed``, ``service_fraction``, ``_media_errors``) calls this
+        after the fields change.
+        """
+        self.state_changes += 1
+        self._faults.refile(self)
 
     def _check_position(self, position: int) -> None:
         if position < 0:
@@ -133,7 +187,7 @@ class Disk:
                 self._media_errors.pop(position, None) is not None:
             # Rewriting a sector remaps it: the latent error is gone.
             self.media_errors_cleared += 1
-            self.state_changes += 1
+            self._fault_changed()
         self.writes += 1
 
     def write_meta(self, position: int) -> None:
@@ -176,7 +230,7 @@ class Disk:
                 if transient:
                     del self._media_errors[position]
                     self.media_errors_cleared += 1
-                    self.state_changes += 1
+                    self._fault_changed()
                 raise MediaReadError(self.disk_id, position, transient)
         try:
             payload = self._tracks[position]
@@ -212,7 +266,7 @@ class Disk:
             self.state = DiskState.FAILED
             self.is_failed = True
             self.failures += 1
-            self.state_changes += 1
+            self._fault_changed()
 
     def repair(self) -> None:
         """Bring a (reloaded/replaced) drive back online.
@@ -220,13 +274,14 @@ class Disk:
         A repair models a drive swap or full reload, so it also clears any
         fail-slow throttle and outstanding media errors.
         """
-        if self.is_failed or self.state is not DiskState.OPERATIONAL \
-                or self.service_fraction != 1.0 or self._media_errors:
-            self.state_changes += 1
+        changed = self.is_failed or self.state is not DiskState.OPERATIONAL \
+            or self.service_fraction != 1.0 or self.has_media_errors
         self.state = DiskState.OPERATIONAL
         self.is_failed = False
         self.service_fraction = 1.0
         self._media_errors.clear()
+        if changed:
+            self._fault_changed()
 
     def degrade(self, service_fraction: float) -> None:
         """Enter fail-slow mode at the given fraction of nominal service.
@@ -247,7 +302,7 @@ class Disk:
         self.state = (DiskState.OPERATIONAL if service_fraction >= 1.0
                       else DiskState.DEGRADED)
         self.service_fraction = service_fraction
-        self.state_changes += 1
+        self._fault_changed()
 
     def restore(self) -> None:
         """Leave fail-slow mode (the drive recovered full speed).
@@ -264,7 +319,7 @@ class Disk:
         if self.state is DiskState.DEGRADED:
             self.state = DiskState.OPERATIONAL
             self.service_fraction = 1.0
-            self.state_changes += 1
+            self._fault_changed()
 
     def begin_rebuild(self) -> None:
         """Transition FAILED -> REBUILDING (spare reconstruction started).
@@ -278,7 +333,7 @@ class Disk:
                 "nothing to rebuild"
             )
         self.state = DiskState.REBUILDING
-        self.state_changes += 1
+        self._fault_changed()
 
     def inject_media_error(self, position: int,
                            transient: bool = False) -> None:
@@ -292,14 +347,14 @@ class Disk:
         self._check_position(position)
         self._media_errors[position] = transient
         self.media_errors_injected += 1
-        self.state_changes += 1
+        self._fault_changed()
 
     def scrub(self, position: int) -> bool:
         """Background-scrub one position; True if an error was repaired."""
         if self._media_errors.pop(position, None) is None:
             return False
         self.media_errors_cleared += 1
-        self.state_changes += 1
+        self._fault_changed()
         return True
 
     def media_error_positions(self) -> list[int]:
@@ -337,7 +392,7 @@ class Disk:
 class DiskArray:
     """All the drives of one multimedia server."""
 
-    __slots__ = ("spec", "store_payloads", "disks")
+    __slots__ = ("spec", "store_payloads", "disks", "faults")
 
     def __init__(self, count: int, spec: DiskSpec,
                  store_payloads: bool = True) -> None:
@@ -345,7 +400,11 @@ class DiskArray:
             raise ValueError(f"disk count must be positive, got {count}")
         self.spec = spec
         self.store_payloads = store_payloads
-        self.disks = [Disk(disk_id, spec, store_payloads=store_payloads)
+        #: Failed, fail-slow and media-error drives, kept current by
+        #: every drive transition (read-only outside :class:`Disk`).
+        self.faults = FaultIndex()
+        self.disks = [Disk(disk_id, spec, store_payloads=store_payloads,
+                           faults=self.faults)
                       for disk_id in range(count)]
 
     def __len__(self) -> int:
@@ -362,7 +421,7 @@ class DiskArray:
     @property
     def failed_ids(self) -> list[int]:
         """Ids of currently failed drives, ascending."""
-        return [d.disk_id for d in self.disks if d.is_failed]
+        return sorted(self.faults.failed)
 
     @property
     def degraded_ids(self) -> list[int]:
@@ -382,13 +441,28 @@ class DiskArray:
 
     @property
     def state_epoch(self) -> int:
-        """Total failure/repair transitions across all drives.
+        """Total fault-state transitions across all drives.
 
-        Monotonic; any change means some disk's operational state flipped
-        since the epoch was last sampled.  Schedulers key their cycle-plan
+        Monotonic; any change means some disk's fault state moved since
+        the epoch was last sampled.  Schedulers key their cycle-plan
         caches on this (plus the layout's placement epoch).
         """
-        return sum(d.state_changes for d in self.disks)
+        return self.faults.epoch
+
+    @property
+    def min_service_fraction(self) -> float:
+        """Lowest service fraction among non-failed drives.
+
+        1.0 while no operational drive is fail-slow; 0.0 once every drive
+        has failed.
+        """
+        faults = self.faults
+        if len(faults.failed) == len(self.disks):
+            return 0.0
+        disks = self.disks
+        return min((disks[disk_id].service_fraction
+                    for disk_id in faults.slow - faults.failed),
+                   default=1.0)
 
     def fail(self, disk_id: int) -> Disk:
         """Fail one drive and return it."""

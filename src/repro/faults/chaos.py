@@ -246,7 +246,7 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
       crosses a scripted event (faults land on exactly the cycle the
       scalar loop applies them), and the cycle feeding a mid-cycle
       strike runs scalar;
-    * the admission loop runs at every scalar cycle top, so an epoch is
+    * the admission batch runs at every scalar cycle top, so an epoch is
       only attempted while every object is playing (a stream completion
       ends the epoch via ``stop_on_completion`` and hands the next cycle
       back to admission — and to the per-cycle rejection tally);
@@ -259,13 +259,13 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
       between storm events can never repay.
     """
     from repro.faults.injector import FaultSchedule
-    from repro.errors import AdmissionError
     server = build_chaos_server(scheme, verify_payloads=verify_payloads,
                                 profile=profile)
     schedule = FaultSchedule(events)
     scrubber = SectorScrubber(server.array, tracks_per_pass=2)
     scheduler = server.scheduler
-    names = server.catalog.names()
+    catalog = server.catalog
+    names = catalog.names()
     rejected = 0
     cycle = 0
     while cycle < cycles:
@@ -273,17 +273,13 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
         # Keep the front door busy: one stream per object whenever the
         # previous one finished — a deterministic arrival process that
         # exercises degraded-mode admission on every fault transition.
+        # The cycle's missing titles arrive as one batch, in name order;
+        # with none refused, every title is playing.
         playing = {s.object.name for s in scheduler.active_streams}
-        for name in names:
-            if name in playing:
-                continue
-            try:
-                server.admit(name)
-                playing.add(name)
-            except AdmissionError:
-                rejected += 1
-        if fast_forward and playing.issuperset(names) \
-                and not scrubber.has_pending():
+        refused = scheduler.admit_batch(
+            [catalog.get(name) for name in names if name not in playing])[1]
+        rejected += refused
+        if fast_forward and not refused and not scrubber.has_pending():
             limit = schedule.epoch_end(cycle, cycles) - cycle
             advanced = (scheduler.run_epoch(limit, stop_on_completion=True)
                         if limit >= MIN_EPOCH_SPAN else 0)

@@ -11,13 +11,13 @@ two pieces that sit *around* it:
   :class:`~repro.disk.model.SimpleDiskModel` track-time arithmetic the
   admission analysis uses.  Schedulers apply the fraction through
   :meth:`~repro.disk.drive.Disk.effective_slots`.
-* :class:`SectorScrubber` walks every disk's latent sector errors in a
-  deterministic order and repairs a bounded number per pass — the
-  background patrol that keeps a latent error from surviving long enough
-  to meet a disk failure in the same parity group.  It runs either as a
-  DES-kernel process (:meth:`SectorScrubber.process`, used by
-  ``run_timed``) or one :meth:`SectorScrubber.step` per cycle (used by
-  the chaos harness).
+* :class:`SectorScrubber` walks the latent sector errors of the disks
+  the array's fault index lists, in a deterministic order, and repairs
+  a bounded number per pass — the background patrol that keeps a latent
+  error from surviving long enough to meet a disk failure in the same
+  parity group.  It runs either as a DES-kernel process
+  (:meth:`SectorScrubber.process`, used by ``run_timed``) or one
+  :meth:`SectorScrubber.step` per cycle (used by the chaos harness).
 """
 
 from __future__ import annotations
@@ -79,24 +79,25 @@ class SectorScrubber:
         self.errors_repaired = 0
 
     def pending(self) -> list[tuple[int, int]]:
-        """All ``(disk_id, position)`` pairs still awaiting a scrub."""
-        pairs: list[tuple[int, int]] = []
-        for disk in self.array:
-            if disk.is_failed:
-                continue  # nothing to patrol until the rebuild lands
-            pairs.extend((disk.disk_id, position)
-                         for position in disk.media_error_positions())
-        pairs.sort()
-        return pairs
+        """All ``(disk_id, position)`` pairs still awaiting a scrub.
+
+        Only the drives the array's fault index files under media errors
+        are visited; failed ones wait for their rebuild.
+        """
+        faults = self.array.faults
+        disks = self.array.disks
+        return [(disk_id, position)
+                for disk_id in sorted(faults.media - faults.failed)
+                for position in disks[disk_id].media_error_positions()]
 
     def has_pending(self) -> bool:
         """True if any non-failed disk holds an unscrubbed error.
 
         The cheap emptiness probe for per-cycle gates (the fast-forward
-        drivers ask every cycle): no list building, no sort.
+        drivers ask every cycle): two index sets, no list building.
         """
-        return any(not disk.is_failed and disk.media_error_positions()
-                   for disk in self.array)
+        faults = self.array.faults
+        return not faults.media.issubset(faults.failed)
 
     def step(self) -> int:
         """Run one scrub pass; returns the number of errors repaired."""

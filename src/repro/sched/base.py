@@ -140,7 +140,7 @@ class CycleScheduler(abc.ABC):
         "cycle_index", "streams", "_next_stream_id",
         "_lost_causes", "_last_executed", "_pending_reconstructions",
         "rebuilders", "_stripe", "_plan_cache", "_plan_cache_key",
-        "_all_disks_up", "_read_hook_active", "_delivery_hook_active",
+        "_read_hook_active", "_delivery_hook_active",
         "_base_quota", "admission_limit", "redundant_fault_commands",
         "_known_lost_tracks", "_pending_shed", "_ff_tables",
         "_ff_tables_key", "_ff_flat", "_ff_flat_names", "_ff_geom",
@@ -224,8 +224,6 @@ class CycleScheduler(abc.ABC):
                                        np.ndarray, np.ndarray,
                                        np.ndarray]] = {}
         self._ff_geom_epoch: Optional[int] = None
-        #: Skips per-member failure checks while no disk is down.
-        self._all_disks_up = not any(d.is_failed for d in array.disks)
         # Skip per-read/per-track hook dispatch for schemes that keep the
         # base no-op hooks (everything but Non-clustered).
         cls = type(self)
@@ -645,15 +643,18 @@ class CycleScheduler(abc.ABC):
         *every* stream each cycle (a slot-overflow hiccup storm).
         """
         limit = self.effective_admission_limit()
-        if self.active_load <= limit:
+        active = self.active_streams
+        load = sum(stream.rate for stream in active)
+        if load <= limit:
             return
-        victims = sorted(self.active_streams,
+        victims = sorted(active,
                          key=lambda s: (s.admitted_cycle, s.stream_id),
                          reverse=True)
         for stream in victims:
-            if self.active_load <= limit:
+            if load <= limit:
                 break
             self.terminate_stream(stream.stream_id)
+            load -= stream.rate
             self._pending_shed += 1
 
     def start_rebuild(self, disk_id: int,
@@ -679,15 +680,14 @@ class CycleScheduler(abc.ABC):
         self._plan_cache.clear()
         self._plan_cache_key = None
         self._ff_flat = None
-        self._all_disks_up = not any(
-            disk.is_failed for disk in self.array.disks)
 
     def _refresh_plan_cache(self) -> None:
         """Re-key the plan cache if the layout or array state moved on.
 
         The epoch pair catches *every* invalidation source — scheduler-level
         ``fail_disk``/``repair_disk``, direct ``array.fail`` calls, and
-        content-manager placements — at one O(D) check per cycle.
+        content-manager placements — at one O(1) check per cycle (the
+        array's fault index keeps the state epoch).
 
         When only the *placement* epoch moved and the layout can replay
         the gap from its delta log, the refresh is incremental: a
@@ -720,8 +720,6 @@ class CycleScheduler(abc.ABC):
         self._plan_cache.clear()
         self._plan_cache_key = key
         self._ff_flat = None
-        self._all_disks_up = not any(
-            disk.is_failed for disk in self.array.disks)
 
     def _group_plan(self, name: str, group: int) -> GroupPlan:
         """The memoized read plan for one (object, group)."""
@@ -732,7 +730,8 @@ class CycleScheduler(abc.ABC):
         if plan is None:
             members, parity_addr = self.layout.group_geometry(name, group)
             track = group * self._stripe
-            if self._all_disks_up:
+            if not self.array.faults.failed:
+                # No disk down: skip the per-member failure checks.
                 healthy = []
                 for disk_id, position in members:
                     healthy.append((disk_id, position, track))
@@ -838,11 +837,13 @@ class CycleScheduler(abc.ABC):
             # ``_current_lost_tracks`` records.
             return ("shared-group" if len(self.array.failed_ids) > 1
                     else "pending-state")
-        for disk in self.array.disks:
-            if disk.service_fraction < 1.0:
-                return "fail-slow"
-            if disk.has_media_errors:
-                return "media-error"
+        faults = self.array.faults
+        impaired = faults.slow | faults.media
+        if impaired:
+            # The lowest-id impaired disk, failed or not, names the
+            # reason, fail-slow before media errors.
+            return ("fail-slow" if min(impaired) in faults.slow
+                    else "media-error")
         if not self._fast_forward_ready():
             return "scheme-veto"
         return None

@@ -42,7 +42,9 @@ def fault_aware_capacity(base_limit: int, array: "DiskArray",
     * **fail-slow**: the slowest still-operational drive gates every
       scheme's striped reads, so capacity scales with the minimum
       :attr:`~repro.disk.drive.Disk.service_fraction` across operational
-      drives (an array with every drive failed has zero capacity);
+      drives (an array with every drive failed has zero capacity), which
+      the array's fault index answers without a walk
+      (:attr:`~repro.disk.drive.DiskArray.min_service_fraction`);
     * **consumed redundancy**: the scheme-specific ``penalty`` charges
       streams for failures no longer absorbed by reserve bandwidth
       (e.g. Improved-bandwidth failures beyond the ``K_IB`` reserve, or
@@ -52,10 +54,7 @@ def fault_aware_capacity(base_limit: int, array: "DiskArray",
         raise ValueError(f"base limit must be non-negative, got {base_limit}")
     if penalty < 0:
         raise ValueError(f"penalty must be non-negative, got {penalty}")
-    fraction = min(
-        (disk.service_fraction for disk in array if not disk.is_failed),
-        default=0.0,
-    )
+    fraction = array.min_service_fraction
     limit = base_limit if fraction >= 1.0 else int(base_limit * fraction)
     return max(0, limit - penalty)
 

@@ -346,32 +346,46 @@ def test_precompiled_trace_is_accepted() -> None:
     assert _fingerprint(slow, []) == _fingerprint(fast, [])
 
 
-#: (scheme, NC buffer-pool clusters, failed disk) per case: every scheme
-#: healthy (ids ``SR``...) and with one failed disk (``SR-failed``...),
-#: plus pool-less NC.  PD and pool-less NC halve their fault-aware limit
-#: on a failure.
+#: Fault state before the batch, by id suffix.  One failed disk makes
+#: the fault-aware limit bite (PD and pool-less NC halve it).  Disk 1
+#: fail-slow at 1.5x zeroes the limit on this farm, so every request is
+#: refused: the state every chaos rejection happens in.  With disks 0
+#: and 1 failed, objects with lost tracks are refused.
+FAULT_STATES = ("", "-failed", "-slow", "-lost")
+
+#: (scheme, NC buffer-pool clusters, fault state) per case: every scheme
+#: (ids ``SR``..., ``SR-failed``..., ``SR-slow``..., ``SR-lost``...),
+#: plus pool-less NC.
 ADMISSION_STATES = [
-    pytest.param(scheme, pool, failed,
-                 id=scheme.value + ("-nopool" if pool == 0 else "")
-                 + ("-failed" if failed else ""))
+    pytest.param(scheme, pool, state,
+                 id=scheme.value + ("-nopool" if pool == 0 else "") + state)
     for scheme, pool in [(s, None) for s in ALL_IMPLEMENTED_SCHEMES]
     + [(Scheme.NON_CLUSTERED, 0)]
-    for failed in (False, True)]
+    for state in FAULT_STATES]
 
 
-@pytest.mark.parametrize("scheme, pool_clusters, failed", ADMISSION_STATES)
+def _enter_fault_state(server: MultimediaServer, state: str) -> None:
+    if state == "-failed":
+        server.fail_disk(1)
+    elif state == "-slow":
+        server.degrade_disk(1, 1.5)
+    elif state == "-lost":
+        server.fail_disk(0)
+        server.fail_disk(1)
+
+
+@pytest.mark.parametrize("scheme, pool_clusters, state", ADMISSION_STATES)
 def test_admit_batch_matches_sequential(scheme: Scheme,
                                         pool_clusters: int | None,
-                                        failed: bool) -> None:
-    # ``run_workload``'s scalar reference admits through ``admit_batch``,
-    # so the batch must match one ``admit`` per request on degraded
-    # farms too, where the fault-aware limit bites.
+                                        state: str) -> None:
+    # ``run_workload``'s scalar reference and the chaos replay admit
+    # through ``admit_batch``, so the batch must match one ``admit`` per
+    # request on degraded farms too, where the fault-aware limit bites.
     servers = []
     for _ in range(2):
         server = _server(scheme, admission_limit=6,
                          pool_clusters=pool_clusters)
-        if failed:
-            server.fail_disk(1)
+        _enter_fault_state(server, state)
         servers.append(server)
     sequential, batched = servers
     objects = [sequential.catalog.get(name)
