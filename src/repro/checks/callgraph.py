@@ -7,8 +7,9 @@ from the already-parsed module set:
 * every module-level function and every method becomes a
   :class:`FunctionDecl`, keyed by a dotted qualname
   (``repro.sched.base.CycleScheduler._ff_classify``);
-* direct calls, ``from``-imports, and module-alias calls resolve to the
-  target module's functions;
+* direct calls, ``from``-imports, and module-alias calls (``import
+  a.b as m`` or ``from a import b``, then ``m.f()``/``b.f()``) resolve to
+  the target module's functions;
 * ``self.``/``cls.``/``super().`` method calls resolve through the class
   hierarchy — conservatively to *every* override in the receiver's
   hierarchy family (ancestors and descendants), because the scheduler /
@@ -378,17 +379,28 @@ class CallGraph:
                 return self.resolve_method(caller.cls, func.attr,
                                            ancestors_only=True)
             # module_alias.func(...)
-            rec_name = _receiver_name(receiver)
-            if isinstance(receiver, ast.Name) \
-                    and rec_name in scope.module_aliases:
-                target = self.module_functions.get(
-                    (scope.module_aliases[rec_name], func.attr))
+            module = self._module_alias(receiver, scope)
+            if module is not None:
+                target = self.module_functions.get((module, func.attr))
                 return [target] if target else []
             receiver_cls = self._receiver_class(receiver, caller, scope,
                                                 local_types)
             if receiver_cls:
                 return self.resolve_method(receiver_cls, func.attr)
         return []
+
+    def _module_alias(self, receiver: ast.expr,
+                      scope: _ModuleScope) -> Optional[str]:
+        """The module a receiver name is bound to by ``import a.b as m``
+        or by ``from a import b`` where ``a.b`` is a project module."""
+        if not isinstance(receiver, ast.Name):
+            return None
+        if receiver.id in scope.module_aliases:
+            return scope.module_aliases[receiver.id]
+        imported = scope.from_imports.get(receiver.id)
+        if imported is not None and ".".join(imported) in self._scopes:
+            return ".".join(imported)
+        return None
 
     def _name_targets(self, name: str, caller: FunctionDecl,
                       scope: _ModuleScope) -> list[str]:

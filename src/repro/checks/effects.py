@@ -34,29 +34,64 @@ from typing import Iterable, Optional
 
 from repro.checks.callgraph import CallGraph, FunctionDecl, annotation_class
 
-#: In-place container mutators (shared vocabulary with R3).
+#: In-place container mutators (shared with R3 and R9).
 MUTATOR_METHODS = frozenset({
     "pop", "popleft", "append", "appendleft", "extend", "insert", "clear",
     "update", "setdefault", "add", "discard", "remove", "fill", "sort",
 })
 
 #: Fault-domain transitions reachable through an array reference.
+#: ``scrub`` is deliberately absent: the scrubber repairs media errors
+#: through :meth:`Disk.scrub`, which bumps internally.
 ARRAY_STATE_CALLS = frozenset({
     "fail", "repair", "degrade", "restore", "inject_media_error",
     "begin_rebuild",
 })
 
-#: Epoch-keyed scheduler caches (the guarded reads R9 cares about).
-CACHE_FIELDS = frozenset({
-    "_plan_cache", "_ff_tables", "_ff_flat", "_ff_geom",
-})
 
-#: Calls that count as bumping an epoch / invalidating plan caches.
+@dataclass(frozen=True)
+class CacheFamily:
+    """One epoch-keyed cache, its key field, and its freshness sources."""
+
+    label: str
+    fields: frozenset[str]
+    key: str
+    #: Counter attribute tails the key must cover (``epoch`` is the
+    #: layout epoch, ``state_epoch`` the array's fault-domain epoch).
+    counters: frozenset[str]
+    #: Other key fields whose coverage this key may inherit by
+    #: comparison/assignment (key chaining).
+    parent_keys: frozenset[str] = frozenset()
+
+
+#: The epoch-keyed scheduler caches: R9 checks their keys and reads.
+FAMILIES: tuple[CacheFamily, ...] = (
+    CacheFamily("plan-cache", frozenset({"_plan_cache"}),
+                "_plan_cache_key", frozenset({"epoch", "state_epoch"})),
+    CacheFamily("ff-tables", frozenset({"_ff_tables", "_ff_flat"}),
+                "_ff_tables_key", frozenset({"epoch", "state_epoch"}),
+                frozenset({"_plan_cache_key"})),
+    CacheFamily("ff-geom", frozenset({"_ff_geom"}),
+                "_ff_geom_epoch", frozenset({"epoch"})),
+)
+
+#: Every epoch-keyed cache and its key field: the families plus the
+#: rebuilder's vector-plan memo ``_ff_plan``, whose chained key
+#: ``(scheduler._plan_cache_key, media_blocked)`` is no R9 family.
+#: R3 requires a rewrite of a cache to re-key it; effect summaries
+#: record reads of the caches.
+CACHE_FIELDS = frozenset({"_ff_plan"}).union(
+    *(family.fields for family in FAMILIES))
+CACHE_KEY_FIELDS = frozenset({"_ff_plan_key"}).union(
+    family.key for family in FAMILIES)
+
+#: Calls that count as bumping an epoch / invalidating plan caches
+#: (shared with R3).
 BUMP_CALLS = frozenset({
     "_invalidate_caches", "_invalidate_plan_cache", "_record_delta",
 })
 
-#: Attributes whose assignment *is* the epoch bump.
+#: Attributes whose assignment *is* the epoch bump (shared with R3).
 EPOCH_FIELDS = frozenset({"_epoch", "state_changes"})
 
 #: ``RandomSource`` draw methods taking a stream name first.

@@ -844,6 +844,31 @@ FIXTURES: tuple[Fixture, ...] = (
         """),
     ),
     Fixture(
+        # Cache and key fields match on any receiver: a module function
+        # handed the scheduler narrows its table key at line 4.
+        label="R9-bad-narrowed-module-key",
+        path="src/repro/sched/example.py",
+        code=_snippet("""
+            def flat_tables(sched: object) -> object:
+                if sched._ff_tables_key != sched._plan_cache_key:
+                    sched._ff_tables = {}
+                    sched._ff_tables_key = (sched.layout.epoch,)
+                return sched._ff_tables.get("x")
+        """),
+        expect=(("R9", 4),),
+    ),
+    Fixture(
+        label="R9-good-module-key-chained",
+        path="src/repro/sched/example.py",
+        code=_snippet("""
+            def flat_tables(sched: object) -> object:
+                if sched._ff_tables_key != sched._plan_cache_key:
+                    sched._ff_tables = {}
+                    sched._ff_tables_key = sched._plan_cache_key
+                return sched._ff_tables.get("x")
+        """),
+    ),
+    Fixture(
         label="R9-suppressed-read",
         path="src/repro/sched/example.py",
         code=_snippet("""

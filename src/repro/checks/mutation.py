@@ -189,6 +189,10 @@ REAL_OPS: tuple[RealSourceOp, ...] = (
                  "        report = CycleReport(cycle=self.cycle_index)\n",
                  "        report = CycleReport(cycle=self.cycle_index)\n",
                  "R9"),
+    RealSourceOp("real-narrow-table-key", "src/repro/sched/epoch.py",
+                 "sched._ff_tables_key = sched._plan_cache_key",
+                 "sched._ff_tables_key = (sched.layout.epoch,)",
+                 "R9"),
     RealSourceOp("real-steal-workload-stream",
                  "src/repro/faults/reliability.py",
                  '"events"', '"arrivals"',
@@ -196,10 +200,10 @@ REAL_OPS: tuple[RealSourceOp, ...] = (
     RealSourceOp("real-chaos-static-collision", "src/repro/faults/chaos.py",
                  'rng.random(f"{tag}-fail")', 'rng.random("arrivals")',
                  "R10"),
-    RealSourceOp("real-drop-bincount-minlength", "src/repro/sched/base.py",
-                 ", minlength=num_disks", "",
+    RealSourceOp("real-drop-bincount-minlength", "src/repro/sched/epoch.py",
+                 ", minlength=self.num_disks", "",
                  "R11"),
-    RealSourceOp("real-drop-reduceat-cast", "src/repro/sched/base.py",
+    RealSourceOp("real-drop-reduceat-cast", "src/repro/sched/epoch.py",
                  "np.add.reduceat(down.astype(np.int64), ptr[:-1])",
                  "np.add.reduceat(down, ptr[:-1])",
                  "R11"),

@@ -23,11 +23,15 @@ other half of the contract, which is inherently interprocedural:
    function such as ``_refresh_plan_cache``) before the call.  A read
    reachable with no dominating check is flagged at the read site.
 
-Key expressions built from parameters or calls are treated as opaque
-and trusted (the caller owns completeness); only statically resolvable
-tuples/attributes are judged.  Line order approximates domination
-inside one body — the idiom this repo uses (guard at function top) is
-exactly what the approximation models.
+Cache and key fields match on any receiver, so a module function
+handed the scheduler (the epoch engine's ``sched._ff_tables_key``) is
+held to the same contract as a method on ``self``; the families live in
+:mod:`repro.checks.effects`, shared with R3.  Key expressions built
+from parameters or calls are treated as opaque and trusted (the caller
+owns completeness); only statically resolvable tuples/attributes are
+judged.  Line order approximates domination inside one body — the
+idiom this repo uses (guard at function top) is exactly what the
+approximation models.
 """
 
 from __future__ import annotations
@@ -37,33 +41,8 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.checks.core import FileContext, Finding, Rule, in_project_source
-from repro.checks.effects import MUTATOR_METHODS, ProjectAnalysis
+from repro.checks.effects import FAMILIES, MUTATOR_METHODS, ProjectAnalysis
 
-
-@dataclass(frozen=True)
-class CacheFamily:
-    """One epoch-keyed cache, its key field, and its freshness sources."""
-
-    label: str
-    fields: frozenset[str]
-    key: str
-    #: Counter attribute tails the key must cover (``epoch`` is the
-    #: layout epoch, ``state_epoch`` the array's fault-domain epoch).
-    counters: frozenset[str]
-    #: Other key fields whose coverage this key may inherit by
-    #: comparison/assignment (key chaining).
-    parent_keys: frozenset[str] = frozenset()
-
-
-FAMILIES: tuple[CacheFamily, ...] = (
-    CacheFamily("plan-cache", frozenset({"_plan_cache"}),
-                "_plan_cache_key", frozenset({"epoch", "state_epoch"})),
-    CacheFamily("ff-tables", frozenset({"_ff_tables", "_ff_flat"}),
-                "_ff_tables_key", frozenset({"epoch", "state_epoch"}),
-                frozenset({"_plan_cache_key"})),
-    CacheFamily("ff-geom", frozenset({"_ff_geom"}),
-                "_ff_geom_epoch", frozenset({"epoch"})),
-)
 
 _KEY_FIELDS = frozenset(f.key for f in FAMILIES) \
     | frozenset(k for f in FAMILIES for k in f.parent_keys)
@@ -182,15 +161,13 @@ def _function_facts(func: ast.AST) -> _FunctionFacts:
         if isinstance(node, ast.Attribute) \
                 and isinstance(node.ctx, ast.Load) \
                 and id(node) not in mutator_receivers \
-                and id(node) not in store_targets \
-                and _is_self_attr(node):
+                and id(node) not in store_targets:
             for family in FAMILIES:
                 if node.attr in family.fields:
                     reads.setdefault(family.label, []).append(node.lineno)
         elif isinstance(node, ast.Assign):
             for target in node.targets:
                 if isinstance(target, ast.Attribute) \
-                        and _is_self_attr(target) \
                         and target.attr in _KEY_FIELDS:
                     _record_guard(target.attr, node.value, node, env,
                                   guard_line, incomplete, "assignment")
@@ -242,8 +219,7 @@ def _record_guard(key_field: str, expr: ast.expr, node: ast.AST,
 def _key_field_of(node: ast.expr, env: dict[str, ast.expr],
                   depth: int = 0) -> Optional[str]:
     """The cache-key field an expression denotes, through local aliases."""
-    if isinstance(node, ast.Attribute) and _is_self_attr(node) \
-            and node.attr in _KEY_FIELDS:
+    if isinstance(node, ast.Attribute) and node.attr in _KEY_FIELDS:
         return node.attr
     if isinstance(node, ast.Name) and depth < 4:
         bound = env.get(node.id)
@@ -272,7 +248,7 @@ def _coverage_of(node: ast.expr, env: dict[str, ast.expr],
         return _Coverage(frozenset(counters), frozenset(keys),
                          resolvable=resolvable, is_none=False)
     if isinstance(node, ast.Attribute):
-        if node.attr in _KEY_FIELDS and _is_self_attr(node):
+        if node.attr in _KEY_FIELDS:
             return _Coverage(frozenset(), frozenset({node.attr}),
                              resolvable=True, is_none=False)
         return _Coverage(frozenset({node.attr}), frozenset(),
@@ -285,11 +261,6 @@ def _coverage_of(node: ast.expr, env: dict[str, ast.expr],
                          is_none=False)
     return _Coverage(frozenset(), frozenset(), resolvable=False,
                      is_none=False)
-
-
-def _is_self_attr(node: ast.Attribute) -> bool:
-    value = node.value
-    return isinstance(value, ast.Name) and value.id in ("self", "cls")
 
 
 # -- dominated-read path analysis --------------------------------------------

@@ -31,12 +31,13 @@ one of those counters.  This rule makes the contract machine-checked:
   silently remap every placed group;
 * (delta path, PR 5) a function in ``sched/`` that *rewrites or evicts*
   from a plan cache (``_plan_cache``, the fast-forward read tables
-  ``_ff_tables``, the layout-epoch geometry ``_ff_geom``, and the
-  rebuilder's vector-plan memo ``_ff_plan`` — whole-attribute
+  ``_ff_tables``/``_ff_flat``, the layout-epoch geometry ``_ff_geom``,
+  and the rebuilder's vector-plan memo ``_ff_plan`` — whole-attribute
   assignment or a mutator-method call) must re-key it by assigning the
   matching key field (``_plan_cache_key``, ``_ff_tables_key``,
   ``_ff_geom_epoch``, ``_ff_plan_key``) or calling an invalidator in the
-  same body.
+  same body.  The cache table and the call vocabularies are the ones
+  :mod:`repro.checks.effects` gives R9 and the effect summaries.
   Subscript fills (``cache[k] = plan``) are exempt: lazily populating a
   cache under its current key is always sound.
 
@@ -56,6 +57,14 @@ from repro.checks.core import (
     Rule,
     in_project_source,
     under,
+)
+from repro.checks.effects import (
+    ARRAY_STATE_CALLS,
+    BUMP_CALLS,
+    CACHE_FIELDS,
+    CACHE_KEY_FIELDS,
+    EPOCH_FIELDS,
+    MUTATOR_METHODS,
 )
 
 #: Layout placement state: mutating any of these invalidates group plans.
@@ -88,31 +97,6 @@ DELTA_FIELDS = frozenset({"_delta_log", "_delta_floor"})
 #: indices, so any mutation outside the designated (marked) materialiser
 #: could remap placed data without moving the epoch.
 DESIGN_CACHE_FIELDS = frozenset({"_design_rows", "_design_scanned"})
-
-#: Scheduler plan caches and the epoch-pair keys that guard them.
-#: ``_ff_tables`` (fast-forward read tables) is keyed like the plan
-#: cache; ``_ff_geom`` (placement geometry) is keyed on the layout epoch
-#: alone; ``_ff_plan`` is the rebuilder's vector-plan memo.
-SCHED_CACHE_FIELDS = frozenset({
-    "_plan_cache", "_ff_tables", "_ff_geom", "_ff_plan",
-})
-SCHED_CACHE_KEY_FIELDS = frozenset({
-    "_plan_cache_key", "_ff_tables_key", "_ff_geom_epoch", "_ff_plan_key",
-})
-
-#: Calls that count as bumping an epoch / invalidating plan caches.
-BUMP_CALLS = frozenset({
-    "_invalidate_caches", "_invalidate_plan_cache", "_record_delta",
-})
-
-#: Attributes whose assignment *is* the epoch bump.
-EPOCH_FIELDS = frozenset({"_epoch", "state_changes"})
-
-#: Container methods that mutate in place.
-MUTATOR_METHODS = frozenset({
-    "pop", "popleft", "append", "appendleft", "extend", "insert", "clear",
-    "update", "setdefault", "add", "discard", "remove",
-})
 
 
 class EpochCacheRule(Rule):
@@ -214,18 +198,12 @@ class EpochCacheRule(Rule):
                         fields.add(name)
         return fields
 
-    #: Fault-domain transitions reachable through an array reference.
-    #: ``scrub`` is deliberately absent: the scrubber repairs media
-    #: errors through :meth:`Disk.scrub`, which bumps internally.
-    ARRAY_STATE_CALLS = ("fail", "repair", "degrade", "restore",
-                         "inject_media_error", "begin_rebuild")
-
     def _array_state_calls(self, func: ast.AST) -> list[str]:
         calls: list[str] = []
         for node in ast.walk(func):
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
-                    and node.func.attr in self.ARRAY_STATE_CALLS \
+                    and node.func.attr in ARRAY_STATE_CALLS \
                     and "array" in _attribute_names(node.func.value):
                 calls.append(node.func.attr)
         return calls
@@ -244,13 +222,13 @@ class EpochCacheRule(Rule):
                 for target in node.targets:
                     # Attribute (not Subscript) target: whole rewrite.
                     if isinstance(target, ast.Attribute) \
-                            and target.attr in SCHED_CACHE_FIELDS:
+                            and target.attr in CACHE_FIELDS:
                         fields.add(target.attr)
             elif isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr in MUTATOR_METHODS:
                 for name in _attribute_names(node.func.value):
-                    if name in SCHED_CACHE_FIELDS:
+                    if name in CACHE_FIELDS:
                         fields.add(name)
         return fields
 
@@ -258,7 +236,7 @@ class EpochCacheRule(Rule):
         for node in ast.walk(func):
             if isinstance(node, ast.Assign):
                 for target in node.targets:
-                    if _assigned_field(target) in SCHED_CACHE_KEY_FIELDS:
+                    if _assigned_field(target) in CACHE_KEY_FIELDS:
                         return True
         return False
 

@@ -30,7 +30,7 @@ Two I/O modes exist:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.disk.specs import DiskSpec
 from repro.errors import (
@@ -488,18 +488,6 @@ class DiskArray:
         disk.restore()
         return disk
 
-    def fail_many(self, disk_ids: Iterable[int]) -> None:
-        """Fail several drives at once."""
-        for disk_id in disk_ids:
-            self.fail(disk_id)
-
     def total_capacity_mb(self) -> float:
         """Aggregate raw capacity of the array in MB."""
         return len(self.disks) * self.spec.capacity_mb
-
-    def first_failed(self) -> Optional[Disk]:
-        """The lowest-id failed drive, or None."""
-        for disk in self.disks:
-            if disk.is_failed:
-                return disk
-        return None

@@ -69,23 +69,6 @@ class ReconstructionError(ReproError):
     """Parity reconstruction was attempted with insufficient surviving blocks."""
 
 
-class CatastrophicFailure(ReproError):
-    """Two (or more) disks in one parity group failed: data loss.
-
-    The paper (Section 1) defines this as the failure mode requiring a
-    rebuild from tertiary storage.
-    """
-
-
-class DegradationOfService(ReproError):
-    """Insufficient disk bandwidth/buffer space to keep all streams going.
-
-    Raised (or recorded, depending on the scheduler's policy) when the
-    conditions of the paper's "degradation of service" arise, e.g. the
-    Improved-bandwidth shift-to-the-right finds no idle capacity.
-    """
-
-
 class BufferExhausted(ReproError):
     """The shared buffer pool has no free buffer server (Non-clustered)."""
 

@@ -42,7 +42,8 @@ from repro.errors import (
 )
 from repro.layout.base import DataLayout
 from repro.media.objects import MediaObject
-from repro.parity.xor import META_PAYLOAD, MetaParityCodec, ParityCodec
+from repro.parity.xor import MetaParityCodec, ParityCodec
+from repro.sched import epoch
 from repro.sched.config import SchedulerConfig
 from repro.schemes import Scheme
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
@@ -57,51 +58,6 @@ from repro.server.metrics import (
     SimulationReport,
 )
 from repro.server.stream import Stream, StreamStatus
-
-#: Epoch-engine row pool sizing: the row arrays start at
-#: ``_FF_ROW_GROWTH`` times the live rows (at least ``_FF_ROW_FLOOR``,
-#: never more than the window's worst case) and grow by that factor when
-#: retiring finished rows leaves no room for a cycle's arrivals.
-_FF_ROW_FLOOR = 64
-_FF_ROW_GROWTH = 2
-
-#: The epoch engine's per-row columns in pool order: dtype and the value
-#: a row past the epoch's streams holds (not live, not reading, nothing
-#: staged).
-_FF_ROW_COLUMNS: tuple[tuple[type, int], ...] = (
-    (np.int64, 0),    # obj_base: the object's first read-table position
-    (np.int64, 0),    # held_base: its first prefix-sum pointer
-    (np.int64, 0),    # next_read
-    (np.int64, 0),    # next_del
-    (np.int64, 0),    # num_tracks
-    (np.int64, 1),    # rate
-    (np.int64, -1),   # start: delivery start cycle, -1 before any read
-    (np.int64, 0),    # quota: tracks delivered per started cycle
-    (np.int64, 0),    # pace_rate
-    (np.int64, 0),    # pace_base
-    (np.int64, 1),    # phase_mod
-    (np.int64, 0),    # phase_val
-    (bool, True),     # unpaced
-    (bool, False),    # admitted_mask: admitted, nothing delivered yet
-    (bool, False),    # live_mask
-    (np.int64, 0),    # deliv_delta: tracks delivered this epoch
-    (np.int64, 0),    # recon_delta: tracks reconstructed this epoch
-    (np.int64, 0),    # peak0: buffer peak at entry
-    (np.int64, 0),    # peak: running buffer peak
-)
-
-
-def _ff_row_pool(size: int, columns: tuple[np.ndarray, ...] = (),
-                 keep: Optional[np.ndarray] = None) -> list[np.ndarray]:
-    """``size`` neutral engine rows per column, ``columns[keep]`` first."""
-    pool = []
-    for i, (dtype, neutral) in enumerate(_FF_ROW_COLUMNS):
-        column = np.full(size, neutral, dtype=dtype)
-        if keep is not None:
-            column[:len(keep)] = columns[i][keep]
-        pool.append(column)
-    return pool
-
 
 class GroupPlan:
     """The cached read plan for one (object, group) under one epoch.
@@ -203,23 +159,15 @@ class CycleScheduler(abc.ABC):
         #: layout's delta log reports its removal (incremental refresh).
         self._plan_cache: dict[str, dict[int, GroupPlan]] = {}
         self._plan_cache_key: Optional[tuple[int, int]] = None
-        #: Fast-forward read tables: object name -> (member counts,
-        #: member disks, next pointers, divisor, degraded columns or
-        #: None) per read position under the current failure set, valid
-        #: for one (placement epoch, array state epoch) pair, so every
-        #: fail/repair/media transition re-derives them.
+        #: The epoch engine's caches (:mod:`repro.sched.epoch`): the
+        #: per-object read tables, keyed like the plan cache, their
+        #: concatenation for the last entry's object tuple, and the
+        #: per-object placement geometry, keyed on the layout epoch
+        #: alone (failures move no data).
         self._ff_tables: dict[str, tuple] = {}
         self._ff_tables_key: Optional[tuple[int, int]] = None
-        #: Concatenated read tables for the last fast-forward entry's
-        #: object tuple; valid while the key and the tuple both hold.
         self._ff_flat: Optional[tuple] = None
         self._ff_flat_names: Optional[tuple[str, ...]] = None
-        #: Per-object placement geometry (group sizes, flat member
-        #: disks, parity disks, group-end pointers) as numpy arrays,
-        #: keyed on the *layout* epoch only: failures move no data, so
-        #: the geometry survives every fail/repair/media transition and
-        #: the table builder derives its tables from it with a cheap
-        #: failure overlay instead of a full per-group replan.
         self._ff_geom: dict[str, tuple[np.ndarray, np.ndarray,
                                        np.ndarray, np.ndarray,
                                        np.ndarray]] = {}
@@ -781,7 +729,7 @@ class CycleScheduler(abc.ABC):
         metadata-only mode, no fail-slow disk or media error, no pending
         reconstruction or shed, any failed disks in pairwise-disjoint
         parity groups — are advanced by the batched epoch engine
-        (:meth:`_fast_forward`) instead of the full per-read machinery.
+        (:mod:`repro.sched.epoch`) instead of the full per-read machinery.
         Healthy and degraded farms, online rebuilds and mixed stream
         rates all ride that one engine.  The moment a cycle cannot be
         proven identical to the scalar cycle (a fault lands, a slot
@@ -860,28 +808,6 @@ class CycleScheduler(abc.ABC):
         tally = self.report.ff_disengagements
         tally[reason] = tally.get(reason, 0) + 1
 
-    def _fast_forward(
-            self, limit: int, reports: list[CycleReport],
-            stop_on_completion: bool = False,
-            arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
-    ) -> tuple[int, int, int, bool]:
-        """Advance up to ``limit`` cycles on the batched epoch engine.
-
-        Refreshes the plan cache, asks :meth:`_ff_classify` whether the
-        state allows an epoch at all, and runs :meth:`_ff_epoch`.
-        Returns ``(cycles done, admitted, rejected, consumed)`` as the
-        engine does; a refused entry returns zeros and tallies its
-        reason once.
-        """
-        self._refresh_plan_cache()
-        if limit <= 0:
-            return 0, 0, 0, False
-        reason = self._ff_classify()
-        if reason is not None:
-            self._ff_note(reason)
-            return 0, 0, 0, False
-        return self._ff_epoch(limit, reports, stop_on_completion, arrivals)
-
     def run_epoch(self, limit: int, stop_on_completion: bool = False) -> int:
         """Advance up to ``limit`` cycles on the fast-forward engine.
 
@@ -892,8 +818,7 @@ class CycleScheduler(abc.ABC):
         not fast-forwardable and the caller should fall back to
         :meth:`run_cycle`.
         """
-        reports: list[CycleReport] = []
-        return self._fast_forward(limit, reports, stop_on_completion)[0]
+        return epoch.run(self, limit, [], stop_on_completion)[0]
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
         """Static read-gate parameters for the epoch engine.
@@ -924,698 +849,11 @@ class CycleScheduler(abc.ABC):
     def _ff_credit(self, reconstructions: int) -> None:
         """Fold an epoch's reconstruction count into scheme counters."""
 
-    def _ff_object_geometry(self, obj: MediaObject,
-                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray]:
-        """Flat placement geometry for one object, as numpy arrays.
-
-        ``(cnt, ptr, disks, parity, nxt)``: per group the data-member
-        count, the member offset (``disks[ptr[g]:ptr[g+1]]`` are the
-        group's data disks in track order), the parity disk, and the
-        group-end read pointer.  Keyed on the layout epoch alone —
-        failures move no data — so fail/repair/media transitions reuse
-        it and only re-derive the cheap failure overlay on top.
-        """
-        epoch = self.layout.epoch
-        if self._ff_geom_epoch != epoch:
-            self._ff_geom = {}
-            self._ff_geom_epoch = epoch
-        entry = self._ff_geom.get(obj.name)
-        if entry is None:
-            stripe = self._stripe
-            positions = -(-obj.num_tracks // stripe)
-            geometry = self.layout.group_geometry
-            name = obj.name
-            sizes: list[int] = []
-            flat: list[int] = []
-            parity_ids: list[int] = []
-            for position in range(positions):
-                members, parity_addr = geometry(name, position)
-                sizes.append(len(members))
-                flat.extend(disk_id for disk_id, _pos in members)
-                parity_ids.append(parity_addr[0])
-            cnt = np.asarray(sizes, dtype=np.int64)
-            ptr = np.zeros(positions + 1, dtype=np.int64)
-            np.cumsum(cnt, out=ptr[1:])
-            disks = np.asarray(flat, dtype=np.int64)
-            parity = np.asarray(parity_ids, dtype=np.int64)
-            entry = (cnt, ptr, disks, parity, ptr[1:])
-            self._ff_geom[obj.name] = entry
-        return entry
-
     def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
-        """Per-object read table under the current failure set.
-
-        ``(cnt, disks, next_pointers, divisor, degraded)``: a stream
-        whose read pointer is ``p`` (with ``p % divisor == 0`` for
-        group-at-a-time schemes) performs one read on each of the
-        ``cnt[q]`` disks that position ``q = p // divisor`` owns in
-        ``disks`` (positions in order), and its pointer becomes
-        ``next_pointers[q]``.  ``degraded`` is None when no position is
-        degraded: the healthy whole-group walk, straight from the cached
-        geometry.  Otherwise it is ``(data_counts, parity_flags, valid,
-        deg_pairs, acc_info)``: a degraded position's member slice
-        includes the parity-fallback disk, *parity_flags* marks
-        positions whose read carries one parity fetch **and** one
-        same-cycle reconstruction, and *valid* is False where the scalar
-        planner cannot recover the position (the engine bails before
-        touching it).  ``deg_pairs`` are the ``(group,
-        acquired-at-pointer)`` pairs that predict a stream's parity
-        buffer; ``acc_info`` the accumulator open-windows (empty for
-        group-at-a-time schemes).
-
-        Built as a failure overlay on the cached geometry: only groups
-        that actually lost a member are re-derived in Python, so a
-        single failure in a large farm touches a handful of groups and
-        every other object's table is a zero-copy view of its geometry.
-        """
-        cnt, ptr, disks, parity, nxt = self._ff_object_geometry(obj)
-        if not failed:
-            return cnt, disks, nxt, self._stripe, None
-        if len(failed) == 1:
-            down = disks == failed[0]
-            parity_down = parity == failed[0]
-        else:
-            failed_arr = np.asarray(failed, dtype=np.int64)
-            down = np.isin(disks, failed_arr)
-            parity_down = np.isin(parity, failed_arr)
-        if not bool(down.any()):
-            # No data member down (a failed parity disk never appears
-            # in a healthy group read): the healthy walk verbatim.
-            return cnt, disks, nxt, self._stripe, None
-        positions = len(cnt)
-        fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
-        recoverable = (fcnt == 1) & ~parity_down
-        dat = cnt - fcnt
-        par = np.zeros(positions, dtype=np.int64)
-        val = np.ones(positions, dtype=bool)
-        new_cnt = dat.copy()
-        keep = ~down
-        deg_pairs: list[tuple[int, int]] = []
-        segments: list[np.ndarray] = []
-        prev = 0
-        for group in np.nonzero(fcnt > 0)[0]:
-            lo, hi = int(ptr[group]), int(ptr[group + 1])
-            if prev < lo:
-                segments.append(disks[prev:lo])
-            survivors = disks[lo:hi][keep[lo:hi]]
-            if recoverable[group]:
-                segments.append(np.append(survivors, parity[group]))
-                new_cnt[group] += 1
-                par[group] = 1
-                deg_pairs.append((int(group), int(nxt[group])))
-            else:
-                # Unreconstructable group: the scalar path sheds the
-                # stream here (data loss) — a state transition the
-                # engine must never cross.
-                segments.append(survivors)
-                val[group] = False
-            prev = hi
-        if prev < len(disks):
-            segments.append(disks[prev:])
-        return (new_cnt, np.concatenate(segments), nxt, self._stripe,
-                (dat, par, val, tuple(deg_pairs), {}))
-
-    def _ff_flat_tables(self, objects: list[MediaObject]) -> tuple:
-        """Concatenated read tables for a set of objects.
-
-        Returns ``(counts, offsets, member_disks, next_pointers,
-        pos_base, divisor, degraded)``: the per-object tables of
-        :meth:`_ff_read_table` concatenated position by position, with
-        ``pos_base`` each object's first position.  ``degraded`` is None
-        when no object has a degraded position; otherwise it holds the
-        engine's reconstruction and buffer-accounting columns,
-        ``(data_counts, parity_flags, valid, pheld, prel, acch,
-        ptr_base, pairs_by_name)``, with healthy objects at the neutral
-        values.  The pointer-indexed prefix sums (``ptr_base`` locates
-        each object's) reproduce ``buffered_track_count``
-        arithmetically: with read pointer ``r`` and delivery pointer
-        ``d``, a canonical stream holds ``pheld[r] - prel[d]`` parity
-        blocks and ``acch[r]`` open accumulators (acquired at the
-        group's end pointer, released once delivery passes the group).
-
-        Per-object tables are cached against the plan-cache key, so
-        every fail/repair/media transition re-derives them; the
-        concatenation is memoized against the object tuple, so an epoch
-        re-entering with the same working set pays nothing.
-        """
-        if self._ff_tables_key != self._plan_cache_key:
-            self._ff_tables = {}
-            self._ff_tables_key = self._plan_cache_key
-            self._ff_flat = None
-            self._ff_flat_names = None
-        names = tuple(obj.name for obj in objects)
-        if self._ff_flat is not None and self._ff_flat_names == names:
-            return self._ff_flat
-        cache = self._ff_tables
-        stripe = self._stripe
-        failed = self.array.failed_ids
-        per_obj = []
-        for obj in objects:
-            entry = cache.get(obj.name)
-            if entry is None:
-                cnt, disks, nxt, divisor, deg = self._ff_read_table(obj,
-                                                                    failed)
-                if deg is not None:
-                    dat, par, val, deg_pairs, acc_info = deg
-                    tracks = obj.num_tracks
-                    diff_held = np.zeros(tracks + 2, dtype=np.int64)
-                    diff_rel = np.zeros(tracks + 2, dtype=np.int64)
-                    for group, acquired in deg_pairs:
-                        diff_held[acquired] += 1
-                        released = (group + 1) * stripe
-                        if released <= tracks:
-                            diff_rel[released] += 1
-                    acch = np.zeros(tracks + 1, dtype=np.int64)
-                    for lo, hi in acc_info.values():
-                        acch[lo:hi + 1] += 1
-                    deg = (dat, par, val, np.cumsum(diff_held)[:tracks + 1],
-                           np.cumsum(diff_rel)[:tracks + 1], acch,
-                           deg_pairs)
-                entry = (cnt, disks, nxt, divisor, deg)
-                cache[obj.name] = entry
-            per_obj.append(entry)
-        pos_base: list[int] = []
-        position_total = 0
-        for entry in per_obj:
-            pos_base.append(position_total)
-            position_total += len(entry[0])
-        counts = np.concatenate([e[0] for e in per_obj])
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        member_disks = np.concatenate([e[1] for e in per_obj])
-        next_pointers = np.concatenate([e[2] for e in per_obj])
-        degraded = None
-        if any(e[4] is not None for e in per_obj):
-            # Neutral columns first: every member is data, no parity,
-            # every position valid, nothing held beyond the data range.
-            data_counts = counts.copy()
-            parity_flags = np.zeros(position_total, dtype=np.int64)
-            valid = np.ones(position_total, dtype=bool)
-            ptr_base: list[int] = []
-            pointer_total = 0
-            for obj in objects:
-                ptr_base.append(pointer_total)
-                pointer_total += obj.num_tracks + 1
-            pheld = np.zeros(pointer_total, dtype=np.int64)
-            prel = np.zeros(pointer_total, dtype=np.int64)
-            acch = np.zeros(pointer_total, dtype=np.int64)
-            pairs_by_name: dict[str, tuple[tuple[int, int], ...]] = {}
-            for i, (obj, entry) in enumerate(zip(objects, per_obj)):
-                deg = entry[4]
-                if deg is None:
-                    pairs_by_name[obj.name] = ()
-                    continue
-                lo, hi = pos_base[i], pos_base[i] + len(entry[0])
-                data_counts[lo:hi] = deg[0]
-                parity_flags[lo:hi] = deg[1]
-                valid[lo:hi] = deg[2]
-                lo, hi = ptr_base[i], ptr_base[i] + obj.num_tracks + 1
-                pheld[lo:hi] = deg[3]
-                prel[lo:hi] = deg[4]
-                acch[lo:hi] = deg[5]
-                pairs_by_name[obj.name] = deg[6]
-            degraded = (data_counts, parity_flags, valid, pheld, prel, acch,
-                        ptr_base, pairs_by_name)
-        flat = (counts, offsets, member_disks, next_pointers, pos_base,
-                per_obj[0][3], degraded)
-        self._ff_flat = flat
-        self._ff_flat_names = names
-        return flat
-
-    def _ff_epoch(
-            self, limit: int, reports: list[CycleReport],
-            stop_on_completion: bool = False,
-            arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
-    ) -> tuple[int, int, int, bool]:
-        """The batched epoch engine behind every fast-forward entry.
-
-        Stream state lives in numpy row arrays for the whole epoch; each
-        cycle is a handful of whole-array operations over the read
-        tables of :meth:`_ff_flat_tables` (delivery quotas, table
-        gathers, one ``bincount`` for per-disk loads) staged on scratch
-        state, so a bail leaves no trace.
-
-        The row arrays are a pool sized to the live population, not to
-        the window's arrivals.  When a cycle's batch would not fit, the
-        engine first *retires* the rows that finished in earlier
-        committed cycles — a finished row's state is final, so it is
-        written back exactly as the epoch boundary would write it, with
-        its reconstruction credit and buffer peak folded — then moves
-        the survivors to the front and grows the pool geometrically only
-        if it is still full.  Per-cycle cost therefore follows the live
-        rows, not the admissions so far.  The remaining rows, the disk
-        counters and the tracker samples are written back at the epoch
-        boundary, so the post-run state is indistinguishable from a
-        scalar run.
-
-        One mechanism covers every stable state:
-
-        * **healthy** is the degenerate case with no failed disk: no
-          table carries degraded columns, so the engine skips the
-          per-cycle validity check, reconstruction counting and
-          prefix-sum buffer arithmetic, and the per-entry parity-buffer
-          check and write-back;
-        * **degraded** — failed disks in pairwise-disjoint parity groups
-          (:meth:`_ff_classify` proves disjointness via the empty
-          lost-track set): reconstruction reads are extra rows in the
-          tables (the parity-fallback disk joins the group's members),
-          and reconstruction commits are pure arithmetic (a degraded
-          group read completes its rebuild in the same cycle, since
-          every survivor is resident by construction);
-        * **rebuilding** — every in-flight online rebuild advances as a
-          vectorised cursor fed with the cycle's idle slots, in scalar
-          rebuilder order, sharing one idle budget, exactly like
-          :meth:`_rebuild_phase`;
-        * **mixed rates** — a rate-``r`` row takes up to ``r`` table
-          steps per cycle, each gated like the first, as the scalar
-          planners plan ``rate`` group reads or quanta per stream;
-        * **churn** — each ``arrivals`` cycle admits its batch through
-          the *same* :meth:`_admit_checked` decision the scalar front
-          door uses, against :meth:`effective_admission_limit` (constant
-          for the epoch: every ``_capacity_penalty`` is a pure function
-          of array/layout/degraded-cluster state, which only changes on
-          the transitions the engine bails on); accepted streams join
-          the row arrays in place at read pointer 0, which is trivially
-          canonical.
-
-        The engine bails only on state transitions: a rebuild that could
-        complete, a stream crossing an unreconstructable position, a
-        mid-group read pointer, an imminent hiccup or a slot overflow.
-        With ``stop_on_completion`` it also stops right after a cycle in
-        which a stream completed, so drivers that re-admit per completed
-        object observe scalar admission timing.
-
-        Returns ``(cycles done, admitted, rejected, consumed)`` where
-        ``consumed`` means the *current* cycle's arrivals were already
-        admitted before a bail, so the scalar fallback must not
-        re-admit them.
-        """
-        width = self.config.stripe_width
-        # -- one walk over the stream table: canonical-state checks, the
-        #    live rows and their objects, status counts, phase loads ----
-        rows: list[Stream] = []
-        distinct: dict[str, int] = {}
-        objects: list[MediaObject] = []
-        phase_load = [0] * width
-        parity_held = False
-        active = terminated = 0
-        for stream in self.streams.values():
-            status = stream.status
-            if status is StreamStatus.ACTIVE:
-                active += 1
-            elif status is StreamStatus.TERMINATED:
-                terminated += 1
-            if not stream.is_active:
-                continue
-            # The data buffer must be the contiguous range
-            # [next_delivery, next_read): reconstruction lands a failed
-            # member's track in the cycle its group is read, and holes
-            # always come with lost-track state.
-            if stream.lost_tracks or len(stream.buffer) != (
-                    stream.next_read_track - stream.next_delivery_track) \
-                    or not self._ff_stream_ok(stream):
-                self._ff_note("stream-state")
-                return 0, 0, 0, False
-            if stream.parity_buffer:
-                parity_held = True
-            rows.append(stream)
-            phase_load[stream.phase % width] += stream.rate
-            name = stream.object.name
-            if name not in distinct:
-                distinct[name] = len(objects)
-                objects.append(stream.object)
-        # Placed arrivals per window cycle: the most rows its batch adds.
-        placed: dict[int, int] = {}
-        if arrivals:
-            # Working set: live objects plus every placed arrival in the
-            # window (unplaced ones are rejected in-engine).
-            start_cycle = self.cycle_index
-            has_object = self.layout.has_object
-            for cycle, batch in arrivals.items():
-                if not start_cycle <= cycle < start_cycle + limit:
-                    continue
-                for obj in batch:
-                    if not has_object(obj.name):
-                        continue
-                    placed[cycle] = placed.get(cycle, 0) + 1
-                    if obj.name not in distinct:
-                        distinct[obj.name] = len(objects)
-                        objects.append(obj)
-        if objects:
-            flat = self._ff_flat_tables(objects)
-        else:
-            # No live streams and no placed arrivals in the window: every
-            # batched request is a guaranteed rejection and the cycles
-            # themselves are empty.
-            zeros = np.zeros(0, dtype=np.int64)
-            flat = (zeros, np.zeros(1, dtype=np.int64), zeros, zeros, [], 1,
-                    None)
-        (counts, offsets, member_disks, next_pointers, pos_base, divisor,
-         degraded) = flat
-        stripe = self._stripe
-        if degraded is None:
-            if parity_held:
-                # No position reads parity, so no held parity is canonical.
-                self._ff_note("stream-state")
-                return 0, 0, 0, False
-        else:
-            (data_counts, parity_flags, valid, pheld, prel, acch, ptr_base,
-             pairs_by_name) = degraded
-            for stream in rows:
-                pointer = stream.next_read_track
-                floor = stream.next_delivery_track // stripe
-                predicted = [g for g, acquired
-                             in pairs_by_name[stream.object.name]
-                             if acquired <= pointer and g >= floor]
-                if sorted(stream.parity_buffer) != predicted:
-                    self._ff_note("stream-state")
-                    return 0, 0, 0, False
-        rebuilders = list(self.rebuilders)
-        for rebuilder in rebuilders:
-            if rebuilder.prepare_fast_plan() is None:
-                self._ff_note("rebuild-veto")
-                return 0, 0, 0, False
-        n = len(rows)
-        num_disks = len(self.array.disks)
-        slots = self.config.slots_per_disk
-        k_prime = self.config.k_prime
-        base_quota = self._base_quota
-        tracker = self.tracker
-        # Pool leases change only on fail/repair: constant for the epoch.
-        pool_now = self._extra_buffer_tracks()
-        limit_units = self.effective_admission_limit() if arrivals else 0
-        # Row pool: rows [0, len(rows)) are the epoch's streams, rows past
-        # them are neutral (not live, not reading).  It starts at twice
-        # the live rows but never above the window's worst case (every
-        # placed arrival admitted), so a window with no streams and no
-        # placed arrivals allocates nothing.
-        size = min(n + sum(placed.values()),
-                   max(_FF_ROW_FLOOR, _FF_ROW_GROWTH * n))
-        (obj_base, held_base, next_read, next_del, num_tracks, rate, start,
-         quota, pace_rate, pace_base, phase_mod, phase_val, unpaced,
-         admitted_mask, live_mask, deliv_delta, recon_delta, peak0,
-         peak) = _ff_row_pool(size)
-        obj_base[:n] = np.fromiter(
-            (pos_base[distinct[s.object.name]] for s in rows),
-            dtype=np.int64, count=n)
-        if degraded is not None:
-            held_base[:n] = np.fromiter(
-                (ptr_base[distinct[s.object.name]] for s in rows),
-                dtype=np.int64, count=n)
-        next_read[:n] = np.fromiter((s.next_read_track for s in rows),
-                                    dtype=np.int64, count=n)
-        next_del[:n] = np.fromiter((s.next_delivery_track for s in rows),
-                                   dtype=np.int64, count=n)
-        num_tracks[:n] = np.fromiter((s.num_tracks for s in rows),
-                                     dtype=np.int64, count=n)
-        rate[:n] = np.fromiter((s.rate for s in rows), dtype=np.int64,
-                               count=n)
-        start[:n] = np.fromiter(
-            (-1 if s.delivery_start_cycle is None
-             else s.delivery_start_cycle for s in rows),
-            dtype=np.int64, count=n)
-        quota[:n] = np.fromiter(
-            (k_prime * s.rate if base_quota
-             else self.deliveries_per_cycle(s) for s in rows),
-            dtype=np.int64, count=n)
-        gates = [self._ff_gate_params(s) for s in rows]
-        pace_rate[:n] = np.fromiter((g[0] for g in gates), dtype=np.int64,
-                                    count=n)
-        pace_base[:n] = np.fromiter((g[1] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_mod[:n] = np.fromiter((g[2] for g in gates), dtype=np.int64,
-                                    count=n)
-        phase_val[:n] = np.fromiter((g[3] for g in gates), dtype=np.int64,
-                                    count=n)
-        unpaced[:n] = pace_rate[:n] == 0
-        paced = not bool(unpaced.all())
-        gated = not bool((phase_mod == 1).all())
-        max_rate = int(rate.max(initial=1))
-        admitted_mask[:n] = np.fromiter(
-            (s.status is StreamStatus.ADMITTED for s in rows),
-            dtype=bool, count=n)
-        live_mask[:n] = True
-        peak0[:n] = np.fromiter(
-            (tracker.stream_peak(s.stream_id) for s in rows),
-            dtype=np.int64, count=n)
-        peak[:n] = peak0[:n]
-
-        def write_back(sel: np.ndarray, cycle_samples: list[int]) -> None:
-            """Write rows ``sel`` back to their stream objects, credit
-            their reconstructions and fold their peaks with
-            ``cycle_samples`` into the tracker.  Retirement and the epoch
-            boundary share it, so a retired row lands exactly as the
-            boundary would land it."""
-            picked = sel.tolist()
-            reads = next_read[sel].tolist()
-            delivers = next_del[sel].tolist()
-            delivered = deliv_delta[sel].tolist()
-            starts = start[sel].tolist()
-            waiting = admitted_mask[sel].tolist()
-            live = live_mask[sel].tolist()
-            rebuilt = recon_delta[sel].tolist()
-            for j, i in enumerate(picked):
-                stream = rows[i]
-                stream.next_read_track = reads[j]
-                stream.next_delivery_track = delivers[j]
-                stream.delivered_tracks += delivered[j]
-                if stream.delivery_start_cycle is None and starts[j] >= 0:
-                    stream.delivery_start_cycle = starts[j]
-                if stream.status is StreamStatus.ADMITTED \
-                        and not waiting[j]:
-                    stream.activate()
-                if live[j]:
-                    stream.buffer = dict.fromkeys(
-                        range(delivers[j], reads[j]), META_PAYLOAD)
-                    if degraded is not None:
-                        floor = delivers[j] // stripe
-                        stream.parity_buffer = {
-                            g: META_PAYLOAD for g, acquired
-                            in pairs_by_name[stream.object.name]
-                            if acquired <= reads[j] and g >= floor}
-                else:
-                    stream.complete()
-                if degraded is not None:
-                    stream.reconstructed_tracks += rebuilt[j]
-                    self._ff_sync_stream(stream)
-            if degraded is not None:
-                self._ff_credit(sum(rebuilt))
-            tracker.fold_epoch(
-                cycle_samples,
-                {rows[i].stream_id: int(peak[i])
-                 for i in sel[peak[sel] > peak0[sel]].tolist()})
-
-        total_loads = np.zeros(num_disks, dtype=np.int64)
-        failed_ids = np.asarray(self.array.failed_ids, dtype=np.int64)
-        samples: list[int] = []
-        done = admitted_n = rejected_n = 0
-        consumed = False
-        bail: Optional[str] = None
-        while done < limit:
-            cycle = self.cycle_index
-            if rebuilders and any(rb.total_blocks - rb.blocks_rebuilt
-                                  <= rb.writes_per_cycle
-                                  for rb in rebuilders):
-                # A rebuild could finish this cycle.  Completion is a
-                # state transition with in-cycle side effects the engine
-                # does not model (repair_disk releases pool leases and
-                # clears scheme degraded state *before* the cycle's
-                # buffer sample) — hand the tail to the scalar path
-                # before this cycle's batch is admitted.
-                bail = "rebuild-complete"
-                break
-            # -- admit this cycle's batch through the scalar decision -----
-            batch = arrivals.get(cycle) if arrivals else None
-            if batch:
-                consumed = True
-                need = len(rows) + placed.get(cycle, 0)
-                if need > size:
-                    # -- make room: retire the rows that finished in
-                    #    committed cycles, move the survivors to the
-                    #    front, grow only if the pool is still full ------
-                    write_back(np.flatnonzero(~live_mask[:len(rows)]), [])
-                    keep = np.flatnonzero(live_mask[:len(rows)])
-                    rows = [rows[i] for i in keep.tolist()]
-                    need = len(rows) + placed.get(cycle, 0)
-                    if need > size:
-                        size = max(need, _FF_ROW_GROWTH * size)
-                    (obj_base, held_base, next_read, next_del, num_tracks,
-                     rate, start, quota, pace_rate, pace_base, phase_mod,
-                     phase_val, unpaced, admitted_mask, live_mask,
-                     deliv_delta, recon_delta, peak0,
-                     peak) = _ff_row_pool(size, (
-                         obj_base, held_base, next_read, next_del,
-                         num_tracks, rate, start, quota, pace_rate,
-                         pace_base, phase_mod, phase_val, unpaced,
-                         admitted_mask, live_mask, deliv_delta,
-                         recon_delta, peak0, peak), keep)
-                for obj in batch:
-                    try:
-                        stream = self._admit_checked(obj, phase_load,
-                                                     limit_units)
-                    except AdmissionError:
-                        rejected_n += 1
-                        continue
-                    admitted_n += 1
-                    i = len(rows)
-                    rows.append(stream)
-                    obj_base[i] = pos_base[distinct[obj.name]]
-                    if degraded is not None:
-                        held_base[i] = ptr_base[distinct[obj.name]]
-                    num_tracks[i] = stream.num_tracks
-                    rate[i] = stream.rate
-                    max_rate = max(max_rate, stream.rate)
-                    quota[i] = (k_prime * stream.rate if base_quota
-                                else self.deliveries_per_cycle(stream))
-                    gate = self._ff_gate_params(stream)
-                    pace_rate[i], pace_base[i] = gate[0], gate[1]
-                    phase_mod[i], phase_val[i] = gate[2], gate[3]
-                    if gate[0]:
-                        unpaced[i] = False
-                        paced = True
-                    if gate[2] != 1:
-                        gated = True
-                    admitted_mask[i] = True
-                    live_mask[i] = True
-                    peak0[i] = tracker.stream_peak(stream.stream_id)
-                    peak[i] = peak0[i]
-            # -- stage (no mutation yet, so a bail leaves no trace) -------
-            started = live_mask & (start >= 0) & (start <= cycle)
-            due = np.where(started,
-                           np.minimum(quota, num_tracks - next_del), 0)
-            if bool((due > next_read - next_del).any()):
-                bail = "imminent-hiccup"
-                break
-            reading = live_mask & (next_read < num_tracks)
-            if gated:
-                reading &= (cycle % phase_mod) == phase_val
-            if paced:
-                pace = (cycle + 1 - pace_base) * pace_rate
-                reading &= unpaced | (next_read < pace)
-            # Table steps: a rate-r row takes up to r, each gated like
-            # the first on the pointer the previous step left.
-            pointer = next_read
-            steps: list[tuple[np.ndarray, np.ndarray]] = []
-            for step in range(max_rate):
-                if step:
-                    reading = reading & (rate > step) \
-                        & (pointer < num_tracks)
-                    if paced:
-                        reading &= unpaced | (pointer < pace)
-                    if not reading.any():
-                        break
-                if divisor > 1 and bool(
-                        (reading & (pointer % divisor != 0)).any()):
-                    bail = "mid-group-pointer"  # the scalar path raises
-                    break
-                idx = np.where(reading, obj_base + pointer // divisor, 0)
-                if degraded is not None \
-                        and bool((reading & ~valid[idx]).any()):
-                    bail = "unrecoverable-group"  # scalar sheds: transition
-                    break
-                steps.append((reading, idx))
-                pointer = np.where(reading, next_pointers[idx], pointer)
-            if bail is not None:
-                break
-            r_idx = (steps[0][1][steps[0][0]] if len(steps) == 1
-                     else np.concatenate([idx[mask] for mask, idx in steps]))
-            r_cnt = counts[r_idx]
-            planned_total = int(r_cnt.sum())
-            loads = None
-            if planned_total:
-                ends = np.cumsum(r_cnt)
-                within = np.arange(planned_total) \
-                    - np.repeat(ends - r_cnt, r_cnt)
-                disk_ids = member_disks[np.repeat(offsets[r_idx], r_cnt)
-                                        + within]
-                loads = np.bincount(disk_ids, minlength=num_disks)
-                if int(loads.max(initial=0)) > slots:
-                    bail = "slot-overflow"  # scalar drops / cascades
-                    break
-                total_loads += loads
-            # -- commit ---------------------------------------------------
-            parity_cycle = 0
-            if degraded is not None:
-                parity_cycle = int(parity_flags[r_idx].sum())
-                for mask, idx in steps:
-                    recon_delta += np.where(mask, parity_flags[idx], 0)
-            newly = admitted_mask & (due > 0)
-            if bool(newly.any()):
-                active += int(newly.sum())
-                admitted_mask &= ~newly
-            # The delivery clock starts the cycle after a stream's first
-            # *data* read; parity fetches never start it.
-            data = counts if degraded is None else data_counts
-            mask, idx = steps[0]
-            got = mask & (data[idx] > 0)
-            for mask, idx in steps[1:]:
-                got |= mask & (data[idx] > 0)
-            first_read = (start < 0) & got
-            if bool(first_read.any()):
-                start[first_read] = cycle + 1
-            next_del += due
-            deliv_delta += due
-            next_read = pointer
-            finished = live_mask & (next_del >= num_tracks)
-            finished_any = bool(finished.any())
-            if finished_any:
-                active -= int(finished.sum())
-                live_mask &= ~finished
-                # Completed rows free their capacity for later batches.
-                for i in np.nonzero(finished)[0]:
-                    row = rows[int(i)]
-                    phase_load[row.phase % width] -= row.rate
-            # -- rebuild: lowest priority, idle slots only ----------------
-            blocks = 0
-            if rebuilders:
-                idle = np.full(num_disks, slots, dtype=np.int64)
-                if loads is not None:
-                    idle -= loads
-                idle[failed_ids] = 0
-                for rebuilder in rebuilders:
-                    blocks += rebuilder.fast_step(idle, total_loads)
-            if degraded is None:
-                held = np.where(live_mask, next_read - next_del, 0)
-            else:
-                pointer_idx = held_base + next_read
-                held = np.where(live_mask,
-                                next_read - next_del + pheld[pointer_idx]
-                                - prel[held_base + next_del]
-                                + acch[pointer_idx], 0)
-            np.maximum(peak, held, out=peak)
-            buffered = int(held.sum()) + pool_now
-            samples.append(buffered)
-            report = CycleReport(cycle=cycle)
-            report.reads_planned = planned_total
-            report.reads_executed = planned_total
-            report.parity_reads = parity_cycle
-            report.reconstructions = parity_cycle
-            report.blocks_rebuilt = blocks
-            report.tracks_delivered = int(due.sum())
-            report.streams_active = active
-            report.streams_terminated = terminated
-            report.buffered_tracks = buffered
-            report.pool_tracks_in_use = pool_now
-            reports.append(report)
-            self.report.record(report)
-            self.cycle_index = cycle + 1
-            done += 1
-            consumed = False
-            if stop_on_completion and finished_any:
-                bail = "stream-completed"
-                break
-        if done or admitted_n:
-            # -- write the epoch's state back to the Python objects -------
-            write_back(np.arange(len(rows)), samples)
-            disks = self.array.disks
-            for disk_id in np.nonzero(total_loads)[0]:
-                disks[int(disk_id)].reads += int(total_loads[disk_id])
-            self.report.ff_engaged_cycles += done
-        if done:
-            self._last_executed = None
-        self._ff_note(bail)
-        return done, admitted_n, rejected_n, consumed
+        """Per-object read table under the current failure set, shaped
+        as :func:`repro.sched.epoch.read_table` documents (the default:
+        group-at-a-time reads)."""
+        return epoch.read_table(self, obj, failed)
 
     # -- churn -------------------------------------------------------------------------
 
@@ -1630,7 +868,7 @@ class CycleScheduler(abc.ABC):
         epochs and scalar cycles.  ``arrivals`` maps *absolute*
         cycle indices to the objects requested in that cycle.  Each
         cycle first applies the ``schedule``'s events due at its top.
-        With ``fast_forward`` on, the epoch engine (:meth:`_fast_forward`)
+        With ``fast_forward`` on, the epoch engine (:mod:`repro.sched.epoch`)
         then runs up to :meth:`FaultSchedule.epoch_end`, admitting each
         batch in-engine.  A cycle the engine did not reach runs scalar:
         :meth:`admit_batch` at the front door, then :meth:`run_cycle`;
@@ -1650,8 +888,8 @@ class CycleScheduler(abc.ABC):
                 stop = (end if schedule is None
                         else schedule.epoch_end(cycle, end))
                 if stop > cycle:
-                    _done, a, r, consumed = self._fast_forward(
-                        stop - cycle, reports, arrivals=arrivals)
+                    _done, a, r, consumed = epoch.run(
+                        self, stop - cycle, reports, arrivals=arrivals)
                     admitted += a
                     rejected += r
                     if self.cycle_index == stop:

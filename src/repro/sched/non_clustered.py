@@ -44,6 +44,7 @@ import numpy as np
 from repro.buffers.pool import BufferPool
 from repro.errors import BufferExhausted
 from repro.media.objects import MediaObject
+from repro.sched import epoch
 from repro.sched.base import CycleScheduler
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
 from repro.server.metrics import CycleReport, HiccupCause
@@ -562,7 +563,7 @@ class NonClusteredScheduler(CycleScheduler):
         the scalar path sheds the track there, a transition the engine
         must not cross.
         """
-        track_disks = self._ff_object_geometry(obj)[2]
+        track_disks = epoch.object_geometry(self, obj)[2]
         num_tracks = obj.num_tracks
         healthy = (np.ones(num_tracks, dtype=np.int64), track_disks,
                    np.arange(1, num_tracks + 1, dtype=np.int64), 1, None)

@@ -47,12 +47,6 @@ class Scheme(enum.Enum):
             Scheme.PARITY_DECLUSTERED: "Parity-declustered",
         }[self]
 
-    @property
-    def uses_dedicated_parity_disks(self) -> bool:
-        """True for the clustered layouts (SR/SG/NC)."""
-        return self not in (Scheme.IMPROVED_BANDWIDTH,
-                            Scheme.PARITY_DECLUSTERED)
-
     def read_granularity(self, parity_group_size: int) -> tuple[int, int]:
         """``(k, k')`` for this scheme at parity-group size ``C``.
 

@@ -205,10 +205,6 @@ class MultimediaServer:
         """Admit one stream for a catalog object."""
         return self.scheduler.admit(self.catalog.get(object_name))
 
-    def admit_many(self, object_names: list[str]) -> list[Stream]:
-        """Admit several streams in order."""
-        return [self.admit(name) for name in object_names]
-
     def run_cycle(self) -> CycleReport:
         """Simulate one cycle."""
         return self.scheduler.run_cycle()

@@ -282,14 +282,6 @@ class Environment:
         """Start a new process from ``generator`` at the current time."""
         return Process(self, generator, name=name)
 
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """An event firing once all of ``events`` fire."""
-        return AllOf(self, events)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """An event firing once any of ``events`` fires."""
-        return AnyOf(self, events)
-
     # -- scheduling internals --------------------------------------------
 
     def _enqueue_at(self, when: float, event: Event) -> None:

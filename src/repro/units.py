@@ -37,11 +37,6 @@ def mbits_per_sec(value_mbps: float) -> float:
     return value_mbps / BITS_PER_BYTE
 
 
-def mbytes_per_sec_to_mbits(value_mBps: float) -> float:
-    """Convert megabytes/second to megabits/second."""
-    return value_mBps * BITS_PER_BYTE
-
-
 def kilobytes(value_kb: float) -> float:
     """Convert (decimal) kilobytes to megabytes.
 

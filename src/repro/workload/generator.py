@@ -59,10 +59,3 @@ class WorkloadGenerator:
             rank = self._sampler.sample()
             requests.append(StreamRequest(arrival, self._names[rank]))
         return requests
-
-    def request_mix(self, horizon_s: float) -> dict[str, int]:
-        """Requests per object over a horizon (popularity diagnostics)."""
-        mix: dict[str, int] = {name: 0 for name in self._names}
-        for request in self.trace(horizon_s):
-            mix[request.object_name] += 1
-        return mix

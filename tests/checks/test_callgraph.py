@@ -76,6 +76,24 @@ def test_from_import_resolution_across_files() -> None:
     assert any(e.callee == "repro.layout.geom.span" for e in edges)
 
 
+def test_from_imported_module_resolution() -> None:
+    # ``from repro.sched import engine`` binds a project module: a call
+    # through it resolves like one through ``import ... as engine``.
+    graph = _graph(
+        ("src/repro/sched/engine.py", """
+            def run(limit: int) -> int:
+                return limit
+            """),
+        ("src/repro/sched/driver.py", """
+            from repro.sched import engine
+
+            def drive(limit: int) -> int:
+                return engine.run(limit)
+            """))
+    edges = graph.edges_from["repro.sched.driver.drive"]
+    assert any(e.callee == "repro.sched.engine.run" for e in edges)
+
+
 def test_file_dependents_is_reverse_closure() -> None:
     graph = _graph(
         ("src/repro/layout/geom.py", """

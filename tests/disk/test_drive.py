@@ -237,18 +237,6 @@ class TestDiskArray:
         array.repair(2)
         assert array.failed_ids == [5]
 
-    def test_fail_many(self):
-        array = DiskArray(6, SMALL)
-        array.fail_many([0, 1, 3])
-        assert array.failed_ids == [0, 1, 3]
-
-    def test_first_failed(self):
-        array = DiskArray(6, SMALL)
-        assert array.first_failed() is None
-        array.fail(4)
-        array.fail(1)
-        assert array.first_failed().disk_id == 1
-
     def test_total_capacity(self):
         array = DiskArray(10, SMALL)
         assert array.total_capacity_mb() == pytest.approx(10.0)

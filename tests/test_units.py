@@ -13,10 +13,6 @@ def test_mbits_per_sec_mpeg2():
     assert units.mbits_per_sec(4.5) == pytest.approx(0.5625)
 
 
-def test_mbits_roundtrip():
-    assert units.mbytes_per_sec_to_mbits(units.mbits_per_sec(3.0)) == pytest.approx(3.0)
-
-
 def test_kilobytes_track():
     assert units.kilobytes(50) == pytest.approx(0.05)
 

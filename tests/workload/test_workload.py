@@ -1,5 +1,7 @@
 """Workload generation: Zipf sampling, Poisson arrivals, traces."""
 
+from collections import Counter
+
 import pytest
 
 from repro.media import uniform_catalog
@@ -77,7 +79,7 @@ class TestWorkloadGenerator:
         catalog = uniform_catalog(5, 0.1875, 10)
         generator = WorkloadGenerator(catalog, arrival_rate_per_s=5.0,
                                       zipf_theta=1.0, seed=2)
-        mix = generator.request_mix(2000.0)
+        mix = Counter(r.object_name for r in generator.trace(2000.0))
         assert mix["object-0"] > mix["object-4"]
 
     def test_arrival_cycle_mapping(self):
