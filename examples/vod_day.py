@@ -1,7 +1,7 @@
 """A day in the life of a VoD server: workload + stochastic faults.
 
 Drives the simulator with a realistic request mix — Zipf-popular movies,
-Poisson arrivals — on the DES kernel while disks fail and get repaired
+Poisson arrivals — cycle by cycle while disks fail and get repaired
 stochastically (accelerated MTTF so something actually happens), and
 reports what the viewers experienced under two schemes.
 

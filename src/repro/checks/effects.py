@@ -87,9 +87,7 @@ CACHE_KEY_FIELDS = frozenset({"_ff_plan_key"}).union(
 
 #: Calls that count as bumping an epoch / invalidating plan caches
 #: (shared with R3).
-BUMP_CALLS = frozenset({
-    "_invalidate_caches", "_invalidate_plan_cache", "_record_delta",
-})
+BUMP_CALLS = frozenset({"_invalidate_plan_cache", "_record_delta"})
 
 #: Attributes whose assignment *is* the epoch bump (shared with R3).
 EPOCH_FIELDS = frozenset({"_epoch", "state_changes"})

@@ -300,9 +300,9 @@ FIXTURES: tuple[Fixture, ...] = (
             class Layout:
                 def forget(self, name: str, track: int) -> None:
                     self._data_addr.pop((name, track))
-                    self._invalidate_caches()
+                    self._record_delta("remove", name)
 
-                def _invalidate_caches(self) -> None:
+                def _record_delta(self, kind: str, name: str) -> None:
                     self._epoch += 1
         """),
     ),

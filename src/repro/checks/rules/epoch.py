@@ -7,7 +7,7 @@ one of those counters.  This rule makes the contract machine-checked:
 * a function in ``layout/`` that mutates placement state
   (``_data_addr``, ``_parity_addr``, ``_objects``, ``_start_cluster``,
   ``_disk_contents``, ``_free_positions``, ``_next_position``) must also
-  call ``_invalidate_caches()`` (or bump ``_epoch``) in the same body;
+  call ``_record_delta()`` (or bump ``_epoch``) in the same body;
 * a function in ``disk/`` that assigns the fault-domain state fields
   (``state``, ``is_failed``, ``service_fraction``, ``_media_errors``)
   must call the fault notifier ``_fault_changed()``; a bare
@@ -142,7 +142,7 @@ class EpochCacheRule(Rule):
                 yield self.finding(
                     ctx, node,
                     f"'{node.name}' mutates {', '.join(mutated)} without "
-                    "bumping an epoch (_invalidate_caches/_epoch/"
+                    "bumping an epoch (_record_delta/_epoch/"
                     "state_changes)")
             else:
                 yield self.finding(

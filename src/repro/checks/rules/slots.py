@@ -4,7 +4,7 @@ PR 1 moved the cycle engine's per-entity classes to ``__slots__`` for
 footprint and lookup speed.  This rule keeps that property from eroding:
 
 * every class defined in the hot-path scope (``sched/``, ``disk/``,
-  ``server/stream.py``, ``sim/kernel.py``) must declare ``__slots__``
+  ``server/stream.py``) must declare ``__slots__``
   (or be a ``@dataclass(slots=True)``); enums, exceptions, and
   Protocols are exempt;
 * inside a fully slotted class hierarchy, ``self.<attr> = ...`` must
@@ -41,7 +41,7 @@ class SlotsRule(Rule):
 
     def applies_to(self, path: str) -> bool:
         return in_project_source(path) and under(
-            path, "sched/", "disk/", "server/stream.py", "sim/kernel.py")
+            path, "sched/", "disk/", "server/stream.py")
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):

@@ -30,14 +30,12 @@ from repro.cluster.chaos import (
 from repro.cluster.placement import ShardPlacement, partition_catalog
 from repro.cluster.router import ClusterRouter
 from repro.cluster.runner import (
-    ClusterFault,
     ClusterReport,
     ClusterSpec,
     ShardSummary,
     run_cluster,
 )
 from repro.cluster.shard import (
-    ShardFault,
     ShardResult,
     ShardSpec,
     ShardState,
@@ -51,11 +49,9 @@ from repro.cluster.shard import (
 __all__ = [
     "ClusterChaosProfile",
     "ClusterChaosResult",
-    "ClusterFault",
     "ClusterReport",
     "ClusterRouter",
     "ClusterSpec",
-    "ShardFault",
     "ShardPlacement",
     "ShardResult",
     "ShardSpec",

@@ -2,9 +2,9 @@
 
 The single-server campaigns in :mod:`repro.faults.chaos` storm one disk
 farm; a cluster campaign storms *every shard at once*.  A script of
-:class:`~repro.cluster.runner.ClusterFault` records is rolled
-deterministically from a seed — per-shard whole-disk failures, some
-striking mid-cycle, some with a scheduled repair — and replayed through
+``(shard, FaultEvent)`` pairs is rolled deterministically from a seed —
+per-shard whole-disk failures, some striking mid-cycle, some with a
+scheduled repair — and replayed through
 :func:`~repro.cluster.runner.run_cluster`, twice:
 
 * once at ``workers=1`` (the serial baseline), and
@@ -27,12 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
-from repro.cluster.runner import (
-    ClusterFault,
-    ClusterReport,
-    ClusterSpec,
-    run_cluster,
-)
+from repro.cluster.runner import ClusterReport, ClusterSpec, run_cluster
+from repro.faults.injector import FaultAction, FaultEvent
 from repro.sim.rng import RandomSource
 
 
@@ -74,7 +70,7 @@ class ClusterChaosProfile:
 
 def generate_cluster_script(spec: ClusterSpec, seed: int,
                             profile: ClusterChaosProfile,
-                            ) -> tuple[ClusterFault, ...]:
+                            ) -> tuple[tuple[int, FaultEvent], ...]:
     """Deterministically roll one cluster's fault script from a seed.
 
     Mirrors the per-shard fault-domain state (who is failed, and until
@@ -83,9 +79,15 @@ def generate_cluster_script(spec: ClusterSpec, seed: int,
     shard-tagged :class:`~repro.sim.rng.RandomSource` stream, so the
     script is a pure function of ``(spec geometry, seed, profile)`` —
     adding a shard never perturbs the storms hitting the others.
+
+    Returns ``(shard, FaultEvent)`` pairs, the failures in
+    ``(cycle, shard, disk)`` order, each FAIL followed by its REPAIR.
+    The order matters: a repair must stay ahead of a failure on the
+    same cycle of the same shard, or two disks of one parity group
+    could be down at once beyond the profile's cap.
     """
     rng = RandomSource(seed)
-    faults: list[ClusterFault] = []
+    strikes: list[tuple[int, int, int, bool, Optional[int]]] = []
     for shard in range(spec.shards):
         tag = f"shard{shard}"
         # disk -> scripted repair cycle (None: failed for the whole run)
@@ -111,12 +113,16 @@ def generate_cluster_script(spec: ClusterSpec, seed: int,
                 repair_cycle = cycle + rng.integers(
                     f"{tag}-repair-delay", profile.min_repair_delay,
                     profile.max_repair_delay + 1)
-            faults.append(ClusterFault(shard, cycle, disk,
-                                       mid_cycle=mid,
-                                       repair_cycle=repair_cycle))
+            strikes.append((cycle, shard, disk, mid, repair_cycle))
             failed[disk] = repair_cycle
-    faults.sort(key=lambda f: (f.cycle, f.shard, f.disk_id))
-    return tuple(faults)
+    script: list[tuple[int, FaultEvent]] = []
+    for cycle, shard, disk, mid, repair_cycle in sorted(
+            strikes, key=lambda strike: strike[:3]):
+        script.append((shard, FaultEvent(cycle, disk, mid_cycle=mid)))
+        if repair_cycle is not None:
+            script.append((shard, FaultEvent(repair_cycle, disk,
+                                             FaultAction.REPAIR)))
+    return tuple(script)
 
 
 @dataclass
@@ -165,7 +171,7 @@ def run_cluster_campaign(spec: ClusterSpec, seed: int,
         spec=storm,
         seed=seed,
         workers=workers,
-        events=len(script),
+        events=sum(event.action is FaultAction.FAIL for _, event in script),
         digest=digest,
         report=report,
         violations=violations,

@@ -28,13 +28,13 @@ from repro.cluster.placement import ShardPlacement, partition_catalog
 from repro.cluster.router import ClusterRouter
 from repro.cluster.shard import (
     SLOTS_PER_DISK,
-    ShardFault,
     ShardSpec,
     finalise_shard,
     init_shard,
     run_shard_window,
     shard_params,
 )
+from repro.faults.injector import FaultEvent
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
 from repro.parallel import SessionPool, TaskSpec, derive_seeds
@@ -47,32 +47,14 @@ from repro.workload.generator import WorkloadGenerator
 
 
 @dataclass(frozen=True)
-class ClusterFault:
-    """A scripted disk fault addressed to one shard of the cluster."""
-
-    shard: int
-    cycle: int
-    disk_id: int
-    mid_cycle: bool = False
-    repair_cycle: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.shard < 0:
-            raise ValueError(f"shard must be >= 0, got {self.shard}")
-
-    def local(self) -> ShardFault:
-        """The shard-local view of this fault."""
-        return ShardFault(self.cycle, self.disk_id, self.mid_cycle,
-                          self.repair_cycle)
-
-
-@dataclass(frozen=True)
 class ClusterSpec:
     """One cluster experiment, fully determined by its fields.
 
     ``objects`` defaults to one per parity group cluster-wide (the
     scale-grid convention); ``arrivals_per_cycle`` is the cluster-wide
     Poisson rate; ``window`` is the routing-barrier interval in cycles.
+    ``faults`` pairs each scripted :class:`FaultEvent` with the shard it
+    strikes; within a shard the events keep their order.
     """
 
     scheme: Scheme
@@ -91,7 +73,7 @@ class ClusterSpec:
     replicas: int = 1
     seed: int = 0
     fast_forward: bool = True
-    faults: tuple[ClusterFault, ...] = ()
+    faults: tuple[tuple[int, FaultEvent], ...] = ()
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -104,10 +86,10 @@ class ClusterSpec:
             raise ValueError(
                 f"arrival rate must be positive, "
                 f"got {self.arrivals_per_cycle}")
-        for fault in self.faults:
-            if fault.shard >= self.shards:
+        for shard, _event in self.faults:
+            if not 0 <= shard < self.shards:
                 raise ValueError(
-                    f"fault addresses shard {fault.shard}; cluster has "
+                    f"fault addresses shard {shard}; cluster has "
                     f"{self.shards}")
 
     def catalog_size(self) -> int:
@@ -242,8 +224,8 @@ def plan_shards(spec: ClusterSpec, placement: ShardPlacement,
             objects=placement.objects_for(shard, catalog),
             slots_per_disk=spec.slots_per_disk,
             admission_limit=spec.admission_limit,
-            faults=tuple(fault.local() for fault in spec.faults
-                         if fault.shard == shard),
+            faults=tuple(event for target, event in spec.faults
+                         if target == shard),
             seed=shard_seeds[shard],
             fast_forward=spec.fast_forward,
         )

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from repro.analysis.parameters import SystemParameters
-from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
+from repro.faults.injector import FaultEvent, FaultSchedule
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
 from repro.schemes import Scheme
@@ -53,31 +53,12 @@ def shard_params(num_disks: int) -> SystemParameters:
 
 
 @dataclass(frozen=True)
-class ShardFault:
-    """A scripted disk fault local to one shard."""
-
-    cycle: int
-    disk_id: int
-    mid_cycle: bool = False
-    repair_cycle: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.cycle < 0:
-            raise ValueError(f"fault cycle must be >= 0, got {self.cycle}")
-        if self.disk_id < 0:
-            raise ValueError(f"disk id must be >= 0, got {self.disk_id}")
-        if self.repair_cycle is not None and self.repair_cycle <= self.cycle:
-            raise ValueError(
-                f"repair cycle {self.repair_cycle} must come after the "
-                f"failure at cycle {self.cycle}")
-
-
-@dataclass(frozen=True)
 class ShardSpec:
     """Everything one shard's build depends on — and nothing else.
 
-    Frozen and fully picklable (scheme enum, media objects, fault
-    records are all module-level frozen types), so a spec is a valid
+    Frozen and fully picklable (scheme enum, media objects and
+    :class:`~repro.faults.injector.FaultEvent` records are all
+    module-level frozen types), so a spec is a valid
     :class:`~repro.parallel.TaskSpec` payload for a spawn worker.
     ``seed`` feeds nothing stochastic inside the shard today but pins
     the shard's identity in fingerprints; it is derived by the runner
@@ -91,7 +72,7 @@ class ShardSpec:
     objects: tuple[MediaObject, ...]
     slots_per_disk: int = SLOTS_PER_DISK
     admission_limit: Optional[int] = None
-    faults: tuple[ShardFault, ...] = ()
+    faults: tuple[FaultEvent, ...] = ()
     seed: int = 0
     fast_forward: bool = True
 
@@ -107,14 +88,7 @@ class ShardSpec:
 
     def schedule(self) -> FaultSchedule:
         """The shard's scripted faults as a :class:`FaultSchedule`."""
-        events: list[FaultEvent] = []
-        for fault in self.faults:
-            events.append(FaultEvent(fault.cycle, fault.disk_id,
-                                     mid_cycle=fault.mid_cycle))
-            if fault.repair_cycle is not None:
-                events.append(FaultEvent(fault.repair_cycle, fault.disk_id,
-                                         FaultAction.REPAIR))
-        return FaultSchedule(events)
+        return FaultSchedule(self.faults)
 
 
 class WindowResult(NamedTuple):

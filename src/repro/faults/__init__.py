@@ -8,7 +8,6 @@ from repro.faults.chaos import (
 )
 from repro.faults.domain import SectorScrubber, degraded_service_fraction
 from repro.faults.injector import (
-    ExponentialFaultInjector,
     FaultAction,
     FaultEvent,
     FaultSchedule,
@@ -31,7 +30,6 @@ from repro.faults.reliability import (
 __all__ = [
     "ChaosProfile",
     "ChaosResult",
-    "ExponentialFaultInjector",
     "FaultAction",
     "FaultEvent",
     "FaultSchedule",

@@ -15,18 +15,17 @@ two pieces that sit *around* it:
   the array's fault index lists, in a deterministic order, and repairs
   a bounded number per pass — the background patrol that keeps a latent
   error from surviving long enough to meet a disk failure in the same
-  parity group.  It runs either as a DES-kernel process
-  (:meth:`SectorScrubber.process`, used by ``run_timed``) or one
-  :meth:`SectorScrubber.step` per cycle (used by the chaos harness).
+  parity group.  Its driver calls :meth:`SectorScrubber.step` between
+  cycles: once per cycle in the chaos harness, once per scrub interval
+  in ``run_timed``.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.disk.drive import DiskArray
-    from repro.sim.kernel import Environment, Event
 
 from repro.disk.model import SimpleDiskModel
 from repro.disk.specs import DiskSpec
@@ -121,12 +120,3 @@ class SectorScrubber:
         if passes < 0:
             raise ValueError("cannot credit a negative number of passes")
         self.passes_run += passes
-
-    def process(self, env: "Environment",
-                period_s: float) -> Iterator["Event"]:
-        """A DES-kernel process running one pass every ``period_s``."""
-        if period_s <= 0:
-            raise ValueError("scrub period must be positive")
-        while True:
-            yield env.timeout(period_s)
-            self.step()

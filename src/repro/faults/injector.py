@@ -1,28 +1,46 @@
 """Fault injection for the cycle-based server simulator.
 
-Two flavours:
+Every fault is a :class:`FaultEvent` in a :class:`FaultSchedule`, keyed
+by the cycle whose top it strikes:
 
-* :class:`FaultSchedule` — deterministic scripted failures/repairs keyed by
-  cycle number, used to reproduce the paper's worked failure scenarios
-  (e.g. "disk 2 fails just before cycle 1", Figure 6).
-* :class:`ExponentialFaultInjector` — stochastic failures/repairs with
-  exponential lifetimes on the DES kernel, used by the timed co-simulation
-  (:meth:`repro.server.server.MultimediaServer.run_timed`).
+* scripted schedules reproduce the paper's worked failure scenarios
+  (e.g. "disk 2 fails just before cycle 1", Figure 6) and carry the
+  chaos and cluster storms;
+* :meth:`FaultSchedule.exponential` samples the paper's stochastic
+  model — independent exponential fail/repair lifetimes per disk (MTTF,
+  MTTR; eqs. 4–6) — for the timed runs of
+  :meth:`repro.server.server.MultimediaServer.run_timed`.
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import math
 from dataclasses import dataclass
-from typing import (TYPE_CHECKING, Callable, Iterable, Iterator,
-                    Optional)
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
     from repro.sched.base import CycleScheduler
 
-from repro.sim.kernel import Environment
 from repro.sim.rng import RandomSource
+
+
+def cycles_before(time_s: float, cycle_length_s: float) -> int:
+    """How many cycles start before ``time_s``, cycle ``k`` starting at
+    ``k * cycle_length_s``.
+
+    Equally, the index of the first cycle that starts at or after
+    ``time_s``: the top a fault or scrub pass at that time strikes.
+    Start times are multiplied, never accumulated, so the clock does
+    not drift over a long run.
+    """
+    count = max(0, math.ceil(time_s / cycle_length_s))
+    while count > 0 and (count - 1) * cycle_length_s >= time_s:
+        count -= 1
+    while count * cycle_length_s < time_s:
+        count += 1
+    return count
 
 
 class FaultAction(enum.Enum):
@@ -104,6 +122,43 @@ class FaultSchedule:
                                      FaultAction.REPAIR))
         return cls(events)
 
+    @classmethod
+    def exponential(cls, num_disks: int, mttf_s: float, mttr_s: float,
+                    cycle_length_s: float, horizon_s: float,
+                    rng: RandomSource,
+                    first_cycle: int = 0) -> "FaultSchedule":
+        """Sample exponential fail/repair lifetimes up to ``horizon_s``.
+
+        Disk ``d`` alternates ``Exp(mttf_s)`` up-times and
+        ``Exp(mttr_s)`` repair times on the ``disk-{d}`` stream of
+        ``rng``, so adding disks never moves the existing disks' events.
+        Every FAIL and REPAIR at or before ``horizon_s`` becomes an
+        event.  Stable-sorted by time, each lands at the top of the
+        first cycle that starts at or after it: ``first_cycle + k``,
+        where cycle ``k`` of the horizon starts at
+        ``k * cycle_length_s`` (:func:`cycles_before`).
+        """
+        if mttf_s <= 0 or mttr_s <= 0:
+            raise ValueError("mttf and mttr must be positive")
+        if cycle_length_s <= 0:
+            raise ValueError("cycle length must be positive")
+        timed: list[tuple[float, int, FaultAction]] = []
+        for disk_id in range(num_disks):
+            stream = f"disk-{disk_id}"
+            clock, up = 0.0, True
+            while True:
+                clock += rng.exponential(stream, mttf_s if up else mttr_s)
+                if clock > horizon_s:
+                    break
+                timed.append((clock, disk_id, FaultAction.FAIL if up
+                              else FaultAction.REPAIR))
+                up = not up
+        timed.sort(key=lambda item: item[0])
+        return cls(FaultEvent(first_cycle + cycles_before(time_s,
+                                                          cycle_length_s),
+                              disk_id, action)
+                   for time_s, disk_id, action in timed)
+
     def events_before_cycle(self, cycle: int) -> list[FaultEvent]:
         """Events that strike just before the given cycle runs."""
         return list(self._by_cycle.get(cycle, ()))
@@ -150,47 +205,3 @@ class FaultSchedule:
 
     def __iter__(self) -> Iterator[FaultEvent]:
         return iter(self._events)
-
-
-class ExponentialFaultInjector:
-    """Exponential failure/repair processes on the DES kernel.
-
-    One generator process per disk: sleep ``Exp(mttf)``, call ``on_fail``,
-    sleep ``Exp(mttr)``, call ``on_repair``, repeat.  The callbacks receive
-    the disk id, so the injector can drive either a bare
-    :class:`~repro.disk.drive.DiskArray` or a scheduler.
-    """
-
-    def __init__(self, env: Environment, num_disks: int,
-                 mttf_s: float, mttr_s: float, rng: RandomSource,
-                 on_fail: Callable[[int], None],
-                 on_repair: Callable[[int], None]) -> None:
-        if mttf_s <= 0 or mttr_s <= 0:
-            raise ValueError("mttf and mttr must be positive")
-        self.env = env
-        self.num_disks = num_disks
-        self.mttf_s = mttf_s
-        self.mttr_s = mttr_s
-        self.rng = rng
-        self.on_fail = on_fail
-        self.on_repair = on_repair
-        self.failures_injected = 0
-        self.repairs_completed = 0
-
-    def start(self) -> None:
-        """Launch one lifetime process per disk."""
-        for disk_id in range(self.num_disks):
-            self.env.process(self._lifetime(disk_id),
-                             name=f"disk-{disk_id}-faults")
-
-    def _lifetime(self, disk_id: int) -> Iterator[object]:
-        stream_name = f"disk-{disk_id}"
-        while True:
-            yield self.env.timeout(
-                self.rng.exponential(stream_name, self.mttf_s))
-            self.failures_injected += 1
-            self.on_fail(disk_id)
-            yield self.env.timeout(
-                self.rng.exponential(stream_name, self.mttr_s))
-            self.repairs_completed += 1
-            self.on_repair(disk_id)

@@ -92,7 +92,8 @@ class DataLayout(abc.ABC):
         #: dropping every cached plan (see :meth:`deltas_since`).
         self._delta_log: list[PlacementDelta] = []
         self._delta_floor = 0
-        # Memoized hot-path lookups, flushed on every placement change.
+        # Memoized hot-path lookups; _record_delta evicts what a
+        # placement change moves.
         self._span_cache: dict[tuple[str, int], GroupSpan] = {}
         self._tracks_cache: dict[tuple[str, int], list[int]] = {}
         self._cluster_cache: dict[tuple[str, int], int] = {}
@@ -108,19 +109,6 @@ class DataLayout(abc.ABC):
     def epoch(self) -> int:
         """Monotonic counter of placement changes (place/remove calls)."""
         return self._epoch
-
-    def _invalidate_caches(self) -> None:
-        self._epoch += 1
-        self._span_cache.clear()
-        self._tracks_cache.clear()
-        self._cluster_cache.clear()
-        self._geometry_cache.clear()
-        self._names_cache = None
-        self._block_index = None
-        # Wholesale invalidation abandons delta history: raise the floor
-        # so deltas_since() callers below it fall back to a full rebuild.
-        self._delta_log.clear()
-        self._delta_floor = self._epoch
 
     def _record_delta(self, kind: str, name: str) -> None:
         """Bump the epoch for one placement change, evicting surgically.

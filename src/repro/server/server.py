@@ -6,8 +6,8 @@
 * a :class:`~repro.disk.drive.DiskArray` materialised with deterministic
   payloads and real XOR parity;
 * the scheme's cycle scheduler with buffer accounting;
-* optional fault scripting (:class:`~repro.faults.injector.FaultSchedule`)
-  or stochastic timed co-simulation on the DES kernel.
+* fault schedules (:class:`~repro.faults.injector.FaultSchedule`),
+  scripted by hand or sampled from exponential disk lifetimes.
 
 Example
 -------
@@ -24,6 +24,7 @@ Example
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Union
 
 if TYPE_CHECKING:
@@ -35,7 +36,7 @@ from repro.analysis.parameters import SystemParameters
 from repro.buffers.pool import BufferPool
 from repro.disk.drive import DiskArray
 from repro.errors import ConfigurationError
-from repro.faults.injector import ExponentialFaultInjector, FaultSchedule
+from repro.faults.injector import FaultSchedule, cycles_before
 from repro.layout.base import DataLayout
 from repro.layout.clustered import ClusteredParityLayout
 from repro.layout.declustered import DeclusteredParityLayout
@@ -51,7 +52,6 @@ from repro.sched.streaming_raid import StreamingRAIDScheduler
 from repro.schemes import Scheme
 from repro.server.metrics import CycleReport, SimulationReport
 from repro.server.stream import Stream
-from repro.sim.kernel import Environment
 from repro.sim.rng import RandomSource
 
 
@@ -78,9 +78,9 @@ class MultimediaServer:
         self.array = array
         self.scheduler = scheduler
         self.catalog = catalog
-        #: The stochastic injector/scrubber of the most recent
-        #: :meth:`run_timed` call, kept for post-run counter inspection.
-        self.last_injector: Optional[ExponentialFaultInjector] = None
+        #: The sampled schedule/scrubber of the most recent
+        #: :meth:`run_timed` call, kept for post-run inspection.
+        self.last_schedule: Optional[FaultSchedule] = None
         self.last_scrubber: Optional["SectorScrubber"] = None
 
     # -- construction -----------------------------------------------------------
@@ -301,7 +301,7 @@ class MultimediaServer:
         """Tracks currently unreconstructable, per object."""
         return self.scheduler.lost_tracks
 
-    # -- timed co-simulation ---------------------------------------------------------
+    # -- timed runs ---------------------------------------------------------------
 
     def run_timed(self, duration_s: float,
                   mttf_s: Optional[float] = None,
@@ -309,46 +309,50 @@ class MultimediaServer:
                   seed: int = 0,
                   scrub_interval_s: Optional[float] = None,
                   ) -> SimulationReport:
-        """Run cycles under stochastic failures on the DES kernel.
+        """Run ``duration_s`` of cycles under stochastic disk failures.
 
-        A cycle-driver process advances the scheduler every
-        ``config.cycle_length_s`` seconds while per-disk fault processes
-        (exponential MTTF/MTTR, defaulting to the drive spec's values)
-        inject failures and repairs between cycles.  The scheduler's
-        fail/repair entry points are idempotent, so the injector drives
-        them directly; its counters stay inspectable afterwards via
-        :attr:`last_injector`.
+        Samples :meth:`FaultSchedule.exponential` over the horizon
+        (MTTF/MTTR defaulting to the drive spec's values), keeps it as
+        :attr:`last_schedule` and runs it through
+        :meth:`CycleScheduler.run_churn` with fast-forward on.  Every
+        cycle that starts before the horizon runs, the ``k``-th of them
+        starting ``k * config.cycle_length_s`` in.  Each fault strikes
+        the top of the first cycle that starts at or after it; the
+        faults after the last cycle start are applied at the end.
 
-        ``scrub_interval_s`` additionally runs a background
-        :class:`~repro.faults.domain.SectorScrubber` process on the same
-        kernel, repairing one latent sector error per interval.
+        ``scrub_interval_s`` adds a
+        :class:`~repro.faults.domain.SectorScrubber`
+        (:attr:`last_scrubber`) that runs ``floor(duration_s /
+        scrub_interval_s)`` passes, one every interval, placed on the
+        same clock.  A pass runs before the faults at the same top, the
+        order the chaos harness uses.
         """
         from repro.faults.domain import SectorScrubber
-        env = Environment()
+        if duration_s < 0:
+            raise ValueError("cannot run for a negative duration")
+        if scrub_interval_s is not None and scrub_interval_s <= 0:
+            raise ValueError("scrub period must be positive")
+        scheduler = self.scheduler
         spec = self.array.spec
-        injector = ExponentialFaultInjector(
-            env=env,
-            num_disks=len(self.array),
-            mttf_s=mttf_s if mttf_s is not None else spec.mttf_s,
-            mttr_s=mttr_s if mttr_s is not None else spec.mttr_s,
-            rng=RandomSource(seed),
-            on_fail=self.scheduler.fail_disk,
-            on_repair=self.scheduler.repair_disk,
-        )
-        self.last_injector = injector
-        injector.start()
+        cycle_length = self.config.cycle_length_s
+        start = scheduler.cycle_index
+        end = start + cycles_before(duration_s, cycle_length)
+        schedule = FaultSchedule.exponential(
+            len(self.array),
+            mttf_s if mttf_s is not None else spec.mttf_s,
+            mttr_s if mttr_s is not None else spec.mttr_s,
+            cycle_length, duration_s, RandomSource(seed), first_cycle=start)
+        self.last_schedule = schedule
         if scrub_interval_s is not None:
             scrubber = SectorScrubber(self.array)
             self.last_scrubber = scrubber
-            env.process(scrubber.process(env, scrub_interval_s),
-                        name="sector-scrubber")
-
-        def cycle_driver():
-            """Advance the scheduler once per cycle period."""
-            while True:
-                self.scheduler.run_cycle()
-                yield env.timeout(self.config.cycle_length_s)
-
-        env.process(cycle_driver(), name="cycle-driver")
-        env.run(until=duration_s)
+            for index in range(1, math.floor(duration_s
+                                             / scrub_interval_s) + 1):
+                top = start + cycles_before(index * scrub_interval_s,
+                                            cycle_length)
+                scheduler.run_churn(min(top, end) - scheduler.cycle_index,
+                                    {}, True, schedule)
+                scrubber.step()
+        scheduler.run_churn(end - scheduler.cycle_index, {}, True, schedule)
+        schedule.apply(scheduler, end)
         return self.report

@@ -1,30 +1,11 @@
-"""Discrete-event simulation substrate.
+"""Seeded random-number streams: the simulator's one source of randomness.
 
-A small, dependency-free, simpy-style kernel: simulation *processes* are
-Python generators that ``yield`` events (timeouts, signals, other processes)
-and are resumed by the :class:`~repro.sim.kernel.Environment` when those
-events fire.  The multimedia-server simulator in :mod:`repro.server` drives
-cycles, stream lifecycles, and fault injection on top of this kernel.
+Every stochastic component (exponential disk lifetimes, arrivals, Zipf
+popularity, chaos scripts) draws from its own named
+:class:`~repro.sim.rng.RandomSource` stream, so a run is fully
+determined by its root seed.
 """
 
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
 from repro.sim.rng import RandomSource
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Environment",
-    "Event",
-    "Interrupt",
-    "Process",
-    "RandomSource",
-    "Timeout",
-]
+__all__ = ["RandomSource"]

@@ -16,6 +16,7 @@ from repro.cluster import (
     generate_cluster_script,
     run_cluster_campaign,
 )
+from repro.faults.injector import FaultAction
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 
 
@@ -49,28 +50,61 @@ def test_script_is_deterministic() -> None:
     assert first != generate_cluster_script(spec(), 12, STORMY)
 
 
+def strikes(script, shard: int) -> list[list]:
+    """``[cycle, disk, repair cycle or None]`` per scripted failure of
+    one shard; each REPAIR must directly follow its FAIL."""
+    found: list[list] = []
+    for target, event in script:
+        if target != shard:
+            continue
+        if event.action is FaultAction.FAIL:
+            found.append([event.cycle, event.disk_id, None])
+        else:
+            assert event.action is FaultAction.REPAIR
+            assert found[-1][1] == event.disk_id and found[-1][2] is None
+            found[-1][2] = event.cycle
+    return found
+
+
 def test_script_respects_per_shard_failure_cap() -> None:
     script = generate_cluster_script(spec(shards=4, cycles=40), 3, STORMY)
     assert script
     for shard in range(4):
         failed: dict[int, int | None] = {}
-        for fault in sorted((f for f in script if f.shard == shard),
-                            key=lambda f: f.cycle):
+        for cycle, disk_id, repair_cycle in strikes(script, shard):
             for disk, repair in list(failed.items()):
-                if repair is not None and repair <= fault.cycle:
+                if repair is not None and repair <= cycle:
                     del failed[disk]
-            assert fault.disk_id not in failed
+            assert disk_id not in failed
             assert len(failed) < STORMY.max_concurrent_failures
-            assert 0 <= fault.disk_id < 20
-            if fault.repair_cycle is not None:
-                assert fault.repair_cycle > fault.cycle
-            failed[fault.disk_id] = fault.repair_cycle
+            assert 0 <= disk_id < 20
+            if repair_cycle is not None:
+                assert repair_cycle > cycle
+            failed[disk_id] = repair_cycle
+
+
+def test_script_orders_failures_and_pairs_each_repair() -> None:
+    # Failures in (cycle, shard, disk) order, each FAIL followed by its
+    # REPAIR: on a shard's schedule, a repair then stays ahead of a
+    # failure that lands on the same cycle.
+    script = generate_cluster_script(spec(shards=4, cycles=40), 3, STORMY)
+    keys = [(event.cycle, shard, event.disk_id) for shard, event in script
+            if event.action is FaultAction.FAIL]
+    assert keys == sorted(keys)
+    for index, (shard, event) in enumerate(script):
+        if event.action is FaultAction.REPAIR:
+            previous_shard, previous = script[index - 1]
+            assert previous.action is FaultAction.FAIL
+            assert (previous_shard, previous.disk_id) == (shard,
+                                                          event.disk_id)
+    assert sum(len(strikes(script, shard)) for shard in range(4)) \
+        == len(keys)
 
 
 def test_adding_a_shard_leaves_existing_storms_alone() -> None:
     small = generate_cluster_script(spec(shards=2), 7, STORMY)
     large = generate_cluster_script(spec(shards=3), 7, STORMY)
-    assert [f for f in large if f.shard < 2] == list(small)
+    assert [(s, e) for s, e in large if s < 2] == list(small)
 
 
 def test_empty_profile_scripts_nothing() -> None:
@@ -94,6 +128,8 @@ def test_campaign_passes_the_determinism_gate(scheme: Scheme) -> None:
                                     workers=3)
     assert campaign.passed, campaign.violations
     assert campaign.events > 0
+    assert campaign.events == sum(
+        event.action is FaultAction.FAIL for _, event in campaign.spec.faults)
     assert campaign.report.workers == 3
     # The storm actually perturbed the cluster relative to a calm run.
     calm = run_cluster_campaign(

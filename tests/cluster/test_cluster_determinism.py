@@ -15,18 +15,19 @@ from dataclasses import replace
 
 import pytest
 
-from repro.cluster import ClusterFault, ClusterSpec, run_cluster
+from repro.cluster import ClusterSpec, run_cluster
+from repro.faults.injector import FaultAction, FaultEvent
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 
 #: One mid-trace failure on shard 1, repaired before the run ends: the
 #: faulted shard sheds capacity, the router steers replicas away, and
 #: the repair restores the limit — all of it must replay identically.
-SHARD1_FAULT = (ClusterFault(shard=1, cycle=5, disk_id=3, mid_cycle=True,
-                             repair_cycle=10),)
+SHARD1_FAULT = ((1, FaultEvent(5, 3, mid_cycle=True)),
+                (1, FaultEvent(10, 3, FaultAction.REPAIR)))
 
 
 def spec(scheme: Scheme,
-         faults: tuple[ClusterFault, ...] = ()) -> ClusterSpec:
+         faults: tuple[tuple[int, FaultEvent], ...] = ()) -> ClusterSpec:
     return ClusterSpec(
         scheme=scheme,
         shards=4,
@@ -93,8 +94,24 @@ def test_mid_cycle_strike_on_a_window_start_matches_scalar(
     # Cycle 7 opens the second routing window, so the cycle feeding the
     # strike is the last cycle of the first window's run: it must run
     # scalar even though the strike falls exactly on that run's end.
-    faulted = spec(scheme, faults=(ClusterFault(
-        shard=1, cycle=7, disk_id=3, mid_cycle=True, repair_cycle=12),))
+    faulted = spec(scheme, faults=(
+        (1, FaultEvent(7, 3, mid_cycle=True)),
+        (1, FaultEvent(12, 3, FaultAction.REPAIR))))
     fast = run_cluster(faulted, workers=1)
     slow = run_cluster(replace(faulted, fast_forward=False), workers=1)
     assert fast.digest() == slow.digest()
+
+
+def test_fail_slow_on_one_shard_replays_identically() -> None:
+    # Shards replay any FaultEvent, not only fail and repair: a
+    # fail-slow window on shard 1 must fold to one digest at any worker
+    # count, with or without the epoch engine.
+    faults = ((1, FaultEvent(3, 2, FaultAction.DEGRADE, slowdown=2.0)),
+              (1, FaultEvent(9, 2, FaultAction.RESTORE)))
+    storm = spec(Scheme.STREAMING_RAID, faults=faults)
+    serial = run_cluster(storm, workers=1)
+    pooled = run_cluster(storm, workers=2)
+    scalar = run_cluster(replace(storm, fast_forward=False), workers=1)
+    assert serial.digest() == pooled.digest() == scalar.digest()
+    calm = run_cluster(spec(Scheme.STREAMING_RAID), workers=1)
+    assert serial.digest() != calm.digest()

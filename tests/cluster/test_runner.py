@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import (ClusterFault, ClusterSpec, ShardFault,
-                           run_cluster)
+from repro.cluster import ClusterSpec, run_cluster
 from repro.cluster.runner import (build_cluster_catalog,
                                   compile_cluster_trace, plan_shards)
 from repro.cluster.placement import partition_catalog
+from repro.faults.injector import FaultAction, FaultEvent
 from repro.parallel import derive_seeds
 from repro.schemes import Scheme
 
@@ -39,10 +39,10 @@ def test_spec_validation() -> None:
         small_spec(window=0)
     with pytest.raises(ValueError, match="arrival rate"):
         small_spec(arrivals_per_cycle=0.0)
-    with pytest.raises(ValueError, match="addresses shard"):
-        small_spec(faults=(ClusterFault(shard=5, cycle=1, disk_id=0),))
-    with pytest.raises(ValueError, match="shard must be"):
-        ClusterFault(shard=-1, cycle=1, disk_id=0)
+    with pytest.raises(ValueError, match="addresses shard 5"):
+        small_spec(faults=((5, FaultEvent(1, 0)),))
+    with pytest.raises(ValueError, match="addresses shard -1"):
+        small_spec(faults=((-1, FaultEvent(1, 0)),))
 
 
 def test_catalog_size_defaults_to_one_per_parity_group() -> None:
@@ -52,22 +52,37 @@ def test_catalog_size_defaults_to_one_per_parity_group() -> None:
     assert small_spec(objects=9).catalog_size() == 9
 
 
+def shard_specs_for(spec: ClusterSpec):
+    seeds = derive_seeds(spec.seed, spec.shards + 2)
+    catalog = build_cluster_catalog(spec)
+    placement = partition_catalog(catalog, spec.shards, seed=seeds[0])
+    return seeds, plan_shards(spec, placement, catalog, seeds[2:])
+
+
 def test_cluster_fault_localises() -> None:
-    fault = ClusterFault(shard=1, cycle=4, disk_id=2, mid_cycle=True,
-                         repair_cycle=9)
-    assert fault.local() == ShardFault(4, 2, True, 9)
+    # A shard replays its events verbatim, in script order within a
+    # cycle: the repair ahead of the failure that lands on its cycle.
+    events = (
+        FaultEvent(4, 2, mid_cycle=True),
+        FaultEvent(9, 2, FaultAction.REPAIR),
+        FaultEvent(9, 3),
+        FaultEvent(5, 1, FaultAction.DEGRADE, slowdown=2.0),
+    )
+    spec = small_spec(faults=tuple((1, event) for event in events))
+    _, shard_specs = shard_specs_for(spec)
+    assert shard_specs[1].faults == events
+    schedule = shard_specs[1].schedule()
+    assert list(schedule) == [events[0], events[3], events[1], events[2]]
+    assert schedule.events_before_cycle(9) == [events[1], events[2]]
 
 
 def test_plan_shards_routes_faults_to_their_shard() -> None:
     spec = small_spec(faults=(
-        ClusterFault(shard=0, cycle=2, disk_id=1),
-        ClusterFault(shard=1, cycle=3, disk_id=4),
-        ClusterFault(shard=1, cycle=6, disk_id=5),
+        (0, FaultEvent(2, 1)),
+        (1, FaultEvent(3, 4)),
+        (1, FaultEvent(6, 5)),
     ))
-    seeds = derive_seeds(spec.seed, spec.shards + 2)
-    catalog = build_cluster_catalog(spec)
-    placement = partition_catalog(catalog, spec.shards, seed=seeds[0])
-    shard_specs = plan_shards(spec, placement, catalog, seeds[2:])
+    seeds, shard_specs = shard_specs_for(spec)
     assert [len(s.faults) for s in shard_specs] == [1, 2]
     assert shard_specs[1].faults[0].cycle == 3
     assert [s.seed for s in shard_specs] == list(seeds[2:])
@@ -116,7 +131,7 @@ def test_summary_names_the_shape() -> None:
 def test_degraded_shard_dents_cluster_capacity() -> None:
     quiet = run_cluster(small_spec(), workers=1)
     faulted = run_cluster(small_spec(faults=(
-        ClusterFault(shard=1, cycle=2, disk_id=0),)), workers=1)
+        (1, FaultEvent(2, 0)),)), workers=1)
     assert faulted.per_shard[1].effective_limit \
         <= quiet.per_shard[1].effective_limit
     assert faulted.capacity <= quiet.capacity

@@ -5,7 +5,6 @@ import pytest
 from repro.disk import DiskArray, PAPER_TABLE1_DRIVE
 from repro.disk.specs import DiskSpec
 from repro.faults.domain import SectorScrubber, degraded_service_fraction
-from repro.sim.kernel import Environment
 
 SPEC = DiskSpec(name="d", seek_time_s=0.02, track_time_s=0.015,
                 track_size_mb=0.064, capacity_mb=256.0)
@@ -60,22 +59,3 @@ class TestSectorScrubber:
         assert scrubber.passes_run == 3
         assert scrubber.errors_repaired == 3
         assert array.media_error_count == 0
-
-    def test_process_patrols_on_the_kernel(self):
-        array = DiskArray(2, SMALL)
-        array[0].inject_media_error(2)
-        array[1].inject_media_error(7)
-        array[1].inject_media_error(9)
-        scrubber = SectorScrubber(array)
-        env = Environment()
-        env.process(scrubber.process(env, 1.0), name="scrub")
-        env.run(until=3.5)
-        assert scrubber.passes_run == 3
-        assert scrubber.errors_repaired == 3
-        assert array.media_error_count == 0
-
-    def test_process_rejects_non_positive_period(self):
-        scrubber = SectorScrubber(DiskArray(1, SMALL))
-        env = Environment()
-        with pytest.raises(ValueError):
-            next(scrubber.process(env, 0.0))

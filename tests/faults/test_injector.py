@@ -1,14 +1,14 @@
-"""Scripted fault schedules and injector processes on the DES kernel."""
+"""Scripted fault schedules and the exponential lifetime sampler."""
 
 import pytest
 
 from repro.faults.injector import (
-    ExponentialFaultInjector,
     FaultAction,
     FaultEvent,
     FaultSchedule,
+    cycles_before,
 )
-from repro.sim import Environment, RandomSource
+from repro.sim import RandomSource
 
 
 class TestFaultEventValidation:
@@ -119,59 +119,91 @@ class TestFaultSchedule:
         ]
 
 
+def sample(num_disks=5, mttf_s=10.0, mttr_s=1.0, horizon_s=200.0,
+           seed=1, cycle_length_s=1.0, first_cycle=0):
+    return FaultSchedule.exponential(
+        num_disks, mttf_s, mttr_s, cycle_length_s, horizon_s,
+        RandomSource(seed), first_cycle=first_cycle)
+
+
+def actions_per_disk(schedule):
+    sequence = {}
+    for event in schedule:
+        sequence.setdefault(event.disk_id, []).append(event.action)
+    return sequence
+
+
 def test_injector_fails_and_repairs():
-    env = Environment()
-    failures, repairs = [], []
-    injector = ExponentialFaultInjector(
-        env, num_disks=5, mttf_s=10.0, mttr_s=1.0, rng=RandomSource(1),
-        on_fail=lambda d: failures.append((env.now, d)),
-        on_repair=lambda d: repairs.append((env.now, d)),
-    )
-    injector.start()
-    env.run(until=200.0)
-    assert injector.failures_injected > 0
-    assert injector.repairs_completed > 0
-    assert len(failures) == injector.failures_injected
+    actions = [event.action for event in sample()]
+    failures = actions.count(FaultAction.FAIL)
+    repairs = actions.count(FaultAction.REPAIR)
+    assert failures > 0
+    assert repairs > 0
+    assert failures + repairs == len(actions)
     # A repair always follows its failure.
-    assert injector.repairs_completed <= injector.failures_injected
+    assert repairs <= failures
 
 
 def test_per_disk_streams_are_independent_and_deterministic():
     def run(seed):
-        env = Environment()
-        events = []
-        injector = ExponentialFaultInjector(
-            env, num_disks=3, mttf_s=5.0, mttr_s=0.5, rng=RandomSource(seed),
-            on_fail=lambda d: events.append(("f", round(env.now, 6), d)),
-            on_repair=lambda d: events.append(("r", round(env.now, 6), d)),
-        )
-        injector.start()
-        env.run(until=50.0)
-        return events
+        return list(sample(num_disks=3, mttf_s=5.0, mttr_s=0.5,
+                           horizon_s=50.0, seed=seed))
 
     assert run(1) == run(1)
     assert run(1) != run(2)
 
 
 def test_failure_repair_alternate_per_disk():
-    env = Environment()
-    sequence = {d: [] for d in range(3)}
-    injector = ExponentialFaultInjector(
-        env, num_disks=3, mttf_s=2.0, mttr_s=0.5, rng=RandomSource(3),
-        on_fail=lambda d: sequence[d].append("f"),
-        on_repair=lambda d: sequence[d].append("r"),
-    )
-    injector.start()
-    env.run(until=40.0)
-    for events in sequence.values():
-        for first, second in zip(events, events[1:]):
-            assert first != second  # strictly alternating
+    schedule = sample(num_disks=3, mttf_s=2.0, mttr_s=0.5, horizon_s=40.0,
+                      seed=3)
+    for actions in actions_per_disk(schedule).values():
+        assert actions[0] is FaultAction.FAIL
+        for first, second in zip(actions, actions[1:]):
+            assert first is not second  # strictly alternating
 
 
 def test_validation():
-    env = Environment()
     with pytest.raises(ValueError):
-        ExponentialFaultInjector(env, 3, mttf_s=0.0, mttr_s=1.0,
-                                 rng=RandomSource(0),
-                                 on_fail=lambda d: None,
-                                 on_repair=lambda d: None)
+        sample(mttf_s=0.0)
+    with pytest.raises(ValueError):
+        sample(mttr_s=-1.0)
+    with pytest.raises(ValueError):
+        sample(cycle_length_s=0.0)
+
+
+def test_adding_disks_never_moves_existing_events():
+    small = sample(num_disks=3, mttf_s=4.0, horizon_s=60.0, seed=8)
+    large = sample(num_disks=7, mttf_s=4.0, horizon_s=60.0, seed=8)
+    assert [e for e in large if e.disk_id < 3] == list(small)
+
+
+def test_events_land_at_first_cycle_top_at_or_after_them():
+    # Replay the per-disk draws by hand: each event strikes the top of
+    # the first cycle that starts at or after it, offset by first_cycle,
+    # and a cycle's events keep time order.
+    cycle_length, horizon = 0.7, 30.0
+    schedule = sample(num_disks=4, mttf_s=3.0, mttr_s=1.5,
+                      horizon_s=horizon, seed=5,
+                      cycle_length_s=cycle_length, first_cycle=12)
+    rng = RandomSource(5)
+    timed = []
+    for disk in range(4):
+        clock, up = 0.0, True
+        while True:
+            clock += rng.exponential(f"disk-{disk}", 3.0 if up else 1.5)
+            if clock > horizon:
+                break
+            timed.append((clock, disk, FaultAction.FAIL if up
+                          else FaultAction.REPAIR))
+            up = not up
+    timed.sort(key=lambda item: item[0])
+    expected = [FaultEvent(12 + int(time // cycle_length) + 1, disk, action)
+                for time, disk, action in timed]
+    assert list(schedule) == expected
+    assert schedule.events_before_cycle(12) == []
+
+
+@pytest.mark.parametrize("time_s, expected", [
+    (0.0, 0), (0.5, 1), (1.0, 1), (1.25, 2), (3.0, 3), (3.0001, 4)])
+def test_cycles_before_counts_starts_strictly_before(time_s, expected):
+    assert cycles_before(time_s, 1.0) == expected

@@ -1,17 +1,46 @@
-"""Timed co-simulation determinism: same seed, bit-identical outcome.
+"""Timed runs: a sampled exponential fault schedule on ``run_churn``.
 
-``run_timed`` races a cycle driver against per-disk exponential fault
-processes (and optionally a sector scrubber) on the DES kernel.  The
-whole stack draws randomness only from named ``RandomSource`` streams,
-so two runs with the same seed must agree on *every* observable — the
-full serialized report, not just headline totals — including runs whose
-fault storm turns catastrophic.
+``run_timed`` samples per-disk exponential fail/repair lifetimes into a
+:class:`~repro.faults.injector.FaultSchedule` (optionally with sector
+scrub passes) and runs it through the scheduler's one driver loop with
+fast-forward on.  The whole stack draws randomness only from named
+``RandomSource`` streams, so two runs with the same seed must agree on
+*every* observable — the full serialized report, not just headline
+totals — including runs whose fault storm turns catastrophic.
 """
 
 import json
+import math
 
-from repro.schemes import Scheme
-from tests.conftest import build_server
+import pytest
+
+from repro.experiments.harness import degraded_digest
+from repro.faults.domain import SectorScrubber
+from repro.faults.injector import FaultAction, FaultSchedule, cycles_before
+from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
+from tests.conftest import build_server, tiny_catalog
+
+DISKS = {Scheme.IMPROVED_BANDWIDTH: 12}
+
+
+def _state(server) -> dict:
+    report = server.report
+    return {
+        "rows": report.to_rows(),
+        "hiccups": [[h.cycle, h.stream_id, h.object_name, h.track,
+                     h.cause.value] for h in report.all_hiccups()],
+        "data_loss": [
+            [e.cycle, list(e.failed_disks),
+             {name: list(tracks)
+              for name, tracks in sorted(e.lost_tracks.items())},
+             list(e.shed_streams)]
+            for e in report.data_loss_events
+        ],
+        "disks": [[d.reads, d.writes, d.failures, d.media_errors_cleared,
+                   d.state.name] for d in server.array.disks],
+        "redundant": server.scheduler.redundant_fault_commands,
+        "digest": degraded_digest(server),
+    }
 
 
 def _timed_fingerprint(scheme: Scheme, num_disks: int, seed: int,
@@ -30,26 +59,14 @@ def _timed_fingerprint(scheme: Scheme, num_disks: int, seed: int,
         scrub_interval_s=(scrub_interval_cycles * cl
                           if scrub_interval_cycles is not None else None),
     )
-    report = server.report
-    injector = server.last_injector
+    actions = [event.action for event in server.last_schedule]
     scrubber = server.last_scrubber
     return json.dumps({
-        "rows": report.to_rows(),
-        "hiccups": [[h.cycle, h.stream_id, h.object_name, h.track,
-                     h.cause.value] for h in report.all_hiccups()],
-        "data_loss": [
-            [e.cycle, list(e.failed_disks),
-             {name: list(tracks)
-              for name, tracks in sorted(e.lost_tracks.items())},
-             list(e.shed_streams)]
-            for e in report.data_loss_events
-        ],
-        "injector": [injector.failures_injected,
-                     injector.repairs_completed],
+        **_state(server),
+        "injector": [actions.count(FaultAction.FAIL),
+                     actions.count(FaultAction.REPAIR)],
         "scrub": ([scrubber.passes_run, scrubber.errors_repaired]
                   if scrubber is not None else None),
-        "disks": [[d.reads, d.writes, d.failures, d.media_errors_cleared]
-                  for d in server.array.disks],
     }, sort_keys=True)
 
 
@@ -99,3 +116,80 @@ def test_scrubber_process_is_deterministic_and_repairs():
     passes, repaired = json.loads(first)["scrub"]
     assert passes > 0
     assert repaired >= 1  # the pre-planted latent error got patrolled
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_run_timed_is_its_schedule_on_the_scalar_loop(scheme: Scheme):
+    # The same sampled schedule through the scalar loop, plus the
+    # trailing events applied at the end, reproduces the timed run; the
+    # timed run rode the epoch engine to get there.
+    def loaded():
+        server = build_server(scheme, num_disks=DISKS.get(scheme, 10),
+                              catalog=tiny_catalog(4, tracks=240),
+                              verify_payloads=False)
+        for name in server.catalog.names():
+            server.admit(name)
+        return server
+
+    timed = loaded()
+    cl = timed.config.cycle_length_s
+    timed.run_timed(duration_s=80.9 * cl, mttf_s=150 * cl, mttr_s=8 * cl,
+                    seed=16)
+    schedule = timed.last_schedule
+    assert any(event.action is FaultAction.FAIL for event in schedule)
+    assert any(event.cycle == 81 for event in schedule)  # trailing
+    scalar = loaded()
+    scalar.run_with_schedule(81, schedule, fast_forward=False)
+    schedule.apply(scalar.scheduler, 81)
+    assert _state(timed) == _state(scalar)
+    assert timed.report.ff_engaged_cycles > 0
+    assert scalar.report.ff_engaged_cycles == 0
+
+
+def test_scrub_passes_run_before_the_faults_at_their_top(monkeypatch):
+    log: list[tuple[str, int]] = []
+    step, apply = SectorScrubber.step, FaultSchedule.apply
+
+    def logged_step(scrubber):
+        log.append(("pass", server.cycle_index))
+        return step(scrubber)
+
+    def logged_apply(schedule, scheduler, cycle):
+        due = apply(schedule, scheduler, cycle)
+        if due:
+            log.append(("faults", cycle))
+        return due
+
+    monkeypatch.setattr(SectorScrubber, "step", logged_step)
+    monkeypatch.setattr(FaultSchedule, "apply", logged_apply)
+    server = build_server(Scheme.STREAMING_RAID, num_disks=10)
+    for name in server.catalog.names():
+        server.admit(name)
+    cl = server.config.cycle_length_s
+    duration, interval = 40.5 * cl, 2.5 * cl
+    server.run_timed(duration_s=duration, mttf_s=3 * cl, mttr_s=2 * cl,
+                     seed=2, scrub_interval_s=interval)
+    passes = math.floor(duration / interval)
+    assert server.last_scrubber.passes_run == passes == 16
+    tops = [top for kind, top in log if kind == "pass"]
+    assert tops == [cycles_before(index * interval, cl)
+                    for index in range(1, passes + 1)]
+    shared = [top for top in tops if ("faults", top) in log]
+    assert shared, "no pass shared a cycle top with faults"
+    for top in shared:
+        assert log.index(("pass", top)) < log.index(("faults", top))
+    assert len(server.report.cycles) == 41
+
+
+def test_run_timed_validates_horizon_and_scrub_period():
+    server = build_server(Scheme.STREAMING_RAID, num_disks=10)
+    with pytest.raises(ValueError, match="negative duration"):
+        server.run_timed(duration_s=-1.0)
+    for period in (0.0, -2.0):
+        with pytest.raises(ValueError, match="scrub period"):
+            server.run_timed(duration_s=1.0, scrub_interval_s=period)
+    assert server.cycle_index == 0
+    server.run_timed(duration_s=0.0)
+    assert server.cycle_index == 0
+    assert len(server.last_schedule) == 0

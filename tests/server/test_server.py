@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.faults import FaultSchedule
 from repro.faults.injector import FaultAction, FaultEvent
+from repro.sched.base import CycleScheduler
 from repro.schemes import Scheme
 from repro.server import MultimediaServer
 from tests.conftest import build_server, tiny_catalog, tiny_params
@@ -81,7 +82,36 @@ class TestTimedCoSimulation:
         cycle_length = server.config.cycle_length_s
         server.run_timed(duration_s=10 * cycle_length,
                          mttf_s=1e12, mttr_s=1.0)  # effectively no faults
-        assert len(server.report.cycles) >= 10
+        assert len(server.report.cycles) == 10
+
+    def test_run_timed_runs_the_cycles_that_start_before_the_horizon(
+            self, monkeypatch):
+        # n cycle lengths run exactly n cycles, for every n up to 1000; a
+        # clock that accumulates ((0 + L) + L) + ... runs n + 1 for most
+        # of them.  Only the count is under test, so the cycle body is a
+        # counter and the epoch engine is vetoed: 500,500 cycles stay
+        # cheap.
+        def count_cycle(scheduler):
+            scheduler.cycle_index += 1
+
+        monkeypatch.setattr(CycleScheduler, "run_cycle", count_cycle)
+        monkeypatch.setattr(CycleScheduler, "_fast_forward_ready",
+                            lambda scheduler: False)
+        server = build_server(Scheme.STREAMING_RAID, num_disks=10,
+                              verify_payloads=False)
+        cycle_length = server.config.cycle_length_s
+        wrong = []
+        for n in range(1, 1001):
+            start = server.cycle_index
+            server.run_timed(duration_s=n * cycle_length, mttf_s=1e12,
+                             mttr_s=1.0)
+            if server.cycle_index - start != n:
+                wrong.append(n)
+        assert wrong == []
+        start = server.cycle_index
+        server.run_timed(duration_s=60.5 * cycle_length, mttf_s=1e12,
+                         mttr_s=1.0)
+        assert server.cycle_index - start == 61
 
     def test_run_timed_injects_and_repairs_faults(self):
         server = build_server(Scheme.STREAMING_RAID, num_disks=10)

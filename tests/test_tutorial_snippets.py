@@ -244,7 +244,8 @@ def test_section9_disjoint_double_failure():
 
 
 def test_section11_sharded_cluster():
-    from repro.cluster import ClusterFault, ClusterSpec, run_cluster
+    from repro.cluster import ClusterSpec, run_cluster
+    from repro.faults import FaultAction, FaultEvent
 
     spec = ClusterSpec(
         scheme=Scheme.STREAMING_RAID,
@@ -255,8 +256,8 @@ def test_section11_sharded_cluster():
         arrivals_per_cycle=5.0,
         replicate_top_k=2,
         seed=29,
-        faults=(ClusterFault(shard=1, cycle=5, disk_id=3, mid_cycle=True,
-                             repair_cycle=10),),
+        faults=((1, FaultEvent(5, 3, mid_cycle=True)),
+                (1, FaultEvent(10, 3, FaultAction.REPAIR))),
     )
     serial = run_cluster(spec, workers=1)
     pooled = run_cluster(spec, workers=2)
