@@ -163,17 +163,13 @@ class ClusterReport:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def ff_disengagement_totals(self) -> dict[str, int]:
-        """Cluster-wide fast-forward disengagement reasons, folded over
-        shards (diagnostic; never part of :meth:`digest`)."""
-        totals: dict[str, int] = {}
-        for shard in self.per_shard:
-            for reason, count in shard.ff_disengagements:
-                totals[reason] = totals.get(reason, 0) + count
-        return dict(sorted(totals.items()))
+        """Cluster-wide fast-forward disengagement reasons, summed over
+        shards by the report merge (diagnostic; never part of
+        :meth:`digest`)."""
+        return dict(sorted(self.report.ff_disengagements.items()))
 
     def summary(self) -> str:
         """One human-readable line per run."""
-        engaged = sum(s.ff_engaged_cycles for s in self.per_shard)
         return (
             f"{self.spec.scheme.value}: {self.spec.shards} shards x "
             f"{self.spec.disks_per_shard} disks, {self.workers} worker(s); "
@@ -182,7 +178,7 @@ class ClusterReport:
             f"{self.admitted + self.rejected + self.unarrived} requests; "
             f"capacity {self.capacity}; "
             f"{self.report.total_hiccups} hiccups; "
-            f"ff {engaged} cycles; "
+            f"ff {self.report.ff_engaged_cycles} cycles; "
             f"digest {self.digest()[:12]}"
         )
 
@@ -283,8 +279,9 @@ def run_cluster(spec: ClusterSpec, workers: int = 1) -> ClusterReport:
                 rejected=shard_result.rejected,
                 effective_limit=shard_result.effective_limit,
                 reads_digest=shard_result.reads_digest,
-                ff_engaged_cycles=shard_result.ff_engaged_cycles,
-                ff_disengagements=shard_result.ff_disengagements,
+                ff_engaged_cycles=shard_result.report.ff_engaged_cycles,
+                ff_disengagements=tuple(sorted(
+                    shard_result.report.ff_disengagements.items())),
             )
             for shard_result in finals),
     )

@@ -120,15 +120,7 @@ class ShardState:
 
 @dataclass(frozen=True)
 class ShardResult:
-    """A finished shard's deterministic outcome.
-
-    ``ff_engaged_cycles``/``ff_disengagements`` surface how much of the
-    shard's run the fast-forward engines carried and why they declined
-    the rest — diagnostic only, deliberately outside every digest (the
-    engines are bit-equal to the scalar loop, so engagement must never
-    shift a fingerprint), but folded into the cluster report so shard
-    scalar fallbacks are visible in cluster benchmarks.
-    """
+    """A finished shard's deterministic outcome."""
 
     shard_id: int
     admitted: int
@@ -136,8 +128,6 @@ class ShardResult:
     effective_limit: int
     report: SimulationReport
     reads_digest: str = field(repr=False, default="")
-    ff_engaged_cycles: int = 0
-    ff_disengagements: tuple[tuple[str, int], ...] = ()
 
 
 def build_shard_server(spec: ShardSpec) -> MultimediaServer:
@@ -195,14 +185,11 @@ def finalise_shard(state: ShardState) -> ShardResult:
     for disk in state.server.array:
         hasher.update(f"{disk.disk_id}:{disk.reads}:{disk.writes}\n"
                       .encode("utf-8"))
-    report = state.server.report
     return ShardResult(
         shard_id=state.spec.shard_id,
         admitted=state.admitted,
         rejected=state.rejected,
         effective_limit=state.server.scheduler.effective_admission_limit(),
-        report=report,
+        report=state.server.report,
         reads_digest=hasher.hexdigest(),
-        ff_engaged_cycles=report.ff_engaged_cycles,
-        ff_disengagements=tuple(sorted(report.ff_disengagements.items())),
     )

@@ -100,10 +100,11 @@ def degraded_digest(server: Any) -> str:
     """SHA-256 over the full deterministic state of a finished cell.
 
     Everything the scalar loop mutates is covered: report rows, per-disk
-    read and write counters (rebuild writes land on the spare), buffer
-    tracker samples, every stream's pointers/buffers/parity holdings,
-    and each rebuilder's cursor.  Wall-clock and the ff_* residency
-    counters stay out by construction.
+    read and write counters (rebuild writes land on the spare), the
+    per-cycle buffer occupancy (once more under the ``"tracker"`` key,
+    so recorded digests stay valid), every stream's pointers/buffers/
+    parity holdings, and each rebuilder's cursor.  Wall-clock and the
+    ff_* residency counters stay out by construction.
     """
     scheduler = server.scheduler
     streams = [
@@ -119,7 +120,7 @@ def degraded_digest(server: Any) -> str:
         "reads_per_disk": [d.reads for d in server.array.disks],
         "writes_per_disk": [d.writes for d in server.array.disks],
         "disk_states": [d.state.name for d in server.array.disks],
-        "tracker": list(scheduler.tracker.samples),
+        "tracker": [c.buffered_tracks for c in server.report.cycles],
         "streams": streams,
         "rebuilders": [
             [r.disk_id, r.blocks_rebuilt, r.reads_consumed, r.completed]

@@ -106,8 +106,7 @@ class CycleScheduler(abc.ABC):
     def __init__(self, layout: DataLayout, array: DiskArray,
                  config: SchedulerConfig,
                  admission_limit: Optional[int] = None,
-                 verify_payloads: bool = False,
-                 metrics_tail: Optional[int] = None) -> None:
+                 verify_payloads: bool = False) -> None:
         if layout.num_disks != len(array):
             raise ConfigurationError(
                 f"layout covers {layout.num_disks} disks, array has {len(array)}"
@@ -132,11 +131,8 @@ class CycleScheduler(abc.ABC):
         self.codec = (MetaParityCodec(self.track_bytes) if self.metadata_only
                       else ParityCodec(self.track_bytes))
         self.slot_table = SlotTable(array, config.slots_per_disk)
-        #: ``metrics_tail`` bounds the retained per-cycle reports (long
-        #: steady-state runs); run-wide totals stay exact via the
-        #: report's streaming reducer.
-        self.report = SimulationReport(tail=metrics_tail)
-        self.tracker = BufferTracker(array.spec.track_size_mb)
+        self.report = SimulationReport()
+        self.tracker = BufferTracker()
         self.cycle_index = 0
         self.streams: dict[int, Stream] = {}
         self._next_stream_id = 0

@@ -386,7 +386,7 @@ class RowPool:
         size = len(self.live)
         if n + incoming <= size:
             return
-        self.write_back(np.flatnonzero(~self.live[:n]), [])
+        self.write_back(np.flatnonzero(~self.live[:n]))
         keep = np.flatnonzero(self.live[:n])
         self.streams = [self.streams[i] for i in keep.tolist()]
         need = len(keep) + incoming
@@ -398,11 +398,11 @@ class RowPool:
                 getattr(fresh, name)[:len(keep)] = column[keep]
                 setattr(self, name, getattr(fresh, name))
 
-    def write_back(self, sel: np.ndarray, samples: list[int]) -> None:
+    def write_back(self, sel: np.ndarray) -> None:
         """Write rows ``sel`` back to their streams, credit their
-        reconstructions and fold their peaks with ``samples`` into the
-        tracker.  Retirement and the epoch exit share it, so a retired
-        row lands exactly as the exit would land it."""
+        reconstructions and fold their peaks into the tracker.
+        Retirement and the epoch exit share it, so a retired row lands
+        exactly as the exit would land it."""
         sched: CycleScheduler = self.sched
         pairs = self.pairs
         reads = self.next_read[sel].tolist()
@@ -436,7 +436,6 @@ class RowPool:
         if pairs is not None:
             sched._ff_credit(sum(rebuilt))
         sched.tracker.fold_epoch(
-            samples,
             {self.streams[i].stream_id: int(self.peak[i])
              for i in sel[self.peak[sel] > self.peak0[sel]].tolist()})
 
@@ -509,7 +508,7 @@ class _Epoch:
         "sched", "counts", "offsets", "member_disks", "next_pointers",
         "divisor", "degraded", "rebuilders", "phase_load", "placed",
         "active", "terminated", "num_disks", "pool_now", "limit_units",
-        "pool", "total_loads", "failed_ids", "samples", "admitted", "rejected",
+        "pool", "total_loads", "failed_ids", "admitted", "rejected",
     )
 
     def enter(self, sched: CycleScheduler, limit: int,
@@ -519,7 +518,6 @@ class _Epoch:
         after one walk over the stream table, the working set's tables,
         the held-parity check and the rebuild plans."""
         self.sched: CycleScheduler = sched
-        self.samples: list[int] = []
         self.admitted = self.rejected = 0
         width = sched.config.stripe_width
         rows: list[Stream] = []
@@ -733,7 +731,6 @@ class _Epoch:
                             - prel[pool.held_base + pool.next_del], 0)
         np.maximum(pool.peak, held, out=pool.peak)
         buffered = int(held.sum()) + self.pool_now
-        self.samples.append(buffered)
         report = CycleReport(
             cycle=cycle, reads_planned=planned, reads_executed=planned,
             parity_reads=parity_cycle, reconstructions=parity_cycle,
@@ -748,11 +745,10 @@ class _Epoch:
 
     def exit(self, done: int) -> None:
         """The exit step: write the rows, the disk read counters and the
-        tracker samples back to the Python objects."""
+        buffer peaks back to the Python objects."""
         sched: CycleScheduler = self.sched
         if done or self.admitted:
-            self.pool.write_back(np.arange(len(self.pool.streams)),
-                                 self.samples)
+            self.pool.write_back(np.arange(len(self.pool.streams)))
             disks = sched.array.disks
             for disk_id in np.nonzero(self.total_loads)[0]:
                 disks[int(disk_id)].reads += int(self.total_loads[disk_id])

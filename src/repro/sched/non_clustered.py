@@ -422,7 +422,7 @@ class NonClusteredScheduler(CycleScheduler):
         """Credit accumulator completions since the last report.
 
         Must happen *before* :meth:`SimulationReport.record` (not after,
-        as a ``run_cycle`` wrapper would) so bounded-tail reducers fold
+        as a ``run_cycle`` wrapper would) so the recorded cycle carries
         the credited count.
         """
         super()._finalise(report)

@@ -10,7 +10,7 @@ imports ``repro.server.metrics``/``repro.server.stream`` while the facade
 imports the schedulers, so an eager import here would be circular.
 """
 
-from repro.server.admission import AdmissionController, cluster_capacity
+from repro.server.admission import cluster_capacity
 from repro.server.metrics import (
     CycleReport,
     HiccupRecord,
@@ -19,7 +19,6 @@ from repro.server.metrics import (
 from repro.server.stream import Stream, StreamStatus
 
 __all__ = [
-    "AdmissionController",
     "CycleReport",
     "HiccupRecord",
     "MultimediaServer",

@@ -1,17 +1,13 @@
-"""Admission control: decide whether one more stream fits.
+"""Admission capacity: how many streams the server may carry right now.
 
-The controller enforces the scheme's analytic stream bound (equations
-8–11), optionally shaved by a *headroom* fraction.  Headroom is how the
-Improved-bandwidth scheme keeps the idle capacity its shift-right cascade
-needs — Section 4: "some small amount of idle capacity could be reserved in
-case of a disk failure".
-
-:func:`fault_aware_capacity` is the degraded-mode counterpart: it
-re-derives the effective stream capacity from the *live* fault-domain
-state of the disk array (fail-slow throttles plus a scheme-specific
-penalty for consumed redundancy), so the front door sheds or rejects
-instead of admitting load the degraded array will drop as slot-overflow
-hiccup storms.
+The scheduler's healthy admission limit is its per-disk slot budget, the
+discrete counterpart of the analytic stream bound of equations 8–11
+(:func:`repro.analysis.streams.max_streams`).  :func:`fault_aware_capacity`
+re-derives the effective capacity from the *live* fault-domain state of
+the disk array (fail-slow throttles plus a scheme-specific penalty for
+consumed redundancy), so the front door sheds or rejects instead of
+admitting load the degraded array will drop as slot-overflow hiccup
+storms.
 
 :func:`cluster_capacity` lifts the same idea one level up, to a sharded
 cluster: shards are fault-isolated (Viennot et al.'s independent-server
@@ -26,11 +22,6 @@ from typing import TYPE_CHECKING, Sequence
 
 if TYPE_CHECKING:
     from repro.disk.drive import DiskArray
-
-from repro.analysis.parameters import SystemParameters
-from repro.analysis.streams import max_streams
-from repro.errors import AdmissionError
-from repro.schemes import Scheme
 
 
 def fault_aware_capacity(base_limit: int, array: "DiskArray",
@@ -74,57 +65,3 @@ effective_admission_limit` — the fault-aware figure, not the healthy
             raise ValueError(
                 f"shard limit must be non-negative, got {limit}")
     return sum(shard_limits)
-
-
-class AdmissionController:
-    """Analytic-bound admission with optional reserved headroom."""
-
-    def __init__(self, params: SystemParameters, parity_group_size: int,
-                 scheme: Scheme, headroom_fraction: float = 0.0) -> None:
-        if not 0.0 <= headroom_fraction < 1.0:
-            raise ValueError(
-                f"headroom fraction must be in [0, 1), got {headroom_fraction}"
-            )
-        self.params = params
-        self.parity_group_size = parity_group_size
-        self.scheme = scheme
-        self.headroom_fraction = headroom_fraction
-        self._bound = max_streams(params, parity_group_size, scheme)
-        self.admitted = 0
-        self.rejected = 0
-
-    @property
-    def capacity(self) -> int:
-        """Admissible concurrent streams after headroom."""
-        return int(self._bound * (1.0 - self.headroom_fraction))
-
-    @property
-    def available(self) -> int:
-        """Streams that can still be admitted right now."""
-        return max(0, self.capacity - self.admitted)
-
-    def can_admit(self, count: int = 1) -> bool:
-        """Would ``count`` more streams fit?"""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        return self.admitted + count <= self.capacity
-
-    def admit(self, count: int = 1) -> None:
-        """Claim capacity for ``count`` streams (AdmissionError if full)."""
-        if not self.can_admit(count):
-            self.rejected += count
-            raise AdmissionError(
-                f"cannot admit {count} stream(s): {self.admitted} active, "
-                f"capacity {self.capacity}"
-            )
-        self.admitted += count
-
-    def release(self, count: int = 1) -> None:
-        """Return capacity when streams finish."""
-        if count < 1:
-            raise ValueError(f"count must be >= 1, got {count}")
-        if count > self.admitted:
-            raise ValueError(
-                f"releasing {count} streams but only {self.admitted} admitted"
-            )
-        self.admitted -= count

@@ -96,8 +96,7 @@ class MultimediaServer:
               verify_payloads: bool = False,
               start_cluster: Optional[int] = None,
               proactive_parity: bool = False,
-              mirror_read_balance: bool = False,
-              metrics_tail: Optional[int] = None) -> "MultimediaServer":
+              mirror_read_balance: bool = False) -> "MultimediaServer":
         """Assemble layout + array + scheduler for one scheme.
 
         ``catalog`` defaults to a small synthetic one (a few objects per
@@ -148,7 +147,7 @@ class MultimediaServer:
         scheduler = cls._make_scheduler(
             scheme, layout, array, config, protocol, pool_clusters,
             admission_limit, verify_payloads, proactive_parity,
-            mirror_read_balance, metrics_tail)
+            mirror_read_balance)
         return cls(layout, array, scheduler, catalog)
 
     @staticmethod
@@ -159,11 +158,9 @@ class MultimediaServer:
                         admission_limit: Optional[int],
                         verify_payloads: bool,
                         proactive_parity: bool = False,
-                        mirror_read_balance: bool = False,
-                        metrics_tail: Optional[int] = None) -> CycleScheduler:
+                        mirror_read_balance: bool = False) -> CycleScheduler:
         common = dict(admission_limit=admission_limit,
-                      verify_payloads=verify_payloads,
-                      metrics_tail=metrics_tail)
+                      verify_payloads=verify_payloads)
         if scheme is Scheme.STREAMING_RAID:
             return StreamingRAIDScheduler(layout, array, config, **common)
         if scheme is Scheme.STAGGERED_GROUP:

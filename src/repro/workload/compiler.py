@@ -54,8 +54,7 @@ class CompiledTrace:
                      cycle_length_s: float) -> "CompiledTrace":
         """Build a trace directly from per-cycle arrival batches.
 
-        The constructor for *derived* traces — per-shard partitions,
-        routed windows — where arrival cycles are already known and
+        The constructor for *derived* traces — routed windows — where arrival cycles are already known and
         re-synthesising arrival timestamps would only invite float
         rounding.  Batch order within a cycle is preserved; empty
         batches are dropped.
@@ -83,43 +82,13 @@ class CompiledTrace:
         """``(cycle, name)`` pairs in arrival order, optionally windowed.
 
         ``start``/``end`` bound the arrival cycle (half-open, like
-        ``range``); the global arrival order — ascending cycle, then
-        batch order — defines each request's *trace index*, the handle
-        :meth:`partition` assignments are keyed by.
+        ``range``); the order is ascending cycle, then batch order.
         """
         return [(cycle, name)
                 for cycle in self._cycles
                 if (start is None or cycle >= start)
                 and (end is None or cycle < end)
                 for name in self._batches[cycle]]
-
-    def partition(self, assignment: Sequence[int],
-                  shards: int) -> list["CompiledTrace"]:
-        """Split into per-shard traces by an arrival-order assignment.
-
-        ``assignment[i]`` names the shard of the ``i``-th request in
-        arrival order (the order :meth:`items` yields).  Every request
-        must be assigned to exactly one shard in ``range(shards)``;
-        concatenating the partitions' batches in shard order reproduces
-        this trace's requests exactly — deterministic per-shard trace
-        partitioning for the cluster front door.
-        """
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards}")
-        if len(assignment) != self.total:
-            raise ValueError(
-                f"assignment covers {len(assignment)} requests, trace "
-                f"has {self.total}")
-        batches: list[dict[int, list[str]]] = [{} for _ in range(shards)]
-        for (cycle, name), shard in zip(self.items(), assignment):
-            if not 0 <= shard < shards:
-                raise ValueError(
-                    f"assignment names shard {shard}, valid range is "
-                    f"0..{shards - 1}")
-            batches[shard].setdefault(cycle, []).append(name)
-        return [CompiledTrace.from_batches(shard_batches,
-                                           self.cycle_length_s)
-                for shard_batches in batches]
 
     def arrivals_in(self, cycle: int) -> tuple[str, ...]:
         """Object names requested during ``cycle``, in arrival order."""

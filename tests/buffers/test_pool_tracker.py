@@ -65,35 +65,17 @@ class TestBufferTracker:
         return stream
 
     def test_sample_counts_stream_buffers(self):
-        tracker = BufferTracker(0.05)
+        tracker = BufferTracker()
         assert tracker.sample([self.make_stream(3)]) == 3
 
     def test_extra_tracks_added(self):
-        tracker = BufferTracker(0.05)
+        tracker = BufferTracker()
         assert tracker.sample([self.make_stream(2)], extra_tracks=5) == 7
 
-    def test_peak_and_mean(self):
-        tracker = BufferTracker(0.05)
-        tracker.sample([self.make_stream(2)])
-        tracker.sample([self.make_stream(6)])
-        tracker.sample([self.make_stream(4)])
-        assert tracker.peak_tracks == 6
-        assert tracker.mean_tracks() == pytest.approx(4.0)
-        assert tracker.peak_mb == pytest.approx(0.3)
-
     def test_per_stream_peak(self):
-        tracker = BufferTracker(0.05)
+        tracker = BufferTracker()
         stream = self.make_stream(5)
         tracker.sample([stream])
         stream.take_track(0)
         tracker.sample([stream])
         assert tracker.stream_peak(0) == 5
-
-    def test_empty_tracker(self):
-        tracker = BufferTracker(0.05)
-        assert tracker.peak_tracks == 0
-        assert tracker.mean_tracks() == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            BufferTracker(0.0)

@@ -19,7 +19,8 @@ def test_repo_is_clean() -> None:
     cwd = os.getcwd()
     os.chdir(REPO_ROOT)
     try:
-        report = Analyzer().check_paths(["src", "tests"])
+        report = Analyzer().check_paths(
+            ["src", "tests", "benchmarks", "examples"])
     finally:
         os.chdir(cwd)
     assert report.files_checked > 100

@@ -2,8 +2,8 @@
 
 Every test builds two identical servers, drives one cycle-by-cycle and
 the other with ``fast_forward=True``, and compares a full state
-fingerprint — cycle reports, per-disk read counters, buffer-tracker
-samples and per-stream peaks, every stream's pointers, buffer contents,
+fingerprint — cycle reports (buffer occupancy included), per-disk read
+counters, per-stream buffer peaks, every stream's pointers, buffer contents,
 reconstruction credit, lost tracks and open accumulators, the
 rendered summary, and the fault bookkeeping (redundant fault commands,
 data-loss events).  Equality must hold whether the one epoch engine runs
@@ -54,7 +54,6 @@ def _fingerprint(server: MultimediaServer,
     return (
         tuple(tuple(sorted(row.items())) for row in server.report.to_rows()),
         tuple(disk.reads for disk in server.array.disks),
-        tuple(tracker.samples),
         streams,
         peaks,
         server.scheduler.cycle_index,

@@ -1,74 +1,9 @@
-"""Admission control against the analytic stream bounds."""
+"""Fault-aware and cluster-wide admission capacity."""
 
 import pytest
 
-from repro.analysis import SystemParameters
 from repro.disk import DiskArray, PAPER_TABLE1_DRIVE
-from repro.errors import AdmissionError
-from repro.schemes import Scheme
-from repro.server import AdmissionController
 from repro.server.admission import cluster_capacity, fault_aware_capacity
-
-P = SystemParameters.paper_table1()
-
-
-def test_capacity_matches_analytic_bound():
-    controller = AdmissionController(P, 5, Scheme.STREAMING_RAID)
-    assert controller.capacity == 1041
-
-
-def test_admit_and_release_cycle():
-    controller = AdmissionController(P, 5, Scheme.NON_CLUSTERED)
-    controller.admit(100)
-    assert controller.admitted == 100
-    assert controller.available == 866
-    controller.release(50)
-    assert controller.admitted == 50
-
-
-def test_rejection_at_capacity():
-    controller = AdmissionController(P, 5, Scheme.STAGGERED_GROUP)
-    controller.admit(966)
-    with pytest.raises(AdmissionError):
-        controller.admit()
-    assert controller.rejected == 1
-
-
-def test_headroom_shaves_capacity():
-    """Section 4: IB reserves idle capacity for the shift cascade."""
-    plain = AdmissionController(P, 5, Scheme.IMPROVED_BANDWIDTH)
-    reserved = AdmissionController(P, 5, Scheme.IMPROVED_BANDWIDTH,
-                                   headroom_fraction=0.05)
-    assert plain.capacity == 1263
-    assert reserved.capacity == int(1263 * 0.95)
-
-
-def test_can_admit_is_side_effect_free():
-    controller = AdmissionController(P, 5, Scheme.STREAMING_RAID)
-    assert controller.can_admit(1041)
-    assert not controller.can_admit(1042)
-    assert controller.admitted == 0
-
-
-def test_release_more_than_admitted_rejected():
-    controller = AdmissionController(P, 5, Scheme.STREAMING_RAID)
-    controller.admit(2)
-    with pytest.raises(ValueError):
-        controller.release(3)
-
-
-def test_invalid_headroom_rejected():
-    with pytest.raises(ValueError):
-        AdmissionController(P, 5, Scheme.STREAMING_RAID,
-                            headroom_fraction=1.0)
-
-
-def test_invalid_counts_rejected():
-    controller = AdmissionController(P, 5, Scheme.STREAMING_RAID)
-    with pytest.raises(ValueError):
-        controller.can_admit(0)
-    with pytest.raises(ValueError):
-        controller.release(0)
 
 
 class TestFaultAwareCapacity:

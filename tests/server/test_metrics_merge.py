@@ -1,12 +1,9 @@
-"""SimulationReport/MetricsReducer merge: exact totals across shards."""
+"""SimulationReport merge: exact totals across shards."""
 
 from __future__ import annotations
 
-import pytest
-
 from repro.server.metrics import (CycleReport, DataLossEvent, HiccupCause,
-                                  HiccupRecord, MetricsReducer,
-                                  SimulationReport)
+                                  HiccupRecord, SimulationReport)
 
 
 def cycle(index: int, delivered: int = 0, hiccups: int = 0,
@@ -26,9 +23,8 @@ def cycle(index: int, delivered: int = 0, hiccups: int = 0,
     return report
 
 
-def build(cycles: list[CycleReport],
-          tail: int | None = None) -> SimulationReport:
-    report = SimulationReport(tail=tail)
+def build(cycles: list[CycleReport]) -> SimulationReport:
+    report = SimulationReport()
     for cycle_report in cycles:
         report.record(cycle_report)
     return report
@@ -39,8 +35,6 @@ def test_merge_of_empty_reports_is_empty() -> None:
     assert merged.cycles == []
     assert merged.total_delivered == 0
     assert merged.total_hiccups == 0
-    assert merged.tail is None
-    assert merged.reducer is None
 
 
 def test_merge_with_empty_keeps_singleton_totals() -> None:
@@ -54,58 +48,29 @@ def test_merge_with_empty_keeps_singleton_totals() -> None:
 
 
 def test_merge_sums_totals_and_interleaves_cycles() -> None:
-    left = build([cycle(0, delivered=5), cycle(2, delivered=1, hiccups=1)])
-    right = build([cycle(1, delivered=4, parity=2), cycle(2, delivered=3)])
+    left = build([cycle(0, delivered=5, buffered=8),
+                  cycle(2, delivered=1, hiccups=1)])
+    right = build([cycle(1, delivered=4, parity=2, buffered=3),
+                   cycle(2, delivered=3)])
     merged = left.merge(right)
     assert merged.total_delivered == 13
     assert merged.total_hiccups == 1
     assert merged.total_parity_reads == 2
+    assert merged.hiccups_by_cause() == {HiccupCause.DISK_FAILURE: 1}
+    # Shards share no buffers: the merged peak is the larger peak.
+    assert merged.peak_buffered_tracks == 8
     # Server-cycles interleave by cycle index; equal indices both kept.
     assert [c.cycle for c in merged.cycles] == [0, 1, 2, 2]
 
 
 def test_merge_does_not_mutate_inputs() -> None:
-    left = build([cycle(0, delivered=5)], tail=4)
+    left = build([cycle(0, delivered=5)])
     right = build([cycle(1, delivered=2)])
     left_cycles = list(left.cycles)
-    left_delivered = left.reducer.tracks_delivered
     left.merge(right)
     assert left.cycles == left_cycles
-    assert left.reducer.tracks_delivered == left_delivered
-    assert right.tail is None and right.reducer is None
-
-
-def test_mixed_tail_merge_keeps_totals_exact() -> None:
-    # Tail-bounded side has already discarded its early cycle objects,
-    # but its reducer still carries the whole run.
-    bounded = build([cycle(i, delivered=10, buffered=i) for i in range(6)],
-                    tail=2)
-    assert len(bounded.cycles) == 2
-    unbounded = build([cycle(i, delivered=1, hiccups=1) for i in range(3)])
-    merged = bounded.merge(unbounded)
-    assert merged.tail == 2
-    assert len(merged.cycles) == 2
-    assert merged.total_delivered == 63
-    assert merged.total_hiccups == 3
-    assert merged.reducer is not None
-    assert merged.reducer.peak_buffered_tracks == 5
-
-
-def test_merged_tail_is_the_smaller_tail() -> None:
-    left = build([cycle(i, delivered=2) for i in range(5)], tail=4)
-    right = build([cycle(i, delivered=3) for i in range(5)], tail=3)
-    merged = left.merge(right)
-    assert merged.tail == 3
-    assert len(merged.cycles) == 3
-    assert merged.total_delivered == 25
-
-
-def test_merge_zero_tail_retains_no_cycles_but_exact_totals() -> None:
-    left = build([cycle(i, delivered=4) for i in range(4)], tail=0)
-    right = build([cycle(0, delivered=6)])
-    merged = left.merge(right)
-    assert merged.cycles == []
-    assert merged.total_delivered == 22
+    assert left.total_delivered == 5
+    assert [c.cycle for c in right.cycles] == [1]
 
 
 def test_merge_combines_loss_events_and_ff_diagnostics() -> None:
@@ -126,23 +91,3 @@ def test_merge_combines_loss_events_and_ff_diagnostics() -> None:
     assert merged.total_streams_shed == 1
     assert merged.ff_engaged_cycles == 14
     assert merged.ff_disengagements == {"fault": 3, "arrival": 1}
-
-
-def test_reducer_merge_counts_server_cycles_and_peak() -> None:
-    left = MetricsReducer()
-    right = MetricsReducer()
-    for i in range(3):
-        left.fold(cycle(i, delivered=2, buffered=8))
-    for i in range(3):
-        right.fold(cycle(i, delivered=5, hiccups=1, buffered=3))
-    left.merge(right)
-    assert left.cycles_seen == 6
-    assert left.tracks_delivered == 21
-    assert left.hiccups == 3
-    assert left.hiccup_counts == {HiccupCause.DISK_FAILURE: 3}
-    assert left.peak_buffered_tracks == 8
-
-
-def test_negative_tail_rejected() -> None:
-    with pytest.raises(ValueError, match="tail"):
-        SimulationReport(tail=-1)

@@ -1,4 +1,4 @@
-"""CompiledTrace batch construction, windowing, and shard partitioning."""
+"""CompiledTrace batch construction and windowing."""
 
 from __future__ import annotations
 
@@ -46,43 +46,3 @@ def test_items_yields_arrival_order_with_half_open_window() -> None:
     assert built.items(start=3, end=5) == [(3, "m2")]
     assert built.items(start=5) == [(5, "m0"), (5, "m3"), (5, "m1")]
     assert built.items(end=0) == []
-
-
-def test_partition_splits_and_reassembles_exactly() -> None:
-    built = trace()
-    assignment = [0, 1, 0, 1, 0, 1]
-    left, right = built.partition(assignment, shards=2)
-    assert left.items() == [(0, "m0"), (3, "m2"), (5, "m3")]
-    assert right.items() == [(0, "m1"), (5, "m0"), (5, "m1")]
-    assert left.total + right.total == built.total
-    assert left.cycle_length_s == built.cycle_length_s
-    # Re-merging the partitions' batches reproduces the original trace.
-    merged: dict[int, list[str]] = {}
-    for cycle, name in built.items():
-        merged.setdefault(cycle, []).append(name)
-    rebuilt = CompiledTrace.from_batches(merged, built.cycle_length_s)
-    assert rebuilt.digest() == built.digest()
-
-
-def test_partition_to_one_shard_is_identity() -> None:
-    built = trace()
-    (only,) = built.partition([0] * built.total, shards=1)
-    assert only.digest() == built.digest()
-
-
-def test_partition_may_leave_a_shard_empty() -> None:
-    built = trace()
-    first, second = built.partition([0] * built.total, shards=2)
-    assert first.total == built.total
-    assert second.total == 0
-    assert second.items() == []
-
-
-def test_partition_validates_assignment() -> None:
-    built = trace()
-    with pytest.raises(ValueError, match="assignment covers"):
-        built.partition([0], shards=2)
-    with pytest.raises(ValueError, match="names shard"):
-        built.partition([0, 0, 2, 0, 0, 0], shards=2)
-    with pytest.raises(ValueError, match="shards"):
-        built.partition([], shards=0)
