@@ -2,10 +2,10 @@
 at a host cost per cycle that stays flat in the run length.
 
 A 1000-disk Streaming-RAID farm under ~30 Zipf/Poisson arrivals per
-cycle against a 600-stream limit; the farm, trace, measured segment and
-the 300- vs 2,400-cycle scaling pair live in
-:mod:`repro.experiments.churnbench`, the engine pair and its verdict in
-:mod:`repro.experiments.harness`.  Results land in
+cycle against a 600-stream limit; the farm, trace, measured segment,
+the 300- vs 2,400-cycle scaling pair and its scalar twin (reported, not
+gated) live in :mod:`repro.experiments.churnbench`, the engine pair and
+its verdict in :mod:`repro.experiments.harness`.  Results land in
 ``benchmarks/BENCH_churn.json``::
 
     python benchmarks/bench_churn.py        # exits 1 when a gate fails
@@ -31,6 +31,10 @@ def test_churn_speedup_with_equality_guards():
         "trace digests diverge: the two runs did not consume the same "
         "request trace")
     assert scalar["rejected"] > 0, "trace never saturated the front door"
+    for side in ("reference", "candidate"):
+        assert (report["scalar_scaling"][side]["state_sha256"]
+                == report["pairs"]["scaling"][side]["state_sha256"]), (
+            "the scalar twin's state diverges from the engine's")
     assert not failed, failed
 
 

@@ -93,7 +93,7 @@ class CycleScheduler(abc.ABC):
     __slots__ = (
         "layout", "array", "config", "verify_payloads", "metadata_only",
         "track_bytes", "codec", "slot_table", "report", "tracker",
-        "cycle_index", "streams", "_next_stream_id",
+        "cycle_index", "streams", "_live", "_terminated", "_next_stream_id",
         "_lost_causes", "_last_executed", "_pending_reconstructions",
         "rebuilders", "_stripe", "_plan_cache", "_plan_cache_key",
         "_read_hook_active", "_delivery_hook_active",
@@ -134,7 +134,15 @@ class CycleScheduler(abc.ABC):
         self.report = SimulationReport()
         self.tracker = BufferTracker()
         self.cycle_index = 0
+        #: Every stream ever admitted, by id: the full record.
         self.streams: dict[int, Stream] = {}
+        #: The live index: the streams of ``streams`` not yet seen
+        #: finished, by id.  The per-cycle walks read it, so their cost
+        #: follows the live streams, not the run's history; only
+        #: :meth:`_prune_live` removes from it.
+        self._live: dict[int, Stream] = {}
+        #: ``TERMINATED`` streams pruned from the live index so far.
+        self._terminated = 0
         self._next_stream_id = 0
         #: (stream_id, track) -> why it will hiccup at delivery time.
         self._lost_causes: dict[tuple[int, int], HiccupCause] = {}
@@ -256,8 +264,13 @@ class CycleScheduler(abc.ABC):
 
     @property
     def active_streams(self) -> list[Stream]:
-        """Streams currently occupying server resources, by id."""
-        return [s for s in self.streams.values() if s.is_active]
+        """Streams currently occupying server resources, by id.
+
+        A walk over the live index, which still holds the streams that
+        left service since its last prune: they are skipped here, not
+        pruned (see :meth:`_prune_live`).
+        """
+        return [s for s in self._live.values() if s.is_active]
 
     @property
     def active_load(self) -> int:
@@ -314,7 +327,7 @@ class CycleScheduler(abc.ABC):
         """Rate-weighted load per read phase over the active streams."""
         width = self.config.stripe_width
         load = [0] * width
-        for stream in self.streams.values():
+        for stream in self._live.values():
             if stream.is_active:
                 load[stream.phase % width] += stream.rate
         return load
@@ -355,7 +368,7 @@ class CycleScheduler(abc.ABC):
             rate=rate,
         )
         self._next_stream_id += 1
-        self.streams[stream.stream_id] = stream
+        self.streams[stream.stream_id] = self._live[stream.stream_id] = stream
         phase_load[phase] += rate
         return stream
 
@@ -380,6 +393,28 @@ class CycleScheduler(abc.ABC):
         stream = self.streams[stream_id]
         stream.mark_lost(track)
         self._lost_causes.setdefault((stream_id, track), cause)
+
+    def _prune_live(self) -> None:
+        """Drop the streams that left service from the live index.
+
+        A ``TERMINATED`` stream joins the running ``_terminated`` count,
+        and a retired stream's pending hiccup causes go with it: it
+        never delivers again, so nothing else would pop them, and a
+        stale cause holds ``_ff_classify`` at ``pending-state``.  Runs
+        only in :meth:`_finalise`, at the epoch engine's entry and when
+        its row pool retires finished rows; never in a property or an
+        ff probe, which must not write state.
+        """
+        live = self._live
+        retired = [stream for stream in live.values() if not stream.is_active]
+        terminated = StreamStatus.TERMINATED
+        causes = self._lost_causes
+        for stream in retired:
+            del live[stream.stream_id]
+            if stream.status is terminated:
+                self._terminated += 1
+            for track in stream.lost_tracks:
+                causes.pop((stream.stream_id, track), None)
 
     # -- failure control ---------------------------------------------------------
 
@@ -758,7 +793,7 @@ class CycleScheduler(abc.ABC):
         """Why the current state refuses a fast-forward epoch, or None.
 
         Probes scheduler-wide state only; the per-stream checks run in
-        the engine's single entry walk over the stream table.  Checked
+        the engine's single entry walk over the live index.  Checked
         once per fast-forward entry (state cannot change under the
         engine's feet — fault commands only land between engine
         entries).  Cheapest checks first, so permanently ineligible runs
@@ -1256,16 +1291,14 @@ class CycleScheduler(abc.ABC):
         self._pending_reconstructions = 0
         report.streams_shed += self._pending_shed
         self._pending_shed = 0
-        active = terminated = 0
+        self._prune_live()
+        active = 0
         active_status = StreamStatus.ACTIVE
-        terminated_status = StreamStatus.TERMINATED
-        for stream in self.streams.values():
+        for stream in self._live.values():
             if stream.status is active_status:
                 active += 1
-            elif stream.status is terminated_status:
-                terminated += 1
         report.streams_active = active
-        report.streams_terminated = terminated
+        report.streams_terminated = self._terminated
         report.buffered_tracks = self.tracker.sample(
             self.active_streams, extra_tracks=self._extra_buffer_tracks())
         report.pool_tracks_in_use = self._extra_buffer_tracks()

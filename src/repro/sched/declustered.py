@@ -41,8 +41,8 @@ class DeclusteredParityScheduler(CycleScheduler):
     def plan_reads(self, cycle: int) -> list[PlannedRead]:
         """One full parity-group read per stream rate-unit per cycle."""
         plans: list[PlannedRead] = []
-        # Direct table iteration: no per-cycle snapshot list (churn path).
-        for stream in self.streams.values():
+        # Live-index walk: no per-cycle snapshot list (churn path).
+        for stream in self._live.values():
             if not stream.is_active:
                 continue
             for _ in range(stream.rate):

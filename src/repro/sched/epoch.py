@@ -387,6 +387,10 @@ class RowPool:
         if n + incoming <= size:
             return
         self.write_back(np.flatnonzero(~self.live[:n]))
+        # The retired streams are complete: prune them from the live
+        # index too, or a long epoch's admissions pile up there until
+        # the next entry.
+        self.sched._prune_live()
         keep = np.flatnonzero(self.live[:n])
         self.streams = [self.streams[i] for i in keep.tolist()]
         need = len(keep) + incoming
@@ -515,8 +519,9 @@ class _Epoch:
               arrivals: Optional[dict[int, tuple[MediaObject, ...]]],
               ) -> Optional[str]:
         """The entry step: a bail reason, or None with the rows filled
-        after one walk over the stream table, the working set's tables,
-        the held-parity check and the rebuild plans."""
+        after one walk over the scheduler's live index (pruned first, so
+        the walk visits only the streams in service), the working set's
+        tables, the held-parity check and the rebuild plans."""
         self.sched: CycleScheduler = sched
         self.admitted = self.rejected = 0
         width = sched.config.stripe_width
@@ -524,15 +529,12 @@ class _Epoch:
         objects: dict[str, MediaObject] = {}
         self.phase_load = phase_load = [0] * width
         parity_held = False
-        self.active = self.terminated = 0
-        for stream in sched.streams.values():
-            status = stream.status
-            if status is StreamStatus.ACTIVE:
+        sched._prune_live()
+        self.active = 0
+        self.terminated = sched._terminated
+        for stream in sched._live.values():
+            if stream.status is StreamStatus.ACTIVE:
                 self.active += 1
-            elif status is StreamStatus.TERMINATED:
-                self.terminated += 1
-            if not stream.is_active:
-                continue
             # The data buffer must be the contiguous range
             # [next_delivery, next_read): reconstruction lands a failed
             # member's track in the cycle its group is read, and holes

@@ -91,8 +91,8 @@ class ImprovedBandwidthScheduler(CycleScheduler):
         """Group data reads per stream; parity only for failure-hit groups
         (plus opportunistic prefetches when enabled)."""
         plans: list[PlannedRead] = []
-        # Direct table iteration: no per-cycle snapshot list (churn path).
-        for stream in self.streams.values():
+        # Live-index walk: no per-cycle snapshot list (churn path).
+        for stream in self._live.values():
             if not stream.is_active:
                 continue
             for _ in range(stream.rate):

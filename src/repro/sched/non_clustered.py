@@ -204,8 +204,8 @@ class NonClusteredScheduler(CycleScheduler):
     def plan_reads(self, cycle: int) -> list[PlannedRead]:
         """Rate-paced track reads, with degraded-mode bursts as needed."""
         plans: list[PlannedRead] = []
-        # Direct table iteration: no per-cycle snapshot list (churn path).
-        for stream in self.streams.values():
+        # Live-index walk: no per-cycle snapshot list (churn path).
+        for stream in self._live.values():
             if not stream.is_active:
                 continue
             target = self._schedule_target(stream, cycle)

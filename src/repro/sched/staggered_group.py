@@ -33,8 +33,8 @@ class StaggeredGroupScheduler(CycleScheduler):
     def plan_reads(self, cycle: int) -> list[PlannedRead]:
         """Group reads for the streams whose phase matches this cycle."""
         plans: list[PlannedRead] = []
-        # Direct table iteration: no per-cycle snapshot list (churn path).
-        for stream in self.streams.values():
+        # Live-index walk: no per-cycle snapshot list (churn path).
+        for stream in self._live.values():
             if not stream.is_active:
                 continue
             if not self._in_phase(stream, cycle):

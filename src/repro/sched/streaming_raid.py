@@ -24,10 +24,11 @@ class StreamingRAIDScheduler(CycleScheduler):
     def plan_reads(self, cycle: int) -> list[PlannedRead]:
         """One full parity-group read per stream rate-unit per cycle."""
         plans: list[PlannedRead] = []
-        # Iterate the stream table directly: planning runs every cycle,
-        # and the ``active_streams`` snapshot list is allocation the
-        # churn path cannot afford at VoD stream counts.
-        for stream in self.streams.values():
+        # Walk the live index directly: planning runs every cycle, and
+        # the ``active_streams`` snapshot list is allocation the churn
+        # path cannot afford at VoD stream counts.  The index still holds
+        # the streams finished since its last prune, hence the skip.
+        for stream in self._live.values():
             if not stream.is_active:
                 continue
             # A rate-r stream consumes r parity groups per cycle; live

@@ -109,7 +109,8 @@ def test_compaction_keeps_survivors_in_order(incoming: int,
                                              size: int) -> None:
     """Row 1 finished: the survivors keep their order, and the pool grows
     to ``max(need, 2 x size)`` only when they and the incoming rows do
-    not fit in the old size."""
+    not fit in the old size.  Retiring row 1 also prunes its stream
+    from the scheduler's live index."""
     pool, streams = _pool_of_four()
     pool.live[1] = False
     pool.next_del[1] = streams[1].num_tracks
@@ -123,3 +124,5 @@ def test_compaction_keeps_survivors_in_order(incoming: int,
     assert pool.live.tolist() == [True] * 3 + [False] * (size - 3)
     assert streams[1].status is StreamStatus.COMPLETED
     assert streams[1].next_read_track == 11
+    # The retired stream leaves the scheduler's live index with its row.
+    assert list(pool.sched._live) == [s.stream_id for s in pool.streams]
