@@ -29,7 +29,7 @@ from typing import Any, Optional
 
 from repro.analysis.parameters import SystemParameters
 from repro.faults.domain import SectorScrubber
-from repro.faults.injector import FaultAction, FaultEvent
+from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
 from repro.schemes import Scheme
@@ -39,13 +39,6 @@ from repro.units import kilobytes
 #: Track payload size for chaos servers: tiny (64 bytes), so payload-mode
 #: replays (the mode-equivalence invariant) stay cheap.
 TRACK_SIZE_MB = kilobytes(0.064)
-
-#: Shortest inter-event window worth handing to an epoch engine.  Epoch
-#: entry pays fixed costs (read-table builds, per-stream canonical
-#: checks) that a couple of batched cycles cannot repay; shorter gaps
-#: run scalar.  Purely a scheduling policy: the engines are bit-equal to
-#: the scalar loop either way, so the replay digest is unaffected.
-MIN_EPOCH_SPAN = 4
 
 
 @dataclass(frozen=True)
@@ -237,61 +230,23 @@ def replay(scheme: Scheme, events: list[FaultEvent], cycles: int,
            profile: Optional[ChaosProfile] = None) -> dict[str, Any]:
     """Replay a fault script on a fresh server; returns the snapshot.
 
-    With ``fast_forward`` the replay segments the campaign at the
-    script's event cycles and lets the epoch engine (healthy *and*
-    stable-degraded) batch the cycles in between; the segmentation rules
-    keep the snapshot bit-identical to the scalar loop:
-
-    * an epoch stops at :meth:`FaultSchedule.epoch_end` — it never
-      crosses a scripted event (faults land on exactly the cycle the
-      scalar loop applies them), and the cycle feeding a mid-cycle
-      strike runs scalar;
-    * the admission batch runs at every scalar cycle top, so an epoch is
-      only attempted while every object is playing (a stream completion
-      ends the epoch via ``stop_on_completion`` and hands the next cycle
-      back to admission — and to the per-cycle rejection tally);
-    * the scrubber's idle passes are credited in bulk only when its
-      pending set is empty; any outstanding latent error keeps the loop
-      scalar (the engines refuse those states anyway);
-    * an epoch is only attempted on a window of at least
-      ``MIN_EPOCH_SPAN`` cycles — entering an engine costs a table
-      build and per-stream canonical checks, which a two-cycle gap
-      between storm events can never repay.
+    One ``run_churn`` call: the script's events before ``cycles``; a
+    closed loop of arrivals (every title not playing, at every top), so
+    degraded-mode admission meets every fault transition; and a scrub
+    pass at every top after the first, ahead of its faults, so a fresh
+    latent error stays readable by streams for a cycle.  The snapshot is
+    bit-identical with ``fast_forward`` on or off.
     """
-    from repro.faults.injector import FaultSchedule
+    from repro.sched.epoch import ClosedLoop
     server = build_chaos_server(scheme, verify_payloads=verify_payloads,
                                 profile=profile)
-    schedule = FaultSchedule(events)
     scrubber = SectorScrubber(server.array, tracks_per_pass=2)
-    scheduler = server.scheduler
-    catalog = server.catalog
-    names = catalog.names()
-    rejected = 0
-    cycle = 0
-    while cycle < cycles:
-        schedule.apply(scheduler, server.cycle_index)
-        # Keep the front door busy: one stream per object whenever the
-        # previous one finished — a deterministic arrival process that
-        # exercises degraded-mode admission on every fault transition.
-        # The cycle's missing titles arrive as one batch, in name order;
-        # with none refused, every title is playing.
-        playing = {s.object.name for s in scheduler.active_streams}
-        refused = scheduler.admit_batch(
-            [catalog.get(name) for name in names if name not in playing])[1]
-        rejected += refused
-        if fast_forward and not refused and not scrubber.has_pending():
-            limit = schedule.epoch_end(cycle, cycles) - cycle
-            advanced = (scheduler.run_epoch(limit, stop_on_completion=True)
-                        if limit >= MIN_EPOCH_SPAN else 0)
-            if advanced:
-                scrubber.advance_idle(advanced)
-                cycle += advanced
-                continue
-        server.run_cycle()
-        # The patrol scrub runs between cycles, so a fresh latent error
-        # is readable-by-streams for at least one cycle.
-        scrubber.step()
-        cycle += 1
+    schedule = FaultSchedule([e for e in events if e.cycle < cycles],
+                             (scrubber, range(1, cycles + 1)))
+    rejected = server.scheduler.run_churn(
+        cycles, ClosedLoop(tuple(server.catalog.objects())), fast_forward,
+        schedule)[2]
+    schedule.apply(server.scheduler, cycles)  # the last pass
     snap = snapshot(server, scrubber)
     snap["admissions_rejected"] = rejected
     return snap

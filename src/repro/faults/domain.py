@@ -15,9 +15,9 @@ two pieces that sit *around* it:
   the array's fault index lists, in a deterministic order, and repairs
   a bounded number per pass — the background patrol that keeps a latent
   error from surviving long enough to meet a disk failure in the same
-  parity group.  Its driver calls :meth:`SectorScrubber.step` between
-  cycles: once per cycle in the chaos harness, once per scrub interval
-  in ``run_timed``.
+  parity group.  A :class:`~repro.faults.injector.FaultSchedule`'s
+  patrol runs :meth:`SectorScrubber.step` at each pass's cycle top (every
+  top in chaos, every scrub interval in ``run_timed``).
 """
 
 from __future__ import annotations
@@ -89,15 +89,6 @@ class SectorScrubber:
                 for disk_id in sorted(faults.media - faults.failed)
                 for position in disks[disk_id].media_error_positions()]
 
-    def has_pending(self) -> bool:
-        """True if any non-failed disk holds an unscrubbed error.
-
-        The cheap emptiness probe for per-cycle gates (the fast-forward
-        drivers ask every cycle): two index sets, no list building.
-        """
-        faults = self.array.faults
-        return not faults.media.issubset(faults.failed)
-
     def step(self) -> int:
         """Run one scrub pass; returns the number of errors repaired."""
         self.passes_run += 1
@@ -111,11 +102,9 @@ class SectorScrubber:
     def advance_idle(self, passes: int) -> None:
         """Credit ``passes`` patrol passes that found nothing to scrub.
 
-        The patrol keeps no cursor between passes (each :meth:`step`
-        re-sorts the pending set), so when nothing is pending a pass only
-        increments the counter — a fast-forwarded span of cycles can
-        credit them in bulk.  Callers must gate on :meth:`pending` being
-        empty; this method only bumps the tally.
+        With nothing pending a pass only bumps the counter (the patrol
+        keeps no cursor), so an epoch, which never runs with a media
+        error, credits the passes it crossed in bulk.
         """
         if passes < 0:
             raise ValueError("cannot credit a negative number of passes")

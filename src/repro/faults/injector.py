@@ -17,12 +17,15 @@ from __future__ import annotations
 import bisect
 import enum
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
+    from repro.faults.domain import SectorScrubber
     from repro.sched.base import CycleScheduler
 
+from repro.errors import ConfigurationError
 from repro.sim.rng import RandomSource
 
 
@@ -94,9 +97,14 @@ class FaultSchedule:
 
     Events are indexed by cycle at construction, so the per-cycle lookup
     in the simulation loop is O(events due), not O(total events).
+    ``patrol``, a ``(scrubber, tops)`` pair, adds one
+    :class:`~repro.faults.domain.SectorScrubber` pass at each listed
+    cycle top (a top may repeat), ahead of that top's events.
     """
 
-    def __init__(self, events: Iterable[FaultEvent] = ()) -> None:
+    def __init__(self, events: Iterable[FaultEvent] = (),
+                 patrol: Optional[tuple["SectorScrubber", Iterable[int]]]
+                 = None) -> None:
         # Stable sort by cycle ONLY: within a cycle the script's order is
         # semantic (a repair may re-qualify a disk for the degrade that
         # follows it), and enum members are not orderable anyway.
@@ -108,6 +116,8 @@ class FaultSchedule:
         self._mid_cycle_strikes = frozenset(
             event.cycle for event in self._events
             if event.action is FaultAction.FAIL and event.mid_cycle)
+        self.scrubber = patrol[0] if patrol is not None else None
+        self._passes = Counter(patrol[1] if patrol is not None else ())
 
     @classmethod
     def single_failure(cls, cycle: int, disk_id: int,
@@ -178,13 +188,26 @@ class FaultSchedule:
                 if index < len(self._cycles) else end)
         return stop - 1 if stop in self._mid_cycle_strikes else stop
 
+    def credit_passes(self, first: int, stop: int) -> None:
+        """Credit the scrub passes at tops ``first..stop - 1`` as idle."""
+        if self.scrubber is not None:
+            self.scrubber.advance_idle(
+                sum(self._passes[top] for top in range(first, stop)))
+
     def apply(self, scheduler: "CycleScheduler",
               cycle: int) -> list[FaultEvent]:
-        """Apply this schedule's events due before ``cycle``; returns them.
+        """Run the scrub passes at ``cycle``'s top, then apply the events
+        due before ``cycle``; returns the events.
 
-        Raises :class:`~repro.errors.LayoutError` if an event names a
-        disk the scheduler's array does not have.
+        Raises :class:`~repro.errors.ConfigurationError` if the patrol
+        belongs to another array, :class:`~repro.errors.LayoutError` if
+        an event names a disk the scheduler's array does not have.
         """
+        if self.scrubber is not None:
+            if self.scrubber.array is not scheduler.array:
+                raise ConfigurationError("the patrol scrubs another array")
+            for _ in range(self._passes[cycle]):
+                self.scrubber.step()
         due = self.events_before_cycle(cycle)
         for event in due:
             if event.action is FaultAction.FAIL:

@@ -146,7 +146,9 @@ def measure_rebuild_window(server: Any, disk_id: int = 0,
     run rides the stable-degraded epoch engine (the scalar loop is
     bit-identical, just slower); the returned window reports how many
     cycles the engine actually served so callers can assert fast-path
-    residency.
+    residency.  It runs in ``run_churn`` chunks of ⌈remaining blocks /
+    ``writes_per_cycle``⌉ cycles, the fewest that could finish the
+    rebuild, so it completes only in a chunk's last cycle.
     """
     scheduler = server.scheduler
     scheduler.fail_disk(disk_id)
@@ -161,11 +163,10 @@ def measure_rebuild_window(server: Any, disk_id: int = 0,
                 f"rebuild of disk {disk_id} not finished after "
                 f"{max_cycles} cycles ({rebuilder.blocks_rebuilt}/"
                 f"{rebuilder.total_blocks} blocks)")
-        if fast_forward:
-            advanced = scheduler.run_epoch(max_cycles - elapsed)
-            if advanced:
-                continue
-        scheduler.run_cycle()
+        remaining = rebuilder.total_blocks - rebuilder.blocks_rebuilt
+        scheduler.run_churn(
+            min(-(-remaining // rebuilder.writes_per_cycle),
+                max_cycles - elapsed), {}, fast_forward)
     cycles = scheduler.cycle_index - start
     return RebuildWindow(
         cycles=cycles,

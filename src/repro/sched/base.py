@@ -22,6 +22,7 @@ metrics — lives here so the four schemes stay comparable.
 from __future__ import annotations
 
 import abc
+from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -58,6 +59,12 @@ from repro.server.metrics import (
     SimulationReport,
 )
 from repro.server.stream import Stream, StreamStatus
+
+#: Shortest window :meth:`CycleScheduler.run_churn` hands the epoch engine
+#: when an event cuts it short (a couple of batched cycles cannot repay an
+#: entry); a window that reaches the run's end is entered however short.
+MIN_EPOCH_SPAN = 4
+
 
 class GroupPlan:
     """The cached read plan for one (object, group) under one epoch.
@@ -839,17 +846,15 @@ class CycleScheduler(abc.ABC):
         tally = self.report.ff_disengagements
         tally[reason] = tally.get(reason, 0) + 1
 
-    def run_epoch(self, limit: int, stop_on_completion: bool = False) -> int:
+    def run_epoch(self, limit: int, reports: list[CycleReport],
+                  arrivals: epoch.Arrivals) -> tuple[int, int, int, bool]:
         """Advance up to ``limit`` cycles on the fast-forward engine.
 
-        The public entry point for drivers (chaos replay, reliability
-        probes) that manage their own cycle loop: cycles are recorded on
-        :attr:`report` exactly as scalar cycles would be, and the return
-        value says how far the engine got — 0 means the current state is
-        not fast-forwardable and the caller should fall back to
-        :meth:`run_cycle`.
+        :meth:`run_churn`'s engine entry, :func:`repro.sched.epoch.run`,
+        a method of its own so a span tracer can count entries by name.
+        Returns ``(cycles done, admitted, rejected, consumed)``.
         """
-        return epoch.run(self, limit, [], stop_on_completion)[0]
+        return epoch.run(self, limit, reports, arrivals)
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
         """Static read-gate parameters for the epoch engine.
@@ -888,24 +893,23 @@ class CycleScheduler(abc.ABC):
 
     # -- churn -------------------------------------------------------------------------
 
-    def run_churn(self, count: int,
-                  arrivals: dict[int, tuple[MediaObject, ...]],
+    def run_churn(self, count: int, arrivals: epoch.Arrivals,
                   fast_forward: bool = True,
                   schedule: Optional["FaultSchedule"] = None,
                   ) -> tuple[list[CycleReport], int, int]:
         """Run ``count`` cycles with per-cycle arrivals and scripted faults.
 
-        The one loop that mixes fault events, arrival batches, engine
-        epochs and scalar cycles.  ``arrivals`` maps *absolute*
-        cycle indices to the objects requested in that cycle.  Each
-        cycle first applies the ``schedule``'s events due at its top.
-        With ``fast_forward`` on, the epoch engine (:mod:`repro.sched.epoch`)
-        then runs up to :meth:`FaultSchedule.epoch_end`, admitting each
-        batch in-engine.  A cycle the engine did not reach runs scalar:
-        :meth:`admit_batch` at the front door, then :meth:`run_cycle`;
-        with ``fast_forward`` off every cycle does.  Results are
-        bit-identical either way.  Returns ``(reports, admitted,
-        rejected)``.
+        The one loop that chooses between the epoch engine and scalar
+        cycles.  ``arrivals`` maps *absolute* cycle indices to the objects
+        requested in that cycle, or is a closed loop
+        (:class:`~repro.sched.epoch.ClosedLoop`).  Each cycle first
+        applies the ``schedule`` at its top: scrub passes, then events.
+        With ``fast_forward`` on, :meth:`run_epoch` then runs up to
+        :meth:`FaultSchedule.epoch_end` (unless an event cuts that window
+        below :data:`MIN_EPOCH_SPAN`), admitting each batch in-engine.  A
+        cycle the engine did not reach runs scalar: :meth:`admit_batch`,
+        then :meth:`run_cycle`.  Results are bit-identical either way.
+        Returns ``(reports, admitted, rejected)``.
         """
         reports: list[CycleReport] = []
         admitted = rejected = 0
@@ -918,14 +922,22 @@ class CycleScheduler(abc.ABC):
             if fast_forward:
                 stop = (end if schedule is None
                         else schedule.epoch_end(cycle, end))
-                if stop > cycle:
-                    _done, a, r, consumed = epoch.run(
-                        self, stop - cycle, reports, arrivals=arrivals)
+                if stop == end or stop - cycle >= MIN_EPOCH_SPAN:
+                    _done, a, r, consumed = self.run_epoch(
+                        stop - cycle, reports, arrivals)
                     admitted += a
                     rejected += r
+                    if schedule is not None:
+                        # An epoch runs no media error, so the passes at
+                        # its tops (and at a bail's, run below) are idle.
+                        schedule.credit_passes(
+                            cycle + 1, min(self.cycle_index + 1, stop))
                     if self.cycle_index == stop:
                         continue
-            batch = arrivals.get(self.cycle_index)
+            batch = (arrivals.missing(Counter(
+                s.object.name for s in self.active_streams))
+                if isinstance(arrivals, epoch.ClosedLoop)
+                else arrivals.get(self.cycle_index))
             if batch and not consumed:
                 streams, r = self.admit_batch(list(batch))
                 admitted += len(streams)

@@ -26,13 +26,14 @@ One mechanism covers every stable state:
 * **mixed rates** — a rate-``r`` row takes up to ``r`` table steps per
   cycle, each gated like the first, as the scalar planners plan ``rate``
   group reads or quanta per stream;
-* **churn** — each ``arrivals`` cycle admits its batch through the
-  *same* ``_admit_checked`` decision the scalar front door uses, against
+* **churn** — each cycle admits its batch through the *same*
+  ``_admit_checked`` decision the scalar front door uses, against
   ``effective_admission_limit`` (constant for the epoch: every
   ``_capacity_penalty`` is a pure function of array/layout/
   degraded-cluster state, which only changes on the transitions the
   engine bails on); accepted streams join the pool at read pointer 0,
-  which is trivially canonical.
+  which is trivially canonical.  A trace's batch is its ``arrivals``
+  entry, a :class:`ClosedLoop`'s every title with no row in service.
 
 The engine bails only on state transitions: a rebuild that could
 complete, a stream crossing an unreconstructable position, a mid-group
@@ -46,6 +47,8 @@ and ``_ff_note``, the scheme hooks (``_fast_forward_ready``,
 
 from __future__ import annotations
 
+from collections import Counter
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
@@ -64,6 +67,22 @@ if TYPE_CHECKING:
 #: that factor when retiring finished rows leaves no room for a batch.
 _ROW_FLOOR = 64
 _ROW_GROWTH = 2
+
+
+@dataclass(frozen=True, slots=True)
+class ClosedLoop:
+    """Closed-loop arrivals: at each cycle top, every title with no
+    stream in service arrives again, in catalog order."""
+
+    titles: tuple[MediaObject, ...]
+
+    def missing(self, serving: Counter[str]) -> tuple[MediaObject, ...]:
+        """One top's batch: the titles with no stream in ``serving``."""
+        return tuple(obj for obj in self.titles if not serving[obj.name])
+
+
+#: Request batches by absolute cycle, or a closed loop.
+Arrivals = Union[dict[int, tuple[MediaObject, ...]], ClosedLoop]
 
 
 def object_geometry(sched: CycleScheduler, obj: MediaObject,
@@ -445,16 +464,11 @@ class RowPool:
 
 
 def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
-        stop_on_completion: bool = False,
-        arrivals: Optional[dict[int, tuple[MediaObject, ...]]] = None,
-        ) -> tuple[int, int, int, bool]:
-    """Advance up to ``limit`` cycles on the batched epoch engine.
+        arrivals: Arrivals) -> tuple[int, int, int, bool]:
+    """Advance up to ``limit`` (>= 1) cycles on the batched epoch engine.
 
     Refreshes the plan cache and asks ``_ff_classify`` whether the state
     allows an epoch at all; then the entry, stage, commit and exit steps.
-    With ``stop_on_completion`` it also stops right after a cycle in
-    which a stream completed, so drivers that re-admit per completed
-    object observe scalar admission timing.
 
     Returns ``(cycles done, admitted, rejected, consumed)`` where
     ``consumed`` means the *current* cycle's arrivals were already
@@ -463,8 +477,6 @@ def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
     tallied once through ``_ff_note``.
     """
     sched._refresh_plan_cache()
-    if limit <= 0:
-        return 0, 0, 0, False
     epoch = _Epoch()
     bail = sched._ff_classify() or epoch.enter(sched, limit, arrivals)
     if bail is not None:
@@ -485,20 +497,14 @@ def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
             # admitted.
             bail = "rebuild-complete"
             break
-        batch = arrivals.get(cycle) if arrivals else None
-        if batch:
-            consumed = True
-            epoch.admit(cycle, batch)
+        consumed = epoch.admit(cycle)
         staged = epoch.stage(cycle)
         if isinstance(staged, str):
             bail = staged
             break
-        finished = epoch.commit(cycle, staged, reports)
+        epoch.commit(cycle, staged, reports)
         done += 1
         consumed = False
-        if stop_on_completion and finished:
-            bail = "stream-completed"
-            break
     epoch.exit(done)
     sched._ff_note(bail)
     return done, epoch.admitted, epoch.rejected, consumed
@@ -510,14 +516,14 @@ class _Epoch:
 
     __slots__ = (
         "sched", "counts", "offsets", "member_disks", "next_pointers",
-        "divisor", "degraded", "rebuilders", "phase_load", "placed",
+        "divisor", "degraded", "rebuilders", "phase_load", "loop", "trace",
         "active", "terminated", "num_disks", "pool_now", "limit_units",
         "pool", "total_loads", "failed_ids", "admitted", "rejected",
+        "serving",
     )
 
     def enter(self, sched: CycleScheduler, limit: int,
-              arrivals: Optional[dict[int, tuple[MediaObject, ...]]],
-              ) -> Optional[str]:
+              arrivals: Arrivals) -> Optional[str]:
         """The entry step: a bail reason, or None with the rows filled
         after one walk over the scheduler's live index (pruned first, so
         the walk visits only the streams in service), the working set's
@@ -547,19 +553,26 @@ class _Epoch:
             rows.append(stream)
             phase_load[stream.phase % width] += stream.rate
             objects.setdefault(stream.object.name, stream.object)
-        # Placed arrivals per window cycle: the most rows its batch adds.
-        self.placed: dict[int, int] = {}
-        if arrivals:
+        placed = 0  # arrivals in the window that are on disk
+        self.loop: Optional[ClosedLoop] = None
+        if isinstance(arrivals, ClosedLoop):
+            # Rows in service per title; every title may arrive.
+            self.loop = arrivals
+            self.serving = Counter(stream.object.name for stream in rows)
+            window = {sched.cycle_index: arrivals.titles}
+        else:
+            self.trace = window = arrivals
+        if window:
             # Working set: live objects plus every placed arrival in the
             # window (unplaced ones are rejected in-engine).
             start_cycle = sched.cycle_index
             has_object = sched.layout.has_object
-            for cycle, batch in arrivals.items():
+            for cycle, batch in window.items():
                 if not start_cycle <= cycle < start_cycle + limit:
                     continue
                 for obj in batch:
                     if has_object(obj.name):
-                        self.placed[cycle] = self.placed.get(cycle, 0) + 1
+                        placed += 1
                         objects.setdefault(obj.name, obj)
         if objects:
             tables = flat_tables(sched, list(objects.values()))
@@ -589,11 +602,10 @@ class _Epoch:
         self.pool_now = sched._extra_buffer_tracks()
         self.limit_units = sched.effective_admission_limit() if arrivals \
             else 0
-        # The worst case is every placed arrival admitted: a window with
-        # no streams and no placed arrivals allocates nothing.
+        # Room for the live rows and the window's placed arrivals: a
+        # window with no streams and no placed arrivals allocates nothing.
         n = len(rows)
-        self.pool = RowPool(min(n + sum(self.placed.values()),
-                                max(_ROW_FLOOR, _ROW_GROWTH * n)),
+        self.pool = RowPool(min(n + placed, max(_ROW_FLOOR, _ROW_GROWTH * n)),
                             sched, bases, pairs)
         self.pool.fill(rows)
         self.num_disks = len(sched.array.disks)
@@ -601,9 +613,14 @@ class _Epoch:
         self.failed_ids = np.asarray(sched.array.failed_ids, dtype=np.int64)
         return None
 
-    def admit(self, cycle: int, batch: tuple[MediaObject, ...]) -> None:
-        """Admit one cycle's batch through the scalar decision."""
-        self.pool.make_room(self.placed.get(cycle, 0))
+    def admit(self, cycle: int) -> bool:
+        """Admit ``cycle``'s batch through the scalar decision; False if
+        none arrived."""
+        loop = self.loop
+        batch = (loop.missing(self.serving) if loop is not None
+                 else self.trace.get(cycle))
+        if not batch:
+            return False
         streams: list[Stream] = []
         for obj in batch:
             try:
@@ -613,7 +630,11 @@ class _Epoch:
                 self.rejected += 1
         if streams:
             self.admitted += len(streams)
+            self.pool.make_room(len(streams))
             self.pool.fill(streams)
+            if self.loop is not None:
+                self.serving.update(s.object.name for s in streams)
+        return True
 
     def stage(self, cycle: int) -> Union[str, tuple]:
         """Stage ``cycle`` without mutating anything: the bail reason of
@@ -672,9 +693,9 @@ class _Epoch:
         return due, steps, pointer, planned_total, loads
 
     def commit(self, cycle: int, staged: tuple,
-               reports: list[CycleReport]) -> bool:
+               reports: list[CycleReport]) -> None:
         """Apply a staged cycle, feed the rebuild cursors its idle slots
-        and record its report; True if a stream completed in it."""
+        and record its report."""
         pool = self.pool
         degraded = self.degraded
         due, steps, pointer, planned, loads = staged
@@ -704,15 +725,17 @@ class _Epoch:
         pool.deliv_delta += due
         pool.next_read = pointer
         finished = pool.live & (pool.next_del >= pool.num_tracks)
-        finished_any = bool(finished.any())
-        if finished_any:
+        if bool(finished.any()):
             self.active -= int(finished.sum())
             pool.live &= ~finished
-            # Completed rows free their capacity for later batches.
+            # Completed rows free their capacity, and in a closed loop
+            # their title, for later batches.
             width = len(self.phase_load)
             for i in np.nonzero(finished)[0]:
                 row = pool.streams[int(i)]
                 self.phase_load[row.phase % width] -= row.rate
+                if self.loop is not None:
+                    self.serving[row.object.name] -= 1
         # -- rebuild: lowest priority, idle slots only --------------------
         blocks = 0
         if self.rebuilders:
@@ -743,7 +766,6 @@ class _Epoch:
         reports.append(report)
         self.sched.report.record(report)
         self.sched.cycle_index = cycle + 1
-        return finished_any
 
     def exit(self, done: int) -> None:
         """The exit step: write the rows, the disk read counters and the

@@ -321,8 +321,8 @@ class MultimediaServer:
         :class:`~repro.faults.domain.SectorScrubber`
         (:attr:`last_scrubber`) that runs ``floor(duration_s /
         scrub_interval_s)`` passes, one every interval, placed on the
-        same clock.  A pass runs before the faults at the same top, the
-        order the chaos harness uses.
+        same clock, as the schedule's patrol: a pass runs before the
+        faults at its top, the order the chaos harness uses.
         """
         from repro.faults.domain import SectorScrubber
         if duration_s < 0:
@@ -339,17 +339,13 @@ class MultimediaServer:
             mttf_s if mttf_s is not None else spec.mttf_s,
             mttr_s if mttr_s is not None else spec.mttr_s,
             cycle_length, duration_s, RandomSource(seed), first_cycle=start)
-        self.last_schedule = schedule
         if scrub_interval_s is not None:
-            scrubber = SectorScrubber(self.array)
-            self.last_scrubber = scrubber
-            for index in range(1, math.floor(duration_s
-                                             / scrub_interval_s) + 1):
-                top = start + cycles_before(index * scrub_interval_s,
-                                            cycle_length)
-                scheduler.run_churn(min(top, end) - scheduler.cycle_index,
-                                    {}, True, schedule)
-                scrubber.step()
-        scheduler.run_churn(end - scheduler.cycle_index, {}, True, schedule)
+            self.last_scrubber = SectorScrubber(self.array)
+            schedule = FaultSchedule(schedule, (self.last_scrubber, [
+                start + cycles_before(index * scrub_interval_s, cycle_length)
+                for index in range(1, math.floor(duration_s
+                                                 / scrub_interval_s) + 1)]))
+        self.last_schedule = schedule
+        scheduler.run_churn(end - start, {}, True, schedule)
         schedule.apply(scheduler, end)
         return self.report

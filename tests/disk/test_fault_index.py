@@ -107,7 +107,6 @@ def test_fault_index_matches_a_walk_after_every_command(script):
                          if not d.is_failed
                          for position in d.media_error_positions())
         assert scrubber.pending() == pending
-        assert scrubber.has_pending() == bool(pending)
         assert server.scheduler._ff_classify() == walked_reason(array)
 
 

@@ -49,7 +49,7 @@ def _entered(scheme: Scheme, late: str, admit_first: bool,
     arrivals = {} if admit_first else {3: (obj,), 7: (obj,) * 4}
     assert engine.enter(sched, 5, arrivals) is None
     if not admit_first:
-        engine.admit(3, (obj,))
+        engine.admit(3)
     return engine
 
 

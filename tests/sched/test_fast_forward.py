@@ -17,7 +17,10 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.faults.injector import FaultSchedule
+from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
+from repro.sched import epoch
+from repro.sched.base import MIN_EPOCH_SPAN
+from repro.sched.epoch import ClosedLoop
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer
 from tests.conftest import build_server, tiny_catalog
@@ -390,3 +393,76 @@ def test_mid_cycle_strike_after_batched_cycle_raises(scheme: Scheme) -> None:
         server.fail_disk(0, mid_cycle=True)
         server.run_cycles(6)
     assert _fingerprint(fast, []) == _fingerprint(slow, [])
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_closed_loop_rides_the_engine_through_refusals_and_completions(
+        scheme: Scheme) -> None:
+    """Eight 12-track titles under a limit of five: some title is
+    refused at every top and streams complete every few cycles, yet the
+    engine runs all 60 cycles in one epoch, re-admitting each finished
+    title at the next top as the scalar front door does."""
+    results = []
+    for fast_forward in (False, True):
+        server = _scheme_server(scheme, catalog=tiny_catalog(8, tracks=12),
+                                admission_limit=5)
+        reports, admitted, rejected = server.scheduler.run_churn(
+            60, ClosedLoop(tuple(server.catalog.objects())), fast_forward)
+        results.append((_fingerprint(server, reports), admitted, rejected))
+    assert results[1] == results[0]
+    # Five titles play at every top, so three are refused there.
+    assert results[1][2] == 3 * 60
+    assert any(stream.status.name == "COMPLETED"
+               for stream in server.scheduler.streams.values())
+    assert server.report.ff_engaged_cycles == 60
+    assert server.report.ff_disengagements == {}
+
+
+def _redundant_restores(*cycles: int) -> FaultSchedule:
+    """Events that change no state: each restores an operational disk,
+    so they only cut the run into windows."""
+    return FaultSchedule(FaultEvent(cycle, 1, FaultAction.RESTORE)
+                         for cycle in cycles)
+
+
+@pytest.mark.parametrize("cycles, engaged, entries", [
+    # Events two cycles apart: that window runs scalar.
+    ((10, 12), CYCLES - 2, [(0, 10), (12, 18)]),
+    # Four cycles apart: the window is batched.
+    ((10, 10 + MIN_EPOCH_SPAN), CYCLES,
+     [(0, 10), (10, MIN_EPOCH_SPAN), (10 + MIN_EPOCH_SPAN, 16)]),
+])
+def test_min_epoch_span_applies_to_windows_an_event_cuts_short(
+        monkeypatch: pytest.MonkeyPatch, cycles: tuple[int, ...],
+        engaged: int, entries: list[tuple[int, int]]) -> None:
+    log: list[tuple[int, int]] = []
+    run = epoch.run
+
+    def logged_run(sched, limit, *args):
+        log.append((sched.cycle_index, limit))
+        return run(sched, limit, *args)
+
+    def drive(server: MultimediaServer, fast_forward: bool) -> list:
+        return server.run_with_schedule(CYCLES, _redundant_restores(*cycles),
+                                        fast_forward=fast_forward)
+
+    monkeypatch.setattr(epoch, "run", logged_run)
+    slow, fast, report = _run_degraded_pair(Scheme.STREAMING_RAID, drive)
+    assert fast == slow
+    assert report.ff_engaged_cycles == engaged
+    assert log == entries
+
+
+def test_a_one_cycle_run_still_enters_the_engine() -> None:
+    """A window that reaches the caller's end is entered however short:
+    one-cycle calls, with no schedule, stay batched."""
+    def drive(server: MultimediaServer, fast_forward: bool) -> list:
+        reports: list = []
+        for _ in range(CYCLES):
+            reports += server.scheduler.run_churn(1, {}, fast_forward)[0]
+        return reports
+
+    slow, fast, report = _run_degraded_pair(Scheme.STREAMING_RAID, drive)
+    assert fast == slow
+    assert report.ff_engaged_cycles == CYCLES

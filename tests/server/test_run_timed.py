@@ -14,9 +14,11 @@ import math
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments.harness import degraded_digest
 from repro.faults.domain import SectorScrubber
 from repro.faults.injector import FaultAction, FaultSchedule, cycles_before
+from repro.sched import epoch
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from tests.conftest import build_server, tiny_catalog
 
@@ -118,33 +120,100 @@ def test_scrubber_process_is_deterministic_and_repairs():
     assert repaired >= 1  # the pre-planted latent error got patrolled
 
 
+def _loaded(scheme: Scheme):
+    """Four long titles, all admitted, in metadata mode."""
+    server = build_server(scheme, num_disks=DISKS.get(scheme, 10),
+                          catalog=tiny_catalog(4, tracks=240),
+                          verify_payloads=False)
+    for name in server.catalog.names():
+        server.admit(name)
+    return server
+
+
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
                          ids=lambda s: s.value)
 def test_run_timed_is_its_schedule_on_the_scalar_loop(scheme: Scheme):
     # The same sampled schedule through the scalar loop, plus the
     # trailing events applied at the end, reproduces the timed run; the
     # timed run rode the epoch engine to get there.
-    def loaded():
-        server = build_server(scheme, num_disks=DISKS.get(scheme, 10),
-                              catalog=tiny_catalog(4, tracks=240),
-                              verify_payloads=False)
-        for name in server.catalog.names():
-            server.admit(name)
-        return server
-
-    timed = loaded()
+    timed = _loaded(scheme)
     cl = timed.config.cycle_length_s
     timed.run_timed(duration_s=80.9 * cl, mttf_s=150 * cl, mttr_s=8 * cl,
                     seed=16)
     schedule = timed.last_schedule
     assert any(event.action is FaultAction.FAIL for event in schedule)
     assert any(event.cycle == 81 for event in schedule)  # trailing
-    scalar = loaded()
+    scalar = _loaded(scheme)
     scalar.run_with_schedule(81, schedule, fast_forward=False)
     schedule.apply(scalar.scheduler, 81)
     assert _state(timed) == _state(scalar)
     assert timed.report.ff_engaged_cycles > 0
     assert scalar.report.ff_engaged_cycles == 0
+
+
+@pytest.mark.parametrize("mttf_cycles", [40, 400])
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_scrub_patrol_crosses_epochs(scheme: Scheme, mttf_cycles: int):
+    # A pass at every top and a planted latent error, under dense and
+    # sparse faults: the timed run equals the scalar loop stopped at each
+    # pass top for one scrubber step, plus the trailing events.
+    timed = _loaded(scheme)
+    timed.inject_media_error(0, 0)
+    cl = timed.config.cycle_length_s
+    duration = 60.5 * cl
+    timed.run_timed(duration_s=duration, mttf_s=mttf_cycles * cl,
+                    mttr_s=8 * cl, seed=5, scrub_interval_s=cl)
+    if mttf_cycles == 400:
+        assert timed.report.ff_engaged_cycles > 0  # epochs crossed passes
+    end = cycles_before(duration, cl)
+    reference = _loaded(scheme)
+    reference.inject_media_error(0, 0)
+    schedule = FaultSchedule(timed.last_schedule)  # its events, no patrol
+    scrubber = SectorScrubber(reference.array)
+    for index in range(1, math.floor(duration / cl) + 1):
+        top = cycles_before(index * cl, cl)
+        reference.run_with_schedule(top - reference.cycle_index, schedule,
+                                    fast_forward=False)
+        scrubber.step()
+    reference.run_with_schedule(end - reference.cycle_index, schedule,
+                                fast_forward=False)
+    schedule.apply(reference.scheduler, end)
+    assert _state(timed) == _state(reference)
+    patrol = timed.last_scrubber
+    assert (patrol.passes_run, patrol.errors_repaired) \
+        == (scrubber.passes_run, scrubber.errors_repaired) == (60, 1)
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_scrub_passes_do_not_split_epochs(scheme: Scheme, monkeypatch):
+    entries: list[int] = []
+    run = epoch.run
+
+    def counted(sched, *args):
+        entries.append(sched.cycle_index)
+        return run(sched, *args)
+
+    monkeypatch.setattr(epoch, "run", counted)
+    server = _loaded(scheme)
+    cl = server.config.cycle_length_s
+    server.run_timed(duration_s=60.5 * cl, mttf_s=400 * cl, mttr_s=8 * cl,
+                     seed=5, scrub_interval_s=cl)
+    assert server.last_scrubber.passes_run == 60
+    # At most an entry per window between fault events and a re-entry
+    # after a bail, not one per pass.
+    assert len(entries) <= 2 * (len(server.last_schedule) + 1)
+
+
+def test_a_patrol_of_another_array_raises():
+    server = build_server(Scheme.STREAMING_RAID, num_disks=10)
+    other = build_server(Scheme.STREAMING_RAID, num_disks=10)
+    schedule = FaultSchedule((), (SectorScrubber(other.array), [0, 1]))
+    with pytest.raises(ConfigurationError, match="another array"):
+        server.run_with_schedule(2, schedule)
+    assert schedule.scrubber.passes_run == 0
+    assert server.cycle_index == 0
 
 
 def test_scrub_passes_run_before_the_faults_at_their_top(monkeypatch):
