@@ -13,7 +13,6 @@ Usage::
     python -m repro.checks --self-test            # built-in fixtures
     python -m repro.checks --format json src/     # CI output
     python -m repro.checks --format sarif src/    # code-scanning output
-    python -m repro.checks --changed-only REF     # diff + dependents only
     python -m repro.checks --mutation-audit       # audit the analyzer
 """
 

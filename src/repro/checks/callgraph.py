@@ -436,30 +436,6 @@ class CallGraph:
                     return inferred
         return None
 
-    # -- file-level views (incremental mode) ---------------------------------
-
-    def file_dependents(self, targets: set[str]) -> set[str]:
-        """Files whose functions (transitively) call into ``targets``.
-
-        The reverse closure at file granularity: the result includes the
-        target files themselves.
-        """
-        calls_into: dict[str, set[str]] = {}
-        for edges in self.edges_from.values():
-            for edge in edges:
-                callee_path = self.functions[edge.callee].path
-                if edge.path != callee_path:
-                    calls_into.setdefault(callee_path, set()).add(edge.path)
-        result = set(targets)
-        frontier = list(targets)
-        while frontier:
-            current = frontier.pop()
-            for dependent in calls_into.get(current, ()):
-                if dependent not in result:
-                    result.add(dependent)
-                    frontier.append(dependent)
-        return result
-
 
 def _iter_functions(tree: ast.Module,
                     ) -> Iterator[tuple[ast.AST, Optional[str]]]:

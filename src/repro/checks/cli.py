@@ -38,11 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--select", metavar="RULES",
         help="comma-separated rule IDs or names to run (default: all)")
     parser.add_argument(
-        "--changed-only", metavar="GIT_REF",
-        help="report findings only for files changed since GIT_REF plus "
-             "their reverse call-graph dependents (the whole tree is "
-             "still parsed, so interprocedural rules stay sound)")
-    parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule catalog and exit")
     parser.add_argument(
@@ -80,17 +75,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     analyzer = Analyzer(rules)
-    only_files: Optional[set[str]] = None
-    if args.changed_only is not None:
-        from repro.checks.incremental import affected_files
-        analyzed = sorted(analyzer._expand(args.paths))
-        try:
-            only_files = affected_files(args.changed_only, analyzed)
-        except AnalysisError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
-        report = analyzer.check_paths(args.paths, only_files=only_files)
+        report = analyzer.check_paths(args.paths)
     except AnalysisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -102,12 +88,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         for finding in report.findings:
             print(finding.render())
-        scope = (f" ({len(only_files)} in scope of "
-                 f"--changed-only {args.changed_only})"
-                 if only_files is not None else "")
         status = "clean" if report.ok else \
             f"{len(report.findings)} finding(s)"
-        print(f"repro.checks: {report.files_checked} file(s){scope}, "
+        print(f"repro.checks: {report.files_checked} file(s), "
               f"{len(rules)} rule(s): {status}")
     return 0 if report.ok else 1
 

@@ -369,14 +369,8 @@ class Analyzer:
             rules = default_rules()
         self.rules: tuple[Rule, ...] = tuple(rules)
 
-    def check_paths(self, paths: Iterable[str | Path],
-                    only_files: Optional[set[str]] = None) -> Report:
-        """Analyze every ``.py`` file under the given paths.
-
-        ``only_files`` restricts which files *report* findings (the
-        incremental ``--changed-only`` mode); every file is still parsed
-        so the project index and call graph stay whole.
-        """
+    def check_paths(self, paths: Iterable[str | Path]) -> Report:
+        """Analyze every ``.py`` file under the given paths."""
         files = sorted(self._expand(paths))
         parsed: list[tuple[str, str, ast.Module]] = []
         index = ProjectIndex()
@@ -393,15 +387,11 @@ class Analyzer:
             index.add_tree(rel, tree)
         from repro.checks.effects import ProjectAnalysis
         project = ProjectAnalysis.build(parsed)
-        checked = 0
         for rel, source, tree in parsed:
-            if only_files is not None and rel not in only_files:
-                continue
-            checked += 1
             findings.extend(self._run_rules(rel, source, tree, index,
                                             project))
         findings.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
-        return Report(findings=findings, files_checked=checked,
+        return Report(findings=findings, files_checked=len(parsed),
                       rules_run=tuple(rule.rule_id for rule in self.rules))
 
     def check_source(self, source: str, path: str,

@@ -71,8 +71,6 @@ FAMILIES: tuple[CacheFamily, ...] = (
     CacheFamily("ff-tables", frozenset({"_ff_tables", "_ff_flat"}),
                 "_ff_tables_key", frozenset({"epoch", "state_epoch"}),
                 frozenset({"_plan_cache_key"})),
-    CacheFamily("ff-geom", frozenset({"_ff_geom"}),
-                "_ff_geom_epoch", frozenset({"epoch"})),
 )
 
 #: Every epoch-keyed cache and its key field: the families plus the

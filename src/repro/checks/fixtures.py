@@ -181,8 +181,8 @@ FIXTURES: tuple[Fixture, ...] = (
         path="src/repro/layout/example.py",
         code=_snippet("""
             class Layout:
-                def forget(self, name: str, track: int) -> None:
-                    self._data_addr.pop((name, track))
+                def forget(self, name: str) -> None:
+                    self._placements.pop(name)
         """),
         expect=(("R3", 2),),
     ),
@@ -298,8 +298,8 @@ FIXTURES: tuple[Fixture, ...] = (
         path="src/repro/layout/example.py",
         code=_snippet("""
             class Layout:
-                def forget(self, name: str, track: int) -> None:
-                    self._data_addr.pop((name, track))
+                def forget(self, name: str) -> None:
+                    self._placements.pop(name)
                     self._record_delta("remove", name)
 
                 def _record_delta(self, kind: str, name: str) -> None:
@@ -312,7 +312,7 @@ FIXTURES: tuple[Fixture, ...] = (
         code=_snippet("""
             class Layout:
                 def __init__(self) -> None:
-                    self._data_addr = {}
+                    self._placements = {}
                     self._epoch = 0
         """),
     ),
@@ -322,8 +322,8 @@ FIXTURES: tuple[Fixture, ...] = (
         code=_snippet("""
             class Layout:
                 # Caller owns the epoch bump.
-                def forget(self, name: str, track: int) -> None:  # repro: allow(epoch-cache)
-                    self._data_addr.pop((name, track))
+                def forget(self, name: str) -> None:  # repro: allow(epoch-cache)
+                    self._placements.pop(name)
         """),
     ),
     Fixture(
@@ -417,13 +417,13 @@ FIXTURES: tuple[Fixture, ...] = (
         path="src/repro/sched/example.py",
         code=_snippet("""
             class Scheduler:
-                __slots__ = ("_ff_plan", "_ff_geom")
+                __slots__ = ("_ff_plan", "_ff_tables")
 
                 def reset_rebuild_plan(self) -> None:
                     self._ff_plan = None
 
-                def reset_geometry(self) -> None:
-                    self._ff_geom.clear()
+                def reset_tables(self) -> None:
+                    self._ff_tables.clear()
         """),
         expect=(("R3", 4), ("R3", 7)),
     ),
@@ -432,12 +432,12 @@ FIXTURES: tuple[Fixture, ...] = (
         path="src/repro/sched/example.py",
         code=_snippet("""
             class Scheduler:
-                __slots__ = ("_ff_geom", "_ff_geom_epoch",
+                __slots__ = ("_ff_tables", "_ff_tables_key",
                              "_ff_plan", "_ff_plan_key")
 
-                def reset_geometry(self, epoch: int) -> None:
-                    self._ff_geom = {}
-                    self._ff_geom_epoch = epoch
+                def reset_tables(self, key: tuple) -> None:
+                    self._ff_tables = {}
+                    self._ff_tables_key = key
 
                 def memoise(self, plan: tuple, key: tuple) -> None:
                     self._ff_plan = plan

@@ -177,8 +177,10 @@ REAL_OPS: tuple[RealSourceOp, ...] = (
                  "        return not self.proactive_parity and "
                  "not self.mirror_read_balance",
                  "R8"),
-    RealSourceOp("real-unsuppress-layout-memo", "src/repro/layout/base.py",
-                 "  # repro: allow(R8)", "",
+    RealSourceOp("real-layout-memo-write", "src/repro/layout/base.py",
+                 "        return list(range(first, stop))\n",
+                 "        self._tracks_memo = list(range(first, stop))\n"
+                 "        return self._tracks_memo\n",
                  "R8"),
     RealSourceOp("real-narrow-plan-key", "src/repro/sched/base.py",
                  "key = (self.layout.epoch, self.array.state_epoch)",

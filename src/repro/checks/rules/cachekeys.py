@@ -7,8 +7,7 @@ other half of the contract, which is inherently interprocedural:
    *compared*, the key expression must cover every epoch counter the
    cached data transitively depends on.  ``_plan_cache`` (and the flat
    read tables chained to it) depends on both the layout epoch and the
-   array state epoch; the geometry cache ``_ff_geom`` is keyed on the
-   layout epoch alone (failures move no data).  A key tuple that drops
+   array state epoch.  A key tuple that drops
    a counter — ``(self.layout.epoch,)`` where ``state_epoch`` is
    required — would serve stale plans across fault transitions, the
    exact bug class PR 6 made possible.  Chained keys are understood:

@@ -4,10 +4,10 @@ PR 1's cycle-plan cache is keyed on ``(layout.epoch, array.state_epoch)``
 and is only sound if *every* mutation of placement or array state moves
 one of those counters.  This rule makes the contract machine-checked:
 
-* a function in ``layout/`` that mutates placement state
-  (``_data_addr``, ``_parity_addr``, ``_objects``, ``_start_cluster``,
-  ``_disk_contents``, ``_free_positions``, ``_next_position``) must also
-  call ``_record_delta()`` (or bump ``_epoch``) in the same body;
+* a function in ``layout/`` that mutates placement state (the
+  per-object records ``_placements`` and the allocator's
+  ``_free_positions`` and ``_next_position``) must also call
+  ``_record_delta()`` (or bump ``_epoch``) in the same body;
 * a function in ``disk/`` that assigns the fault-domain state fields
   (``state``, ``is_failed``, ``service_fraction``, ``_media_errors``)
   must call the fault notifier ``_fault_changed()``; a bare
@@ -31,12 +31,11 @@ one of those counters.  This rule makes the contract machine-checked:
   silently remap every placed group;
 * (delta path, PR 5) a function in ``sched/`` that *rewrites or evicts*
   from a plan cache (``_plan_cache``, the fast-forward read tables
-  ``_ff_tables``/``_ff_flat``, the layout-epoch geometry ``_ff_geom``,
-  and the rebuilder's vector-plan memo ``_ff_plan`` — whole-attribute
-  assignment or a mutator-method call) must re-key it by assigning the
-  matching key field (``_plan_cache_key``, ``_ff_tables_key``,
-  ``_ff_geom_epoch``, ``_ff_plan_key``) or calling an invalidator in the
-  same body.  The cache table and the call vocabularies are the ones
+  ``_ff_tables``/``_ff_flat``, and the rebuilder's vector-plan memo
+  ``_ff_plan`` — whole-attribute assignment or a mutator-method call)
+  must re-key it by assigning the matching key field
+  (``_plan_cache_key``, ``_ff_tables_key``, ``_ff_plan_key``) or
+  calling an invalidator in the same body.  The cache table and the call vocabularies are the ones
   :mod:`repro.checks.effects` gives R9 and the effect summaries.
   Subscript fills (``cache[k] = plan``) are exempt: lazily populating a
   cache under its current key is always sound.
@@ -69,8 +68,7 @@ from repro.checks.effects import (
 
 #: Layout placement state: mutating any of these invalidates group plans.
 PLACEMENT_FIELDS = frozenset({
-    "_data_addr", "_parity_addr", "_objects", "_start_cluster",
-    "_disk_contents", "_free_positions", "_next_position",
+    "_placements", "_free_positions", "_next_position",
 })
 
 #: Disk fault-domain state: flipping these must move ``state_changes``.
@@ -267,7 +265,7 @@ def _assigns(func: ast.AST, fields: AbstractSet[str]) -> bool:
 def _assigned_field(target: ast.expr) -> str:
     """The attribute name an assignment/delete ultimately touches.
 
-    ``self._data_addr[k] = v`` and ``del self._objects[k]`` both resolve
+    ``self._placements[k] = v`` and ``del self._placements[k]`` both resolve
     to the underlying attribute name.
     """
     while isinstance(target, ast.Subscript):

@@ -156,13 +156,12 @@ def generate_script(scheme: Scheme, seed: int,
     media_gap = probe.config.parity_group_size + 4
     # Candidate media-error targets: every stored block (data and parity)
     # of every object, so injected errors land where streams actually
-    # read and the retry/parity-fallback path gets exercised.
+    # read and the retry/parity-fallback path gets exercised.  The list
+    # keeps allocation order: a group's members, then its parity.
     blocks: list[tuple[int, int]] = []
     for obj in probe.layout.objects:
-        for group in range(probe.layout.group_count(obj)):
-            members, parity = probe.layout.group_geometry(obj.name, group)
-            blocks.extend(members)
-            blocks.append(parity)
+        disks, positions = probe.layout.allocation_order(obj.name)
+        blocks.extend(zip(disks.tolist(), positions.tolist()))
     rng = RandomSource(seed)
     tag = scheme.value
     events: list[FaultEvent] = []

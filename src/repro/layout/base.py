@@ -10,6 +10,10 @@ A layout answers, for every object in a catalog:
 * whether a set of simultaneous failures is *catastrophic*, i.e. some
   parity group has lost two or more members (Section 1).
 
+Every answer derives from one record per object, a :class:`Placement`:
+the disk and slot position of each data track and each parity block,
+as read-only int64 columns.
+
 Layouts also know how to *materialise* themselves onto a
 :class:`~repro.disk.drive.DiskArray`: writing deterministic track payloads
 and their XOR parity so reconstruction can be verified byte-for-byte.
@@ -20,6 +24,8 @@ from __future__ import annotations
 import abc
 from dataclasses import dataclass
 from typing import Iterable, Optional
+
+import numpy as np
 
 from repro.disk.drive import DiskArray
 from repro.errors import ConfigurationError, LayoutError
@@ -50,13 +56,47 @@ class PlacementDelta:
     name: str
 
 
+@dataclass(frozen=True, slots=True)
+class Placement:
+    """Where one placed object lives: the layout's only placement store.
+
+    ``data_disk[t]``/``data_pos[t]`` address data track ``t``;
+    ``parity_disk[g]``/``parity_pos[g]`` the parity block of group ``g``.
+    The columns are int64 and read-only: the epoch engine's read tables
+    share them without copying.
+    """
+
+    obj: MediaObject
+    start: int
+    data_disk: np.ndarray
+    data_pos: np.ndarray
+    parity_disk: np.ndarray
+    parity_pos: np.ndarray
+
+
+def allocation_slots(num_tracks: int, stripe: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Each data track's and each parity block's index in the order
+    :meth:`DataLayout.place` allocates: a group's members, then its
+    parity, group by group."""
+    tracks = np.arange(num_tracks, dtype=np.int64)
+    groups = np.arange(-(-num_tracks // stripe), dtype=np.int64)
+    return (tracks + tracks // stripe,
+            np.minimum((groups + 1) * stripe, num_tracks) + groups)
+
+
+def _frozen(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
 class DataLayout(abc.ABC):
     """Common machinery for parity-group layouts.
 
     Concrete subclasses decide cluster geometry and parity placement by
-    implementing :meth:`_data_disk_for` and :meth:`_parity_disk_for`;
-    everything else (per-disk slot allocation, lookup tables, catastrophe
-    detection, materialisation) is shared.
+    implementing :meth:`_group_disks`, one closed form over all of an
+    object's groups; everything else (per-disk slot allocation, lookups,
+    catastrophe detection, materialisation) is shared.
     """
 
     def __init__(self, num_disks: int, parity_group_size: int) -> None:
@@ -70,13 +110,8 @@ class DataLayout(abc.ABC):
             )
         self.num_disks = num_disks
         self.parity_group_size = parity_group_size
-        self._objects: dict[str, MediaObject] = {}
-        self._start_cluster: dict[str, int] = {}
-        self._data_addr: dict[tuple[str, int], DiskAddress] = {}
-        self._parity_addr: dict[tuple[str, int], DiskAddress] = {}
-        self._disk_contents: dict[int, list[StoredBlock]] = {
-            disk_id: [] for disk_id in range(num_disks)
-        }
+        #: Every placed object's record, in placement order.
+        self._placements: dict[str, Placement] = {}
         self._next_position = [0] * num_disks
         #: Track slots freed by removed objects, reused before the
         #: high-water mark grows (the tertiary purge/reload cycle of
@@ -92,14 +127,7 @@ class DataLayout(abc.ABC):
         #: dropping every cached plan (see :meth:`deltas_since`).
         self._delta_log: list[PlacementDelta] = []
         self._delta_floor = 0
-        # Memoized hot-path lookups; _record_delta evicts what a
-        # placement change moves.
-        self._span_cache: dict[tuple[str, int], GroupSpan] = {}
-        self._tracks_cache: dict[tuple[str, int], list[int]] = {}
-        self._cluster_cache: dict[tuple[str, int], int] = {}
-        self._geometry_cache: dict[
-            tuple[str, int],
-            tuple[tuple[tuple[int, int], ...], tuple[int, int]]] = {}
+        # Object-set views, rebuilt lazily after a placement change.
         self._names_cache: Optional[frozenset[str]] = None
         self._block_index: Optional[dict[tuple[int, int], StoredBlock]] = None
 
@@ -111,21 +139,14 @@ class DataLayout(abc.ABC):
         return self._epoch
 
     def _record_delta(self, kind: str, name: str) -> None:
-        """Bump the epoch for one placement change, evicting surgically.
+        """Bump the epoch for one placement change and log it.
 
-        ``place`` only appends addresses, so every memoized per-object
-        lookup survives; ``remove`` kills just the removed object's
-        entries.  The object-set caches (:attr:`object_names`, the block
-        reverse index) are rebuilt lazily either way.
+        The object-set views (:attr:`object_names`, the block reverse
+        index) are rebuilt lazily afterwards.
         """
         self._epoch += 1
         self._names_cache = None
         self._block_index = None
-        if kind == "remove":
-            for cache in (self._span_cache, self._tracks_cache,
-                          self._cluster_cache, self._geometry_cache):
-                for key in [k for k in cache if k[0] == name]:
-                    del cache[key]
         self._delta_log.append(PlacementDelta(self._epoch, kind, name))
         if len(self._delta_log) > DELTA_LOG_LIMIT:
             dropped = len(self._delta_log) - DELTA_LOG_LIMIT
@@ -168,19 +189,38 @@ class DataLayout(abc.ABC):
         """True if the disk is *dedicated* to parity (clustered layouts)."""
 
     @abc.abstractmethod
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        """Disk holding data block ``offset`` of parity group ``group``."""
-
-    @abc.abstractmethod
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        """Disk holding the parity block of parity group ``group``."""
+    def _group_disks(self, obj: MediaObject, start: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """``(data[G, C-1], parity[G])``: the disk of every data slot and
+        of the parity block of each of ``obj``'s ``G`` groups, when its
+        first group goes to cluster ``start``."""
 
     # -- placement --------------------------------------------------------
 
     @property
     def objects(self) -> list[MediaObject]:
         """Objects placed so far, in placement order."""
-        return list(self._objects.values())
+        return [placement.obj for placement in self._placements.values()]
+
+    def _start_for(self, obj: MediaObject,
+                   start_cluster: Optional[int]) -> int:
+        if obj.name in self._placements:
+            raise LayoutError(f"object {obj.name!r} already placed")
+        if start_cluster is None:
+            start_cluster = len(self._placements) % self.num_clusters
+        if not 0 <= start_cluster < self.num_clusters:
+            raise LayoutError(
+                f"start cluster {start_cluster} out of range "
+                f"(0..{self.num_clusters - 1})"
+            )
+        return start_cluster
+
+    def _disk_columns(self, obj: MediaObject,
+                      start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The data disk of every track and the parity disk of every
+        group (a short tail group drops its unused slots)."""
+        data, parity = self._group_disks(obj, start)
+        return data.reshape(-1)[:obj.num_tracks], parity
 
     def place(self, obj: MediaObject, start_cluster: Optional[int] = None) -> None:
         """Assign disk addresses to every track and parity block of ``obj``.
@@ -190,35 +230,17 @@ class DataLayout(abc.ABC):
         object is located on cluster h, then the j-th parity group for that
         object is located on cluster h + j mod Nc").
         """
-        if obj.name in self._objects:
-            raise LayoutError(f"object {obj.name!r} already placed")
-        if start_cluster is None:
-            start_cluster = len(self._objects) % self.num_clusters
-        if not 0 <= start_cluster < self.num_clusters:
-            raise LayoutError(
-                f"start cluster {start_cluster} out of range "
-                f"(0..{self.num_clusters - 1})"
-            )
-        self._objects[obj.name] = obj
-        self._start_cluster[obj.name] = start_cluster
-        stripe = self.data_disks_per_group
-        for group in range(self.group_count(obj)):
-            for offset in range(stripe):
-                track = group * stripe + offset
-                if track >= obj.num_tracks:
-                    break
-                disk_id = self._data_disk_for(obj, group, offset)
-                address = self._allocate(disk_id)
-                self._data_addr[(obj.name, track)] = address
-                self._disk_contents[disk_id].append(
-                    StoredBlock(obj.name, BlockKind.DATA, track)
-                )
-            parity_disk = self._parity_disk_for(obj, group)
-            address = self._allocate(parity_disk)
-            self._parity_addr[(obj.name, group)] = address
-            self._disk_contents[parity_disk].append(
-                StoredBlock(obj.name, BlockKind.PARITY, group)
-            )
+        start = self._start_for(obj, start_cluster)
+        data_disk, parity_disk = self._disk_columns(obj, start)
+        data_slot, parity_slot = allocation_slots(
+            obj.num_tracks, self.data_disks_per_group)
+        disks = np.empty(len(data_slot) + len(parity_slot), dtype=np.int64)
+        disks[data_slot] = data_disk
+        disks[parity_slot] = parity_disk
+        positions = self._claim(disks)
+        self._placements[obj.name] = Placement(
+            obj, start, _frozen(data_disk), _frozen(positions[data_slot]),
+            _frozen(parity_disk), _frozen(positions[parity_slot]))
         self._record_delta("place", obj.name)
 
     def place_catalog(self, catalog: Catalog,
@@ -233,47 +255,59 @@ class DataLayout(abc.ABC):
             self.place(obj, start_cluster=start_cluster)
 
     # Allocation helper: only reachable from place(), which owns the bump.
-    def _allocate(self, disk_id: int) -> DiskAddress:  # repro: allow(epoch-cache)
-        free = self._free_positions[disk_id]
-        if free:
-            return DiskAddress(disk_id, free.pop())
-        position = self._next_position[disk_id]
-        self._next_position[disk_id] += 1
-        return DiskAddress(disk_id, position)
+    def _claim(self, disks: np.ndarray) -> np.ndarray:  # repro: allow(epoch-cache)
+        """Slot positions for blocks bound for ``disks``, in that order.
+
+        The k-th block on a disk takes the k-th-last free slot (the
+        order one pop per block gives), then the high-water mark.
+        """
+        order = np.argsort(disks, kind="stable")
+        counts = np.bincount(disks, minlength=self.num_disks)
+        first = np.cumsum(counts) - counts
+        rank = np.empty(len(disks), dtype=np.int64)
+        rank[order] = np.arange(len(disks)) - first[disks[order]]
+        base = np.zeros(self.num_disks, dtype=np.int64)
+        reused: list[tuple[int, list[int]]] = []
+        for disk_id in np.flatnonzero(counts).tolist():
+            count = int(counts[disk_id])
+            free = self._free_positions[disk_id]
+            base[disk_id] = self._next_position[disk_id] - len(free)
+            take = min(count, len(free))
+            if take:
+                reused.append((disk_id, free[len(free) - take:][::-1]))
+                del free[len(free) - take:]
+            self._next_position[disk_id] += count - take
+        positions = base[disks] + rank
+        for disk_id, slots in reused:
+            start = int(first[disk_id])
+            positions[order[start:start + len(slots)]] = slots
+        return positions
 
     def remove(self, name: str) -> list[DiskAddress]:
         """Un-place an object, freeing its slots for reuse.
 
-        Returns the freed physical addresses so the caller can discard the
-        payloads from the drives (Section 1: "one or more disk-resident
-        objects must be purged to make space").
+        Returns the freed physical addresses — data tracks, then parity
+        blocks — so the caller can discard the payloads from the drives
+        (Section 1: "one or more disk-resident objects must be purged to
+        make space").
         """
-        obj = self.object(name)
-        freed: list[DiskAddress] = []
-        for track in range(obj.num_tracks):
-            freed.append(self._data_addr.pop((name, track)))
-        for group in range(self.group_count(obj)):
-            freed.append(self._parity_addr.pop((name, group)))
-        for address in freed:
-            self._free_positions[address.disk_id].append(address.position)
-        for disk_id in set(a.disk_id for a in freed):
-            self._disk_contents[disk_id] = [
-                block for block in self._disk_contents[disk_id]
-                if block.object_name != name
-            ]
-        del self._objects[name]
-        del self._start_cluster[name]
+        placement = self.placement(name)
+        disks = np.concatenate((placement.data_disk,
+                                placement.parity_disk)).tolist()
+        positions = np.concatenate((placement.data_pos,
+                                    placement.parity_pos)).tolist()
+        for disk_id, position in zip(disks, positions):
+            self._free_positions[disk_id].append(position)
+        del self._placements[name]
         self._record_delta("remove", name)
-        return freed
+        return list(map(DiskAddress, disks, positions))
 
     def occupied_positions(self, disk_id: int) -> int:
         """Slots currently holding blocks on a disk (high-water - freed)."""
         return self._next_position[disk_id] - \
             len(self._free_positions[disk_id])
 
-    # Transient probe: simulates place() then restores all state, so the
-    # epoch is unchanged on exit by construction.
-    def placement_demand(self, obj: MediaObject,  # repro: allow(epoch-cache)
+    def placement_demand(self, obj: MediaObject,
                          start_cluster: Optional[int] = None,
                          ) -> dict[int, int]:
         """Blocks per disk that placing ``obj`` would allocate.
@@ -282,38 +316,28 @@ class DataLayout(abc.ABC):
         (placement itself is unconditional — the layout does not know the
         drives' sizes).
         """
-        if obj.name in self._objects:
-            raise LayoutError(f"object {obj.name!r} already placed")
-        if start_cluster is None:
-            start_cluster = len(self._objects) % self.num_clusters
-        demand: dict[int, int] = {}
-        self._start_cluster[obj.name] = start_cluster
-        try:
-            stripe = self.data_disks_per_group
-            for group in range(self.group_count(obj)):
-                for offset in range(stripe):
-                    if group * stripe + offset >= obj.num_tracks:
-                        break
-                    disk_id = self._data_disk_for(obj, group, offset)
-                    demand[disk_id] = demand.get(disk_id, 0) + 1
-                parity_disk = self._parity_disk_for(obj, group)
-                demand[parity_disk] = demand.get(parity_disk, 0) + 1
-        finally:
-            del self._start_cluster[obj.name]
-        return demand
+        start = self._start_for(obj, start_cluster)
+        counts = np.bincount(np.concatenate(self._disk_columns(obj, start)),
+                             minlength=self.num_disks)
+        disks = np.flatnonzero(counts)
+        return dict(zip(disks.tolist(), counts[disks].tolist()))
 
     # -- lookups ----------------------------------------------------------
 
-    def object(self, name: str) -> MediaObject:
-        """Look up a placed object."""
+    def placement(self, name: str) -> Placement:
+        """The placement record of one placed object."""
         try:
-            return self._objects[name]
+            return self._placements[name]
         except KeyError:
             raise LayoutError(f"object {name!r} is not placed") from None
 
+    def object(self, name: str) -> MediaObject:
+        """Look up a placed object."""
+        return self.placement(name).obj
+
     def has_object(self, name: str) -> bool:
         """True if an object of that name is currently placed (O(1))."""
-        return name in self._objects
+        return name in self._placements
 
     @property
     def object_names(self) -> frozenset[str]:
@@ -323,13 +347,12 @@ class DataLayout(abc.ABC):
         :attr:`objects` per admission is O(catalog) and shows up at scale.
         """
         if self._names_cache is None:
-            self._names_cache = frozenset(self._objects)
+            self._names_cache = frozenset(self._placements)
         return self._names_cache
 
     def start_cluster(self, name: str) -> int:
         """Cluster of object ``name``'s first parity group."""
-        self.object(name)
-        return self._start_cluster[name]
+        return self.placement(name).start
 
     def group_count(self, obj: MediaObject) -> int:
         """Number of parity groups the object occupies."""
@@ -347,57 +370,49 @@ class DataLayout(abc.ABC):
         stripe = self.data_disks_per_group
         return track // stripe, track % stripe
 
-    # Geometry memo: keyed by (name, group), placement is fixed at
-    # construction, so the write is idempotent and value-deterministic —
-    # safe for ff eligibility probes to trigger.  # repro: allow(R8)
-    def group_tracks(self, name: str, group: int) -> list[int]:
-        """The data-track indices of one parity group, ascending.
-
-        Returns the memoized list itself — treat it as immutable.
-        """
-        key = (name, group)
-        cached = self._tracks_cache.get(key)
-        if cached is not None:
-            return cached
-        obj = self.object(name)
+    def _group_bounds(self, name: str, group: int,
+                      ) -> tuple[Placement, int, int]:
+        """``(placement, first, stop)``: the group's data-track range."""
+        placement = self.placement(name)
         stripe = self.data_disks_per_group
         first = group * stripe
-        if not 0 <= first < obj.num_tracks:
+        num_tracks = len(placement.data_disk)
+        if not 0 <= first < num_tracks:
             raise LayoutError(f"group {group} out of range for {name!r}")
-        tracks = list(range(first, min(first + stripe, obj.num_tracks)))
-        self._tracks_cache[key] = tracks
-        return tracks
+        return placement, first, min(first + stripe, num_tracks)
+
+    def group_tracks(self, name: str, group: int) -> list[int]:
+        """The data-track indices of one parity group, ascending."""
+        _placement, first, stop = self._group_bounds(name, group)
+        return list(range(first, stop))
 
     def data_address(self, name: str, track: int) -> DiskAddress:
         """Physical address of one data track."""
         self.group_of(name, track)  # validates
-        return self._data_addr[(name, track)]
+        placement = self._placements[name]
+        return DiskAddress(placement.data_disk.item(track),
+                           placement.data_pos.item(track))
 
     def parity_address(self, name: str, group: int) -> DiskAddress:
         """Physical address of one parity block."""
-        key = (name, group)
-        if key not in self._parity_addr:
+        placement = self._placements.get(name)
+        if placement is None or not 0 <= group < len(placement.parity_disk):
             raise LayoutError(f"no parity group {group} for object {name!r}")
-        return self._parity_addr[key]
+        return DiskAddress(placement.parity_disk.item(group),
+                           placement.parity_pos.item(group))
 
-    # Geometry memo: keyed by (name, group), placement is fixed at
-    # construction, so the write is idempotent and value-deterministic —
-    # safe for ff eligibility probes to trigger.  # repro: allow(R8)
     def group_span(self, name: str, group: int) -> GroupSpan:
-        """The full physical footprint of one parity group (memoized)."""
-        key = (name, group)
-        cached = self._span_cache.get(key)
-        if cached is not None:
-            return cached
-        tracks = self.group_tracks(name, group)
-        span = GroupSpan(
+        """The full physical footprint of one parity group."""
+        placement, first, stop = self._group_bounds(name, group)
+        return GroupSpan(
             object_name=name,
             group_index=group,
-            data=tuple(self._data_addr[(name, t)] for t in tracks),
-            parity=self.parity_address(name, group),
+            data=tuple(map(DiskAddress,
+                           placement.data_disk[first:stop].tolist(),
+                           placement.data_pos[first:stop].tolist())),
+            parity=DiskAddress(placement.parity_disk.item(group),
+                               placement.parity_pos.item(group)),
         )
-        self._span_cache[key] = span
-        return span
 
     def group_geometry(self, name: str, group: int,
                        ) -> tuple[tuple[tuple[int, int], ...],
@@ -405,46 +420,60 @@ class DataLayout(abc.ABC):
         """``((disk_id, position) per data track, (disk_id, position))``.
 
         The plain-tuple counterpart of :meth:`group_span` for the
-        schedulers' per-cycle plan building: no dataclass construction,
-        memoized until placement changes.  Treat the result as immutable.
+        schedulers' per-cycle plan building: no dataclass construction.
         """
-        key = (name, group)
-        cached = self._geometry_cache.get(key)
-        if cached is None:
-            num_tracks = self.object(name).num_tracks
-            stripe = self.data_disks_per_group
-            first = group * stripe
-            if not 0 <= first < num_tracks:
-                raise LayoutError(f"group {group} out of range for {name!r}")
-            data_addr = self._data_addr
-            members = []
-            for track in range(first, min(first + stripe, num_tracks)):
-                addr = data_addr[(name, track)]
-                members.append((addr.disk_id, addr.position))
-            parity = self.parity_address(name, group)
-            cached = (tuple(members), (parity.disk_id, parity.position))
-            self._geometry_cache[key] = cached
-        return cached
+        # The plan-cache miss path: _group_bounds inlined.
+        placement = self.placement(name)
+        stripe = self.data_disks_per_group
+        first = group * stripe
+        if not 0 <= first < len(placement.data_disk):
+            raise LayoutError(f"group {group} out of range for {name!r}")
+        stop = first + stripe
+        return (tuple(zip(placement.data_disk[first:stop].tolist(),
+                          placement.data_pos[first:stop].tolist())),
+                (placement.parity_disk.item(group),
+                 placement.parity_pos.item(group)))
 
-    # Geometry memo: keyed by (name, group), placement is fixed at
-    # construction, so the write is idempotent and value-deterministic —
-    # safe for ff eligibility probes to trigger.  # repro: allow(R8)
     def group_cluster(self, name: str, group: int) -> int:
-        """Cluster holding the *data* blocks of one parity group."""
-        key = (name, group)
-        cached = self._cluster_cache.get(key)
-        if cached is not None:
-            return cached
-        span = self.group_span(name, group)
-        cluster = self.cluster_of(span.data[0].disk_id)
-        self._cluster_cache[key] = cluster
-        return cluster
+        """Cluster holding the group's first data block (for declustered
+        layouts, that disk's rotation class)."""
+        placement, first, _stop = self._group_bounds(name, group)
+        return self.cluster_of(placement.data_disk.item(first))
+
+    def allocation_order(self, name: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(disks, positions)`` of every block of one object, in
+        allocation order (see :func:`allocation_slots`)."""
+        placement = self.placement(name)
+        data_slot, parity_slot = allocation_slots(
+            len(placement.data_disk), self.data_disks_per_group)
+        size = len(data_slot) + len(parity_slot)
+        disks = np.empty(size, dtype=np.int64)
+        positions = np.empty(size, dtype=np.int64)
+        disks[data_slot] = placement.data_disk
+        disks[parity_slot] = placement.parity_disk
+        positions[data_slot] = placement.data_pos
+        positions[parity_slot] = placement.parity_pos
+        return disks, positions
 
     def blocks_on_disk(self, disk_id: int) -> list[StoredBlock]:
         """Everything stored on one disk, in allocation order."""
-        if disk_id not in self._disk_contents:
+        if not 0 <= disk_id < self.num_disks:
             raise LayoutError(f"no such disk: {disk_id}")
-        return list(self._disk_contents[disk_id])
+        blocks: list[StoredBlock] = []
+        for name, placement in self._placements.items():
+            tracks = np.flatnonzero(placement.data_disk == disk_id)
+            groups = np.flatnonzero(placement.parity_disk == disk_id)
+            if not len(tracks) and not len(groups):
+                continue
+            stored = ([StoredBlock(name, BlockKind.DATA, track)
+                       for track in tracks.tolist()]
+                      + [StoredBlock(name, BlockKind.PARITY, group)
+                         for group in groups.tolist()])
+            data_slot, parity_slot = allocation_slots(
+                len(placement.data_disk), self.data_disks_per_group)
+            slots = np.concatenate((data_slot[tracks], parity_slot[groups]))
+            blocks.extend(stored[i] for i in np.argsort(slots).tolist())
+        return blocks
 
     def used_positions(self, disk_id: int) -> int:
         """How many track slots the layout has allocated on a disk."""
@@ -456,15 +485,15 @@ class DataLayout(abc.ABC):
         """True if some parity group contains blocks on both disks."""
         if disk_a == disk_b:
             return True
-        disks_b: set[tuple[str, int]] = set()
-        for block in self._disk_contents[disk_b]:
-            group = (block.index if block.kind is BlockKind.PARITY
-                     else block.index // self.data_disks_per_group)
-            disks_b.add((block.object_name, group))
-        for block in self._disk_contents[disk_a]:
-            group = (block.index if block.kind is BlockKind.PARITY
-                     else block.index // self.data_disks_per_group)
-            if (block.object_name, group) in disks_b:
+        stripe = self.data_disks_per_group
+        for placement in self._placements.values():
+            touched = []
+            for disk_id in (disk_a, disk_b):
+                hit = placement.parity_disk == disk_id
+                hit[np.flatnonzero(placement.data_disk == disk_id)
+                    // stripe] = True
+                touched.append(hit)
+            if bool((touched[0] & touched[1]).any()):
                 return True
         return False
 
@@ -499,55 +528,60 @@ class DataLayout(abc.ABC):
             raise ConfigurationError(
                 f"layout expects {self.num_disks} disks, array has {len(array)}"
             )
-        for obj in self._objects.values():
-            self.materialise_object(array, obj.name)
+        for name in self._placements:
+            self.materialise_object(array, name)
 
     def materialise_object(self, array: DiskArray, name: str) -> None:
         """Write one placed object's payloads and parity onto the array
         (the per-object loader the tertiary staging path uses)."""
-        obj = self.object(name)
+        placement = self.placement(name)
+        data = list(zip(placement.data_disk.tolist(),
+                        placement.data_pos.tolist()))
+        parity = zip(placement.parity_disk.tolist(),
+                     placement.parity_pos.tolist())
         if not array.store_payloads:
             # Metadata-only: mark occupancy, derive payloads lazily.
-            for track in range(obj.num_tracks):
-                address = self._data_addr[(name, track)]
-                array[address.disk_id].write_meta(address.position)
-            for group in range(self.group_count(obj)):
-                address = self._parity_addr[(name, group)]
-                array[address.disk_id].write_meta(address.position)
+            for disk_id, position in data:
+                array[disk_id].write_meta(position)
+            for disk_id, position in parity:
+                array[disk_id].write_meta(position)
             return
+        obj = placement.obj
         track_bytes = mb_to_bytes(array.spec.track_size_mb)
         # Generate and write every data track, collecting the group rows;
         # then encode every group's parity as one matrix XOR (short tail
         # rows are implicitly zero-padded — the XOR identity).
+        stripe = self.data_disks_per_group
         rows: list[list[bytes]] = []
-        for group in range(self.group_count(obj)):
-            payloads: list[bytes] = []
-            for track in self.group_tracks(name, group):
-                payload = obj.track_payload(track, track_bytes)
-                address = self._data_addr[(name, track)]
-                array[address.disk_id].write(address.position, payload)
-                payloads.append(payload)
-            rows.append(payloads)
-        for group, parity in enumerate(xor_matrix(rows)):
-            address = self._parity_addr[(name, group)]
-            array[address.disk_id].write(address.position, parity)
+        for track, (disk_id, position) in enumerate(data):
+            payload = obj.track_payload(track, track_bytes)
+            array[disk_id].write(position, payload)
+            if track % stripe == 0:
+                rows.append([])
+            rows[-1].append(payload)
+        for (disk_id, position), block in zip(parity, xor_matrix(rows)):
+            array[disk_id].write(position, block)
 
     # -- lazy payload derivation (metadata-only mode) -----------------------
 
     def block_at(self, disk_id: int, position: int) -> StoredBlock:
         """The logical block stored at one physical address.
 
-        Backed by a reverse index built lazily and flushed on placement
-        changes; raises :class:`LayoutError` for unoccupied addresses.
+        Backed by a reverse index built lazily from the placement records
+        and flushed on placement changes; raises :class:`LayoutError` for
+        unoccupied addresses.
         """
         if self._block_index is None:
             index: dict[tuple[int, int], StoredBlock] = {}
-            for (name, track), address in self._data_addr.items():
-                index[(address.disk_id, address.position)] = StoredBlock(
-                    name, BlockKind.DATA, track)
-            for (name, group), address in self._parity_addr.items():
-                index[(address.disk_id, address.position)] = StoredBlock(
-                    name, BlockKind.PARITY, group)
+            for name, placement in self._placements.items():
+                for kind, disks, positions in (
+                        (BlockKind.DATA, placement.data_disk,
+                         placement.data_pos),
+                        (BlockKind.PARITY, placement.parity_disk,
+                         placement.parity_pos)):
+                    for block, address in enumerate(zip(disks.tolist(),
+                                                        positions.tolist())):
+                        index[address] = StoredBlock(name, kind, block)
             self._block_index = index
         try:
             return self._block_index[(disk_id, position)]
@@ -613,5 +647,5 @@ class DataLayout(abc.ABC):
         return (
             f"{type(self).__name__}(D={self.num_disks}, "
             f"C={self.parity_group_size}, clusters={self.num_clusters}, "
-            f"objects={len(self._objects)})"
+            f"objects={len(self._placements)})"
         )

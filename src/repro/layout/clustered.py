@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.layout.base import DataLayout
 from repro.media.objects import MediaObject
@@ -70,13 +72,13 @@ class ClusteredParityLayout(DataLayout):
         self._check_disk(disk_id)
         return disk_id % self.parity_group_size == self.parity_group_size - 1
 
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        return cluster * self.parity_group_size + offset
-
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        return self.parity_disk(cluster)
+    def _group_disks(self, obj: MediaObject, start: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        clusters = (start + np.arange(self.group_count(obj))) \
+            % self.num_clusters
+        first = clusters * self.parity_group_size
+        return (first[:, None] + np.arange(self.data_disks_per_group),
+                first + self.data_disks_per_group)
 
     def is_catastrophic_geometric(self, failed_ids: Iterable[int]) -> bool:
         """Two failures in the same cluster lose data (layout geometry only).

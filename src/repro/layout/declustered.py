@@ -43,6 +43,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.layout.base import DataLayout
 from repro.media.objects import MediaObject
@@ -75,7 +77,7 @@ class DeclusteredParityLayout(DataLayout):
         #: Valid design rows materialised so far, in diagonal order.
         #: Construction-time geometry: rows depend only on (D, C), never
         #: on placement, so the memo needs no epoch key.
-        self._design_rows: list[tuple[int, ...]] = []
+        self._design_rows = np.empty((0, parity_group_size), dtype=np.int64)
         #: Raw ``(j, s)`` indices scanned so far (phantom rows skipped).
         self._design_scanned = 0
 
@@ -100,39 +102,50 @@ class DeclusteredParityLayout(DataLayout):
         return self.design_modulus * (self.design_modulus - 1)
 
     def design_size(self) -> int:
-        """Valid rows in the full design (materialises it; small farms)."""
+        """Valid rows in the full design (materialises it)."""
         self._materialise_rows(self.raw_design_size)
         return len(self._design_rows)
 
-    def _raw_row(self, raw_index: int) -> tuple[int, ...]:
-        """Raw design row: the AP ``B(j, s)`` for the diagonal index."""
+    def _raw_rows(self, first: int, stop: int) -> np.ndarray:
+        """Raw design rows ``first .. stop - 1``: the APs ``B(j, s)`` for
+        those diagonal indices."""
         p = self.design_modulus
-        j = raw_index % p
-        s = 1 + raw_index % (p - 1)
-        return tuple((j + i * s) % p for i in range(self.parity_group_size))
+        raw = np.arange(first, stop, dtype=np.int64)[:, None]
+        strides = 1 + raw % (p - 1)
+        return (raw % p + np.arange(self.parity_group_size) * strides) % p
 
     # Construction-time geometry memo: rows depend only on (D, C), are
     # scanned strictly in order, and every write is value-deterministic —
     # safe for ff eligibility probes to trigger.  # repro: allow(R8)
     def _materialise_rows(self, count: int) -> None:  # repro: allow(epoch-cache)
-        """Extend the valid-row cache to ``count`` rows (or exhaustion)."""
-        rows = self._design_rows
-        while len(rows) < count and self._design_scanned < self.raw_design_size:
-            row = self._raw_row(self._design_scanned)
-            self._design_scanned += 1
-            if max(row) < self.num_disks:
-                rows.append(row)
+        """Extend the valid-row cache to at least ``count`` rows (or
+        exhaustion)."""
+        while len(self._design_rows) < count \
+                and self._design_scanned < self.raw_design_size:
+            # Scan at least the rows still missing and at least as many
+            # as are cached, so the memo grows geometrically.
+            cached = len(self._design_rows)
+            stop = min(self.raw_design_size, self._design_scanned
+                       + max(count - cached, cached, 64))
+            rows = self._raw_rows(self._design_scanned, stop)
+            self._design_rows = np.concatenate(
+                (self._design_rows, rows[rows.max(axis=1) < self.num_disks]))
+            self._design_scanned = stop
+
+    def _rows(self, first: int, count: int) -> np.ndarray:
+        """Valid rows ``first .. first + count - 1``, wrapping past the
+        end of an exhausted design."""
+        self._materialise_rows(first + count)
+        index = np.arange(first, first + count)
+        if len(self._design_rows) < first + count:
+            index %= len(self._design_rows)
+        return self._design_rows[index]
 
     def design_row(self, index: int) -> tuple[int, ...]:
         """The ``index``-th valid design row (wrapping past the design)."""
         if index < 0:
             raise ConfigurationError(f"design row index {index} < 0")
-        self._materialise_rows(index + 1)
-        rows = self._design_rows
-        if index < len(rows):
-            return rows[index]
-        # The design is exhausted (index past every valid row): wrap.
-        return rows[index % len(rows)]
+        return tuple(self._rows(index, 1)[0].tolist())
 
     def pair_concurrence(self) -> dict[tuple[int, int], int]:
         """Co-occurrence count per unordered disk pair over the full
@@ -142,7 +155,7 @@ class DeclusteredParityLayout(DataLayout):
             for b in range(a + 1, self.num_disks):
                 counts[(a, b)] = 0
         self._materialise_rows(self.raw_design_size)
-        for row in self._design_rows:
+        for row in self._design_rows.tolist():
             members = sorted(row)
             for i, a in enumerate(members):
                 for b in members[i + 1:]:
@@ -183,25 +196,17 @@ class DeclusteredParityLayout(DataLayout):
         self._check_disk(disk_id)
         return False
 
-    def _row_index(self, obj: MediaObject, group: int) -> int:
-        return self._start_cluster[obj.name] + group
-
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        index = self._row_index(obj, group)
-        row = self.design_row(index)
-        parity_slot = index % self.parity_group_size
-        data = row[:parity_slot] + row[parity_slot + 1:]
-        return data[offset]
-
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        index = self._row_index(obj, group)
-        return self.design_row(index)[index % self.parity_group_size]
-
-    def group_cluster(self, name: str, group: int) -> int:
-        """Declustered groups span arbitrary disk subsets; report the
-        rotation class of the group's first data member (consistent with
-        the base contract, but carrying no contiguity meaning)."""
-        return super().group_cluster(name, group)
+    def _group_disks(self, obj: MediaObject, start: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Group ``g`` takes design row ``t = start + g``; member
+        ``t mod C`` holds its parity, the others its data in row order."""
+        count = self.group_count(obj)
+        rows = self._rows(start, count)
+        parity_slot = (start + np.arange(count)) % self.parity_group_size
+        members = np.arange(self.data_disks_per_group)
+        members = members + (members >= parity_slot[:, None])
+        return (np.take_along_axis(rows, members, axis=1),
+                rows[np.arange(count), parity_slot])
 
     def is_catastrophic_geometric(self, failed_ids: Iterable[int]) -> bool:
         """Any two concurrent failures lose data.

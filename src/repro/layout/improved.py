@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 from repro.layout.base import DataLayout
 from repro.media.objects import MediaObject
@@ -73,21 +75,21 @@ class ImprovedBandwidthLayout(DataLayout):
             self._object_rank[obj.name] = len(self._object_rank)
         return self._object_rank[obj.name]
 
-    def _data_disk_for(self, obj: MediaObject, group: int, offset: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        return cluster * self.data_disks_per_group + offset
-
-    def _parity_disk_for(self, obj: MediaObject, group: int) -> int:
-        cluster = (self._start_cluster[obj.name] + group) % self.num_clusters
-        next_cluster = (cluster + 1) % self.num_clusters
+    def _group_disks(self, obj: MediaObject, start: int,
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        groups = np.arange(self.group_count(obj))
+        stripe = self.data_disks_per_group
+        clusters = (start + groups) % self.num_clusters
+        next_clusters = (clusters + 1) % self.num_clusters
         # Spread parity round-robin over the next cluster's disks.  The
         # extra ``group // num_clusters`` term advances one additional slot
         # each full tour of the clusters; without it the slot index and the
         # target cluster advance in lockstep and some disks would never
         # receive parity.
-        slot = (self._rank(obj) + group + group // self.num_clusters) \
-            % self.data_disks_per_group
-        return next_cluster * self.data_disks_per_group + slot
+        slots = (self._rank(obj) + groups + groups // self.num_clusters) \
+            % stripe
+        return (clusters[:, None] * stripe + np.arange(stripe),
+                next_clusters * stripe + slots)
 
     def parity_source_cluster(self, disk_id: int) -> int:
         """The cluster whose parity blocks may live on ``disk_id``."""

@@ -106,8 +106,7 @@ class CycleScheduler(abc.ABC):
         "_read_hook_active", "_delivery_hook_active",
         "_base_quota", "admission_limit", "redundant_fault_commands",
         "_known_lost_tracks", "_pending_shed", "_ff_tables",
-        "_ff_tables_key", "_ff_flat", "_ff_flat_names", "_ff_geom",
-        "_ff_geom_epoch",
+        "_ff_tables_key", "_ff_flat", "_ff_flat_names",
     )
 
     def __init__(self, layout: DataLayout, array: DiskArray,
@@ -171,18 +170,12 @@ class CycleScheduler(abc.ABC):
         self._plan_cache: dict[str, dict[int, GroupPlan]] = {}
         self._plan_cache_key: Optional[tuple[int, int]] = None
         #: The epoch engine's caches (:mod:`repro.sched.epoch`): the
-        #: per-object read tables, keyed like the plan cache, their
-        #: concatenation for the last entry's object tuple, and the
-        #: per-object placement geometry, keyed on the layout epoch
-        #: alone (failures move no data).
+        #: per-object read tables, keyed like the plan cache, and their
+        #: concatenation for the last entry's object tuple.
         self._ff_tables: dict[str, tuple] = {}
         self._ff_tables_key: Optional[tuple[int, int]] = None
         self._ff_flat: Optional[tuple] = None
         self._ff_flat_names: Optional[tuple[str, ...]] = None
-        self._ff_geom: dict[str, tuple[np.ndarray, np.ndarray,
-                                       np.ndarray, np.ndarray,
-                                       np.ndarray]] = {}
-        self._ff_geom_epoch: Optional[int] = None
         # Skip per-read/per-track hook dispatch for schemes that keep the
         # base no-op hooks (everything but Non-clustered).
         cls = type(self)
@@ -548,21 +541,20 @@ class CycleScheduler(abc.ABC):
         lost: dict[str, set[int]] = {}
         if len(failed) < 2:
             return lost
-        failed_set = set(failed)
-        layout = self.layout
-        for obj in layout.objects:
-            name = obj.name
-            for group in range(layout.group_count(obj)):
-                members, parity_addr = layout.group_geometry(name, group)
-                missing = [offset for offset, (disk_id, _pos)
-                           in enumerate(members) if disk_id in failed_set]
-                if not missing:
-                    continue
-                if len(missing) + (parity_addr[0] in failed_set) < 2:
-                    continue
-                tracks = layout.group_tracks(name, group)
-                lost.setdefault(name, set()).update(
-                    tracks[offset] for offset in missing)
+        down = np.zeros(self.layout.num_disks, dtype=bool)
+        down[failed] = True
+        for obj in self.layout.objects:
+            placement = self.layout.placement(obj.name)
+            tracks = np.flatnonzero(down[placement.data_disk])
+            if not len(tracks):
+                continue
+            groups = tracks // self._stripe
+            blocks_down = np.bincount(
+                groups, minlength=len(placement.parity_disk)) \
+                + down[placement.parity_disk]
+            gone = tracks[blocks_down[groups] >= 2]
+            if len(gone):
+                lost[obj.name] = set(gone.tolist())
         return lost
 
     def _account_data_loss(self) -> None:

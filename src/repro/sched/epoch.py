@@ -93,35 +93,16 @@ def object_geometry(sched: CycleScheduler, obj: MediaObject,
     ``(cnt, ptr, disks, parity, nxt)``: per group the data-member
     count, the member offset (``disks[ptr[g]:ptr[g+1]]`` are the
     group's data disks in track order), the parity disk, and the
-    group-end read pointer.  Keyed on the layout epoch alone —
-    failures move no data — so fail/repair/media transitions reuse
-    it and only re-derive the cheap failure overlay on top.
+    group-end read pointer.  ``disks`` and ``parity`` are the layout's
+    read-only placement columns themselves — failures move no data —
+    so fail/repair/media transitions only re-derive the cheap failure
+    overlay on top.
     """
-    epoch = sched.layout.epoch
-    if sched._ff_geom_epoch != epoch:
-        sched._ff_geom = {}
-        sched._ff_geom_epoch = epoch
-    entry = sched._ff_geom.get(obj.name)
-    if entry is None:
-        positions = -(-obj.num_tracks // sched._stripe)
-        geometry = sched.layout.group_geometry
-        name = obj.name
-        sizes: list[int] = []
-        flat: list[int] = []
-        parity_ids: list[int] = []
-        for position in range(positions):
-            members, parity_addr = geometry(name, position)
-            sizes.append(len(members))
-            flat.extend(disk_id for disk_id, _pos in members)
-            parity_ids.append(parity_addr[0])
-        cnt = np.asarray(sizes, dtype=np.int64)
-        ptr = np.zeros(positions + 1, dtype=np.int64)
-        np.cumsum(cnt, out=ptr[1:])
-        disks = np.asarray(flat, dtype=np.int64)
-        parity = np.asarray(parity_ids, dtype=np.int64)
-        entry = (cnt, ptr, disks, parity, ptr[1:])
-        sched._ff_geom[obj.name] = entry
-    return entry
+    placement = sched.layout.placement(obj.name)
+    disks = placement.data_disk
+    ptr = np.minimum(np.arange(len(placement.parity_disk) + 1,
+                               dtype=np.int64) * sched._stripe, len(disks))
+    return np.diff(ptr), ptr, disks, placement.parity_disk, ptr[1:]
 
 
 def read_table(sched: CycleScheduler, obj: MediaObject,

@@ -44,7 +44,6 @@ import numpy as np
 from repro.buffers.pool import BufferPool
 from repro.errors import BufferExhausted
 from repro.media.objects import MediaObject
-from repro.sched import epoch
 from repro.sched.base import CycleScheduler
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
 from repro.server.metrics import CycleReport, HiccupCause
@@ -553,9 +552,9 @@ class NonClusteredScheduler(CycleScheduler):
     def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
         """Per-track table (divisor 1): natural-pace single reads.
 
-        The cached geometry's flat member array already lists the data
-        disk of every track in order, so an object with no group on a
-        degraded cluster gets that array as its table verbatim.  On a
+        The layout's data-disk column already lists the data disk of
+        every track in order, so an object with no group on a degraded
+        cluster gets that column as its table verbatim.  On a
         degraded cluster the protocol's recovery burst folds into the
         group's scalar burst position — EAGER at the group start, LAZY
         at the failed offset (where the running XOR completes
@@ -563,16 +562,16 @@ class NonClusteredScheduler(CycleScheduler):
         the scalar path sheds the track there, a transition the engine
         must not cross.
         """
-        track_disks = epoch.object_geometry(self, obj)[2]
+        placement = self.layout.placement(obj.name)
+        track_disks = placement.data_disk
         num_tracks = obj.num_tracks
         healthy = (np.ones(num_tracks, dtype=np.int64), track_disks,
                    np.arange(1, num_tracks + 1, dtype=np.int64), 1, None)
         if not self._degraded:
             return healthy
         stripe = self._stripe
-        layout = self.layout
-        name = obj.name
         disk_of = track_disks.tolist()
+        parity_of = placement.parity_disk.tolist()
         sizes: list[int] = []
         flat: list[int] = []
         nexts: list[int] = []
@@ -610,9 +609,10 @@ class NonClusteredScheduler(CycleScheduler):
             valid.append(True)
             deg_pairs.append((group, after))
 
-        for group in range(-(-num_tracks // stripe)):
-            tracks = layout.group_tracks(name, group)
-            cluster = layout.group_cluster(name, group)
+        for group, parity_disk in enumerate(parity_of):
+            tracks = list(range(group * stripe,
+                                min(group * stripe + stripe, num_tracks)))
+            cluster = self.layout.cluster_of(disk_of[tracks[0]])
             failed_offsets = [o for o in sorted(self._degraded.get(cluster,
                                                                    ()))
                               if o < len(tracks)]
@@ -621,7 +621,6 @@ class NonClusteredScheduler(CycleScheduler):
                     single(track)
                 continue
             touched = True
-            parity_disk = layout.parity_address(name, group).disk_id
             recoverable = (len(failed_offsets) == 1
                            and cluster not in self._unprotected
                            and not self.array[parity_disk].is_failed)

@@ -94,34 +94,6 @@ def test_from_imported_module_resolution() -> None:
     assert any(e.callee == "repro.sched.engine.run" for e in edges)
 
 
-def test_file_dependents_is_reverse_closure() -> None:
-    graph = _graph(
-        ("src/repro/layout/geom.py", """
-            def span(tracks: int) -> int:
-                return tracks
-            """),
-        ("src/repro/sched/mod.py", """
-            from repro.layout.geom import span
-
-            def plan(tracks: int) -> int:
-                return span(tracks)
-            """),
-        ("src/repro/server/top.py", """
-            from repro.sched.mod import plan
-
-            def cycle() -> int:
-                return plan(3)
-            """),
-        ("src/repro/faults/other.py", """
-            def unrelated() -> int:
-                return 0
-            """))
-    dependents = graph.file_dependents({"src/repro/layout/geom.py"})
-    assert dependents == {"src/repro/layout/geom.py",
-                          "src/repro/sched/mod.py",
-                          "src/repro/server/top.py"}
-
-
 def test_subsystem_of_handles_absolute_prefixes() -> None:
     assert subsystem_of("src/repro/faults/chaos.py") == "faults"
     assert subsystem_of("src/repro/units.py") == "units"

@@ -118,11 +118,6 @@ def test_sarif_clean_run_has_no_results(tmp_path, capsys) -> None:
     assert log["runs"][0]["results"] == []
 
 
-def test_changed_only_bad_ref_is_usage_error(capsys) -> None:
-    assert main(["--changed-only", "no-such-ref-xyz", "src"]) == 2
-    assert "git" in capsys.readouterr().err.lower()
-
-
 def test_module_entry_point() -> None:
     """``python -m repro.checks`` is wired up end to end."""
     import subprocess

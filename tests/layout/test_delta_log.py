@@ -59,18 +59,15 @@ class TestDeltaLog:
         layout.place(list(uniform_catalog(3, 0.1875, 8))[2])
         assert layout.group_span("object-0", 0) == before_span
         assert layout.group_geometry("object-0", 0) == before_geom
-        # The memo dictionaries themselves survived the placement.
-        assert ("object-0", 0) in layout._span_cache
 
     def test_remove_evicts_only_that_object(self):
         layout = _layout(3)
-        layout.group_span("object-0", 0)
+        span = layout.group_span("object-0", 0)
         layout.group_span("object-1", 0)
-        layout.group_geometry("object-2", 0)
+        geometry = layout.group_geometry("object-2", 0)
         layout.remove("object-1")
-        assert ("object-0", 0) in layout._span_cache
-        assert ("object-1", 0) not in layout._span_cache
-        assert ("object-2", 0) in layout._geometry_cache
+        assert layout.group_span("object-0", 0) == span
+        assert layout.group_geometry("object-2", 0) == geometry
         with pytest.raises(Exception):
             layout.group_span("object-1", 0)
 
