@@ -300,9 +300,9 @@ FIXTURES: tuple[Fixture, ...] = (
             class Layout:
                 def forget(self, name: str) -> None:
                     self._placements.pop(name)
-                    self._record_delta("remove", name)
+                    self._record_delta()
 
-                def _record_delta(self, kind: str, name: str) -> None:
+                def _record_delta(self) -> None:
                     self._epoch += 1
         """),
     ),
@@ -348,33 +348,6 @@ FIXTURES: tuple[Fixture, ...] = (
                         self._design_rows.append(self._raw_row(
                             self._design_scanned))
                         self._design_scanned += 1
-        """),
-    ),
-    Fixture(
-        label="R3-bad-delta-log-without-bump",
-        path="src/repro/layout/example.py",
-        code=_snippet("""
-            class Layout:
-                def log_only(self, name: str) -> None:
-                    self._delta_log.append(("place", name))
-
-                def trim(self) -> None:
-                    self._delta_floor = self._epoch
-        """),
-        expect=(("R3", 2), ("R3", 5)),
-    ),
-    Fixture(
-        label="R3-good-delta-log-bumped",
-        path="src/repro/layout/example.py",
-        code=_snippet("""
-            class Layout:
-                def _record_delta(self, kind: str, name: str) -> None:
-                    self._epoch += 1
-                    self._delta_log.append((kind, name))
-
-                def place_one(self, name: str) -> None:
-                    self._objects[name] = name
-                    self._record_delta("place", name)
         """),
     ),
     Fixture(

@@ -78,7 +78,7 @@ FIXTURE_OPS: tuple[FixtureOp, ...] = (
               "return bandwidth_mbits / 8",
               "R2"),
     FixtureOp("drop-epoch-bump", "R3-good-bumped",
-              '        self._record_delta("remove", name)\n', "",
+              "        self._record_delta()\n", "",
               "R3"),
     FixtureOp("drop-state-change-bump", "R3-good-fault-domain-bumped",
               "        self.state_changes += 1\n", "",

@@ -19,18 +19,14 @@ one of those counters.  This rule makes the contract machine-checked:
   domain through the array (``...array.fail/repair/degrade/restore/
   inject_media_error/begin_rebuild(...)``) must also call
   ``_invalidate_plan_cache()``;
-* (delta path, PR 5) a function in ``layout/`` that touches the
-  placement delta log (``_delta_log``, ``_delta_floor``) must bump the
-  epoch in the same body — a logged delta without an epoch move would
-  let schedulers bridge to a key that never changed;
 * (declustered layout, PR 8) a function in ``layout/`` that mutates the
   block-design geometry memo (``_design_rows``, ``_design_scanned``)
   must bump the epoch or carry the ``allow(epoch-cache)`` marker — the
   memo is construction-time geometry (rows depend only on ``(D, C)``),
   but an unmarked mutation site could reorder or truncate the scan and
   silently remap every placed group;
-* (delta path, PR 5) a function in ``sched/`` that *rewrites or evicts*
-  from a plan cache (``_plan_cache``, the fast-forward read tables
+* a function in ``sched/`` that *rewrites or evicts* from a plan
+  cache (``_plan_cache``, the fast-forward read tables
   ``_ff_tables``/``_ff_flat``, and the rebuilder's vector-plan memo
   ``_ff_plan`` — whole-attribute assignment or a mutator-method call)
   must re-key it by assigning the matching key field
@@ -85,10 +81,6 @@ DISK_STATE_FIELDS = frozenset({
 #: move with every per-disk epoch.
 DISK_NOTIFIER = "_fault_changed"
 DISK_INDEX_CALL = "refile"
-
-#: The layout's placement delta log: appending or trimming without an
-#: epoch bump would desynchronise the log from the key it describes.
-DELTA_FIELDS = frozenset({"_delta_log", "_delta_floor"})
 
 #: The declustered layout's block-design memo: rows are scanned strictly
 #: in diagonal order and every placed group's addresses derive from row
@@ -172,7 +164,7 @@ class EpochCacheRule(Rule):
     # -- detection helpers ---------------------------------------------------
 
     def _mutated_fields(self, func: ast.AST) -> set[str]:
-        protected = (PLACEMENT_FIELDS | DISK_STATE_FIELDS | DELTA_FIELDS
+        protected = (PLACEMENT_FIELDS | DISK_STATE_FIELDS
                      | DESIGN_CACHE_FIELDS)
         fields: set[str] = set()
         for node in ast.walk(func):

@@ -407,25 +407,20 @@ def cmd_verify(_args: argparse.Namespace) -> int:
 
 def cmd_chaos(args: argparse.Namespace) -> int:
     """Run seeded chaos campaigns; non-zero exit on invariant violations."""
-    from repro.faults.chaos import (
-        ChaosProfile, campaign_seeds, run_campaign_grid, run_campaigns)
+    from repro.faults.chaos import ChaosProfile, run_campaign_grid
+    from repro.parallel import derive_seeds
     if args.scheme.lower() == "all":
         schemes = None
     else:
         schemes = [_scheme(args.scheme)]
     profile = ChaosProfile(cycles=args.cycles,
                            max_concurrent_failures=args.max_failures)
-    if args.runs > 1:
-        results = run_campaign_grid(
-            campaign_seeds(args.seed, args.runs), schemes=schemes,
-            profile=profile,
-            check_payload_mode=not args.skip_payload_check,
-            workers=args.workers)
-    else:
-        results = run_campaigns(
-            args.seed, schemes=schemes, profile=profile,
-            check_payload_mode=not args.skip_payload_check,
-            workers=args.workers)
+    seeds = (list(derive_seeds(args.seed, args.runs)) if args.runs > 1
+             else [args.seed])
+    results = run_campaign_grid(
+        seeds, schemes=schemes, profile=profile,
+        check_payload_mode=not args.skip_payload_check,
+        workers=args.workers)
     failed = 0
     for result in results:
         flag = "ok" if result.passed else "FAIL"

@@ -208,8 +208,7 @@ def compile_cluster_trace(spec: ClusterSpec, catalog: Catalog,
 
 
 def plan_shards(spec: ClusterSpec, placement: ShardPlacement,
-                catalog: Catalog,
-                shard_seeds: tuple[int, ...]) -> list[ShardSpec]:
+                catalog: Catalog) -> list[ShardSpec]:
     """One frozen, spawn-safe spec per shard."""
     return [
         ShardSpec(
@@ -222,7 +221,6 @@ def plan_shards(spec: ClusterSpec, placement: ShardPlacement,
             admission_limit=spec.admission_limit,
             faults=tuple(event for target, event in spec.faults
                          if target == shard),
-            seed=shard_seeds[shard],
             fast_forward=spec.fast_forward,
         )
         for shard in range(spec.shards)
@@ -231,14 +229,13 @@ def plan_shards(spec: ClusterSpec, placement: ShardPlacement,
 
 def run_cluster(spec: ClusterSpec, workers: int = 1) -> ClusterReport:
     """Execute one cluster run end to end (see module docstring)."""
-    seeds = derive_seeds(spec.seed, spec.shards + 2)
-    placement_seed, trace_seed = seeds[0], seeds[1]
+    placement_seed, trace_seed = derive_seeds(spec.seed, 2)
     catalog = build_cluster_catalog(spec)
     placement = partition_catalog(
         catalog, spec.shards, replicate_top_k=spec.replicate_top_k,
         seed=placement_seed, replicas=spec.replicas)
     trace = compile_cluster_trace(spec, catalog, trace_seed)
-    shard_specs = plan_shards(spec, placement, catalog, seeds[2:])
+    shard_specs = plan_shards(spec, placement, catalog)
     router = ClusterRouter(placement, catalog)
     sessions = [TaskSpec(init_shard, args=(shard_spec,),
                          label=f"shard-{shard_spec.shard_id}")

@@ -60,9 +60,6 @@ class ShardSpec:
     :class:`~repro.faults.injector.FaultEvent` records are all
     module-level frozen types), so a spec is a valid
     :class:`~repro.parallel.TaskSpec` payload for a spawn worker.
-    ``seed`` feeds nothing stochastic inside the shard today but pins
-    the shard's identity in fingerprints; it is derived by the runner
-    via ``SeedSequence.spawn`` so worker count can never perturb it.
     """
 
     shard_id: int
@@ -73,7 +70,6 @@ class ShardSpec:
     slots_per_disk: int = SLOTS_PER_DISK
     admission_limit: Optional[int] = None
     faults: tuple[FaultEvent, ...] = ()
-    seed: int = 0
     fast_forward: bool = True
 
     def __post_init__(self) -> None:

@@ -2,7 +2,7 @@
 
 ``benchmarks/bench_scale.py`` sweeps 100/500/1000 disks x four schemes
 with and without a failure.  Each cell is independent, so the sweep is a
-natural ensemble for :class:`repro.parallel.ParallelRunner` — but spawn
+natural ensemble for :func:`repro.parallel.run_tasks` — but spawn
 workers can only run functions they can *import*, and the ``benchmarks/``
 directory is not a package on ``PYTHONPATH``.  The cell logic therefore
 lives here; the benchmark script (and any notebook) delegates to it.
@@ -173,7 +173,7 @@ def run_scale_grid(sizes: tuple[int, ...],
     count; :func:`grid_digest` over the output is therefore the
     serial-vs-parallel equality check.
     """
-    from repro.parallel import ParallelRunner, TaskSpec
+    from repro.parallel import TaskSpec, run_tasks
     from repro.schemes import ALL_IMPLEMENTED_SCHEMES
     if schemes is None:
         schemes = tuple(ALL_IMPLEMENTED_SCHEMES)
@@ -184,7 +184,7 @@ def run_scale_grid(sizes: tuple[int, ...],
                        f"{'-fail' if with_failure else ''}")
         for scheme, num_disks, with_failure in grid_cells(sizes, schemes)
     ]
-    results: list[dict[str, Any]] = ParallelRunner(workers).run(tasks)
+    results: list[dict[str, Any]] = run_tasks(tasks, workers)
     return results
 
 

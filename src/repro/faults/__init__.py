@@ -4,7 +4,6 @@ from repro.faults.chaos import (
     ChaosProfile,
     ChaosResult,
     run_campaign,
-    run_campaigns,
 )
 from repro.faults.domain import SectorScrubber, degraded_service_fraction
 from repro.faults.injector import (
@@ -44,7 +43,6 @@ __all__ = [
     "k_concurrent_condition",
     "measure_rebuild_window",
     "run_campaign",
-    "run_campaigns",
     "simulate_mean_time_to",
     "simulate_mttds_with_measured_window",
 ]

@@ -32,6 +32,7 @@ from repro.faults.domain import SectorScrubber
 from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
+from repro.parallel import TaskSpec, run_tasks
 from repro.schemes import Scheme
 from repro.sim.rng import RandomSource
 from repro.units import kilobytes
@@ -436,33 +437,6 @@ def run_campaign(scheme: Scheme, seed: int,
     )
 
 
-def run_campaigns(seed: int, schemes: Optional[list[Scheme]] = None,
-                  profile: Optional[ChaosProfile] = None,
-                  check_payload_mode: bool = True,
-                  workers: int = 1,
-                  fast_forward: bool = True) -> list[ChaosResult]:
-    """Run campaigns for several schemes (default: every implemented scheme).
-
-    The one-seed row of :func:`run_campaign_grid`: ``workers > 1`` fans
-    the campaigns out over a spawn process pool, and results come back
-    in scheme order, bit-identical to the serial run.
-    """
-    return run_campaign_grid([seed], schemes, profile=profile,
-                             check_payload_mode=check_payload_mode,
-                             workers=workers, fast_forward=fast_forward)
-
-
-def campaign_seeds(root_seed: int, count: int) -> tuple[int, ...]:
-    """``count`` independent campaign seeds derived from one root seed.
-
-    Thin wrapper over :func:`repro.parallel.derive_seeds` so multi-run
-    campaigns (``run_campaign_grid``) stay reproducible from a single
-    integer.
-    """
-    from repro.parallel import derive_seeds
-    return derive_seeds(root_seed, count)
-
-
 def run_campaign_grid(seeds: list[int],
                       schemes: Optional[list[Scheme]] = None,
                       profile: Optional[ChaosProfile] = None,
@@ -478,20 +452,13 @@ def run_campaign_grid(seeds: list[int],
     from repro.schemes import ALL_IMPLEMENTED_SCHEMES
     if schemes is None:
         schemes = list(ALL_IMPLEMENTED_SCHEMES)
-    cells = [(seed, scheme) for seed in seeds for scheme in schemes]
-    if workers == 1:
-        return [run_campaign(scheme, seed, profile=profile,
-                             check_payload_mode=check_payload_mode,
-                             fast_forward=fast_forward)
-                for seed, scheme in cells]
-    from repro.parallel import ParallelRunner, TaskSpec
     tasks = [
         TaskSpec(run_campaign, args=(scheme, seed),
                  kwargs={"profile": profile,
                          "check_payload_mode": check_payload_mode,
                          "fast_forward": fast_forward},
                  label=f"chaos-{scheme.value}-{seed}")
-        for seed, scheme in cells
+        for seed in seeds for scheme in schemes
     ]
-    results: list[ChaosResult] = ParallelRunner(workers).run(tasks)
+    results: list[ChaosResult] = run_tasks(tasks, workers)
     return results

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
-from repro.parallel import ParallelRunner, TaskSpec, shard_ranges
+from repro.parallel import TaskSpec, run_tasks, shard_ranges
 from repro.sim.rng import RandomSource
 from repro.units import hours_to_years, seconds_to_hours
 
@@ -257,7 +257,6 @@ def simulate_mean_time_to(num_disks: int, mttf_disk_hours: float,
                           mttr_disk_hours: float, condition: Condition,
                           replications: int = 200,
                           seed: int = 0,
-                          max_event_horizon_hours: Optional[float] = None,
                           workers: int = 1,
                           ) -> ReliabilityEstimate:
     """Estimate the mean time until ``condition`` first holds.
@@ -266,10 +265,12 @@ def simulate_mean_time_to(num_disks: int, mttf_disk_hours: float,
     reasonable time; the *ratio* to the closed form is scale-free, which is
     what the validation benchmarks check.
 
-    ``workers > 1`` shards the replications over a spawn process pool
-    (``condition`` must be picklable — the module's condition factories
-    all are).  Results are **bit-identical** to the serial run: replica
-    RNG streams depend only on ``(seed, replica)`` and shard results are
+    The replications run as ``4 x workers`` equal spans
+    (:func:`~repro.parallel.run_tasks`), a few per worker so an unlucky
+    long replica cannot serialise the tail of the run; ``condition``
+    must be picklable (the module's condition factories all are).
+    Results are **bit-identical** for every worker count: replica RNG
+    streams depend only on ``(seed, replica)`` and span results are
     concatenated in replica order.
     """
     if replications < 1:
@@ -278,27 +279,15 @@ def simulate_mean_time_to(num_disks: int, mttf_disk_hours: float,
         raise ValueError(f"need at least one disk, got {num_disks}")
     if mttf_disk_hours <= 0 or mttr_disk_hours <= 0:
         raise ValueError("mttf and mttr must be positive")
-    if workers == 1:
-        rng = RandomSource(seed)
-        samples = [
-            _one_replication(num_disks, mttf_disk_hours, mttr_disk_hours,
-                             condition, rng, replica)
-            for replica in range(replications)
-        ]
-    else:
-        # A few shards per worker so an unlucky long replica cannot
-        # serialise the tail of the run.
-        spans = shard_ranges(replications, 4 * workers)
-        tasks = [
-            TaskSpec(_replication_batch,
-                     args=(num_disks, mttf_disk_hours, mttr_disk_hours,
-                           condition, seed, start, stop),
-                     label=f"replications-{start}-{stop}")
-            for start, stop in spans
-        ]
-        samples = []
-        for batch in ParallelRunner(workers).run(tasks):
-            samples.extend(batch)
+    tasks = [
+        TaskSpec(_replication_batch,
+                 args=(num_disks, mttf_disk_hours, mttr_disk_hours,
+                       condition, seed, start, stop),
+                 label=f"replications-{start}-{stop}")
+        for start, stop in shard_ranges(replications, 4 * workers)
+    ]
+    samples = [sample for batch in run_tasks(tasks, workers)
+               for sample in batch]
     mean = sum(samples) / len(samples)
     if len(samples) > 1:
         variance = sum((s - mean) ** 2 for s in samples) / (len(samples) - 1)

@@ -18,7 +18,7 @@ The parity-declustered extension adds a third family:
 """
 
 from repro.layout.address import BlockKind, DiskAddress, GroupSpan, StoredBlock
-from repro.layout.base import DataLayout, Placement, PlacementDelta
+from repro.layout.base import DataLayout, Placement
 from repro.layout.clustered import ClusteredParityLayout
 from repro.layout.declustered import DeclusteredParityLayout
 from repro.layout.improved import ImprovedBandwidthLayout
@@ -32,6 +32,5 @@ __all__ = [
     "GroupSpan",
     "ImprovedBandwidthLayout",
     "Placement",
-    "PlacementDelta",
     "StoredBlock",
 ]

@@ -35,27 +35,6 @@ from repro.media.objects import MediaObject
 from repro.parity.xor import xor_blocks, xor_matrix
 from repro.units import mb_to_bytes
 
-#: How many placement deltas a layout retains.  Once the log outgrows
-#: this, the oldest entries are dropped and the *floor* rises — callers
-#: asking for history below the floor get ``None`` and must fall back to
-#: wholesale invalidation.
-DELTA_LOG_LIMIT = 256
-
-
-@dataclass(frozen=True)
-class PlacementDelta:
-    """One placement change: which epoch it created, and what moved.
-
-    ``kind`` is ``"place"`` (addresses were appended — every previously
-    cached lookup stays valid) or ``"remove"`` (the named object's
-    addresses were freed — only caches mentioning that object die).
-    """
-
-    epoch: int
-    kind: str
-    name: str
-
-
 @dataclass(frozen=True, slots=True)
 class Placement:
     """Where one placed object lives: the layout's only placement store.
@@ -122,11 +101,6 @@ class DataLayout(abc.ABC):
         #: Placement epoch: bumped whenever addresses change (place/remove).
         #: Schedulers key their cycle-plan caches on this.
         self._epoch = 0
-        #: Bounded log of recent placement changes so schedulers can
-        #: bridge an epoch gap with per-object evictions instead of
-        #: dropping every cached plan (see :meth:`deltas_since`).
-        self._delta_log: list[PlacementDelta] = []
-        self._delta_floor = 0
         # Object-set views, rebuilt lazily after a placement change.
         self._names_cache: Optional[frozenset[str]] = None
         self._block_index: Optional[dict[tuple[int, int], StoredBlock]] = None
@@ -138,8 +112,8 @@ class DataLayout(abc.ABC):
         """Monotonic counter of placement changes (place/remove calls)."""
         return self._epoch
 
-    def _record_delta(self, kind: str, name: str) -> None:
-        """Bump the epoch for one placement change and log it.
+    def _record_delta(self) -> None:
+        """Bump the epoch for one placement change.
 
         The object-set views (:attr:`object_names`, the block reverse
         index) are rebuilt lazily afterwards.
@@ -147,22 +121,6 @@ class DataLayout(abc.ABC):
         self._epoch += 1
         self._names_cache = None
         self._block_index = None
-        self._delta_log.append(PlacementDelta(self._epoch, kind, name))
-        if len(self._delta_log) > DELTA_LOG_LIMIT:
-            dropped = len(self._delta_log) - DELTA_LOG_LIMIT
-            del self._delta_log[:dropped]
-            self._delta_floor = self._delta_log[0].epoch - 1
-
-    def deltas_since(self, epoch: int) -> Optional[tuple[PlacementDelta, ...]]:
-        """Placement changes after ``epoch``, oldest first.
-
-        Returns ``None`` when ``epoch`` predates the retained window (the
-        log is bounded by :data:`DELTA_LOG_LIMIT`) — callers must then
-        invalidate wholesale.  Returns ``()`` when nothing changed.
-        """
-        if epoch < self._delta_floor:
-            return None
-        return tuple(d for d in self._delta_log if d.epoch > epoch)
 
     # -- geometry to be provided by subclasses ---------------------------
 
@@ -241,7 +199,7 @@ class DataLayout(abc.ABC):
         self._placements[obj.name] = Placement(
             obj, start, _frozen(data_disk), _frozen(positions[data_slot]),
             _frozen(parity_disk), _frozen(positions[parity_slot]))
-        self._record_delta("place", obj.name)
+        self._record_delta()
 
     def place_catalog(self, catalog: Catalog,
                       start_cluster: Optional[int] = None) -> None:
@@ -299,7 +257,7 @@ class DataLayout(abc.ABC):
         for disk_id, position in zip(disks, positions):
             self._free_positions[disk_id].append(position)
         del self._placements[name]
-        self._record_delta("remove", name)
+        self._record_delta()
         return list(map(DiskAddress, disks, positions))
 
     def occupied_positions(self, disk_id: int) -> int:

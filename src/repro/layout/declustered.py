@@ -114,9 +114,7 @@ class DeclusteredParityLayout(DataLayout):
         strides = 1 + raw % (p - 1)
         return (raw % p + np.arange(self.parity_group_size) * strides) % p
 
-    # Construction-time geometry memo: rows depend only on (D, C), are
-    # scanned strictly in order, and every write is value-deterministic —
-    # safe for ff eligibility probes to trigger.  # repro: allow(R8)
+    # Construction-time geometry: rows depend only on (D, C).
     def _materialise_rows(self, count: int) -> None:  # repro: allow(epoch-cache)
         """Extend the valid-row cache to at least ``count`` rows (or
         exhaustion)."""

@@ -1,10 +1,19 @@
-"""Deterministic sharded process-pool execution for ensemble runs.
+"""Deterministic process-pool execution for ensemble runs.
 
 The paper's headline numbers come from *ensembles* — Monte-Carlo
 reliability replications, chaos campaigns, C/D/scheme benchmark grids —
 that are embarrassingly parallel.  This module runs them across worker
 processes without giving up the repo's core contract: **a run is fully
 determined by its seeds**, regardless of worker count.
+
+There is one pool, :class:`SessionPool`: persistent spawn workers that
+each hold some sessions' state.  A session's state is built *once*,
+inside its worker, from a self-contained :class:`TaskSpec`; later steps
+ship only the step function and its (small) arguments, so a stateful
+shard — a cluster server stepped through many trace segments — never
+crosses a process boundary again.  A stateless task is the degenerate
+case, a one-step session: :func:`run_tasks` builds each task's result as
+its session's state and fetches it back with a single step.
 
 Three design rules make parallel runs bit-identical to serial ones:
 
@@ -13,7 +22,7 @@ Three design rules make parallel runs bit-identical to serial ones:
    for shards are derived ahead of time (:func:`derive_seeds`, built on
    ``numpy.random.SeedSequence.spawn``) so shard *i*'s stream is a pure
    function of ``(root_seed, i)``.
-2. **Spawn-safety at construction.**  Pools use the ``spawn`` start
+2. **Spawn-safety at construction.**  Workers use the ``spawn`` start
    method (fresh interpreters — the only portable choice, and the one
    that cannot silently fork half-mutated state).  Task callables must
    therefore be picklable: module-level functions in importable modules.
@@ -21,29 +30,21 @@ Three design rules make parallel runs bit-identical to serial ones:
    the :class:`TaskSpec` is built — loudly, and identically for
    ``workers=1`` — so a workload never *becomes* unparallelisable.
    Rule R7 of ``repro.checks`` enforces the same contract statically.
-3. **Ordered merge.**  Results are returned strictly in
-   task-submission order, whatever order workers finish in.
-   Aggregations are therefore independent of scheduling.
+3. **Ordered merge.**  Session ``i`` is pinned to worker ``i % W`` and
+   results are returned strictly in session order, whatever order
+   workers finish in.  Aggregations are therefore independent of
+   scheduling.  Pinning is static, so an ensemble balances its own
+   work: the reliability estimator cuts ``4 x workers`` equal replica
+   spans and the grids interleave sizes and schemes.
 
-``workers=1`` never creates a pool: tasks run in-process, in order, so
-small runs and debugging sessions pay zero multiprocessing overhead.
-
-For stateful shards — a cluster of servers stepped through many trace
-segments — re-pickling the server per task would dominate the run.
-:class:`SessionPool` is the **persistent-worker session mode**: each
-session's state is built *once*, inside a long-lived spawn worker, from
-a self-contained :class:`TaskSpec`; subsequent steps ship only the step
-function and its (small) arguments, and the state never crosses a
-process boundary again.  Sessions are multiplexed round-robin over the
-worker processes, results always come back in session order, and
-``workers=1`` keeps every state in-process — so, exactly like
-:class:`ParallelRunner`, the two modes are interchangeable bit for bit.
+``workers=1`` never starts a process: states are built and stepped
+in-process, in order, so small runs and debugging sessions pay zero
+multiprocessing overhead.
 """
 
 from __future__ import annotations
 
 import functools
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
@@ -114,46 +115,6 @@ class TaskSpec:
 def _execute(spec: TaskSpec) -> Any:
     """Run one task (module-level so the spec itself is the only pickle)."""
     return spec.fn(*spec.args, **spec.kwargs)
-
-
-class ParallelRunner:
-    """Runs :class:`TaskSpec` batches with deterministic, ordered merge.
-
-    ``workers=1`` executes in-process (no pool, no pickling at run time);
-    ``workers>1`` fans out over a spawn-context process pool.  Either
-    way, results come back in task order, so the two modes are
-    interchangeable bit for bit.
-    """
-
-    __slots__ = ("workers",)
-
-    def __init__(self, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        self.workers = workers
-
-    def run(self, tasks: Iterable[TaskSpec]) -> list[Any]:
-        """Execute every task; return the results in task order."""
-        specs = list(tasks)
-        for spec in specs:
-            if not isinstance(spec, TaskSpec):
-                raise TypeError(
-                    f"ParallelRunner.run takes TaskSpec items, got "
-                    f"{type(spec).__name__}")
-        if self.workers == 1 or len(specs) <= 1:
-            return [_execute(spec) for spec in specs]
-        return self._run_pool(specs)
-
-    def _run_pool(self, specs: Sequence[TaskSpec]) -> list[Any]:
-        width = min(self.workers, len(specs))
-        with ProcessPoolExecutor(max_workers=width,
-                                 mp_context=get_context("spawn")) as pool:
-            futures = {pool.submit(_execute, spec): index
-                       for index, spec in enumerate(specs)}
-            results: list[Any] = [None] * len(specs)
-            for future in as_completed(futures):
-                results[futures[future]] = future.result()
-            return results
 
 
 def _session_worker(conn: Connection) -> None:
@@ -335,6 +296,27 @@ class SessionPool:
                 process.join(timeout=5.0)
         self._conns = []
         self._procs = []
+
+
+def _result(state: Any) -> Any:
+    """The one step of a stateless session: hand its state back."""
+    return state
+
+
+def run_tasks(tasks: Iterable[TaskSpec], workers: int = 1) -> list[Any]:
+    """Run every task; return the results in task order.
+
+    Each task is a one-step :class:`SessionPool` session: its result is
+    the session's state, built in the worker that owns it, and a single
+    :meth:`~SessionPool.step_all` fetches every result back.  A task
+    that raises closes the pool and re-raises in the caller.  An empty
+    task list starts nothing.
+    """
+    specs = list(tasks)
+    if not specs:
+        return []
+    with SessionPool(specs, workers=workers) as pool:
+        return pool.step_all(_result)
 
 
 def derive_seeds(root_seed: int, count: int) -> tuple[int, ...]:

@@ -165,8 +165,8 @@ class CycleScheduler(abc.ABC):
         self._stripe = config.stripe_width
         #: Cycle-plan cache: object name -> {group -> GroupPlan}, valid
         #: for one (placement epoch, array state epoch) pair.  Two-level
-        #: so a single object's plans can be evicted in O(1) when the
-        #: layout's delta log reports its removal (incremental refresh).
+        #: so a scalar-path lookup indexes by name, then group, without
+        #: building a ``(name, group)`` tuple per read.
         self._plan_cache: dict[str, dict[int, GroupPlan]] = {}
         self._plan_cache_key: Optional[tuple[int, int]] = None
         #: The epoch engine's caches (:mod:`repro.sched.epoch`): the
@@ -660,44 +660,21 @@ class CycleScheduler(abc.ABC):
         self._ff_flat = None
 
     def _refresh_plan_cache(self) -> None:
-        """Re-key the plan cache if the layout or array state moved on.
+        """Drop the plan cache if the layout or array state moved on.
 
         The epoch pair catches *every* invalidation source — scheduler-level
         ``fail_disk``/``repair_disk``, direct ``array.fail`` calls, and
         content-manager placements — at one O(1) check per cycle (the
-        array's fault index keeps the state epoch).
-
-        When only the *placement* epoch moved and the layout can replay
-        the gap from its delta log, the refresh is incremental: a
-        ``place`` delta invalidates nothing (plans for other objects
-        never reference the appended addresses) and a ``remove`` delta
-        evicts just that object's plans and read tables.  Staging churn
-        — the VoD tertiary swap-in/out cycle — therefore no longer costs
-        a wholesale plan rebuild per placement.  A moved array epoch or
-        an expired delta window still drops everything.
+        array's fault index keeps the state epoch).  A placement change
+        drops every plan, exactly like a fault; the epoch engine's read
+        tables are keyed on the same pair, so they follow on their next
+        use (:func:`repro.sched.epoch.flat_tables`).
         """
         key = (self.layout.epoch, self.array.state_epoch)
-        old = self._plan_cache_key
-        if key == old:
+        if key == self._plan_cache_key:
             return
-        if old is not None and old[1] == key[1]:
-            deltas = self.layout.deltas_since(old[0])
-            if deltas is not None:
-                bridge = self._ff_tables_key == old
-                for delta in deltas:
-                    if delta.kind != "remove":
-                        continue
-                    self._plan_cache.pop(delta.name, None)
-                    if bridge:
-                        self._ff_tables.pop(delta.name, None)
-                        self._ff_flat = None
-                self._plan_cache_key = key
-                if bridge:
-                    self._ff_tables_key = key
-                return
         self._plan_cache.clear()
         self._plan_cache_key = key
-        self._ff_flat = None
 
     def _group_plan(self, name: str, group: int) -> GroupPlan:
         """The memoized read plan for one (object, group)."""

@@ -202,7 +202,8 @@ def flat_tables(sched: CycleScheduler, objects: list[MediaObject]) -> tuple:
     delivery passes the group).
 
     Per-object tables are cached against the plan-cache key, so
-    every fail/repair/media transition re-derives them; the
+    every fail/repair/media transition and every placement change
+    re-derives them; the
     concatenation is memoized against the object tuple, so an epoch
     re-entering with the same working set pays nothing.
     """

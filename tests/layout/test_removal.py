@@ -1,15 +1,21 @@
-"""Object removal, slot reuse, and placement-demand prediction."""
+"""Object removal, slot reuse, placement epochs and demand prediction."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import LayoutError
 from repro.layout import ClusteredParityLayout, ImprovedBandwidthLayout
-from repro.media import MediaObject
+from repro.media import MediaObject, uniform_catalog
 
 
 def obj(name, tracks=8, seed=0):
     return MediaObject(name, 0.1875, tracks, seed=seed)
+
+
+def _layout(num_objects: int = 4) -> ClusteredParityLayout:
+    layout = ClusteredParityLayout(num_disks=10, parity_group_size=5)
+    layout.place_catalog(uniform_catalog(num_objects, 0.1875, 8))
+    return layout
 
 
 class TestRemove:
@@ -57,6 +63,58 @@ class TestRemove:
             layout.data_address("y", track)  # no gaps, no collisions
         addresses = [layout.data_address("y", t) for t in range(12)]
         assert len(set(addresses)) == 12
+
+
+class TestPlacementChanges:
+    def test_place_and_remove_each_bump_the_epoch(self):
+        # The scheduler's plan cache is keyed on this epoch: a placement
+        # change that did not move it would serve stale plans.
+        layout = _layout(2)
+        epoch = layout.epoch
+        layout.remove("object-0")
+        assert layout.epoch == epoch + 1
+        layout.place(list(uniform_catalog(1, 0.1875, 8))[0])
+        assert layout.epoch == epoch + 2
+
+    def test_place_keeps_existing_addresses(self):
+        layout = _layout(2)
+        before_span = layout.group_span("object-0", 0)
+        before_geom = layout.group_geometry("object-0", 0)
+        layout.place(list(uniform_catalog(3, 0.1875, 8))[2])
+        assert layout.group_span("object-0", 0) == before_span
+        assert layout.group_geometry("object-0", 0) == before_geom
+
+    def test_remove_evicts_only_that_object(self):
+        layout = _layout(3)
+        span = layout.group_span("object-0", 0)
+        layout.group_span("object-1", 0)
+        geometry = layout.group_geometry("object-2", 0)
+        layout.remove("object-1")
+        assert layout.group_span("object-0", 0) == span
+        assert layout.group_geometry("object-2", 0) == geometry
+        with pytest.raises(Exception):
+            layout.group_span("object-1", 0)
+
+    def test_object_names_refreshes_after_remove(self):
+        layout = _layout(2)
+        assert "object-1" in layout.object_names
+        layout.remove("object-1")
+        assert "object-1" not in layout.object_names
+
+    def test_reuse_after_remove_still_correct(self):
+        # A placement that reuses freed slots must produce addresses the
+        # lazily rebuilt views (the block reverse index) agree with.
+        layout = _layout(2)
+        layout.remove("object-0")
+        staged = list(uniform_catalog(1, 0.1875, 8))[0]
+        layout.place(staged)
+        span = layout.group_span(staged.name, 0)
+        tracks = layout.group_tracks(staged.name, 0)
+        for address, track in zip(span.data, tracks):
+            assert layout.data_address(staged.name, track) == address
+        assert layout.block_at(
+            span.data[0].disk_id,
+            span.data[0].position).object_name == staged.name
 
 
 class TestPlacementDemand:

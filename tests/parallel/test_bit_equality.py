@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import asdict
 
 from repro.experiments.scalegrid import grid_digest, run_scale_grid
-from repro.faults.chaos import ChaosProfile, campaign_seeds, run_campaign_grid
+from repro.faults.chaos import ChaosProfile, run_campaign_grid
 from repro.faults.reliability import (k_concurrent_condition,
                                       simulate_mean_time_to)
+from repro.parallel import derive_seeds
 from repro.schemes import Scheme
 
 WORKERS = 4
@@ -31,7 +32,7 @@ def test_reliability_replications_bit_identical() -> None:
 
 
 def test_chaos_campaign_grid_bit_identical() -> None:
-    seeds = list(campaign_seeds(7, 2))
+    seeds = list(derive_seeds(7, 2))
     profile = ChaosProfile(cycles=12)
     schemes = [Scheme.STREAMING_RAID, Scheme.NON_CLUSTERED]
     serial = run_campaign_grid(seeds, schemes=schemes, profile=profile,

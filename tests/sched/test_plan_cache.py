@@ -1,16 +1,19 @@
-"""The cycle-plan cache: correct memoization across failures and repairs.
+"""The cycle-plan cache: correct memoization across placement and faults.
 
 The cache memoizes per-(object, group) read plans keyed on the placement
-and array-state epochs.  These tests pin the invalidation contract: a
-failure degrades the plan immediately, a repair restores the original
-geometry, and state changes that bypass the scheduler (direct array
-failures, mid-cycle failures) are caught no later than the next cycle.
+and array-state epochs, and drops every plan when either moves.  These
+tests pin the invalidation contract: a failure degrades the plan
+immediately, a repair restores the original geometry, state changes that
+bypass the scheduler (direct array failures, mid-cycle failures) are
+caught no later than the next cycle, and plans after a placement change
+equal a fresh server's.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.media import MediaObject
 from repro.schemes import Scheme
 from tests.conftest import build_server, tiny_catalog
 
@@ -135,3 +138,42 @@ def test_steady_state_reuses_cached_plans(scheme):
     server.run_cycle()
     # No failure, no placement change: the same objects are served.
     assert sched._group_plan(name, 0) is first
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_array_state_change_rebuilds_wholesale(scheme):
+    server = make_server(scheme)
+    sched = server.scheduler
+    name = server.catalog.names()[0]
+    sched._refresh_plan_cache()
+    first = sched._group_plan(name, 0)
+    # A state change behind the scheduler's back moves state_epoch: the
+    # whole cache is dropped.
+    parity_disk = first.parity[0]
+    server.array.fail(parity_disk)
+    sched._refresh_plan_cache()
+    degraded = sched._group_plan(name, 0)
+    assert degraded is not first
+    assert degraded.parity is None
+    server.array.repair(parity_disk)
+    sched._refresh_plan_cache()
+    restored = sched._group_plan(name, 0)
+    assert restored is not first
+    assert restored.parity == first.parity
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_plans_after_place_and_remove_match_a_fresh_server(scheme):
+    warm = make_server(scheme)
+    fresh = make_server(scheme)
+    names = warm.catalog.names()
+    warm.scheduler._refresh_plan_cache()
+    for name in names:
+        warm.scheduler._group_plan(name, 0)
+    for server in (warm, fresh):
+        server.layout.place(MediaObject("staged0", 0.1875, 40, seed=100))
+        server.layout.remove(names[-1])
+        server.scheduler._refresh_plan_cache()
+    for name in names[:-1]:
+        assert plan_fields(warm.scheduler._group_plan(name, 0)) == \
+            plan_fields(fresh.scheduler._group_plan(name, 0))

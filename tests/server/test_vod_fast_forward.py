@@ -89,3 +89,22 @@ def test_pending_drains_under_fast_forward() -> None:
     assert system.stats.pending == 0
     assert system.stats.pending == len(system._pending_starts)
     assert system.stats.started_after_staging == 2
+
+
+def test_placement_churn_matches_scalar() -> None:
+    # Two requests per round over a six-title library with room for
+    # three: each round stages one title and evicts another, so the plan
+    # cache and the engine's read tables see hundreds of placement
+    # changes.
+    scalar = build_system()
+    fast = build_system()
+    for system, fast_forward in ((scalar, False), (fast, True)):
+        for round_index in range(200):
+            system.request(f"m{round_index % 6}")
+            system.request(f"m{(round_index + 5) % 6}")
+            system.run_cycles(6, fast_forward=fast_forward)
+    assert _vod_state(scalar) == _vod_state(fast)
+    assert fast.server.layout.epoch > 300
+    assert fast.stats.started_immediately > 100
+    assert fast.stats.started_after_staging > 100
+    assert fast.report.ff_residency() == 1.0

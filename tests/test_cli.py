@@ -175,6 +175,23 @@ def test_cluster_json_shape(capsys):
                for s in payload["per_shard"])
 
 
+def test_chaos_runs_print_the_same_at_any_worker_count(capsys):
+    argv = ("chaos", "--runs", "2", "--cycles", "12")
+    code, serial = run(capsys, *argv, "--workers", "1")
+    assert code == 0
+    assert serial.endswith("10/10 campaigns clean\n")
+    _, pooled = run(capsys, *argv, "--workers", "2")
+    assert pooled == serial
+
+
+def test_chaos_single_run_uses_the_given_seed(capsys):
+    code, out = run(capsys, "chaos", "--runs", "1", "--seed", "7",
+                    "--cycles", "12", "--scheme", "SR")
+    assert code == 0
+    assert "seed 7," in out
+    assert out.endswith("1/1 campaigns clean\n")
+
+
 def test_cluster_chaos_gate(capsys):
     import json
     code, out = run(capsys, "cluster", "--shards", "2", "--disks", "20",
