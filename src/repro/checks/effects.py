@@ -68,7 +68,7 @@ class CacheFamily:
 FAMILIES: tuple[CacheFamily, ...] = (
     CacheFamily("plan-cache", frozenset({"_plan_cache"}),
                 "_plan_cache_key", frozenset({"epoch", "state_epoch"})),
-    CacheFamily("ff-tables", frozenset({"_ff_tables", "_ff_flat"}),
+    CacheFamily("ff-tables", frozenset({"_ff_tables"}),
                 "_ff_tables_key", frozenset({"epoch", "state_epoch"}),
                 frozenset({"_plan_cache_key"})),
 )

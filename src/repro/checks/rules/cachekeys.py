@@ -5,9 +5,9 @@ other half of the contract, which is inherently interprocedural:
 
 1. **Key completeness** — wherever a cache key is *assigned* or
    *compared*, the key expression must cover every epoch counter the
-   cached data transitively depends on.  ``_plan_cache`` (and the flat
-   read tables chained to it) depends on both the layout epoch and the
-   array state epoch.  A key tuple that drops
+   cached data transitively depends on.  ``_plan_cache`` (and the epoch
+   engine's read table ``_ff_tables``, chained to it) depends on both
+   the layout epoch and the array state epoch.  A key tuple that drops
    a counter — ``(self.layout.epoch,)`` where ``state_epoch`` is
    required — would serve stale plans across fault transitions, the
    exact bug class PR 6 made possible.  Chained keys are understood:

@@ -26,9 +26,9 @@ one of those counters.  This rule makes the contract machine-checked:
   but an unmarked mutation site could reorder or truncate the scan and
   silently remap every placed group;
 * a function in ``sched/`` that *rewrites or evicts* from a plan
-  cache (``_plan_cache``, the fast-forward read tables
-  ``_ff_tables``/``_ff_flat``, and the rebuilder's vector-plan memo
-  ``_ff_plan`` — whole-attribute assignment or a mutator-method call)
+  cache (``_plan_cache``, the epoch engine's read table ``_ff_tables``
+  and the rebuilder's vector-plan memo ``_ff_plan`` — whole-attribute
+  assignment or a mutator-method call)
   must re-key it by assigning the matching key field
   (``_plan_cache_key``, ``_ff_tables_key``, ``_ff_plan_key``) or
   calling an invalidator in the same body.  The cache table and the call vocabularies are the ones

@@ -190,17 +190,21 @@ class Disk:
             self._fault_changed()
         self.writes += 1
 
-    def write_meta(self, position: int) -> None:
-        """Mark ``position`` occupied without materialising any payload.
+    def write_meta(self, positions: list[int]) -> None:
+        """Mark every one of ``positions`` occupied without materialising
+        any payload.
 
-        The metadata-mode loader path: occupancy and the write counter
-        advance exactly as :meth:`write` would, but no bytes are generated
-        or stored, so materialising a whole catalog is O(1) per track.
+        The metadata-mode loader path, one call per disk: occupancy and
+        the write counter advance exactly as one :meth:`write` per
+        position would, but no bytes are generated or stored.  A
+        position out of range raises :class:`LayoutError` before
+        anything is written.
         """
-        self._check_position(position)
-        self._tracks[position] = _META if not self.store_payloads else \
-            self._tracks.get(position, _META)
-        self.writes += 1
+        if positions:
+            self._check_position(min(positions))
+            self._check_position(max(positions))
+        self._tracks.update(dict.fromkeys(positions, _META))
+        self.writes += len(positions)
 
     def read(self, position: int) -> bytes:
         """Return the payload at ``position``.

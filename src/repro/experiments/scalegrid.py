@@ -53,8 +53,9 @@ POOL_SPEEDUP_GATE = 2.5
 
 #: bench_parallel's steady-state segment: 400-track objects keep reading
 #: for all 100 cycles, so the whole segment is one quiescent epoch.  The
-#: epoch's one-time flat-table build (~0.4 s at 1000 disks) amortises
-#: over the segment; very short segments stay closer to scalar speed.
+#: epoch's one-time entry (live-stream walk, row pool, read tables:
+#: 2-3 ms of them at 1000 disks on a 2-vCPU host) amortises over the
+#: segment; very short segments stay closer to scalar speed.
 FF_DISKS = 1000
 FF_TRACKS = 400
 FF_CYCLES = 100

@@ -41,6 +41,9 @@ from repro.units import kilobytes
 #: replays (the mode-equivalence invariant) stay cheap.
 TRACK_SIZE_MB = kilobytes(0.064)
 
+#: Parity group size of every chaos server.
+PARITY_GROUP_SIZE = 5
+
 
 @dataclass(frozen=True)
 class ChaosProfile:
@@ -138,7 +141,7 @@ def build_chaos_server(scheme: Scheme, verify_payloads: bool = False,
     for index in range(objects):
         catalog.add(MediaObject(f"m{index}", 0.1875, tracks, seed=index))
     return MultimediaServer.build(
-        params, 5, scheme, catalog=catalog, slots_per_disk=8,
+        params, PARITY_GROUP_SIZE, scheme, catalog=catalog, slots_per_disk=8,
         verify_payloads=verify_payloads)
 
 
@@ -154,7 +157,7 @@ def generate_script(scheme: Scheme, seed: int,
     """
     probe = build_chaos_server(scheme, profile=profile)
     num_disks = len(probe.array)
-    media_gap = probe.config.parity_group_size + 4
+    media_gap = PARITY_GROUP_SIZE + 4
     # Candidate media-error targets: every stored block (data and parity)
     # of every object, so injected errors land where streams actually
     # read and the retry/parity-fallback path gets exercised.  The list
@@ -389,8 +392,7 @@ def run_campaign(scheme: Scheme, seed: int,
     """
     profile = profile if profile is not None else ChaosProfile()
     events = generate_script(scheme, seed, profile)
-    probe = build_chaos_server(scheme, profile=profile)
-    window = probe.config.parity_group_size + 3
+    window = PARITY_GROUP_SIZE + 3
     violations: list[str] = []
 
     first = replay(scheme, events, profile.cycles,

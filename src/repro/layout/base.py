@@ -69,6 +69,25 @@ def _frozen(column: np.ndarray) -> np.ndarray:
     return column
 
 
+def _mark_occupied(array: DiskArray, placements: list[Placement]) -> None:
+    """Metadata-only loading: mark every data and parity block of
+    ``placements`` occupied, one ``write_meta`` call per disk."""
+    if not placements:
+        return
+    disks = np.concatenate([column for p in placements
+                            for column in (p.data_disk, p.parity_disk)])
+    positions = np.concatenate([column for p in placements
+                                for column in (p.data_pos, p.parity_pos)])
+    # Stable: each disk's blocks keep the order one write per block gave.
+    by_disk = positions[np.argsort(disks, kind="stable")].tolist()
+    counts = np.bincount(disks, minlength=len(array))
+    used = np.flatnonzero(counts)
+    start = 0
+    for disk_id, end in zip(used.tolist(), np.cumsum(counts[used]).tolist()):
+        array[disk_id].write_meta(by_disk[start:end])
+        start = end
+
+
 class DataLayout(abc.ABC):
     """Common machinery for parity-group layouts.
 
@@ -478,14 +497,18 @@ class DataLayout(abc.ABC):
         the unused stripe units.
 
         On a metadata-only array (``store_payloads=False``) no bytes are
-        generated at all: each address is merely marked occupied — O(1) per
-        track — and the real payloads stay derivable on demand through
+        generated at all: every address is merely marked occupied, with
+        one :meth:`~repro.disk.drive.Disk.write_meta` per disk, and the
+        real payloads stay derivable on demand through
         :meth:`resolve_payload`.
         """
         if len(array) != self.num_disks:
             raise ConfigurationError(
                 f"layout expects {self.num_disks} disks, array has {len(array)}"
             )
+        if not array.store_payloads:
+            _mark_occupied(array, list(self._placements.values()))
+            return
         for name in self._placements:
             self.materialise_object(array, name)
 
@@ -493,17 +516,12 @@ class DataLayout(abc.ABC):
         """Write one placed object's payloads and parity onto the array
         (the per-object loader the tertiary staging path uses)."""
         placement = self.placement(name)
-        data = list(zip(placement.data_disk.tolist(),
-                        placement.data_pos.tolist()))
+        if not array.store_payloads:
+            _mark_occupied(array, [placement])
+            return
+        data = zip(placement.data_disk.tolist(), placement.data_pos.tolist())
         parity = zip(placement.parity_disk.tolist(),
                      placement.parity_pos.tolist())
-        if not array.store_payloads:
-            # Metadata-only: mark occupancy, derive payloads lazily.
-            for disk_id, position in data:
-                array[disk_id].write_meta(position)
-            for disk_id, position in parity:
-                array[disk_id].write_meta(position)
-            return
         obj = placement.obj
         track_bytes = mb_to_bytes(array.spec.track_size_mb)
         # Generate and write every data track, collecting the group rows;

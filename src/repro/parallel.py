@@ -207,11 +207,8 @@ class SessionPool:
             child_conn.close()
             self._conns.append(parent_conn)
             self._procs.append(process)
-        # Ship every session's build spec to its owner, then collect the
-        # acknowledgements — builds proceed concurrently across workers.
-        for sid, spec in enumerate(specs):
-            self._conns[self._owner[sid]].send(("init", sid, spec))
-        self._collect(len(specs))
+        # Builds proceed concurrently across workers.
+        self._exchange("init", specs)
 
     def __len__(self) -> int:
         return len(self._specs)
@@ -249,33 +246,35 @@ class SessionPool:
         if self.workers == 1:
             return [spec.fn(state, *spec.args)
                     for state, spec in zip(self._states, specs)]
-        for sid, spec in enumerate(specs):
-            self._conns[self._owner[sid]].send(("step", sid, spec))
-        return self._collect(count)
+        return self._exchange("step", specs)
 
-    def _collect(self, expected: int) -> list[Any]:
-        """Gather ``expected`` replies, restored to session order.
+    def _exchange(self, kind: str, specs: list[TaskSpec]) -> list[Any]:
+        """Send session ``i`` the message ``(kind, i, specs[i])``, then
+        gather every reply, restored to session order.
 
         Each worker answers its own messages in the order they were
-        sent, so draining per-worker queues round-robin is deadlock-free
-        and deterministic.
+        sent, so draining per-worker queues in turn is deadlock-free
+        and deterministic.  Any exception on the way — a failure reply,
+        a dead worker, an interrupt — terminates every worker and closes
+        the pool before it propagates: the workers' remaining work would
+        be discarded anyway.
         """
-        results: list[Any] = [None] * len(self._specs)
-        pending = expected
-        per_worker = [0] * self.workers
-        for sid in range(len(self._specs)):
-            per_worker[self._owner[sid]] += 1
-        for worker, conn in enumerate(self._conns):
-            for _ in range(per_worker[worker]):
-                if pending == 0:
-                    break
-                sid, ok, payload = conn.recv()
-                if not ok:
-                    self.close()
-                    raise payload
-                results[sid] = payload
-                pending -= 1
-        return results
+        try:
+            for sid, spec in enumerate(specs):
+                self._conns[self._owner[sid]].send((kind, sid, spec))
+            results: list[Any] = [None] * len(specs)
+            for worker, conn in enumerate(self._conns):
+                for _ in range(self._owner.count(worker)):
+                    sid, ok, payload = conn.recv()
+                    if not ok:
+                        raise payload
+                    results[sid] = payload
+            return results
+        except BaseException:
+            for process in self._procs:
+                process.terminate()
+            self.close()
+            raise
 
     def close(self) -> None:
         """Stop every worker and drop the held states (idempotent)."""

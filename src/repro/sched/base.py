@@ -105,8 +105,7 @@ class CycleScheduler(abc.ABC):
         "rebuilders", "_stripe", "_plan_cache", "_plan_cache_key",
         "_read_hook_active", "_delivery_hook_active",
         "_base_quota", "admission_limit", "redundant_fault_commands",
-        "_known_lost_tracks", "_pending_shed", "_ff_tables",
-        "_ff_tables_key", "_ff_flat", "_ff_flat_names",
+        "_known_lost_tracks", "_pending_shed", "_ff_tables", "_ff_tables_key",
     )
 
     def __init__(self, layout: DataLayout, array: DiskArray,
@@ -169,13 +168,11 @@ class CycleScheduler(abc.ABC):
         #: building a ``(name, group)`` tuple per read.
         self._plan_cache: dict[str, dict[int, GroupPlan]] = {}
         self._plan_cache_key: Optional[tuple[int, int]] = None
-        #: The epoch engine's caches (:mod:`repro.sched.epoch`): the
-        #: per-object read tables, keyed like the plan cache, and their
-        #: concatenation for the last entry's object tuple.
-        self._ff_tables: dict[str, tuple] = {}
+        #: The epoch engine's read tables of every placed object
+        #: (:func:`repro.sched.epoch.flat_tables`), keyed like the plan
+        #: cache.
+        self._ff_tables: Optional[tuple] = None
         self._ff_tables_key: Optional[tuple[int, int]] = None
-        self._ff_flat: Optional[tuple] = None
-        self._ff_flat_names: Optional[tuple[str, ...]] = None
         # Skip per-read/per-track hook dispatch for schemes that keep the
         # base no-op hooks (everything but Non-clustered).
         cls = type(self)
@@ -657,7 +654,6 @@ class CycleScheduler(abc.ABC):
         """Drop every memoized group plan (failure/repair/placement)."""
         self._plan_cache.clear()
         self._plan_cache_key = None
-        self._ff_flat = None
 
     def _refresh_plan_cache(self) -> None:
         """Drop the plan cache if the layout or array state moved on.

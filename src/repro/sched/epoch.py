@@ -63,8 +63,8 @@ if TYPE_CHECKING:
     from repro.sched.base import CycleScheduler
 
 #: Row pool sizing: a pool starts at ``_ROW_GROWTH`` times the live rows
-#: (at least ``_ROW_FLOOR``, at most the window's worst case) and grows by
-#: that factor when retiring finished rows leaves no room for a batch.
+#: (at least ``_ROW_FLOOR``) and grows by that factor when retiring
+#: finished rows leaves no room for a batch.
 _ROW_FLOOR = 64
 _ROW_GROWTH = 2
 
@@ -83,26 +83,6 @@ class ClosedLoop:
 
 #: Request batches by absolute cycle, or a closed loop.
 Arrivals = Union[dict[int, tuple[MediaObject, ...]], ClosedLoop]
-
-
-def object_geometry(sched: CycleScheduler, obj: MediaObject,
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                               np.ndarray, np.ndarray]:
-    """Flat placement geometry for one object, as numpy arrays.
-
-    ``(cnt, ptr, disks, parity, nxt)``: per group the data-member
-    count, the member offset (``disks[ptr[g]:ptr[g+1]]`` are the
-    group's data disks in track order), the parity disk, and the
-    group-end read pointer.  ``disks`` and ``parity`` are the layout's
-    read-only placement columns themselves — failures move no data —
-    so fail/repair/media transitions only re-derive the cheap failure
-    overlay on top.
-    """
-    placement = sched.layout.placement(obj.name)
-    disks = placement.data_disk
-    ptr = np.minimum(np.arange(len(placement.parity_disk) + 1,
-                               dtype=np.int64) * sched._stripe, len(disks))
-    return np.diff(ptr), ptr, disks, placement.parity_disk, ptr[1:]
 
 
 def read_table(sched: CycleScheduler, obj: MediaObject,
@@ -127,13 +107,21 @@ def read_table(sched: CycleScheduler, obj: MediaObject,
     buffer; ``acc_info`` the accumulator open-windows (empty for
     group-at-a-time schemes; NC's per-track table fills them).
 
-    Built as a failure overlay on the cached geometry: only groups
-    that actually lost a member are re-derived in Python, so a
-    single failure in a large farm touches a handful of groups and
-    every other object's table is a zero-copy view of its geometry.
+    ``disks`` is the layout's read-only data-disk column itself
+    (failures move no data), and the table is a failure overlay on it:
+    only groups that actually lost a member are re-derived in Python,
+    so a single failure in a large farm touches a handful of groups
+    and every other object's table is a zero-copy view of its column.
     """
-    cnt, ptr, disks, parity, nxt = object_geometry(sched, obj)
+    placement = sched.layout.placement(obj.name)
+    disks = placement.data_disk
+    parity = placement.parity_disk
     stripe = sched._stripe
+    # Group g's data members are disks[ptr[g]:ptr[g+1]], in track order.
+    ptr = np.minimum(np.arange(len(parity) + 1, dtype=np.int64) * stripe,
+                     len(disks))
+    cnt = np.diff(ptr)
+    nxt = ptr[1:]
     if not failed:
         return cnt, disks, nxt, stripe, None
     if len(failed) == 1:
@@ -181,8 +169,8 @@ def read_table(sched: CycleScheduler, obj: MediaObject,
             (dat, par, val, tuple(deg_pairs), {}))
 
 
-def flat_tables(sched: CycleScheduler, objects: list[MediaObject]) -> tuple:
-    """Concatenated read tables for a set of objects.
+def flat_tables(sched: CycleScheduler) -> tuple:
+    """The read tables of every placed object, concatenated.
 
     Returns ``(counts, offsets, member_disks, next_pointers, bases,
     divisor, degraded, pairs)``: the per-object tables of
@@ -201,60 +189,57 @@ def flat_tables(sched: CycleScheduler, objects: list[MediaObject]) -> tuple:
     accumulators (acquired at the group's end pointer, released once
     delivery passes the group).
 
-    Per-object tables are cached against the plan-cache key, so
-    every fail/repair/media transition and every placement change
-    re-derives them; the
-    concatenation is memoized against the object tuple, so an epoch
-    re-entering with the same working set pays nothing.
+    A stream's reads depend only on where its object lies and which
+    disks are down, and both change only with the plan-cache key
+    ``(layout.epoch, array.state_epoch)``: the tables are built once
+    per key, in placement order (``layout.objects``), and every engine
+    entry under it gets the same tuple, whatever its streams and
+    arrivals.  Position 0 precedes every object's positions and reads
+    nothing (an empty layout's tables hold only it).
     """
-    if sched._ff_tables_key != sched._plan_cache_key:
-        sched._ff_tables = {}
-        sched._ff_tables_key = sched._plan_cache_key
-        sched._ff_flat = None
-        sched._ff_flat_names = None
-    names = tuple(obj.name for obj in objects)
-    if sched._ff_flat is not None and sched._ff_flat_names == names:
-        return sched._ff_flat
-    cache = sched._ff_tables
+    if sched._ff_tables_key == sched._plan_cache_key \
+            and sched._ff_tables is not None:
+        return sched._ff_tables
     stripe = sched._stripe
     failed = sched.array.failed_ids
+    objects = sched.layout.objects
     per_obj = []
-    for obj in objects:
-        entry = cache.get(obj.name)
-        if entry is None:
-            cnt, disks, nxt, divisor, deg = sched._ff_read_table(obj, failed)
-            if deg is not None:
-                dat, par, val, deg_pairs, acc_info = deg
-                tracks = obj.num_tracks
-                diff_held = np.zeros(tracks + 2, dtype=np.int64)
-                diff_rel = np.zeros(tracks + 2, dtype=np.int64)
-                for group, acquired in deg_pairs:
-                    diff_held[acquired] += 1
-                    released = (group + 1) * stripe
-                    if released <= tracks:
-                        diff_rel[released] += 1
-                acch = np.zeros(tracks + 1, dtype=np.int64)
-                for lo, hi in acc_info.values():
-                    acch[lo:hi + 1] += 1
-                deg = (dat, par, val, np.cumsum(diff_held)[:tracks + 1],
-                       np.cumsum(diff_rel)[:tracks + 1], acch, deg_pairs)
-            entry = (cnt, disks, nxt, divisor, deg)
-            cache[obj.name] = entry
-        per_obj.append(entry)
     bases: dict[str, tuple[int, int]] = {}
-    position_total = pointer_total = 0
-    for obj, entry in zip(objects, per_obj):
+    # Position 0 reads nothing: the stage's whole-pool gathers point idle
+    # rows at it, so even an empty layout's tables have it.
+    position_total, pointer_total = 1, 0
+    divisor = 1  # no object: no row ever reads
+    for obj in objects:
+        cnt, disks, nxt, divisor, deg = sched._ff_read_table(obj, failed)
         bases[obj.name] = (position_total, pointer_total)
-        position_total += len(entry[0])
+        position_total += len(cnt)
         pointer_total += obj.num_tracks + 1
-    counts = np.concatenate([e[0] for e in per_obj])
+        if deg is not None:
+            dat, par, val, deg_pairs, acc_info = deg
+            tracks = obj.num_tracks
+            diff_held = np.zeros(tracks + 2, dtype=np.int64)
+            diff_rel = np.zeros(tracks + 2, dtype=np.int64)
+            for group, acquired in deg_pairs:
+                diff_held[acquired] += 1
+                released = (group + 1) * stripe
+                if released <= tracks:
+                    diff_rel[released] += 1
+            acch = np.zeros(tracks + 1, dtype=np.int64)
+            for lo, hi in acc_info.values():
+                acch[lo:hi + 1] += 1
+            deg = (dat, par, val, np.cumsum(diff_held)[:tracks + 1],
+                   np.cumsum(diff_rel)[:tracks + 1], acch, deg_pairs)
+        per_obj.append((cnt, disks, nxt, deg))
+    idle = np.zeros(1, dtype=np.int64)
+    counts = np.concatenate([idle, *(e[0] for e in per_obj)])
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    member_disks = np.concatenate([e[1] for e in per_obj])
-    next_pointers = np.concatenate([e[2] for e in per_obj])
+    # The idle position has no members: an empty int64 seed.
+    member_disks = np.concatenate([idle[:0], *(e[1] for e in per_obj)])
+    next_pointers = np.concatenate([idle, *(e[2] for e in per_obj)])
     degraded: Optional[tuple] = None
     pairs: Optional[dict[str, tuple[tuple[int, int], ...]]] = None
-    if any(e[4] is not None for e in per_obj):
+    if any(e[3] is not None for e in per_obj):
         # Neutral columns first: every member is data, no parity,
         # every position valid, nothing held beyond the data range.
         data_counts = counts.copy()
@@ -263,7 +248,7 @@ def flat_tables(sched: CycleScheduler, objects: list[MediaObject]) -> tuple:
         held = np.zeros((3, pointer_total), dtype=np.int64)
         pairs = {}
         for obj, entry in zip(objects, per_obj):
-            deg = entry[4]
+            deg = entry[3]
             pairs[obj.name] = () if deg is None else deg[6]
             if deg is not None:
                 lo, at = bases[obj.name]
@@ -271,11 +256,11 @@ def flat_tables(sched: CycleScheduler, objects: list[MediaObject]) -> tuple:
                 data_counts[lo:hi], parity_flags[lo:hi], valid[lo:hi] = deg[:3]
                 held[:, at:at + obj.num_tracks + 1] = deg[3:6]
         degraded = (data_counts, parity_flags, valid, *held)
-    flat = (counts, offsets, member_disks, next_pointers, bases,
-            per_obj[0][3], degraded, pairs)
-    sched._ff_flat = flat
-    sched._ff_flat_names = names
-    return flat
+    tables = (counts, offsets, member_disks, next_pointers, bases, divisor,
+              degraded, pairs)
+    sched._ff_tables = tables
+    sched._ff_tables_key = sched._plan_cache_key
+    return tables
 
 
 def _held_parity(pairs: tuple[tuple[int, int], ...], read: int,
@@ -297,7 +282,9 @@ class RowPool:
     :meth:`make_room` retires the rows that finished in committed cycles
     (a finished row's state is final, so :meth:`write_back` lands it as
     the epoch exit would), so per-cycle cost follows the live rows, not
-    the admissions so far.
+    the admissions so far.  The entry sizes a pool from its live rows
+    alone (see ``_ROW_GROWTH``); since retirement changes no outcome,
+    neither does the size.
     """
 
     __slots__ = (
@@ -460,7 +447,7 @@ def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
     """
     sched._refresh_plan_cache()
     epoch = _Epoch()
-    bail = sched._ff_classify() or epoch.enter(sched, limit, arrivals)
+    bail = sched._ff_classify() or epoch.enter(sched, arrivals)
     if bail is not None:
         sched._ff_note(bail)
         return 0, 0, 0, False
@@ -504,17 +491,16 @@ class _Epoch:
         "serving",
     )
 
-    def enter(self, sched: CycleScheduler, limit: int,
+    def enter(self, sched: CycleScheduler,
               arrivals: Arrivals) -> Optional[str]:
         """The entry step: a bail reason, or None with the rows filled
         after one walk over the scheduler's live index (pruned first, so
-        the walk visits only the streams in service), the working set's
+        the walk visits only the streams in service), the layout's
         tables, the held-parity check and the rebuild plans."""
         self.sched: CycleScheduler = sched
         self.admitted = self.rejected = 0
         width = sched.config.stripe_width
         rows: list[Stream] = []
-        objects: dict[str, MediaObject] = {}
         self.phase_load = phase_load = [0] * width
         parity_held = False
         sched._prune_live()
@@ -534,39 +520,15 @@ class _Epoch:
             parity_held = parity_held or bool(stream.parity_buffer)
             rows.append(stream)
             phase_load[stream.phase % width] += stream.rate
-            objects.setdefault(stream.object.name, stream.object)
-        placed = 0  # arrivals in the window that are on disk
         self.loop: Optional[ClosedLoop] = None
         if isinstance(arrivals, ClosedLoop):
             # Rows in service per title; every title may arrive.
             self.loop = arrivals
             self.serving = Counter(stream.object.name for stream in rows)
-            window = {sched.cycle_index: arrivals.titles}
         else:
-            self.trace = window = arrivals
-        if window:
-            # Working set: live objects plus every placed arrival in the
-            # window (unplaced ones are rejected in-engine).
-            start_cycle = sched.cycle_index
-            has_object = sched.layout.has_object
-            for cycle, batch in window.items():
-                if not start_cycle <= cycle < start_cycle + limit:
-                    continue
-                for obj in batch:
-                    if has_object(obj.name):
-                        placed += 1
-                        objects.setdefault(obj.name, obj)
-        if objects:
-            tables = flat_tables(sched, list(objects.values()))
-        else:
-            # No live streams and no placed arrivals in the window: every
-            # batched request is a guaranteed rejection and the cycles
-            # themselves are empty.
-            zeros = np.zeros(0, dtype=np.int64)
-            tables = (zeros, np.zeros(1, dtype=np.int64), zeros, zeros, {},
-                      1, None, None)
+            self.trace = arrivals
         (self.counts, self.offsets, self.member_disks, self.next_pointers,
-         bases, self.divisor, self.degraded, pairs) = tables
+         bases, self.divisor, self.degraded, pairs) = flat_tables(sched)
         if parity_held or pairs is not None:
             # Held parity must be exactly what the tables predict; with
             # no degraded table no position reads parity, so none is.
@@ -584,10 +546,9 @@ class _Epoch:
         self.pool_now = sched._extra_buffer_tracks()
         self.limit_units = sched.effective_admission_limit() if arrivals \
             else 0
-        # Room for the live rows and the window's placed arrivals: a
-        # window with no streams and no placed arrivals allocates nothing.
-        n = len(rows)
-        self.pool = RowPool(min(n + placed, max(_ROW_FLOOR, _ROW_GROWTH * n)),
+        # Room for the live rows and as many again; admissions past that
+        # retire finished rows first (RowPool.make_room).
+        self.pool = RowPool(max(_ROW_FLOOR, _ROW_GROWTH * len(rows)),
                             sched, bases, pairs)
         self.pool.fill(rows)
         self.num_disks = len(sched.array.disks)

@@ -36,6 +36,16 @@ class TestDisk:
         with pytest.raises(LayoutError):
             disk.write(SMALL.tracks_per_disk, b"x")
 
+    def test_write_meta_marks_every_position(self, disk):
+        disk.write_meta([4, 1, 7])
+        assert sorted(disk.positions()) == [1, 4, 7]
+        assert disk.writes == 3
+
+    def test_write_meta_beyond_capacity_writes_nothing(self, disk):
+        with pytest.raises(LayoutError):
+            disk.write_meta([0, SMALL.tracks_per_disk, 3])
+        assert disk.stored_tracks == 0 and disk.writes == 0
+
     def test_negative_position_rejected(self, disk):
         with pytest.raises(LayoutError):
             disk.write(-1, b"x")

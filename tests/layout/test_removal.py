@@ -1,11 +1,21 @@
-"""Object removal, slot reuse, placement epochs and demand prediction."""
+"""Object removal, slot reuse, placement epochs, demand prediction and
+metadata-mode loading."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.disk import PAPER_TABLE1_DRIVE, DiskArray
 from repro.errors import LayoutError
-from repro.layout import ClusteredParityLayout, ImprovedBandwidthLayout
+from repro.layout import (
+    ClusteredParityLayout,
+    DeclusteredParityLayout,
+    ImprovedBandwidthLayout,
+)
 from repro.media import MediaObject, uniform_catalog
+
+#: 64-byte tracks, so payload-mode loading stays cheap.
+TINY_DRIVE = PAPER_TABLE1_DRIVE.with_overrides(track_size_mb=64 / 1e6,
+                                               capacity_mb=64 * 2000 / 1e6)
 
 
 def obj(name, tracks=8, seed=0):
@@ -178,3 +188,31 @@ def test_churn_preserves_layout_invariants(data):
     assert len(addresses) == len(set(addresses))
     assert sum(layout.occupied_positions(d) for d in range(10)) == \
         len(addresses)
+
+
+def _occupancy(array: DiskArray) -> list[tuple[int, list[int]]]:
+    return [(disk.writes, sorted(disk.positions())) for disk in array]
+
+
+@pytest.mark.parametrize("layout_cls, num_disks", [
+    pytest.param(ClusteredParityLayout, 10, id="clustered"),
+    pytest.param(ImprovedBandwidthLayout, 12, id="improved-bandwidth"),
+    pytest.param(DeclusteredParityLayout, 11, id="declustered"),
+])
+def test_metadata_loading_matches_payload_loading(layout_cls, num_disks):
+    """Per-disk writes and occupancy are the same in either mode, after
+    the whole-layout load and after staging reuses freed slots."""
+    layout = layout_cls(num_disks, 5)
+    layout.place_catalog(uniform_catalog(4, 0.1875, 23))
+    arrays = [DiskArray(num_disks, TINY_DRIVE, store_payloads=stored)
+              for stored in (False, True)]
+    for array in arrays:
+        layout.materialise(array)
+    assert _occupancy(arrays[0]) == _occupancy(arrays[1])
+    for address in layout.remove("object-1"):
+        for array in arrays:
+            array[address.disk_id].discard(address.position)
+    layout.place(obj("staged", 17, seed=7))
+    for array in arrays:
+        layout.materialise_object(array, "staged")
+    assert _occupancy(arrays[0]) == _occupancy(arrays[1])

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import multiprocessing
+import os
+import time
 
 import pytest
 
@@ -33,6 +35,21 @@ def fail_on(value: int, bad: int) -> int:
     return value
 
 
+def fail_first(value: int) -> int:
+    """Task 0 fails at once; every other task sleeps a second first."""
+    if value == 0:
+        raise TaskFailed("task 0 failed")
+    time.sleep(1.0)
+    return value
+
+
+def exit_on(value: int, bad: int) -> int:
+    """Task ``bad`` kills its worker outright, with no reply."""
+    if value == bad:
+        os._exit(3)
+    return value
+
+
 def big_result(shift: int) -> bytes:
     pattern = bytes(range(251))
     pattern = pattern[shift:] + pattern[:shift]
@@ -57,6 +74,26 @@ def test_failed_task_closes_pool_and_reraises() -> None:
     tasks = [TaskSpec(fail_on, args=(n, 2)) for n in range(4)]
     with pytest.raises(TaskFailed, match="task 2 failed"):
         run_tasks(tasks, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_failed_task_terminates_queued_work_quietly(capfd) -> None:
+    """The failure surfaces without waiting for the queued tasks, and no
+    worker is left to trip over a closed pipe."""
+    tasks = [TaskSpec(fail_first, args=(n,)) for n in range(6)]
+    with pytest.raises(TaskFailed, match="task 0 failed"):
+        run_tasks(tasks, workers=2)
+    assert multiprocessing.active_children() == []
+    assert "Traceback" not in capfd.readouterr().err
+
+
+def test_dead_worker_terminates_the_pool() -> None:
+    tasks = [TaskSpec(exit_on, args=(n, 0)) for n in range(4)]
+    with pytest.raises((EOFError, OSError)) as raised:
+        run_tasks(tasks, workers=2)
+    # The traceback still references the pool: the workers must be gone
+    # because the pool stopped them, not because it was collected.
+    assert raised.tb is not None
     assert multiprocessing.active_children() == []
 
 

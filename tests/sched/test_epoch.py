@@ -34,9 +34,8 @@ def _entered(scheme: Scheme, late: str, admit_first: bool,
              ) -> epoch._Epoch:
     """An epoch entered at cycle 3 on a server whose ``m0`` stream has
     run three scalar cycles; ``late`` is admitted before the entry
-    (scalar front door) or in the epoch's first cycle (batch).  The
-    batch window also places four more arrivals at cycle 7, so its pool
-    has rows to spare."""
+    (scalar front door) or in the epoch's first cycle (batch).  Either
+    pool starts at ``_ROW_FLOOR`` rows, so it has rows to spare."""
     server = _scheme_server(scheme, catalog=_mixed_rate_catalog())
     server.admit("m0")
     server.run_cycles(3)
@@ -46,8 +45,8 @@ def _entered(scheme: Scheme, late: str, admit_first: bool,
         sched.admit(obj)
     sched._refresh_plan_cache()
     engine = epoch._Epoch()
-    arrivals = {} if admit_first else {3: (obj,), 7: (obj,) * 4}
-    assert engine.enter(sched, 5, arrivals) is None
+    arrivals = {} if admit_first else {3: (obj,)}
+    assert engine.enter(sched, arrivals) is None
     if not admit_first:
         engine.admit(3)
     return engine
@@ -96,7 +95,7 @@ def _pool_of_four() -> tuple[RowPool, list]:
     sched = server.scheduler
     streams = [server.admit(name) for name in server.catalog.names()[:4]]
     sched._refresh_plan_cache()
-    tables = epoch.flat_tables(sched, [s.object for s in streams])
+    tables = epoch.flat_tables(sched)
     pool = RowPool(4, sched, tables[4], tables[7])
     pool.fill(streams)
     pool.next_read[:] = [10, 11, 12, 13]

@@ -6,15 +6,18 @@ tests pin the invalidation contract: a failure degrades the plan
 immediately, a repair restores the original geometry, state changes that
 bypass the scheduler (direct array failures, mid-cycle failures) are
 caught no later than the next cycle, and plans after a placement change
-equal a fresh server's.
+equal a fresh server's.  The epoch engine's read tables share the key:
+one tuple covers every placed object, whatever an entry's streams and
+arrivals, until the key moves.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.media import MediaObject
+from repro.media import Catalog, MediaObject
 from repro.schemes import Scheme
+from repro.sched import epoch
 from tests.conftest import build_server, tiny_catalog
 
 SCHEMES = [
@@ -177,3 +180,58 @@ def test_plans_after_place_and_remove_match_a_fresh_server(scheme):
     for name in names[:-1]:
         assert plan_fields(warm.scheduler._group_plan(name, 0)) == \
             plan_fields(fresh.scheduler._group_plan(name, 0))
+
+
+def enter_epoch(server, arrivals: epoch.Arrivals) -> tuple:
+    """Enter the epoch engine once; the read tables it entered with."""
+    sched = server.scheduler
+    sched._refresh_plan_cache()
+    assert epoch._Epoch().enter(sched, arrivals) is None
+    return sched._ff_tables
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_entries_under_one_key_share_one_read_table(scheme):
+    server = make_server(scheme)
+    server.admit("m0")
+    get = server.catalog.get
+    first = enter_epoch(server, {})
+    assert enter_epoch(server, {0: (get("m2"),), 3: (get("m1"),)}) is first
+    assert enter_epoch(server, epoch.ClosedLoop((get("m3"),))) is first
+    bases = first[4]
+    assert list(bases) == [obj.name for obj in server.layout.objects] \
+        == server.catalog.names()
+
+
+@pytest.mark.parametrize("change", ["place", "remove", "fail"])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_placement_or_fault_change_builds_a_new_read_table(scheme, change):
+    server = make_server(scheme)
+    before = enter_epoch(server, {})
+    if change == "place":
+        server.layout.place(MediaObject("staged0", 0.1875, 40, seed=100))
+    elif change == "remove":
+        server.layout.remove("m3")
+    else:
+        server.scheduler.fail_disk(1)
+    after = enter_epoch(server, {})
+    assert after is not before
+    assert list(after[4]) == [obj.name for obj in server.layout.objects]
+    # Only a failure can give a table degraded columns.
+    assert (after[6] is not None) == (change == "fail")
+
+
+def test_empty_layout_tables_hold_only_the_idle_position():
+    server = build_server(Scheme.STREAMING_RAID, num_disks=10,
+                          catalog=Catalog(), verify_payloads=False)
+    unplaced = MediaObject("unplaced", 0.1875, 40, seed=1)
+    counts, offsets, member_disks, next_pointers, bases = enter_epoch(
+        server, {0: (unplaced,)})[:5]
+    assert counts.tolist() == next_pointers.tolist() == [0]
+    assert offsets.tolist() == [0, 0] and len(member_disks) == 0
+    assert bases == {}
+    # The engine runs the cycles over its idle rows and rejects the
+    # unplaced arrival.
+    _, admitted, rejected = server.scheduler.run_churn(3, {0: (unplaced,)})
+    assert (admitted, rejected) == (0, 1)
+    assert server.report.ff_engaged_cycles == 3
