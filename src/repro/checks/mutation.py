@@ -177,10 +177,10 @@ REAL_OPS: tuple[RealSourceOp, ...] = (
                  "        return not self.proactive_parity and "
                  "not self.mirror_read_balance",
                  "R8"),
-    RealSourceOp("real-layout-memo-write", "src/repro/layout/base.py",
-                 "        return list(range(first, stop))\n",
-                 "        self._tracks_memo = list(range(first, stop))\n"
-                 "        return self._tracks_memo\n",
+    RealSourceOp("real-array-memo-write", "src/repro/disk/drive.py",
+                 "        return sorted(self.faults.failed)\n",
+                 "        self._failed_memo = sorted(self.faults.failed)\n"
+                 "        return self._failed_memo\n",
                  "R8"),
     RealSourceOp("real-narrow-plan-key", "src/repro/sched/base.py",
                  "key = (self.layout.epoch, self.array.state_epoch)",

@@ -30,6 +30,7 @@ from typing import Any, Optional
 from repro.analysis.parameters import SystemParameters
 from repro.faults.domain import SectorScrubber
 from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
+from repro.layout import layout_for
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
 from repro.parallel import TaskSpec, run_tasks
@@ -110,16 +111,15 @@ class ChaosResult:
         return not self.violations
 
 
-def build_chaos_server(scheme: Scheme, verify_payloads: bool = False,
-                       profile: Optional[ChaosProfile] = None) -> Any:
-    """A chaos-campaign server; the profile sizes the farm.
+def _chaos_farm(scheme: Scheme, profile: Optional[ChaosProfile],
+                ) -> tuple[SystemParameters, Catalog]:
+    """The chaos farm's parameters and catalog; the profile sizes it.
 
-    Without a profile (or with ``profile.num_disks=None``) the classic
-    chaos server is built: 10 disks (11 declustered for block-design
+    Without a profile (or with ``profile.num_disks=None``) it is the
+    classic chaos farm: 10 disks (11 declustered for block-design
     balance, 12 improved-bandwidth for whole clusters) holding four
     40-track objects.
     """
-    from repro.server.server import MultimediaServer
     if profile is not None and profile.num_disks is not None:
         num_disks = profile.num_disks
     elif scheme is Scheme.IMPROVED_BANDWIDTH:
@@ -140,6 +140,14 @@ def build_chaos_server(scheme: Scheme, verify_payloads: bool = False,
     catalog = Catalog()
     for index in range(objects):
         catalog.add(MediaObject(f"m{index}", 0.1875, tracks, seed=index))
+    return params, catalog
+
+
+def build_chaos_server(scheme: Scheme, verify_payloads: bool = False,
+                       profile: Optional[ChaosProfile] = None) -> Any:
+    """A chaos-campaign server on the farm :func:`_chaos_farm` sizes."""
+    from repro.server.server import MultimediaServer
+    params, catalog = _chaos_farm(scheme, profile)
     return MultimediaServer.build(
         params, PARITY_GROUP_SIZE, scheme, catalog=catalog, slots_per_disk=8,
         verify_payloads=verify_payloads)
@@ -155,16 +163,19 @@ def generate_script(scheme: Scheme, seed: int,
     spaces latent-error injections far enough apart for the per-cycle
     scrubber to keep up.
     """
-    probe = build_chaos_server(scheme, profile=profile)
-    num_disks = len(probe.array)
+    params, catalog = _chaos_farm(scheme, profile)
+    num_disks = params.num_disks
+    # The replay server's placement, without its array or scheduler.
+    layout = layout_for(scheme, num_disks, PARITY_GROUP_SIZE)
+    layout.place_catalog(catalog)
     media_gap = PARITY_GROUP_SIZE + 4
     # Candidate media-error targets: every stored block (data and parity)
     # of every object, so injected errors land where streams actually
     # read and the retry/parity-fallback path gets exercised.  The list
     # keeps allocation order: a group's members, then its parity.
     blocks: list[tuple[int, int]] = []
-    for obj in probe.layout.objects:
-        disks, positions = probe.layout.allocation_order(obj.name)
+    for obj in layout.objects:
+        disks, positions = layout.allocation_order(obj.name)
         blocks.extend(zip(disks.tolist(), positions.tolist()))
     rng = RandomSource(seed)
     tag = scheme.value

@@ -22,6 +22,19 @@ from repro.layout.base import DataLayout, Placement
 from repro.layout.clustered import ClusteredParityLayout
 from repro.layout.declustered import DeclusteredParityLayout
 from repro.layout.improved import ImprovedBandwidthLayout
+from repro.schemes import Scheme
+
+
+def layout_for(scheme: Scheme, num_disks: int,
+               parity_group_size: int) -> DataLayout:
+    """The empty layout a scheme's server places its catalog on: IB's
+    shifted parity, PD's block design, the clustered layout otherwise."""
+    if scheme is Scheme.IMPROVED_BANDWIDTH:
+        return ImprovedBandwidthLayout(num_disks, parity_group_size)
+    if scheme is Scheme.PARITY_DECLUSTERED:
+        return DeclusteredParityLayout(num_disks, parity_group_size)
+    return ClusteredParityLayout(num_disks, parity_group_size)
+
 
 __all__ = [
     "BlockKind",
@@ -33,4 +46,5 @@ __all__ = [
     "ImprovedBandwidthLayout",
     "Placement",
     "StoredBlock",
+    "layout_for",
 ]

@@ -14,14 +14,14 @@ Each simulated cycle proceeds in the paper's order (Section 2):
 5. **reconstruct** — groups that now hold parity plus all-but-one data
    block rebuild the missing block on the fly (Observation 2).
 
-Concrete schedulers implement planning and failure-transition behaviour;
-everything else — buffers, hiccup attribution, payload verification,
-metrics — lives here so the four schemes stay comparable.
+Concrete schedulers implement failure-transition behaviour and, where
+it is not the default whole-group read, planning; everything else —
+buffers, hiccup attribution, payload verification, metrics — lives here
+so the four schemes stay comparable.
 """
 
 from __future__ import annotations
 
-import abc
 from collections import Counter
 from typing import TYPE_CHECKING, Optional
 
@@ -89,7 +89,7 @@ class GroupPlan:
         self.next_read_track = next_read_track
 
 
-class CycleScheduler(abc.ABC):
+class CycleScheduler:
     """Cycle-synchronous scheduler: the common engine for all schemes."""
 
     #: Schemes whose layouts spread parity groups over arbitrary disk
@@ -214,9 +214,27 @@ class CycleScheduler(abc.ABC):
 
     # -- scheme-specific hooks ------------------------------------------------
 
-    @abc.abstractmethod
     def plan_reads(self, cycle: int) -> list[PlannedRead]:
-        """Decide this cycle's reads; may advance stream read pointers."""
+        """Decide this cycle's reads; may advance stream read pointers.
+
+        The default (SR, PD): one whole parity-group read, parity
+        included where a member is down, per stream rate-unit per cycle.
+        """
+        plans: list[PlannedRead] = []
+        # Walk the live index directly: planning runs every cycle, and
+        # the ``active_streams`` snapshot list is allocation the churn
+        # path cannot afford at VoD stream counts.  The index still holds
+        # the streams finished since its last prune, hence the skip.
+        for stream in self._live.values():
+            if not stream.is_active:
+                continue
+            # A rate-r stream consumes r parity groups per cycle; live
+            # streams reduce ``reads_remaining`` to the pointer check.
+            for _ in range(stream.rate):
+                if stream.next_read_track >= stream.num_tracks:
+                    break
+                self._plan_group_read(stream, plans, include_parity=True)
+        return plans
 
     def on_disk_failure(self, disk_id: int) -> None:
         """Scheme reaction to a failure (default: none)."""
@@ -754,7 +772,8 @@ class CycleScheduler(abc.ABC):
         """Scheme veto for the epoch engine (default: no veto).
 
         Concrete schedulers override this to rule out states the read
-        tables do not model (IB: proactive parity or mirror balancing).
+        tables do not model (IB: proactive parity or mirror balancing;
+        NC: a degraded cluster's transition).
         A subclass whose read/delivery hooks do work the tables cannot
         express must veto here, because the batched step skips hook
         dispatch entirely.
@@ -842,13 +861,6 @@ class CycleScheduler(abc.ABC):
         group's worth of cycles).
         """
         return not stream.accumulators
-
-    def _ff_sync_stream(self, stream: Stream) -> None:
-        """Rematerialise scheme-specific stream state at the exit of an
-        epoch whose tables carry degraded columns."""
-
-    def _ff_credit(self, reconstructions: int) -> None:
-        """Fold an epoch's reconstruction count into scheme counters."""
 
     def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
         """Per-object read table under the current failure set, shaped

@@ -25,11 +25,11 @@ in flight per cycle, i.e. the admission bound) against the limit.
 from __future__ import annotations
 
 from repro.sched.base import CycleScheduler
-from repro.sched.plan import PlannedRead
 
 
 class DeclusteredParityScheduler(CycleScheduler):
-    """Whole-group reads on the declustered layout; k = k' = C - 1."""
+    """Whole-group reads on the declustered layout (the base
+    :meth:`~CycleScheduler.plan_reads`); k = k' = C - 1."""
 
     __slots__ = ()
 
@@ -37,19 +37,6 @@ class DeclusteredParityScheduler(CycleScheduler):
     #: blocks draw sources from disjoint survivor sets (see
     #: :meth:`OnlineRebuilder._distributed_order`).
     distributed_rebuild = True
-
-    def plan_reads(self, cycle: int) -> list[PlannedRead]:
-        """One full parity-group read per stream rate-unit per cycle."""
-        plans: list[PlannedRead] = []
-        # Live-index walk: no per-cycle snapshot list (churn path).
-        for stream in self._live.values():
-            if not stream.is_active:
-                continue
-            for _ in range(stream.rate):
-                if stream.next_read_track >= stream.num_tracks:
-                    break
-                self._plan_group_read(stream, plans, include_parity=True)
-        return plans
 
     def _capacity_penalty(self) -> int:
         """Degraded reads steal ``alpha * G`` slots farm-wide per failure.

@@ -15,11 +15,13 @@ One mechanism covers every stable state:
   check, reconstruction counting and prefix-sum buffer arithmetic, and
   the parity-buffer write-back;
 * **degraded** — failed disks in pairwise-disjoint parity groups
-  (``_ff_classify`` proves disjointness via the empty lost-track set):
-  reconstruction reads are extra rows in the tables (the parity-fallback
-  disk joins the group's members), and reconstruction commits are pure
-  arithmetic (a degraded group read completes its rebuild in the same
-  cycle, since every survivor is resident by construction);
+  (``_ff_classify`` proves disjointness via the empty lost-track set),
+  read group at a time: reconstruction reads are extra rows in the
+  tables (the parity-fallback disk joins the group's members), and
+  reconstruction commits are pure arithmetic (a degraded group read
+  completes its rebuild in the same cycle, since every survivor is
+  resident by construction).  NC's degraded transition runs scalar
+  (its ``_fast_forward_ready`` veto);
 * **rebuilding** — every in-flight online rebuild advances as a
   vectorised cursor fed with the cycle's idle slots, in scalar rebuilder
   order, sharing one idle budget, exactly like ``_rebuild_phase``;
@@ -41,8 +43,8 @@ read pointer, an imminent hiccup or a slot overflow.
 
 The scheduler keeps the rest: the plan-cache refresh, ``_ff_classify``
 and ``_ff_note``, the scheme hooks (``_fast_forward_ready``,
-``_ff_gate_params``, ``_ff_stream_ok``, ``_ff_sync_stream``,
-``_ff_credit``, ``_ff_read_table``) and the cache slots.
+``_ff_gate_params``, ``_ff_stream_ok``, ``_ff_read_table``) and the
+cache slots.
 """
 
 from __future__ import annotations
@@ -96,22 +98,18 @@ def read_table(sched: CycleScheduler, obj: MediaObject,
     ``disks`` (positions in order), and its pointer becomes
     ``next_pointers[q]``.  ``degraded`` is None when no position is
     degraded: the healthy whole-group walk, straight from the cached
-    geometry.  Otherwise it is ``(data_counts, parity_flags, valid,
-    deg_pairs, acc_info)``: a degraded position's member slice
-    includes the parity-fallback disk, *parity_flags* marks
-    positions whose read carries one parity fetch **and** one
-    same-cycle reconstruction, and *valid* is False where the scalar
-    planner cannot recover the position (the engine bails before
-    touching it).  ``deg_pairs`` are the ``(group,
-    acquired-at-pointer)`` pairs that predict a stream's parity
-    buffer; ``acc_info`` the accumulator open-windows (empty for
-    group-at-a-time schemes; NC's per-track table fills them).
+    geometry.  Otherwise it is ``(data_counts, parity_flags, valid)``:
+    a degraded position's member slice includes the parity-fallback
+    disk, *parity_flags* marks positions whose read carries one parity
+    fetch **and** one same-cycle reconstruction, and *valid* is False
+    where the scalar planner cannot recover the position (the engine
+    bails before touching it).
 
     ``disks`` is the layout's read-only data-disk column itself
-    (failures move no data), and the table is a failure overlay on it:
-    only groups that actually lost a member are re-derived in Python,
-    so a single failure in a large farm touches a handful of groups
-    and every other object's table is a zero-copy view of its column.
+    (failures move no data), and the table is a failure overlay on it,
+    built in one pass: the survivors in track order, with each
+    recoverable group's parity disk inserted after its survivors.  An
+    object that lost no member gets its column as a zero-copy view.
     """
     placement = sched.layout.placement(obj.name)
     disks = placement.data_disk
@@ -135,59 +133,38 @@ def read_table(sched: CycleScheduler, obj: MediaObject,
         # No data member down (a failed parity disk never appears
         # in a healthy group read): the healthy walk verbatim.
         return cnt, disks, nxt, stripe, None
-    positions = len(cnt)
     fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
+    # A group with one member down and its parity up is rebuilt in the
+    # cycle that reads it; any other loss is unreconstructable: the
+    # scalar path sheds the stream there (data loss), a state
+    # transition the engine must never cross.
     recoverable = (fcnt == 1) & ~parity_down
-    dat = cnt - fcnt
-    par = np.zeros(positions, dtype=np.int64)
-    val = np.ones(positions, dtype=bool)
-    new_cnt = dat.copy()
-    keep = ~down
-    deg_pairs: list[tuple[int, int]] = []
-    segments: list[np.ndarray] = []
-    prev = 0
-    for group in np.nonzero(fcnt > 0)[0]:
-        lo, hi = int(ptr[group]), int(ptr[group + 1])
-        if prev < lo:
-            segments.append(disks[prev:lo])
-        survivors = disks[lo:hi][keep[lo:hi]]
-        if recoverable[group]:
-            segments.append(np.append(survivors, parity[group]))
-            new_cnt[group] += 1
-            par[group] = 1
-            deg_pairs.append((int(group), int(nxt[group])))
-        else:
-            # Unreconstructable group: the scalar path sheds the
-            # stream here (data loss) — a state transition the
-            # engine must never cross.
-            segments.append(survivors)
-            val[group] = False
-        prev = hi
-    if prev < len(disks):
-        segments.append(disks[prev:])
-    return (new_cnt, np.concatenate(segments), nxt, stripe,
-            (dat, par, val, tuple(deg_pairs), {}))
+    par = recoverable.astype(np.int64)
+    up = ~down
+    groups = np.flatnonzero(recoverable)
+    # A group's survivors end at the survivor count through its end.
+    member_disks = np.insert(disks[up], np.cumsum(up)[nxt[groups] - 1],
+                             parity[groups])
+    return (cnt - fcnt + par, member_disks, nxt, stripe,
+            (cnt - fcnt, par, (fcnt == 0) | recoverable))
 
 
 def flat_tables(sched: CycleScheduler) -> tuple:
     """The read tables of every placed object, concatenated.
 
     Returns ``(counts, offsets, member_disks, next_pointers, bases,
-    divisor, degraded, pairs)``: the per-object tables of
-    ``_ff_read_table`` concatenated position by position, with
-    ``bases`` mapping each object to its first position and its first
-    prefix-sum pointer.  ``degraded`` and ``pairs`` are None when no
-    object has a degraded position; otherwise ``degraded`` holds the
-    engine's reconstruction and buffer-accounting columns,
-    ``(data_counts, parity_flags, valid, pheld, prel, acch)``, with
-    healthy objects at the neutral values, and ``pairs`` each object's
-    ``(group, acquired-at-pointer)`` pairs (what a canonical stream of
-    it holds in parity).  The pointer-indexed prefix sums
-    reproduce ``buffered_track_count`` arithmetically: with read
-    pointer ``r`` and delivery pointer ``d``, a canonical stream holds
-    ``pheld[r] - prel[d]`` parity blocks and ``acch[r]`` open
-    accumulators (acquired at the group's end pointer, released once
-    delivery passes the group).
+    divisor, degraded)``: the per-object tables of ``_ff_read_table``
+    concatenated position by position, with ``bases`` mapping each
+    object to its first position.  ``degraded`` is None when no object
+    has a degraded position; otherwise it holds the engine's
+    reconstruction columns, ``(data_counts, parity_flags, valid,
+    parity_before)``, with healthy objects at the neutral values, and
+    ``parity_before[q]`` the number of flagged positions before ``q``.
+    Only group-at-a-time tables are degraded, so a canonical stream
+    with read pointer ``r`` and delivery pointer ``d`` holds the parity
+    of exactly the flagged positions in ``[b + d // s, b + ceil(r /
+    s))`` (``b`` its object's base, ``s`` the divisor): the groups it
+    has read but not yet fully delivered.
 
     A stream's reads depend only on where its object lies and which
     disks are down, and both change only with the plan-cache key
@@ -200,35 +177,17 @@ def flat_tables(sched: CycleScheduler) -> tuple:
     if sched._ff_tables_key == sched._plan_cache_key \
             and sched._ff_tables is not None:
         return sched._ff_tables
-    stripe = sched._stripe
     failed = sched.array.failed_ids
-    objects = sched.layout.objects
     per_obj = []
-    bases: dict[str, tuple[int, int]] = {}
+    bases: dict[str, int] = {}
     # Position 0 reads nothing: the stage's whole-pool gathers point idle
     # rows at it, so even an empty layout's tables have it.
-    position_total, pointer_total = 1, 0
+    position_total = 1
     divisor = 1  # no object: no row ever reads
-    for obj in objects:
+    for obj in sched.layout.objects:
         cnt, disks, nxt, divisor, deg = sched._ff_read_table(obj, failed)
-        bases[obj.name] = (position_total, pointer_total)
+        bases[obj.name] = position_total
         position_total += len(cnt)
-        pointer_total += obj.num_tracks + 1
-        if deg is not None:
-            dat, par, val, deg_pairs, acc_info = deg
-            tracks = obj.num_tracks
-            diff_held = np.zeros(tracks + 2, dtype=np.int64)
-            diff_rel = np.zeros(tracks + 2, dtype=np.int64)
-            for group, acquired in deg_pairs:
-                diff_held[acquired] += 1
-                released = (group + 1) * stripe
-                if released <= tracks:
-                    diff_rel[released] += 1
-            acch = np.zeros(tracks + 1, dtype=np.int64)
-            for lo, hi in acc_info.values():
-                acch[lo:hi + 1] += 1
-            deg = (dat, par, val, np.cumsum(diff_held)[:tracks + 1],
-                   np.cumsum(diff_rel)[:tracks + 1], acch, deg_pairs)
         per_obj.append((cnt, disks, nxt, deg))
     idle = np.zeros(1, dtype=np.int64)
     counts = np.concatenate([idle, *(e[0] for e in per_obj)])
@@ -238,37 +197,41 @@ def flat_tables(sched: CycleScheduler) -> tuple:
     member_disks = np.concatenate([idle[:0], *(e[1] for e in per_obj)])
     next_pointers = np.concatenate([idle, *(e[2] for e in per_obj)])
     degraded: Optional[tuple] = None
-    pairs: Optional[dict[str, tuple[tuple[int, int], ...]]] = None
     if any(e[3] is not None for e in per_obj):
         # Neutral columns first: every member is data, no parity,
-        # every position valid, nothing held beyond the data range.
+        # every position valid.
         data_counts = counts.copy()
         parity_flags = np.zeros(position_total, dtype=np.int64)
         valid = np.ones(position_total, dtype=bool)
-        held = np.zeros((3, pointer_total), dtype=np.int64)
-        pairs = {}
-        for obj, entry in zip(objects, per_obj):
-            deg = entry[3]
-            pairs[obj.name] = () if deg is None else deg[6]
-            if deg is not None:
-                lo, at = bases[obj.name]
+        for lo, entry in zip(bases.values(), per_obj):
+            if entry[3] is not None:
                 hi = lo + len(entry[0])
-                data_counts[lo:hi], parity_flags[lo:hi], valid[lo:hi] = deg[:3]
-                held[:, at:at + obj.num_tracks + 1] = deg[3:6]
-        degraded = (data_counts, parity_flags, valid, *held)
+                data_counts[lo:hi], parity_flags[lo:hi], valid[lo:hi] = \
+                    entry[3]
+        parity_before = np.zeros(position_total + 1, dtype=np.int64)
+        np.cumsum(parity_flags, out=parity_before[1:])
+        degraded = (data_counts, parity_flags, valid, parity_before)
     tables = (counts, offsets, member_disks, next_pointers, bases, divisor,
-              degraded, pairs)
+              degraded)
     sched._ff_tables = tables
     sched._ff_tables_key = sched._plan_cache_key
     return tables
 
 
-def _held_parity(pairs: tuple[tuple[int, int], ...], read: int,
+def _held_parity(degraded: Optional[tuple], base: int, read: int,
                  delivered: int, stripe: int) -> list[int]:
-    """The parity groups a canonical stream holds: acquired by its read
-    pointer, not yet released by its delivery pointer."""
-    floor = delivered // stripe
-    return [g for g, acquired in pairs if acquired <= read and g >= floor]
+    """The parity groups a canonical stream holds: the flagged groups
+    its read pointer has read, not yet released by its delivery
+    pointer.  Most streams hold none, so the two prefix-sum entries
+    are read before any slice."""
+    if degraded is None:
+        return []
+    before = degraded[3]
+    lo = base + delivered // stripe
+    hi = base - (-read // stripe)
+    if before[lo] == before[hi]:
+        return []
+    return (np.flatnonzero(degraded[1][lo:hi]) + (lo - base)).tolist()
 
 
 class RowPool:
@@ -288,30 +251,26 @@ class RowPool:
     """
 
     __slots__ = (
-        "sched", "bases", "pairs", "streams", "paced", "gated", "max_rate",
-        "obj_base", "held_base", "next_read", "next_del", "num_tracks",
+        "sched", "bases", "degraded", "streams", "paced", "gated",
+        "max_rate", "obj_base", "next_read", "next_del", "num_tracks",
         "rate", "start", "quota", "pace_rate", "pace_base", "phase_mod",
         "phase_val", "unpaced", "waiting", "live", "deliv_delta",
         "recon_delta", "peak0", "peak",
     )
 
     def __init__(self, size: int, sched: CycleScheduler,
-                 bases: dict[str, tuple[int, int]],
-                 pairs: Optional[dict[str, tuple[tuple[int, int], ...]]],
-                 ) -> None:
+                 bases: dict[str, int], degraded: Optional[tuple]) -> None:
         self.sched = sched
-        #: Object name -> (first read-table position, first prefix-sum
-        #: pointer), from :func:`flat_tables`.
+        #: Object name -> first read-table position, and the degraded
+        #: columns (None while healthy), from :func:`flat_tables`.
         self.bases = bases
-        #: The degraded tables' parity pairs; None while healthy.
-        self.pairs = pairs
+        self.degraded = degraded
         self.streams: list[Stream] = []
         #: Whether any row is paced or phase-gated, and the highest
         #: rate: the stage skips the masks no row needs.
         self.paced = self.gated = False
         self.max_rate = 1
         self.obj_base = np.zeros(size, dtype=np.int64)
-        self.held_base = np.zeros(size, dtype=np.int64)
         self.next_read = np.zeros(size, dtype=np.int64)
         self.next_del = np.zeros(size, dtype=np.int64)
         self.num_tracks = np.zeros(size, dtype=np.int64)
@@ -344,8 +303,7 @@ class RowPool:
         lo = i = len(self.streams)
         self.streams += streams
         for stream in streams:
-            self.obj_base[i], self.held_base[i] = self.bases[
-                stream.object.name]
+            self.obj_base[i] = self.bases[stream.object.name]
             self.next_read[i] = stream.next_read_track
             self.next_del[i] = stream.next_delivery_track
             self.num_tracks[i] = stream.num_tracks
@@ -383,7 +341,7 @@ class RowPool:
         self.streams = [self.streams[i] for i in keep.tolist()]
         need = len(keep) + incoming
         fresh = RowPool(max(need, _ROW_GROWTH * size) if need > size
-                        else size, self.sched, self.bases, self.pairs)
+                        else size, self.sched, self.bases, self.degraded)
         for name in RowPool.__slots__:
             column = getattr(self, name)
             if isinstance(column, np.ndarray):
@@ -396,7 +354,9 @@ class RowPool:
         Retirement and the epoch exit share it, so a retired row lands
         exactly as the exit would land it."""
         sched: CycleScheduler = self.sched
-        pairs = self.pairs
+        degraded = self.degraded
+        stripe = sched._stripe
+        bases = self.obj_base[sel].tolist()
         reads = self.next_read[sel].tolist()
         delivers = self.next_del[sel].tolist()
         delivered = self.deliv_delta[sel].tolist()
@@ -416,17 +376,14 @@ class RowPool:
             if live[j]:
                 stream.buffer = dict.fromkeys(range(delivers[j], reads[j]),
                                               META_PAYLOAD)
-                if pairs is not None:
+                if degraded is not None:
                     stream.parity_buffer = dict.fromkeys(_held_parity(
-                        pairs[stream.object.name], reads[j], delivers[j],
-                        sched._stripe), META_PAYLOAD)
+                        degraded, bases[j], reads[j], delivers[j], stripe),
+                        META_PAYLOAD)
             else:
                 stream.complete()
-            if pairs is not None:
+            if degraded is not None:
                 stream.reconstructed_tracks += rebuilt[j]
-                sched._ff_sync_stream(stream)
-        if pairs is not None:
-            sched._ff_credit(sum(rebuilt))
         sched.tracker.fold_epoch(
             {self.streams[i].stream_id: int(self.peak[i])
              for i in sel[self.peak[sel] > self.peak0[sel]].tolist()})
@@ -528,15 +485,16 @@ class _Epoch:
         else:
             self.trace = arrivals
         (self.counts, self.offsets, self.member_disks, self.next_pointers,
-         bases, self.divisor, self.degraded, pairs) = flat_tables(sched)
-        if parity_held or pairs is not None:
+         bases, self.divisor, self.degraded) = flat_tables(sched)
+        if parity_held or self.degraded is not None:
             # Held parity must be exactly what the tables predict; with
             # no degraded table no position reads parity, so none is.
+            stripe = sched._stripe
             for stream in rows:
                 if sorted(stream.parity_buffer) != _held_parity(
-                        () if pairs is None else pairs[stream.object.name],
+                        self.degraded, bases[stream.object.name],
                         stream.next_read_track, stream.next_delivery_track,
-                        sched._stripe):
+                        stripe):
                     return "stream-state"
         self.rebuilders = list(sched.rebuilders)
         for rebuilder in self.rebuilders:
@@ -549,7 +507,7 @@ class _Epoch:
         # Room for the live rows and as many again; admissions past that
         # retire finished rows first (RowPool.make_room).
         self.pool = RowPool(max(_ROW_FLOOR, _ROW_GROWTH * len(rows)),
-                            sched, bases, pairs)
+                            sched, bases, self.degraded)
         self.pool.fill(rows)
         self.num_disks = len(sched.array.disks)
         self.total_loads = np.zeros(self.num_disks, dtype=np.int64)
@@ -692,11 +650,13 @@ class _Epoch:
         if degraded is None:
             held = np.where(pool.live, pool.next_read - pool.next_del, 0)
         else:
-            pheld, prel, acch = degraded[3:]
-            pointer_idx = pool.held_base + pool.next_read
+            # Parity held: the flagged positions in [b + d // s,
+            # b + ceil(r / s)), two gathers from the prefix sum.
+            before = degraded[3]
+            base, divisor = pool.obj_base, self.divisor
             held = np.where(pool.live, pool.next_read - pool.next_del
-                            + pheld[pointer_idx] + acch[pointer_idx]
-                            - prel[pool.held_base + pool.next_del], 0)
+                            + before[base - (-pool.next_read // divisor)]
+                            - before[base + pool.next_del // divisor], 0)
         np.maximum(pool.peak, held, out=pool.peak)
         buffered = int(held.sum()) + self.pool_now
         report = CycleReport(

@@ -435,224 +435,30 @@ class NonClusteredScheduler(CycleScheduler):
         """Fast-forward gate: pace reads on the natural delivery schedule."""
         return stream.rate, stream.admitted_cycle, 1, 0
 
-    def _ff_lazy_window(self, stream: Stream,
-                        ) -> Optional[tuple[int, list[int], int]]:
-        """``(group, tracks, failed offset)`` when the canonical LAZY
-        schedule holds an open accumulator at the stream's read pointer
-        (strictly after the group start, at or before the failed
-        offset), else None."""
-        if self.protocol is not TransitionProtocol.LAZY:
-            return None
-        if not stream.reads_remaining:
-            return None
-        group, offset = divmod(stream.next_read_track, self._stripe)
-        name = stream.object.name
-        tracks = self.layout.group_tracks(name, group)
-        cluster = self.layout.group_cluster(name, group)
-        failed = [o for o in sorted(self._degraded.get(cluster, ()))
-                  if o < len(tracks)]
-        if len(failed) != 1 or cluster in self._unprotected:
-            return None
-        if not self._parity_available(stream, group):
-            return None
-        if not 1 <= offset <= failed[0]:
-            return None
-        return group, tracks, failed[0]
+    def _fast_forward_ready(self) -> bool:
+        """Veto while a cluster is degraded: the EAGER bursts and LAZY
+        running XORs are a bounded transition, run scalar.  A failed
+        parity disk degrades no cluster (:meth:`on_disk_failure`), so
+        that state stays on the engine."""
+        return not self._degraded
 
     def _ff_stream_ok(self, stream: Stream) -> bool:
-        """The stream must rest exactly on the canonical trajectory: one
-        open running XOR iff the pointer is inside a LAZY recovery
-        window (with precisely the already-read members folded), and
-        never strictly past a recoverable group's burst offset — a
-        stream there crossed the group before the failure, so it holds
-        neither parity nor XOR and the static tables cannot predict its
-        buffers (it re-enters once delivery drains the group).  With no
-        cluster degraded there is no window and no burst, so only a
-        leftover running XOR disqualifies the stream."""
+        """No running XOR is left for this stream.  ``drop_parity`` and
+        ``complete`` clear only the stream's side, so the scheduler's
+        accumulators are checked too."""
         sid = stream.stream_id
-        window = self._ff_lazy_window(stream) if self._degraded else None
-        if window is None:
-            if stream.accumulators or any(
-                    key[0] == sid for key in self._accumulators):
-                return False
-        else:
-            group, tracks, f = window
-            if set(stream.accumulators) != {group}:
-                return False
-            if any(key[0] == sid and key[1] != group
-                   for key in self._accumulators):
-                return False
-            acc = self._accumulators.get((sid, group))
-            if acc is None:
-                return False
-            offset = stream.next_read_track - tracks[0]
-            needed: set[object] = {t for i, t in enumerate(tracks)
-                                   if i != f}
-            needed.add("parity")
-            if not (acc.target_track == tracks[f]
-                    and acc.needed == needed
-                    and acc.folded == set(tracks[:offset])):
-                return False
-        if not self._degraded or not stream.reads_remaining:
-            return True
-        group, offset = divmod(stream.next_read_track, self._stripe)
-        name = stream.object.name
-        tracks = self.layout.group_tracks(name, group)
-        cluster = self.layout.group_cluster(name, group)
-        failed = [o for o in sorted(self._degraded.get(cluster, ()))
-                  if o < len(tracks)]
-        if (len(failed) == 1 and cluster not in self._unprotected
-                and self._parity_available(stream, group)):
-            burst_offset = (0 if self.protocol is TransitionProtocol.EAGER
-                            or failed[0] == 0 else failed[0])
-            if offset > burst_offset:
-                return False
-        return True
-
-    def _ff_sync_stream(self, stream: Stream) -> None:
-        """Rematerialise the stream's running XOR at its new pointer.
-
-        In metadata mode every fold yields the zero-length token, so the
-        accumulator's payload is :meth:`ParityCodec.zero_block` verbatim
-        and only the bookkeeping (needed/folded/target) must be rebuilt.
-        """
-        sid = stream.stream_id
-        for key in [k for k in self._accumulators if k[0] == sid]:
-            del self._accumulators[key]
-        if not stream.is_active:
-            return  # complete() already cleared the stream side
-        stream.accumulators.clear()
-        window = self._ff_lazy_window(stream)
-        if window is None:
-            return
-        group, tracks, f = window
-        offset = stream.next_read_track - tracks[0]
-        needed: set[object] = {t for i, t in enumerate(tracks) if i != f}
-        needed.add("parity")
-        acc = _Accumulator(
-            payload=self.codec.zero_block(),
-            needed=needed,
-            folded=set(tracks[:offset]),
-            target_track=tracks[f],
-        )
-        self._accumulators[(sid, group)] = acc
-        stream.accumulators[group] = acc.payload
-
-    def _ff_credit(self, reconstructions: int) -> None:
-        """LAZY reconstructions complete through the accumulator path,
-        which the scalar run counts on the scheme's counters and credits
-        in :meth:`_finalise`; the engine has already folded the count
-        into its cycle reports, so both counters advance together.
-        EAGER reconstructions go through the base reconstruct phase and
-        touch neither counter."""
-        if self.protocol is TransitionProtocol.LAZY:
-            self._completed_reconstructions += reconstructions
-            self._reconstructions_credited += reconstructions
+        return not stream.accumulators and not any(
+            key[0] == sid for key in self._accumulators)
 
     def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
         """Per-track table (divisor 1): natural-pace single reads.
 
-        The layout's data-disk column already lists the data disk of
-        every track in order, so an object with no group on a degraded
-        cluster gets that column as its table verbatim.  On a
-        degraded cluster the protocol's recovery burst folds into the
-        group's scalar burst position — EAGER at the group start, LAZY
-        at the failed offset (where the running XOR completes
-        same-cycle) — and unrecoverable failed offsets are invalid rows:
-        the scalar path sheds the track there, a transition the engine
-        must not cross.
+        The layout's data-disk column lists the data disk of every track
+        in order, so it is the table verbatim.  The engine runs only
+        while no cluster is degraded, so any failed disk is a parity
+        disk, which no single read touches.
         """
-        placement = self.layout.placement(obj.name)
-        track_disks = placement.data_disk
         num_tracks = obj.num_tracks
-        healthy = (np.ones(num_tracks, dtype=np.int64), track_disks,
-                   np.arange(1, num_tracks + 1, dtype=np.int64), 1, None)
-        if not self._degraded:
-            return healthy
-        stripe = self._stripe
-        disk_of = track_disks.tolist()
-        parity_of = placement.parity_disk.tolist()
-        sizes: list[int] = []
-        flat: list[int] = []
-        nexts: list[int] = []
-        data_counts: list[int] = []
-        parity_flags: list[int] = []
-        valid: list[bool] = []
-        deg_pairs: list[tuple[int, int]] = []
-        acc_info: dict[int, tuple[int, int]] = {}
-        eager = self.protocol is TransitionProtocol.EAGER
-        touched = False
-
-        def single(track: int) -> None:
-            sizes.append(1)
-            flat.append(disk_of[track])
-            nexts.append(track + 1)
-            data_counts.append(1)
-            parity_flags.append(0)
-            valid.append(True)
-
-        def lost(track: int) -> None:
-            sizes.append(0)
-            nexts.append(track + 1)
-            data_counts.append(0)
-            parity_flags.append(0)
-            valid.append(False)
-
-        def burst(members: list[int], parity_disk: int, group: int,
-                  after: int) -> None:
-            sizes.append(len(members) + 1)
-            flat.extend(disk_of[m] for m in members)
-            flat.append(parity_disk)
-            nexts.append(after)
-            data_counts.append(len(members))
-            parity_flags.append(1)
-            valid.append(True)
-            deg_pairs.append((group, after))
-
-        for group, parity_disk in enumerate(parity_of):
-            tracks = list(range(group * stripe,
-                                min(group * stripe + stripe, num_tracks)))
-            cluster = self.layout.cluster_of(disk_of[tracks[0]])
-            failed_offsets = [o for o in sorted(self._degraded.get(cluster,
-                                                                   ()))
-                              if o < len(tracks)]
-            if not failed_offsets:
-                for track in tracks:
-                    single(track)
-                continue
-            touched = True
-            recoverable = (len(failed_offsets) == 1
-                           and cluster not in self._unprotected
-                           and not self.array[parity_disk].is_failed)
-            f = failed_offsets[0]
-            after = tracks[-1] + 1
-            for offset, track in enumerate(tracks):
-                if not recoverable:
-                    if offset in failed_offsets:
-                        lost(track)
-                    else:
-                        single(track)
-                elif eager:
-                    if offset == 0:
-                        burst([m for o, m in enumerate(tracks) if o != f],
-                              parity_disk, group, after)
-                    elif offset == f:
-                        # Mid-group under EAGER: the burst was missed, so
-                        # the scalar path sheds the failed track here.
-                        lost(track)
-                    else:
-                        single(track)
-                elif offset == f:
-                    burst(tracks[f + 1:], parity_disk, group, after)
-                    if f >= 1:
-                        acc_info[group] = (tracks[0] + 1, tracks[f])
-                else:
-                    single(track)
-        if not touched:
-            return healthy
-        return (np.asarray(sizes, dtype=np.int64),
-                np.asarray(flat, dtype=np.int64),
-                np.asarray(nexts, dtype=np.int64), 1,
-                (np.asarray(data_counts, dtype=np.int64),
-                 np.asarray(parity_flags, dtype=np.int64),
-                 np.asarray(valid, dtype=bool), tuple(deg_pairs), acc_info))
+        return (np.ones(num_tracks, dtype=np.int64),
+                self.layout.placement(obj.name).data_disk,
+                np.arange(1, num_tracks + 1, dtype=np.int64), 1, None)

@@ -13,28 +13,10 @@ its delivery deadline — zero hiccups, per Observation 2.
 from __future__ import annotations
 
 from repro.sched.base import CycleScheduler
-from repro.sched.plan import PlannedRead
 
 
 class StreamingRAIDScheduler(CycleScheduler):
-    """Full parity group per stream per cycle; k = k' = C - 1."""
+    """Full parity group per stream per cycle; k = k' = C - 1.  The
+    base :meth:`~CycleScheduler.plan_reads` is this scheme's planner."""
 
     __slots__ = ()
-
-    def plan_reads(self, cycle: int) -> list[PlannedRead]:
-        """One full parity-group read per stream rate-unit per cycle."""
-        plans: list[PlannedRead] = []
-        # Walk the live index directly: planning runs every cycle, and
-        # the ``active_streams`` snapshot list is allocation the churn
-        # path cannot afford at VoD stream counts.  The index still holds
-        # the streams finished since its last prune, hence the skip.
-        for stream in self._live.values():
-            if not stream.is_active:
-                continue
-            # A rate-r stream consumes r parity groups per cycle; live
-            # streams reduce ``reads_remaining`` to the pointer check.
-            for _ in range(stream.rate):
-                if stream.next_read_track >= stream.num_tracks:
-                    break
-                self._plan_group_read(stream, plans, include_parity=True)
-        return plans

@@ -37,10 +37,8 @@ from repro.buffers.pool import BufferPool
 from repro.disk.drive import DiskArray
 from repro.errors import ConfigurationError
 from repro.faults.injector import FaultSchedule, cycles_before
+from repro.layout import layout_for
 from repro.layout.base import DataLayout
-from repro.layout.clustered import ClusteredParityLayout
-from repro.layout.declustered import DeclusteredParityLayout
-from repro.layout.improved import ImprovedBandwidthLayout
 from repro.media.catalog import Catalog, uniform_catalog
 from repro.sched.base import CycleScheduler
 from repro.sched.config import SchedulerConfig
@@ -115,15 +113,7 @@ class MultimediaServer:
         """
         config = SchedulerConfig.build(params, parity_group_size, scheme,
                                        slots_per_disk=slots_per_disk)
-        if scheme is Scheme.IMPROVED_BANDWIDTH:
-            layout: DataLayout = ImprovedBandwidthLayout(
-                params.num_disks, parity_group_size)
-        elif scheme is Scheme.PARITY_DECLUSTERED:
-            layout = DeclusteredParityLayout(params.num_disks,
-                                             parity_group_size)
-        else:
-            layout = ClusteredParityLayout(params.num_disks,
-                                           parity_group_size)
+        layout = layout_for(scheme, params.num_disks, parity_group_size)
         if catalog is None:
             catalog = uniform_catalog(
                 count=max(2, layout.num_clusters),

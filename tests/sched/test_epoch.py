@@ -81,7 +81,7 @@ def test_rows_past_the_streams_stay_neutral(scheme: Scheme,
         assert not isinstance(staged, str), staged
         engine.commit(sched.cycle_index, staged, [])
     pool = engine.pool
-    neutral = RowPool(len(pool.live), sched, pool.bases, pool.pairs)
+    neutral = RowPool(len(pool.live), sched, pool.bases, pool.degraded)
     live = len(pool.streams)
     assert live < len(pool.live)
     for name, column in _columns(pool).items():
@@ -96,7 +96,7 @@ def _pool_of_four() -> tuple[RowPool, list]:
     streams = [server.admit(name) for name in server.catalog.names()[:4]]
     sched._refresh_plan_cache()
     tables = epoch.flat_tables(sched)
-    pool = RowPool(4, sched, tables[4], tables[7])
+    pool = RowPool(4, sched, tables[4], tables[6])
     pool.fill(streams)
     pool.next_read[:] = [10, 11, 12, 13]
     return pool, streams

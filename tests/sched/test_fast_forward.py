@@ -215,17 +215,24 @@ def _rebuild_drive(server: MultimediaServer, fast_forward: bool) -> list:
                          ids=lambda s: s.value)
 def test_degraded_rebuild_matches_scalar(scheme: Scheme) -> None:
     """The stable-degraded engine is bit-equal through an entire
-    fail -> degraded -> rebuild -> restore arc, and actually engages."""
+    fail -> degraded -> rebuild -> restore arc, and actually engages;
+    NC vetoes it while the cluster is degraded and engages once the
+    rebuild restores it."""
     slow, fast, report = _run_degraded_pair(scheme, _rebuild_drive)
     assert fast == slow
     assert report.ff_engaged_cycles > 0
-    # The engine must hand rebuild completion back to the scalar path.
-    assert report.ff_disengagements.get("rebuild-complete", 0) >= 1
+    if scheme is Scheme.NON_CLUSTERED:
+        assert report.ff_disengagements.get("scheme-veto", 0) >= 1
+    else:
+        # The engine must hand rebuild completion back to the scalar
+        # path.
+        assert report.ff_disengagements.get("rebuild-complete", 0) >= 1
 
 
 @pytest.mark.parametrize("protocol", ["lazy", "eager"])
 def test_degraded_nc_protocols_match_scalar(protocol: str) -> None:
-    """Both NC transition protocols ride the degraded engine."""
+    """Both NC transition protocols run scalar while the cluster is
+    degraded (a scheme veto) and match the scalar run."""
     from repro.sched.non_clustered import TransitionProtocol
     proto = (TransitionProtocol.EAGER if protocol == "eager"
              else TransitionProtocol.LAZY)
@@ -233,6 +240,25 @@ def test_degraded_nc_protocols_match_scalar(protocol: str) -> None:
         Scheme.NON_CLUSTERED, _rebuild_drive, protocol=proto)
     assert fast == slow
     assert report.ff_engaged_cycles > 0
+    assert report.ff_disengagements.get("scheme-veto", 0) >= 1
+
+
+def test_nc_vetoes_the_engine_only_while_a_cluster_is_degraded() -> None:
+    """NC's degraded transition (EAGER bursts, LAZY running XORs) runs
+    scalar: a failed data disk vetoes the engine until its repair, and
+    a failed parity disk, which degrades no cluster, does not.  No
+    stream is admitted, so no pending hiccup cause answers first."""
+    server = _scheme_server(Scheme.NON_CLUSTERED)
+    sched = server.scheduler
+    assert sched._ff_classify() is None
+    sched.fail_disk(0)
+    assert sched._ff_classify() == "scheme-veto"
+    sched.repair_disk(0)
+    assert sched._ff_classify() is None
+    parity_disk = server.layout.cluster_disks(0)[-1]
+    assert server.layout.is_parity_disk(parity_disk)
+    sched.fail_disk(parity_disk)
+    assert sched._ff_classify() is None
 
 
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,

@@ -217,8 +217,11 @@ def test_placement_or_fault_change_builds_a_new_read_table(scheme, change):
     after = enter_epoch(server, {})
     assert after is not before
     assert list(after[4]) == [obj.name for obj in server.layout.objects]
-    # Only a failure can give a table degraded columns.
-    assert (after[6] is not None) == (change == "fail")
+    # Only a failure can give a table degraded columns, and only a
+    # group-at-a-time one: NC's per-track table stays healthy (its
+    # degraded transition runs scalar).
+    assert (after[6] is not None) == (
+        change == "fail" and scheme is not Scheme.NON_CLUSTERED)
 
 
 def test_empty_layout_tables_hold_only_the_idle_position():

@@ -15,6 +15,7 @@ from repro.errors import AdmissionError
 from repro.faults.injector import FaultSchedule
 from repro.media import MediaObject
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
+from repro.server.metrics import SimulationReport
 from repro.server.server import MultimediaServer, WorkloadResult
 from repro.workload import WorkloadGenerator, compile_trace
 from tests.conftest import build_server, tiny_catalog
@@ -159,6 +160,12 @@ def _degraded_churn_pair(scheme: Scheme,
     return _churn_pair(scheme, spec, cycles, degrade, **kwargs)
 
 
+def _vetoed_throughout(report: SimulationReport, cycles: int = 20) -> bool:
+    """NC's degraded transition runs scalar: the engine refuses every
+    cycle's entry with the scheme veto while a cluster is degraded."""
+    return report.ff_disengagements == {"scheme-veto": cycles}
+
+
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
                          ids=lambda s: s.value)
 def test_degraded_churn_matches_scalar_and_engages(scheme: Scheme) -> None:
@@ -168,7 +175,10 @@ def test_degraded_churn_matches_scalar_and_engages(scheme: Scheme) -> None:
     slow, fast, report = _degraded_churn_pair(
         scheme, {2: (0,), 7: (1, 2), 13: (3,)})
     assert fast == slow
-    assert report.ff_engaged_cycles > 0
+    if scheme is Scheme.NON_CLUSTERED:
+        assert _vetoed_throughout(report)
+    else:
+        assert report.ff_engaged_cycles > 0
 
 
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
@@ -181,7 +191,10 @@ def test_mixed_rate_degraded_churn_matches_scalar_and_stays_engaged(
         scheme, {2: (0, 4), 7: (1, 2), 13: (3, 4)},
         catalog=_mixed_catalog())
     assert fast == slow
-    assert report.ff_residency() == 1.0
+    if scheme is Scheme.NON_CLUSTERED:
+        assert _vetoed_throughout(report)
+    else:
+        assert report.ff_residency() == 1.0
 
 
 def _start_rebuild(server: MultimediaServer) -> None:
@@ -217,7 +230,13 @@ def test_churn_across_row_compaction_matches_scalar(
         cycles=COMPACTION_CYCLES, prepare=CHURN_STATES[state],
         catalog=_mixed_catalog())
     assert fast == slow
-    if state == "rebuild":
+    if scheme is Scheme.NON_CLUSTERED and state == "degraded":
+        assert _vetoed_throughout(report, COMPACTION_CYCLES)
+    elif scheme is Scheme.NON_CLUSTERED and state == "rebuild":
+        # Vetoed until the rebuild restores the cluster, engaged after.
+        assert report.ff_disengagements.get("scheme-veto", 0) >= 1
+        assert report.ff_engaged_cycles > 0
+    elif state == "rebuild":
         assert report.ff_disengagements.get("rebuild-complete") == 1
     else:
         assert report.ff_engaged_cycles == COMPACTION_CYCLES
@@ -308,7 +327,10 @@ def test_double_failure_disjoint_churn_matches_scalar(
         scheme, {2: (0,), 9: (1,)},
         prepare=lambda server: server.fail_disk(partner))
     assert fast == slow
-    assert report.ff_engaged_cycles > 0
+    if scheme is Scheme.NON_CLUSTERED:
+        assert _vetoed_throughout(report)
+    else:
+        assert report.ff_engaged_cycles > 0
 
 
 @pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,

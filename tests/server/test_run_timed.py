@@ -192,7 +192,10 @@ def test_scrub_passes_do_not_split_epochs(scheme: Scheme, monkeypatch):
     run = epoch.run
 
     def counted(sched, *args):
-        entries.append(sched.cycle_index)
+        # Only the entries the engine accepts: a refused one (NC's
+        # degraded veto, pending state) runs its cycle scalar.
+        if sched._ff_classify() is None:
+            entries.append(sched.cycle_index)
         return run(sched, *args)
 
     monkeypatch.setattr(epoch, "run", counted)
