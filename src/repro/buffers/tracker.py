@@ -53,3 +53,8 @@ class BufferTracker:
     def stream_peak(self, stream_id: int) -> int:
         """Highest occupancy one stream reached."""
         return self._per_stream_peak.get(stream_id, 0)
+
+    def stream_peaks(self, stream_ids: Iterable[int]) -> list[int]:
+        """:meth:`stream_peak` of each stream, in order."""
+        get = self._per_stream_peak.get
+        return [get(stream_id, 0) for stream_id in stream_ids]

@@ -55,9 +55,17 @@ class ClusterRouter:
         return limit - self._load(shard, cycle)
 
     def route(self, cycle: int, name: str) -> int:
-        """Pick the least-loaded shard holding ``name`` and book the load."""
+        """Pick the least-loaded shard holding ``name`` and book the load.
+
+        A single-copy title goes straight to its holder, whose heap is
+        drained as the headroom scan would drain it, so the model's state
+        is the same either way."""
         holders = self.placement.holders(name)
-        best = max(holders, key=lambda s: (self._headroom(s, cycle), -s))
+        if len(holders) == 1:
+            best = holders[0]
+            self._load(best, cycle)
+        else:
+            best = max(holders, key=lambda s: (self._headroom(s, cycle), -s))
         heapq.heappush(self._ends[best],
                        cycle + self._durations[name])
         self.routed[best] += 1

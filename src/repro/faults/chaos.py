@@ -27,6 +27,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.analysis.parameters import SystemParameters
 from repro.faults.domain import SectorScrubber
 from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
@@ -171,16 +173,16 @@ def generate_script(scheme: Scheme, seed: int,
     media_gap = PARITY_GROUP_SIZE + 4
     # Candidate media-error targets: every stored block (data and parity)
     # of every object, so injected errors land where streams actually
-    # read and the retry/parity-fallback path gets exercised.  The list
-    # keeps allocation order: a group's members, then its parity.
-    blocks: list[tuple[int, int]] = []
-    for obj in layout.objects:
-        disks, positions = layout.allocation_order(obj.name)
-        blocks.extend(zip(disks.tolist(), positions.tolist()))
+    # read and the retry/parity-fallback path gets exercised.  The
+    # columns keep allocation order: a group's members, then its parity.
+    orders = [layout.allocation_order(obj.name) for obj in layout.objects]
+    block_disks = np.concatenate([disks for disks, _ in orders])
+    block_positions = np.concatenate([positions for _, positions in orders])
     rng = RandomSource(seed)
     tag = scheme.value
     events: list[FaultEvent] = []
     failed: set[int] = set()
+    down = np.zeros(num_disks, dtype=bool)  # ``failed`` as a disk mask
     degraded: set[int] = set()
     last_media = -media_gap
     for cycle in range(profile.cycles):
@@ -195,6 +197,7 @@ def generate_script(scheme: Scheme, seed: int,
             events.append(FaultEvent(cycle, disk, FaultAction.FAIL,
                                      mid_cycle=mid))
             failed.add(disk)
+            down[disk] = True
             degraded.discard(disk)  # the failure overrides fail-slow
         elif failed and rng.random(f"{tag}-repair") \
                 < profile.repair_probability:
@@ -202,6 +205,7 @@ def generate_script(scheme: Scheme, seed: int,
             disk = pool[rng.integers(f"{tag}-repair-pick", 0, len(pool))]
             events.append(FaultEvent(cycle, disk, FaultAction.REPAIR))
             failed.discard(disk)
+            down[disk] = False
         # Fail-slow transitions.
         if not degraded and rng.random(f"{tag}-degrade") \
                 < profile.degrade_probability:
@@ -224,10 +228,12 @@ def generate_script(scheme: Scheme, seed: int,
         # Latent sector errors, paced for the scrubber.
         if cycle - last_media >= media_gap \
                 and rng.random(f"{tag}-media") < profile.media_probability:
-            candidates = [(d, p) for d, p in blocks if d not in failed]
-            if candidates:
-                disk, position = candidates[rng.integers(
-                    f"{tag}-media-pick", 0, len(candidates))]
+            surviving = np.flatnonzero(~down[block_disks])
+            if len(surviving):
+                block = surviving[rng.integers(f"{tag}-media-pick", 0,
+                                               len(surviving))]
+                disk = int(block_disks[block])
+                position = int(block_positions[block])
                 transient = (rng.random(f"{tag}-transient")
                              < profile.transient_probability)
                 events.append(FaultEvent(cycle, disk,

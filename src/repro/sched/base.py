@@ -23,7 +23,7 @@ so the four schemes stay comparable.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -292,51 +292,33 @@ class CycleScheduler:
         """Capacity units in use: the rate-weighted active stream count."""
         return sum(s.rate for s in self.active_streams)
 
-    def _rate_of(self, obj: MediaObject) -> int:
-        """The object's bandwidth as a multiple of the server's base rate.
-
-        Only (near-)integer multiples are schedulable on a fixed cycle —
-        the paper's MPEG-2-on-an-MPEG-1-server case is exactly 3x.
-        """
-        ratio = obj.bandwidth_mb_s / self.config.params.object_bandwidth_mb_s
-        rate = round(ratio)
-        if rate < 1 or abs(ratio - rate) > 1e-6:
-            raise AdmissionError(
-                f"object {obj.name!r} needs {ratio:.3f}x the base rate; "
-                "only integer multiples are schedulable on this cycle"
-            )
-        return rate
-
     def admit(self, obj: MediaObject) -> Stream:
-        """Admit a new stream for ``obj`` (AdmissionError if at capacity).
+        """Admit a new stream for ``obj`` (AdmissionError if refused).
 
         Admission is rate-weighted: one MPEG-2 stream on an MPEG-1-cycled
         server consumes three capacity units (Section 1's "or some
-        combination of the two").
+        combination of the two").  A one-object :meth:`_admit_many`
+        batch; a refusal raises with the reason the batch gives.
         """
-        return self._admit_checked(obj, self._phase_loads(),
-                                   self.effective_admission_limit())
+        reasons: list[str] = []
+        streams, _ = self._admit_many((obj,), self._phase_loads(),
+                                      self.effective_admission_limit(),
+                                      reasons)
+        if reasons:
+            raise AdmissionError(reasons[0])
+        return streams[0]
 
-    def admit_batch(self, objects: list[MediaObject],
+    def admit_batch(self, objects: Sequence[MediaObject],
                     ) -> tuple[list[Stream], int]:
         """Admit one cycle's arrivals; returns ``(streams, rejected)``.
 
         Behaviourally identical to calling :meth:`admit` per object and
         counting :class:`AdmissionError` as a rejection, but the
         rate-weighted phase loads and the fault-aware limit are computed
-        once and maintained incrementally instead of rebuilt per arrival
-        — O(active + arrivals) for the whole batch.
+        once for the whole batch — O(active + arrivals).
         """
-        phase_load = self._phase_loads()
-        limit = self.effective_admission_limit()
-        streams: list[Stream] = []
-        rejected = 0
-        for obj in objects:
-            try:
-                streams.append(self._admit_checked(obj, phase_load, limit))
-            except AdmissionError:
-                rejected += 1
-        return streams, rejected
+        return self._admit_many(objects, self._phase_loads(),
+                                self.effective_admission_limit())
 
     def _phase_loads(self) -> list[int]:
         """Rate-weighted load per read phase over the active streams."""
@@ -347,45 +329,71 @@ class CycleScheduler:
                 load[stream.phase % width] += stream.rate
         return load
 
-    def _admit_checked(self, obj: MediaObject, phase_load: list[int],
-                       limit: int) -> Stream:
-        """The admission decision against caller-supplied load state.
+    def _admit_many(self, objects: Sequence[MediaObject],
+                    phase_load: list[int], limit: int,
+                    reasons: Optional[list[str]] = None,
+                    ) -> tuple[list[Stream], int]:
+        """The admission decision, for a batch of arrivals in order.
 
-        ``phase_load`` is updated in place on success so batch callers
-        can reuse it; ``sum(phase_load)`` *is* the rate-weighted active
-        load, which keeps single admissions on the same arithmetic.
+        Returns ``(streams, rejected)``.  An arrival is refused when its
+        object is not on disk, has tracks lost to a multiple-disk
+        failure, needs a non-integer multiple of the base rate (only
+        those are schedulable on a fixed cycle — the paper's
+        MPEG-2-on-an-MPEG-1-server case is exactly 3x), or would take the
+        rate-weighted load past ``limit``.  A refusal raises nothing; its
+        message is built only for a caller that passes ``reasons``.
+        ``phase_load`` is updated in place on each admission, so the
+        epoch engine keeps it across batches; its sum *is* the
+        rate-weighted active load.
         """
-        if not self.layout.has_object(obj.name):
-            raise AdmissionError(f"object {obj.name!r} is not on disk")
-        if self._known_lost_tracks.get(obj.name):
-            raise AdmissionError(
-                f"object {obj.name!r} has tracks lost to a multiple-disk "
-                "failure; tertiary reload required"
-            )
-        rate = self._rate_of(obj)
+        placed = self.layout.object_names
+        lost = self._known_lost_tracks
+        unit = self.config.params.object_bandwidth_mb_s
+        cycle = self.cycle_index
+        registry, live = self.streams, self._live
+        next_id = self._next_stream_id
         load = sum(phase_load)
-        if load + rate > limit:
-            raise AdmissionError(
-                f"at capacity: load {load} of "
-                f"{limit} units, request needs {rate}"
-            )
-        # Least-loaded phase, lowest index first: plain round-robin skews
-        # once streams complete unevenly; balancing on the current load
-        # keeps every cycle's read volume equal, which the staggered
-        # capacity bound assumes.
-        width = len(phase_load)
-        phase = min(range(width), key=lambda p: (phase_load[p], p))
-        stream = Stream(
-            stream_id=self._next_stream_id,
-            obj=obj,
-            admitted_cycle=self.cycle_index,
-            phase=phase,
-            rate=rate,
-        )
-        self._next_stream_id += 1
-        self.streams[stream.stream_id] = self._live[stream.stream_id] = stream
-        phase_load[phase] += rate
-        return stream
+        streams: list[Stream] = []
+        for obj in objects:
+            name = obj.name
+            if name not in placed:
+                if reasons is not None:
+                    reasons.append(f"object {name!r} is not on disk")
+                continue
+            if lost.get(name):
+                if reasons is not None:
+                    reasons.append(
+                        f"object {name!r} has tracks lost to a "
+                        "multiple-disk failure; tertiary reload required")
+                continue
+            ratio = obj.bandwidth_mb_s / unit
+            rate = round(ratio)
+            if rate < 1 or abs(ratio - rate) > 1e-6:
+                if reasons is not None:
+                    reasons.append(
+                        f"object {name!r} needs {ratio:.3f}x the base "
+                        "rate; only integer multiples are schedulable on "
+                        "this cycle")
+                continue
+            if load + rate > limit:
+                if reasons is not None:
+                    reasons.append(f"at capacity: load {load} of {limit} "
+                                   f"units, request needs {rate}")
+                continue
+            # Least-loaded phase, lowest index first: plain round-robin
+            # skews once streams complete unevenly; balancing on the
+            # current load keeps every cycle's read volume equal, which
+            # the staggered capacity bound assumes.
+            phase = phase_load.index(min(phase_load))
+            stream = Stream(stream_id=next_id, obj=obj,
+                            admitted_cycle=cycle, phase=phase, rate=rate)
+            registry[next_id] = live[next_id] = stream
+            next_id += 1
+            phase_load[phase] += rate
+            load += rate
+            streams.append(stream)
+        self._next_stream_id = next_id
+        return streams, len(objects) - len(streams)
 
     def terminate_stream(self, stream_id: int) -> None:
         """Drop a stream (degradation of service)."""
@@ -916,7 +924,7 @@ class CycleScheduler:
                 if isinstance(arrivals, epoch.ClosedLoop)
                 else arrivals.get(self.cycle_index))
             if batch and not consumed:
-                streams, r = self.admit_batch(list(batch))
+                streams, r = self.admit_batch(batch)
                 admitted += len(streams)
                 rejected += r
             reports.append(self.run_cycle())

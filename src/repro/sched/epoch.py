@@ -29,7 +29,7 @@ One mechanism covers every stable state:
   cycle, each gated like the first, as the scalar planners plan ``rate``
   group reads or quanta per stream;
 * **churn** — each cycle admits its batch through the *same*
-  ``_admit_checked`` decision the scalar front door uses, against
+  ``_admit_many`` decision the scalar front door uses, against
   ``effective_admission_limit`` (constant for the epoch: every
   ``_capacity_penalty`` is a pure function of array/layout/
   degraded-cluster state, which only changes on the transitions the
@@ -55,7 +55,6 @@ from typing import TYPE_CHECKING, Optional, Union
 
 import numpy as np
 
-from repro.errors import AdmissionError
 from repro.media.objects import MediaObject
 from repro.parity.xor import META_PAYLOAD
 from repro.server.metrics import CycleReport
@@ -294,35 +293,39 @@ class RowPool:
 
         Every value comes from the stream itself, so an admitted stream
         (read pointer 0, nothing delivered, still ``ADMITTED``) gets
-        exactly the row an entry would give it.
+        exactly the row an entry would give it.  Each column is written
+        with one slice assignment.
         """
+        if not streams:
+            return
         sched: CycleScheduler = self.sched
-        k_prime = sched.config.k_prime
-        base_quota = sched._base_quota
-        stream_peak = sched.tracker.stream_peak
-        lo = i = len(self.streams)
+        lo = len(self.streams)
+        rows = slice(lo, lo + len(streams))
         self.streams += streams
-        for stream in streams:
-            self.obj_base[i] = self.bases[stream.object.name]
-            self.next_read[i] = stream.next_read_track
-            self.next_del[i] = stream.next_delivery_track
-            self.num_tracks[i] = stream.num_tracks
-            self.rate[i] = stream.rate
-            if stream.delivery_start_cycle is not None:
-                self.start[i] = stream.delivery_start_cycle
-            self.quota[i] = (k_prime * stream.rate if base_quota
-                             else sched.deliveries_per_cycle(stream))
-            (self.pace_rate[i], self.pace_base[i], self.phase_mod[i],
-             self.phase_val[i]) = sched._ff_gate_params(stream)
-            self.waiting[i] = stream.status is StreamStatus.ADMITTED
-            self.peak0[i] = self.peak[i] = stream_peak(stream.stream_id)
-            i += 1
-        self.live[lo:i] = True
-        self.unpaced[lo:i] = self.pace_rate[lo:i] == 0
-        self.paced = self.paced or not bool(self.unpaced[lo:i].all())
-        self.gated = self.gated or bool((self.phase_mod[lo:i] != 1).any())
-        self.max_rate = max(self.max_rate,
-                            int(self.rate[lo:i].max(initial=1)))
+        bases = self.bases
+        self.obj_base[rows] = [bases[s.object.name] for s in streams]
+        self.next_read[rows] = [s.next_read_track for s in streams]
+        self.next_del[rows] = [s.next_delivery_track for s in streams]
+        self.num_tracks[rows] = [s.num_tracks for s in streams]
+        rates = [s.rate for s in streams]
+        self.rate[rows] = rates
+        self.start[rows] = [-1 if s.delivery_start_cycle is None
+                            else s.delivery_start_cycle for s in streams]
+        self.quota[rows] = (
+            self.rate[rows] * sched.config.k_prime if sched._base_quota
+            else [sched.deliveries_per_cycle(s) for s in streams])
+        gate = sched._ff_gate_params
+        (self.pace_rate[rows], self.pace_base[rows], self.phase_mod[rows],
+         self.phase_val[rows]) = zip(*[gate(s) for s in streams])
+        admitted = StreamStatus.ADMITTED
+        self.waiting[rows] = [s.status is admitted for s in streams]
+        self.peak0[rows] = self.peak[rows] = sched.tracker.stream_peaks(
+            [s.stream_id for s in streams])
+        self.live[rows] = True
+        self.unpaced[rows] = self.pace_rate[rows] == 0
+        self.paced = self.paced or not bool(self.unpaced[rows].all())
+        self.gated = self.gated or bool((self.phase_mod[rows] != 1).any())
+        self.max_rate = max(self.max_rate, max(rates))
 
     def make_room(self, incoming: int) -> None:
         """Make room for ``incoming`` more rows: if they do not fit,
@@ -356,37 +359,41 @@ class RowPool:
         sched: CycleScheduler = self.sched
         degraded = self.degraded
         stripe = sched._stripe
-        bases = self.obj_base[sel].tolist()
-        reads = self.next_read[sel].tolist()
-        delivers = self.next_del[sel].tolist()
-        delivered = self.deliv_delta[sel].tolist()
-        starts = self.start[sel].tolist()
-        waiting = self.waiting[sel].tolist()
-        live = self.live[sel].tolist()
-        rebuilt = self.recon_delta[sel].tolist()
-        for j, i in enumerate(sel.tolist()):
-            stream = self.streams[i]
-            stream.next_read_track = reads[j]
-            stream.next_delivery_track = delivers[j]
-            stream.delivered_tracks += delivered[j]
-            if stream.delivery_start_cycle is None and starts[j] >= 0:
-                stream.delivery_start_cycle = starts[j]
-            if stream.status is StreamStatus.ADMITTED and not waiting[j]:
-                stream.activate()
-            if live[j]:
-                stream.buffer = dict.fromkeys(range(delivers[j], reads[j]),
+        streams = self.streams
+        admitted, active = StreamStatus.ADMITTED, StreamStatus.ACTIVE
+        for i, base, read, deliver, delivered, start, waiting, live, \
+                rebuilt in zip(sel.tolist(), self.obj_base[sel].tolist(),
+                               self.next_read[sel].tolist(),
+                               self.next_del[sel].tolist(),
+                               self.deliv_delta[sel].tolist(),
+                               self.start[sel].tolist(),
+                               self.waiting[sel].tolist(),
+                               self.live[sel].tolist(),
+                               self.recon_delta[sel].tolist()):
+            stream = streams[i]
+            stream.next_read_track = read
+            stream.next_delivery_track = deliver
+            if delivered:
+                stream.delivered_tracks += delivered
+            if start >= 0 and stream.delivery_start_cycle is None:
+                stream.delivery_start_cycle = start
+            if not waiting and stream.status is admitted:
+                stream.status = active  # Stream.activate, inline
+            if live:
+                stream.buffer = dict.fromkeys(range(deliver, read),
                                               META_PAYLOAD)
                 if degraded is not None:
                     stream.parity_buffer = dict.fromkeys(_held_parity(
-                        degraded, bases[j], reads[j], delivers[j], stripe),
+                        degraded, base, read, deliver, stripe),
                         META_PAYLOAD)
             else:
                 stream.complete()
-            if degraded is not None:
-                stream.reconstructed_tracks += rebuilt[j]
-        sched.tracker.fold_epoch(
-            {self.streams[i].stream_id: int(self.peak[i])
-             for i in sel[self.peak[sel] > self.peak0[sel]].tolist()})
+            if rebuilt:  # only degraded tables rebuild
+                stream.reconstructed_tracks += rebuilt
+        raised = sel[self.peak[sel] > self.peak0[sel]]
+        sched.tracker.fold_epoch(dict(zip(
+            [streams[i].stream_id for i in raised.tolist()],
+            self.peak[raised].tolist())))
 
 
 def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
@@ -461,22 +468,27 @@ class _Epoch:
         self.phase_load = phase_load = [0] * width
         parity_held = False
         sched._prune_live()
-        self.active = 0
         self.terminated = sched._terminated
+        active = 0
+        active_status = StreamStatus.ACTIVE
+        stream_ok = sched._ff_stream_ok
+        append = rows.append
         for stream in sched._live.values():
-            if stream.status is StreamStatus.ACTIVE:
-                self.active += 1
+            if stream.status is active_status:
+                active += 1
             # The data buffer must be the contiguous range
             # [next_delivery, next_read): reconstruction lands a failed
             # member's track in the cycle its group is read, and holes
             # always come with lost-track state.
             if stream.lost_tracks or len(stream.buffer) != (
                     stream.next_read_track - stream.next_delivery_track) \
-                    or not sched._ff_stream_ok(stream):
+                    or not stream_ok(stream):
                 return "stream-state"
-            parity_held = parity_held or bool(stream.parity_buffer)
-            rows.append(stream)
+            if stream.parity_buffer:
+                parity_held = True
+            append(stream)
             phase_load[stream.phase % width] += stream.rate
+        self.active = active
         self.loop: Optional[ClosedLoop] = None
         if isinstance(arrivals, ClosedLoop):
             # Rows in service per title; every title may arrive.
@@ -522,13 +534,9 @@ class _Epoch:
                  else self.trace.get(cycle))
         if not batch:
             return False
-        streams: list[Stream] = []
-        for obj in batch:
-            try:
-                streams.append(self.sched._admit_checked(
-                    obj, self.phase_load, self.limit_units))
-            except AdmissionError:
-                self.rejected += 1
+        streams, rejected = self.sched._admit_many(
+            batch, self.phase_load, self.limit_units)
+        self.rejected += rejected
         if streams:
             self.admitted += len(streams)
             self.pool.make_room(len(streams))
@@ -677,8 +685,10 @@ class _Epoch:
         if done or self.admitted:
             self.pool.write_back(np.arange(len(self.pool.streams)))
             disks = sched.array.disks
-            for disk_id in np.nonzero(self.total_loads)[0]:
-                disks[int(disk_id)].reads += int(self.total_loads[disk_id])
+            loaded = np.flatnonzero(self.total_loads)
+            for disk_id, reads in zip(loaded.tolist(),
+                                      self.total_loads[loaded].tolist()):
+                disks[disk_id].reads += reads
             sched.report.ff_engaged_cycles += done
         if done:
             sched._last_executed = None

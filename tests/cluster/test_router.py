@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
+
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterRouter, ShardPlacement
@@ -107,3 +110,53 @@ def test_observe_validates_feedback_shape() -> None:
         router.observe(0, active=[0], limits=[10, 10])
     with pytest.raises(ValueError, match="expected feedback"):
         router.observe(0, active=[0, 0], limits=[10])
+
+
+class ScanningRouter(ClusterRouter):
+    """The reference: every route runs the headroom scan, single-copy
+    titles included."""
+
+    def route(self, cycle: int, name: str) -> int:
+        holders = self.placement.holders(name)
+        best = max(holders, key=lambda s: (self._headroom(s, cycle), -s))
+        heapq.heappush(self._ends[best], cycle + self._durations[name])
+        self.routed[best] += 1
+        return best
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_single_copy_routes_match_the_scan(seed: int) -> None:
+    """Random windows over single-copy and replicated titles (replica
+    holders in random order, primary first), barrier feedback between
+    some windows and arrival cycles that sometimes step back: the
+    shortcut and the scan pick the same shards and leave the same
+    model."""
+    rng = np.random.default_rng(seed)
+    shards = 3
+    names = [f"t{i}" for i in range(12)]
+    copies = {name: (tuple(rng.permutation(shards)[
+        :int(rng.integers(2, shards + 1))].tolist()) if i % 4 == 0
+        else (int(rng.integers(shards)),))
+        for i, name in enumerate(names)}
+    tracks = {name: int(rng.integers(1, 15)) for name in names}
+    placement, catalog = fixture(tracks, copies, shards)
+    fast = ClusterRouter(placement, catalog)
+    scan = ScanningRouter(placement, catalog)
+    cycle = 0
+    for window in range(16):
+        items = []
+        for _ in range(int(rng.integers(0, 30))):
+            cycle = max(0, cycle + int(rng.integers(-2, 4)))
+            items.append((cycle, names[int(rng.integers(len(names)))]))
+        assert fast.route_window(items) == scan.route_window(items)
+        assert fast.routed == scan.routed
+        assert fast._ends == scan._ends
+        if window % 3:
+            active = rng.integers(0, 12, shards).tolist()
+            limits = rng.integers(0, 20, shards).tolist()
+            fast.observe(cycle, active, limits)
+            scan.observe(cycle, active, limits)
+            assert fast._bias == scan._bias
+        assert [fast._load(s, cycle) for s in range(shards)] == \
+            [scan._load(s, cycle) for s in range(shards)]
+    assert sum(fast.routed) > 100

@@ -1,8 +1,12 @@
-"""The epoch engine's row pool: one fill, neutral tail rows, compaction.
+"""The epoch engine's row pool: one fill, neutral tail rows, compaction,
+and the row transfers between streams and columns.
 
 The fast == scalar fingerprints in ``test_fast_forward`` cover what the
 engine computes; these tests pin the :class:`~repro.sched.epoch.RowPool`
-invariants those results rest on.
+invariants those results rest on.  :meth:`RowPool.fill` writes whole
+columns; :func:`reference_fill` is the per-row loop it must equal, and a
+fill followed by a write-back of the unchanged rows must leave every
+stream as it was.
 """
 
 from __future__ import annotations
@@ -10,10 +14,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.schemes import Scheme
+from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.sched import epoch
 from repro.sched.epoch import RowPool
-from repro.server.stream import StreamStatus
+from repro.server import MultimediaServer
+from repro.server.stream import Stream, StreamStatus
 from tests.conftest import tiny_catalog
 from tests.sched.test_fast_forward import _mixed_rate_catalog, _scheme_server
 
@@ -125,3 +130,125 @@ def test_compaction_keeps_survivors_in_order(incoming: int,
     assert streams[1].next_read_track == 11
     # The retired stream leaves the scheduler's live index with its row.
     assert list(pool.sched._live) == [s.stream_id for s in pool.streams]
+
+
+def reference_fill(pool: RowPool, streams: list[Stream]) -> None:
+    """:meth:`RowPool.fill`, one item assignment per column and row."""
+    sched = pool.sched
+    k_prime = sched.config.k_prime
+    lo = i = len(pool.streams)
+    pool.streams += streams
+    for stream in streams:
+        pool.obj_base[i] = pool.bases[stream.object.name]
+        pool.next_read[i] = stream.next_read_track
+        pool.next_del[i] = stream.next_delivery_track
+        pool.num_tracks[i] = stream.num_tracks
+        pool.rate[i] = stream.rate
+        if stream.delivery_start_cycle is not None:
+            pool.start[i] = stream.delivery_start_cycle
+        pool.quota[i] = (k_prime * stream.rate if sched._base_quota
+                         else sched.deliveries_per_cycle(stream))
+        (pool.pace_rate[i], pool.pace_base[i], pool.phase_mod[i],
+         pool.phase_val[i]) = sched._ff_gate_params(stream)
+        pool.waiting[i] = stream.status is StreamStatus.ADMITTED
+        pool.peak0[i] = pool.peak[i] = sched.tracker.stream_peak(
+            stream.stream_id)
+        i += 1
+    pool.live[lo:i] = True
+    pool.unpaced[lo:i] = pool.pace_rate[lo:i] == 0
+    pool.paced = pool.paced or not bool(pool.unpaced[lo:i].all())
+    pool.gated = pool.gated or bool((pool.phase_mod[lo:i] != 1).any())
+    pool.max_rate = max(pool.max_rate, int(pool.rate[lo:i].max(initial=1)))
+
+
+def _mixed_server(scheme: Scheme) -> MultimediaServer:
+    """``m0`` and the rate-3 ``fast`` run three scalar cycles (started,
+    buffers held, tracker peaks raised); ``m1`` arrives after them."""
+    server = _scheme_server(scheme, catalog=_mixed_rate_catalog())
+    server.admit("m0")
+    server.admit("fast")
+    server.run_cycles(3)
+    server.admit("m1")
+    return server
+
+
+def _stream_state(stream: Stream) -> tuple:
+    return (stream.status, stream.is_active, stream.next_read_track,
+            stream.next_delivery_track, stream.delivery_start_cycle,
+            stream.delivered_tracks, stream.hiccup_count,
+            stream.reconstructed_tracks, sorted(stream.buffer),
+            sorted(stream.parity_buffer), sorted(stream.accumulators),
+            sorted(stream.lost_tracks))
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_fill_matches_per_row_reference(scheme: Scheme) -> None:
+    """Started and unstarted rows, rate 1 and rate 3, raised tracker
+    peaks, NC pacing and SG phase gates: the column fill writes what the
+    per-row loop writes, in an entry's fill and in a later batch's."""
+    server = _mixed_server(scheme)
+    sched = server.scheduler
+    streams = list(sched._live.values())
+    assert [s.object.name for s in streams] == ["m0", "fast", "m1"]
+    assert streams[0].delivery_start_cycle is not None
+    assert streams[2].delivery_start_cycle is None
+    assert all(sched.tracker.stream_peak(s.stream_id) > 0
+               for s in streams[:2])
+    sched._refresh_plan_cache()
+    tables = epoch.flat_tables(sched)
+    ours, theirs = (RowPool(8, sched, tables[4], tables[6])
+                    for _ in range(2))
+    for batch in (streams[:2], streams[2:], []):
+        ours.fill(batch)
+        reference_fill(theirs, batch)
+    assert ours.streams == theirs.streams == streams
+    for name, column in _columns(ours).items():
+        assert column.dtype == getattr(theirs, name).dtype, name
+        assert np.array_equal(column, getattr(theirs, name)), name
+    assert (ours.paced, ours.gated, ours.max_rate) == \
+        (theirs.paced, theirs.gated, theirs.max_rate)
+    assert ours.max_rate == 3
+    assert ours.paced is (scheme is Scheme.NON_CLUSTERED)
+    assert ours.gated is (scheme is Scheme.STAGGERED_GROUP)
+
+
+#: Round-trip states: every scheme healthy, and the group schemes after
+#: disk 1 failed and enough scalar cycles that a stream holds parity
+#: (degraded tables).
+ROUND_TRIPS = [pytest.param(scheme, 0, id=f"{scheme.value}-healthy")
+               for scheme in ALL_IMPLEMENTED_SCHEMES] + [
+    pytest.param(scheme, cycles, id=f"{scheme.value}-degraded")
+    for scheme, cycles in ((Scheme.STREAMING_RAID, 2),
+                           (Scheme.STAGGERED_GROUP, 3),
+                           (Scheme.IMPROVED_BANDWIDTH, 2),
+                           (Scheme.PARITY_DECLUSTERED, 1))]
+
+
+@pytest.mark.parametrize("scheme, degraded_cycles", ROUND_TRIPS)
+def test_fill_then_write_back_changes_no_stream(scheme: Scheme,
+                                                degraded_cycles: int,
+                                                ) -> None:
+    """An entry's fill, then a write-back of the unchanged rows, leaves
+    every stream's pointers, status, counters and buffer keys, and the
+    tracker's peaks, as they were."""
+    server = _mixed_server(scheme)
+    sched = server.scheduler
+    if degraded_cycles:
+        server.fail_disk(1)
+        server.run_cycles(degraded_cycles)
+    before = {sid: _stream_state(s) for sid, s in sched.streams.items()}
+    peaks = {sid: sched.tracker.stream_peak(sid) for sid in sched.streams}
+    sched._refresh_plan_cache()
+    engine = epoch._Epoch()
+    assert engine.enter(sched, {}) is None
+    pool = engine.pool
+    assert len(pool.streams) == 3
+    if degraded_cycles:
+        assert pool.degraded is not None
+        assert any(s.parity_buffer for s in pool.streams)
+    pool.write_back(np.arange(len(pool.streams)))
+    assert {sid: _stream_state(s) for sid, s in sched.streams.items()} \
+        == before
+    assert {sid: sched.tracker.stream_peak(sid)
+            for sid in sched.streams} == peaks
