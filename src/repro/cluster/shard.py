@@ -18,6 +18,12 @@ The three module-level functions are the session protocol:
 * :func:`finalise_shard` — extract the full :class:`ShardResult`,
   including the shard's :class:`~repro.server.metrics.SimulationReport`
   and a per-disk read-counter fingerprint (final session step).
+
+Each shard keeps one :class:`~repro.sched.base.Churn` driver from init
+to finalise, so an epoch the engine opened in one window pauses at the
+barrier and resumes in the next: a barrier changes no fault or
+admission state, and the shard pays no entry walk, fill or write-back
+for it.
 """
 
 from __future__ import annotations
@@ -30,11 +36,11 @@ from repro.analysis.parameters import SystemParameters
 from repro.faults.injector import FaultEvent, FaultSchedule
 from repro.media.catalog import Catalog
 from repro.media.objects import MediaObject
+from repro.sched.base import Churn
 from repro.schemes import Scheme
 from repro.server.metrics import SimulationReport
 from repro.server.server import MultimediaServer
 from repro.units import bytes_to_mb
-from repro.workload.compiler import CompiledTrace
 
 #: Toy 64-byte tracks, as in the scale grid: a 1000-disk shard
 #: materialises in milliseconds while every cycle metric stays real.
@@ -105,11 +111,12 @@ class WindowResult(NamedTuple):
 
 @dataclass
 class ShardState:
-    """A live shard inside its owning worker: server plus running tallies."""
+    """A live shard inside its owning worker: server, its driver (which
+    carries the shard's fault schedule) and running tallies."""
 
     spec: ShardSpec
     server: MultimediaServer
-    schedule: FaultSchedule
+    driver: Churn
     admitted: int = 0
     rejected: int = 0
 
@@ -138,9 +145,11 @@ def build_shard_server(spec: ShardSpec) -> MultimediaServer:
 
 
 def init_shard(spec: ShardSpec) -> ShardState:
-    """Session init: build the shard server once, inside its worker."""
-    return ShardState(spec=spec, server=build_shard_server(spec),
-                      schedule=spec.schedule())
+    """Session init: build the shard server and its driver once, inside
+    its worker."""
+    server = build_shard_server(spec)
+    driver = server.scheduler.churn(spec.fast_forward, spec.schedule())
+    return ShardState(spec=spec, server=server, driver=driver)
 
 
 def run_shard_window(state: ShardState,
@@ -149,10 +158,10 @@ def run_shard_window(state: ShardState,
     """Session step: admit the routed batches, advance to the barrier.
 
     ``batches`` maps absolute arrival cycles within the window to the
-    object names the router dispatched here; the window runs through
-    :meth:`MultimediaServer.run_workload`, so fast-forward, churn
-    batching, and the shard's scripted fault schedule all behave exactly
-    as they would on a standalone server.
+    object names the router dispatched here; the window is one
+    :meth:`~repro.sched.base.Churn.advance` of the shard's driver, so
+    fast-forward, churn batching, and the shard's scripted fault
+    schedule all behave exactly as they would on a standalone server.
     """
     server = state.server
     cycles = end_cycle - server.cycle_index
@@ -160,23 +169,24 @@ def run_shard_window(state: ShardState,
         raise ValueError(
             f"shard {state.spec.shard_id} asked to run to cycle "
             f"{end_cycle} but is already at {server.cycle_index}")
-    trace = CompiledTrace.from_batches(dict(batches),
-                                       server.config.cycle_length_s)
-    result = server.run_workload(trace, cycles,
-                                 fast_forward=state.spec.fast_forward,
-                                 schedule=state.schedule)
-    state.admitted += result.admitted
-    state.rejected += result.rejected
+    get = server.catalog.get
+    arrivals = {cycle: tuple(get(name) for name in names)
+                for cycle, names in batches.items()}
+    _, admitted, rejected = state.driver.advance(cycles, arrivals)
+    state.admitted += admitted
+    state.rejected += rejected
     return WindowResult(
-        admitted=result.admitted,
-        rejected=result.rejected,
-        streams_active=len(server.scheduler.active_streams),
+        admitted=admitted,
+        rejected=rejected,
+        streams_active=state.driver.streams_active(),
         effective_limit=server.scheduler.effective_admission_limit(),
     )
 
 
 def finalise_shard(state: ShardState) -> ShardResult:
-    """Final session step: package the shard's deterministic outcome."""
+    """Final session step: close the driver, then package the shard's
+    deterministic outcome."""
+    state.driver.close()
     hasher = hashlib.sha256()
     for disk in state.server.array:
         hasher.update(f"{disk.disk_id}:{disk.reads}:{disk.writes}\n"

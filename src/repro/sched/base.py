@@ -60,9 +60,9 @@ from repro.server.metrics import (
 )
 from repro.server.stream import Stream, StreamStatus
 
-#: Shortest window :meth:`CycleScheduler.run_churn` hands the epoch engine
-#: when an event cuts it short (a couple of batched cycles cannot repay an
-#: entry); a window that reaches the run's end is entered however short.
+#: Shortest window :class:`Churn` hands the epoch engine when an event
+#: cuts it short (a couple of batched cycles cannot repay an entry); a
+#: window that reaches the advance's end is entered however short.
 MIN_EPOCH_SPAN = 4
 
 
@@ -106,6 +106,7 @@ class CycleScheduler:
         "_read_hook_active", "_delivery_hook_active",
         "_base_quota", "admission_limit", "redundant_fault_commands",
         "_known_lost_tracks", "_pending_shed", "_ff_tables", "_ff_tables_key",
+        "_holder",
     )
 
     def __init__(self, layout: DataLayout, array: DiskArray,
@@ -194,6 +195,11 @@ class CycleScheduler:
         #: Streams shed since the last cycle report (data loss or
         #: degraded-capacity enforcement).
         self._pending_shed = 0
+        #: The :class:`Churn` driver holding an epoch open, if any: while
+        #: one does, the streams, disk read counters and tracker peaks
+        #: lag its row pool, so every call that reads or changes them
+        #: raises instead (see :meth:`Churn.refusal`).
+        self._holder: Optional[Churn] = None
 
     def _slot_based_stream_bound(self) -> int:
         """Streams the per-disk slot budget can carry.
@@ -285,6 +291,8 @@ class CycleScheduler:
         left service since its last prune: they are skipped here, not
         pruned (see :meth:`_prune_live`).
         """
+        if self._holder is not None:
+            raise self._holder.refusal("active_streams")
         return [s for s in self._live.values() if s.is_active]
 
     @property
@@ -300,6 +308,8 @@ class CycleScheduler:
         combination of the two").  A one-object :meth:`_admit_many`
         batch; a refusal raises with the reason the batch gives.
         """
+        if self._holder is not None:
+            raise self._holder.refusal("admit")
         reasons: list[str] = []
         streams, _ = self._admit_many((obj,), self._phase_loads(),
                                       self.effective_admission_limit(),
@@ -317,6 +327,8 @@ class CycleScheduler:
         rate-weighted phase loads and the fault-aware limit are computed
         once for the whole batch — O(active + arrivals).
         """
+        if self._holder is not None:
+            raise self._holder.refusal("admit_batch")
         return self._admit_many(objects, self._phase_loads(),
                                 self.effective_admission_limit())
 
@@ -397,6 +409,8 @@ class CycleScheduler:
 
     def terminate_stream(self, stream_id: int) -> None:
         """Drop a stream (degradation of service)."""
+        if self._holder is not None:
+            raise self._holder.refusal("terminate_stream")
         stream = self.streams[stream_id]
         if stream.is_active:
             stream.terminate()
@@ -407,6 +421,8 @@ class CycleScheduler:
         Unlike termination this is voluntary; the front door can admit a
         replacement in the same cycle.
         """
+        if self._holder is not None:
+            raise self._holder.refusal("stop_stream")
         stream = self.streams[stream_id]
         if stream.is_active:
             stream.stop()
@@ -459,6 +475,8 @@ class CycleScheduler:
         run the cycle before the strike with :meth:`run_cycle`, as
         :meth:`run_churn` does for a scheduled strike.
         """
+        if self._holder is not None:
+            raise self._holder.refusal("fail_disk")
         if self.array[disk_id].is_failed:
             self.redundant_fault_commands += 1
             return
@@ -497,6 +515,8 @@ class CycleScheduler:
         media errors is a counted no-op (stochastic injectors may fire
         repairs the scheduler already handled).
         """
+        if self._holder is not None:
+            raise self._holder.refusal("repair_disk")
         disk = self.array[disk_id]
         if not disk.is_failed and disk.service_fraction >= 1.0 \
                 and not disk.has_media_errors:
@@ -517,6 +537,8 @@ class CycleScheduler:
         longer has is shed immediately instead of surfacing as
         slot-overflow hiccup storms.
         """
+        if self._holder is not None:
+            raise self._holder.refusal("degrade_disk")
         from repro.faults.domain import degraded_service_fraction
         fraction = degraded_service_fraction(
             self.array.spec, self.config.cycle_length_s, slowdown)
@@ -527,6 +549,8 @@ class CycleScheduler:
 
     def restore_disk(self, disk_id: int) -> None:
         """Return a fail-slow disk to full speed (idempotent)."""
+        if self._holder is not None:
+            raise self._holder.refusal("restore_disk")
         disk = self.array[disk_id]
         if disk.service_fraction >= 1.0 and not disk.is_failed:
             self.redundant_fault_commands += 1
@@ -537,6 +561,8 @@ class CycleScheduler:
     def inject_media_error(self, disk_id: int, position: int,
                            transient: bool = False) -> None:
         """Plant a media error on one track position of one disk."""
+        if self._holder is not None:
+            raise self._holder.refusal("inject_media_error")
         self.array[disk_id].inject_media_error(position, transient=transient)
         self._invalidate_plan_cache()
 
@@ -667,6 +693,8 @@ class CycleScheduler:
         automatically when the last block lands.  Returns the
         :class:`~repro.sched.rebuild.OnlineRebuilder` for progress checks.
         """
+        if self._holder is not None:
+            raise self._holder.refusal("start_rebuild")
         from repro.sched.rebuild import OnlineRebuilder
         rebuilder = OnlineRebuilder(self, disk_id,
                                     writes_per_cycle=writes_per_cycle,
@@ -734,6 +762,8 @@ class CycleScheduler:
 
     def run_cycle(self) -> CycleReport:
         """Simulate one full cycle; returns its report."""
+        if self._holder is not None:
+            raise self._holder.refusal("run_cycle")
         self._refresh_plan_cache()
         report = CycleReport(cycle=self.cycle_index)
         self._deliver_phase(report)
@@ -839,14 +869,17 @@ class CycleScheduler:
         tally[reason] = tally.get(reason, 0) + 1
 
     def run_epoch(self, limit: int, reports: list[CycleReport],
-                  arrivals: epoch.Arrivals) -> tuple[int, int, int, bool]:
+                  arrivals: epoch.Arrivals,
+                  held: Optional[epoch._Epoch],
+                  ) -> tuple[Optional[epoch._Epoch], int, int, bool]:
         """Advance up to ``limit`` cycles on the fast-forward engine.
 
-        :meth:`run_churn`'s engine entry, :func:`repro.sched.epoch.run`,
-        a method of its own so a span tracer can count entries by name.
-        Returns ``(cycles done, admitted, rejected, consumed)``.
+        :class:`Churn`'s one way into :func:`repro.sched.epoch.run`,
+        entering an epoch or resuming ``held``, a method of its own so a
+        span tracer can count engine advances by name.  Returns ``(open
+        epoch or None, admitted, rejected, consumed)``.
         """
-        return epoch.run(self, limit, reports, arrivals)
+        return epoch.run(self, limit, reports, arrivals, held)
 
     def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
         """Static read-gate parameters for the epoch engine.
@@ -878,57 +911,27 @@ class CycleScheduler:
 
     # -- churn -------------------------------------------------------------------------
 
+    def churn(self, fast_forward: bool = True,
+              schedule: Optional["FaultSchedule"] = None) -> Churn:
+        """A driver for one run of cycles, advanced a call at a time
+        (see :class:`Churn`)."""
+        return Churn(self, fast_forward, schedule)
+
     def run_churn(self, count: int, arrivals: epoch.Arrivals,
                   fast_forward: bool = True,
                   schedule: Optional["FaultSchedule"] = None,
                   ) -> tuple[list[CycleReport], int, int]:
         """Run ``count`` cycles with per-cycle arrivals and scripted faults.
 
-        The one loop that chooses between the epoch engine and scalar
-        cycles.  ``arrivals`` maps *absolute* cycle indices to the objects
-        requested in that cycle, or is a closed loop
-        (:class:`~repro.sched.epoch.ClosedLoop`).  Each cycle first
-        applies the ``schedule`` at its top: scrub passes, then events.
-        With ``fast_forward`` on, :meth:`run_epoch` then runs up to
-        :meth:`FaultSchedule.epoch_end` (unless an event cuts that window
-        below :data:`MIN_EPOCH_SPAN`), admitting each batch in-engine.  A
-        cycle the engine did not reach runs scalar: :meth:`admit_batch`,
-        then :meth:`run_cycle`.  Results are bit-identical either way.
-        Returns ``(reports, admitted, rejected)``.
+        One :meth:`Churn.advance` of a fresh driver, then its
+        :meth:`Churn.close`, so the state is written back when it
+        returns.  Returns ``(reports, admitted, rejected)``.
         """
-        reports: list[CycleReport] = []
-        admitted = rejected = 0
-        end = self.cycle_index + count
-        while self.cycle_index < end:
-            cycle = self.cycle_index
-            if schedule is not None:
-                schedule.apply(self, cycle)
-            consumed = False
-            if fast_forward:
-                stop = (end if schedule is None
-                        else schedule.epoch_end(cycle, end))
-                if stop == end or stop - cycle >= MIN_EPOCH_SPAN:
-                    _done, a, r, consumed = self.run_epoch(
-                        stop - cycle, reports, arrivals)
-                    admitted += a
-                    rejected += r
-                    if schedule is not None:
-                        # An epoch runs no media error, so the passes at
-                        # its tops (and at a bail's, run below) are idle.
-                        schedule.credit_passes(
-                            cycle + 1, min(self.cycle_index + 1, stop))
-                    if self.cycle_index == stop:
-                        continue
-            batch = (arrivals.missing(Counter(
-                s.object.name for s in self.active_streams))
-                if isinstance(arrivals, epoch.ClosedLoop)
-                else arrivals.get(self.cycle_index))
-            if batch and not consumed:
-                streams, r = self.admit_batch(batch)
-                admitted += len(streams)
-                rejected += r
-            reports.append(self.run_cycle())
-        return reports, admitted, rejected
+        driver = self.churn(fast_forward, schedule)
+        try:
+            return driver.advance(count, arrivals)
+        finally:
+            driver.close()
 
     # -- phases ------------------------------------------------------------------------
 
@@ -1336,3 +1339,117 @@ class CycleScheduler:
                                name, ReadKind.PARITY, group,
                                ReadPurpose.RECOVERY))
         stream.next_read_track = entry.next_read_track
+
+
+class Churn:
+    """One run of cycles, advanced a call at a time: the only code that
+    chooses between the epoch engine and :meth:`CycleScheduler.run_cycle`.
+
+    Each :meth:`advance` runs its cycles with per-cycle arrivals, which
+    map *absolute* cycle indices to the objects requested in that
+    cycle, or are a closed loop (:class:`~repro.sched.epoch.ClosedLoop`).
+    Each cycle first applies the ``schedule`` at its top: scrub passes,
+    then events.  With ``fast_forward`` on,
+    :meth:`~CycleScheduler.run_epoch` then runs up to
+    :meth:`FaultSchedule.epoch_end` (unless an event cuts that window
+    below :data:`MIN_EPOCH_SPAN`), admitting each batch in-engine.  A
+    cycle the engine did not reach runs scalar:
+    :meth:`~CycleScheduler.admit_batch`, then ``run_cycle``.  Results
+    are bit-identical either way, and however the cycles are split
+    into advances.
+
+    An epoch that reaches the end of an advance with no bail *pauses*:
+    its row pool, read tables and running totals stay live, and the next
+    advance resumes it with no entry walk, fill or write-back.  It ends
+    (writing the state back) only on a bail, before a cycle top with
+    due fault events, before a scalar cycle, when the layout or array
+    state moved between advances, or at :meth:`close`.  While it is
+    open the scheduler refuses every call that would read or change the
+    state it holds (:meth:`refusal`).
+    """
+
+    __slots__ = ("sched", "fast_forward", "schedule", "_epoch")
+
+    def __init__(self, sched: CycleScheduler, fast_forward: bool,
+                 schedule: Optional["FaultSchedule"]) -> None:
+        self.sched = sched
+        self.fast_forward = fast_forward
+        self.schedule = schedule
+        #: The paused epoch between advances, else None.
+        self._epoch: Optional[epoch._Epoch] = None
+
+    def __repr__(self) -> str:
+        state = "epoch open" if self._epoch is not None else "no epoch open"
+        return (f"Churn(cycle={self.sched.cycle_index}, "
+                f"fast_forward={self.fast_forward}, {state})")
+
+    def refusal(self, call: str) -> SimulationError:
+        """The error for ``call`` made while this driver holds an epoch."""
+        return SimulationError(
+            f"{call} while {self!r} holds an epoch open: the streams, "
+            f"disk read counters and buffer peaks lag its row pool; "
+            f"close() the driver first")
+
+    def advance(self, count: int, arrivals: epoch.Arrivals,
+                ) -> tuple[list[CycleReport], int, int]:
+        """Run ``count`` more cycles; returns ``(reports, admitted,
+        rejected)`` for them."""
+        sched = self.sched
+        holder = sched._holder
+        if holder is not None and holder is not self:
+            raise holder.refusal("advance of another driver")
+        schedule = self.schedule
+        reports: list[CycleReport] = []
+        admitted = rejected = 0
+        end = sched.cycle_index + count
+        while sched.cycle_index < end:
+            cycle = sched.cycle_index
+            if schedule is not None:
+                if schedule.events_before_cycle(cycle):
+                    self.close()
+                schedule.apply(sched, cycle)
+            consumed = False
+            if self.fast_forward:
+                stop = (end if schedule is None
+                        else schedule.epoch_end(cycle, end))
+                if stop == end or stop - cycle >= MIN_EPOCH_SPAN:
+                    held, a, r, consumed = sched.run_epoch(
+                        stop - cycle, reports, arrivals, self._epoch)
+                    self._epoch = held
+                    sched._holder = self if held is not None else None
+                    admitted += a
+                    rejected += r
+                    if schedule is not None:
+                        # An epoch runs no media error, so the passes at
+                        # its tops (and at a bail's, run below) are idle.
+                        schedule.credit_passes(
+                            cycle + 1, min(sched.cycle_index + 1, stop))
+                    if sched.cycle_index == stop:
+                        continue
+            self.close()
+            batch = (arrivals.missing(Counter(
+                s.object.name for s in sched.active_streams))
+                if isinstance(arrivals, epoch.ClosedLoop)
+                else arrivals.get(sched.cycle_index))
+            if batch and not consumed:
+                streams, r = sched.admit_batch(batch)
+                admitted += len(streams)
+                rejected += r
+            reports.append(sched.run_cycle())
+        return reports, admitted, rejected
+
+    def streams_active(self) -> int:
+        """Streams in service: the open epoch's live rows, else the
+        scheduler's active streams."""
+        if self._epoch is None:
+            return len(self.sched.active_streams)
+        return int(np.count_nonzero(self._epoch.pool.live))
+
+    def close(self) -> None:
+        """End the open epoch, if any, writing its state back
+        (idempotent)."""
+        held = self._epoch
+        if held is not None:
+            self._epoch = None
+            self.sched._holder = None
+            held.exit()

@@ -4,9 +4,10 @@ Stream state lives in the numpy columns of a :class:`RowPool` for the
 whole epoch; each cycle is a handful of whole-array operations over the
 read tables of :func:`flat_tables` (delivery quotas, table gathers, one
 ``bincount`` for per-disk loads), staged on scratch state so a bail
-leaves no trace.  :func:`run` is the one entry; its exit writes the
-state back, so the post-run state is indistinguishable from a scalar
-run.
+leaves no trace.  :func:`run` is the one entry.  An epoch that runs all
+the cycles it was asked for pauses, and the next call resumes it; its
+exit writes the state back at a bail or close, so the post-run state is
+indistinguishable from a scalar run.
 
 One mechanism covers every stable state:
 
@@ -397,26 +398,42 @@ class RowPool:
 
 
 def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
-        arrivals: Arrivals) -> tuple[int, int, int, bool]:
+        arrivals: Arrivals, held: Optional[_Epoch],
+        ) -> tuple[Optional[_Epoch], int, int, bool]:
     """Advance up to ``limit`` (>= 1) cycles on the batched epoch engine.
 
-    Refreshes the plan cache and asks ``_ff_classify`` whether the state
-    allows an epoch at all; then the entry, stage, commit and exit steps.
+    Refreshes the plan cache, then resumes ``held``, the epoch an
+    earlier call paused, or enters a new one: ``_ff_classify`` says
+    whether the state allows an epoch at all, then the entry step.  A
+    held epoch entered under another plan-cache key (a placement change
+    or a direct array fault since it paused) exits first and a new one
+    is entered.  Then the stage and commit steps, cycle by cycle.
 
-    Returns ``(cycles done, admitted, rejected, consumed)`` where
-    ``consumed`` means the *current* cycle's arrivals were already
-    admitted before a bail, so the scalar fallback must not re-admit
-    them.  A refused entry returns zeros; every refusal and bail is
-    tallied once through ``_ff_note``.
+    Returns ``(epoch, admitted, rejected, consumed)``.  ``epoch`` is
+    the epoch, paused, when it ran all ``limit`` cycles with no bail,
+    and None once a refusal or a bail ended it (a bail runs the exit
+    step).  ``consumed`` means the *current* cycle's arrivals were
+    already admitted before a bail, so the scalar fallback must not
+    re-admit them.  A refused entry returns zeros; every refusal and
+    bail, never a pause, is tallied once through ``_ff_note``.
     """
     sched._refresh_plan_cache()
-    epoch = _Epoch()
-    bail = sched._ff_classify() or epoch.enter(sched, arrivals)
-    if bail is not None:
-        sched._ff_note(bail)
-        return 0, 0, 0, False
+    epoch = held
+    if epoch is not None and epoch._ff_tables_key != sched._plan_cache_key:
+        epoch.exit()
+        epoch = None
+    if epoch is None:
+        epoch = _Epoch()
+        bail = sched._ff_classify() or epoch.enter(sched, arrivals)
+        if bail is not None:
+            sched._ff_note(bail)
+            return None, 0, 0, False
+    else:
+        epoch.take(arrivals)
+    admitted, rejected = epoch.admitted, epoch.rejected
     done = 0
     consumed = False
+    bail = None
     while done < limit:
         cycle = sched.cycle_index
         if epoch.rebuilders and any(
@@ -438,21 +455,28 @@ def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
         epoch.commit(cycle, staged, reports)
         done += 1
         consumed = False
-    epoch.exit(done)
+    epoch.done += done
+    admitted = epoch.admitted - admitted
+    rejected = epoch.rejected - rejected
+    if bail is None:
+        return epoch, admitted, rejected, False
+    epoch.exit()
     sched._ff_note(bail)
-    return done, epoch.admitted, epoch.rejected, consumed
+    return None, admitted, rejected, consumed
 
 
 class _Epoch:
     """One epoch's state, all set up by :meth:`enter`: the tables, the
-    row pool, the rebuild cursors and the running totals."""
+    row pool, the rebuild cursors and the running totals.  It lives
+    from its entry to its :meth:`exit`, across every advance that
+    resumes it."""
 
     __slots__ = (
         "sched", "counts", "offsets", "member_disks", "next_pointers",
         "divisor", "degraded", "rebuilders", "phase_load", "loop", "trace",
         "active", "terminated", "num_disks", "pool_now", "limit_units",
         "pool", "total_loads", "failed_ids", "admitted", "rejected",
-        "serving",
+        "serving", "_ff_tables_key", "done",
     )
 
     def enter(self, sched: CycleScheduler,
@@ -462,7 +486,9 @@ class _Epoch:
         the walk visits only the streams in service), the layout's
         tables, the held-parity check and the rebuild plans."""
         self.sched: CycleScheduler = sched
-        self.admitted = self.rejected = 0
+        #: The plan-cache key of the read tables this epoch holds.
+        self._ff_tables_key = sched._plan_cache_key
+        self.admitted = self.rejected = self.done = 0
         width = sched.config.stripe_width
         rows: list[Stream] = []
         self.phase_load = phase_load = [0] * width
@@ -489,13 +515,6 @@ class _Epoch:
             append(stream)
             phase_load[stream.phase % width] += stream.rate
         self.active = active
-        self.loop: Optional[ClosedLoop] = None
-        if isinstance(arrivals, ClosedLoop):
-            # Rows in service per title; every title may arrive.
-            self.loop = arrivals
-            self.serving = Counter(stream.object.name for stream in rows)
-        else:
-            self.trace = arrivals
         (self.counts, self.offsets, self.member_disks, self.next_pointers,
          bases, self.divisor, self.degraded) = flat_tables(sched)
         if parity_held or self.degraded is not None:
@@ -512,10 +531,10 @@ class _Epoch:
         for rebuilder in self.rebuilders:
             if rebuilder.prepare_fast_plan() is None:
                 return "rebuild-veto"
-        # Pool leases change only on fail/repair: constant for the epoch.
+        # Pool leases and the admission limit change only on fail/repair:
+        # constant for the epoch, whatever arrivals a later advance brings.
         self.pool_now = sched._extra_buffer_tracks()
-        self.limit_units = sched.effective_admission_limit() if arrivals \
-            else 0
+        self.limit_units = sched.effective_admission_limit()
         # Room for the live rows and as many again; admissions past that
         # retire finished rows first (RowPool.make_room).
         self.pool = RowPool(max(_ROW_FLOOR, _ROW_GROWTH * len(rows)),
@@ -524,7 +543,24 @@ class _Epoch:
         self.num_disks = len(sched.array.disks)
         self.total_loads = np.zeros(self.num_disks, dtype=np.int64)
         self.failed_ids = np.asarray(sched.array.failed_ids, dtype=np.int64)
+        self.loop: Optional[ClosedLoop] = None
+        self.take(arrivals)
         return None
+
+    def take(self, arrivals: Arrivals) -> None:
+        """Swap in an advance's arrivals, keeping everything else.  A
+        closed loop counts the rows in service per title, from the live
+        rows when the epoch was not already counting them."""
+        if not isinstance(arrivals, ClosedLoop):
+            self.loop = None
+            self.trace = arrivals
+            return
+        if self.loop is None:
+            pool = self.pool
+            live = np.flatnonzero(pool.live)
+            self.serving = Counter(pool.streams[i].object.name
+                                   for i in live.tolist())
+        self.loop = arrivals
 
     def admit(self, cycle: int) -> bool:
         """Admit ``cycle``'s batch through the scalar decision; False if
@@ -678,17 +714,17 @@ class _Epoch:
         self.sched.report.record(report)
         self.sched.cycle_index = cycle + 1
 
-    def exit(self, done: int) -> None:
-        """The exit step: write the rows, the disk read counters and the
-        buffer peaks back to the Python objects."""
+    def exit(self) -> None:
+        """The exit step, once per epoch: write the rows, the disk read
+        counters and the buffer peaks back to the Python objects."""
         sched: CycleScheduler = self.sched
-        if done or self.admitted:
+        if self.done or self.admitted:
             self.pool.write_back(np.arange(len(self.pool.streams)))
             disks = sched.array.disks
             loaded = np.flatnonzero(self.total_loads)
             for disk_id, reads in zip(loaded.tolist(),
                                       self.total_loads[loaded].tolist()):
                 disks[disk_id].reads += reads
-            sched.report.ff_engaged_cycles += done
-        if done:
+            sched.report.ff_engaged_cycles += self.done
+        if self.done:
             sched._last_executed = None

@@ -15,7 +15,7 @@ neither admitted nor rejected — they are **unarrived**, and
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from repro.workload.generator import StreamRequest
 
@@ -48,30 +48,6 @@ class CompiledTrace:
             cycle: tuple(names) for cycle, names in batches.items()
         }
         self._cycles: tuple[int, ...] = tuple(sorted(self._batches))
-
-    @classmethod
-    def from_batches(cls, batches: Mapping[int, Sequence[str]],
-                     cycle_length_s: float) -> "CompiledTrace":
-        """Build a trace directly from per-cycle arrival batches.
-
-        The constructor for *derived* traces — routed windows — where arrival cycles are already known and
-        re-synthesising arrival timestamps would only invite float
-        rounding.  Batch order within a cycle is preserved; empty
-        batches are dropped.
-        """
-        trace = cls((), cycle_length_s)
-        clean: dict[int, tuple[str, ...]] = {}
-        for cycle, names in batches.items():
-            if int(cycle) != cycle or cycle < 0:
-                raise ValueError(
-                    f"arrival cycle must be a non-negative integer, "
-                    f"got {cycle!r}")
-            if names:
-                clean[int(cycle)] = tuple(names)
-        trace._batches = clean
-        trace._cycles = tuple(sorted(clean))
-        trace.total = sum(len(batch) for batch in clean.values())
-        return trace
 
     def event_cycles(self) -> tuple[int, ...]:
         """Cycles with at least one arrival, ascending (churn events)."""

@@ -17,6 +17,8 @@ import pytest
 
 from repro.cluster import ClusterSpec, run_cluster
 from repro.faults.injector import FaultAction, FaultEvent
+from repro.sched import epoch
+from repro.sched.base import CycleScheduler
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 
 #: One mid-trace failure on shard 1, repaired before the run ends: the
@@ -115,3 +117,68 @@ def test_fail_slow_on_one_shard_replays_identically() -> None:
     assert serial.digest() == pooled.digest() == scalar.digest()
     calm = run_cluster(spec(Scheme.STREAMING_RAID), workers=1)
     assert serial.digest() != calm.digest()
+
+
+#: Shard 1's faults across the 5-cycle barriers of :func:`barrier_spec`:
+#: a fail on a window start repaired on a later one, a DEGRADE/RESTORE
+#: pair inside one window, and a mid-cycle strike on a window start.
+BARRIER_FAULTS = (
+    (1, FaultEvent(25, 3)),
+    (1, FaultEvent(60, 3, FaultAction.REPAIR)),
+    (1, FaultEvent(82, 8, FaultAction.DEGRADE, slowdown=2.0)),
+    (1, FaultEvent(84, 8, FaultAction.RESTORE)),
+    (1, FaultEvent(110, 12, mid_cycle=True)),
+)
+
+#: The schemes whose shards the barrier tests run.
+BARRIER_SCHEMES = (Scheme.STREAMING_RAID, Scheme.PARITY_DECLUSTERED,
+                   Scheme.IMPROVED_BANDWIDTH)
+
+
+def barrier_spec(scheme: Scheme,
+                 faults: tuple[tuple[int, FaultEvent], ...] = (),
+                 ) -> ClusterSpec:
+    """Thirty 5-cycle windows of short titles: streams finish between
+    barriers, and the replicated titles' routing reads every barrier's
+    active-stream feedback."""
+    return ClusterSpec(
+        scheme=scheme, shards=2, disks_per_shard=20, parity_group_size=5,
+        objects=8, tracks_per_object=12, slots_per_disk=8,
+        admission_limit=10, cycles=150, window=5, arrivals_per_cycle=3.0,
+        replicate_top_k=3, seed=11, faults=faults)
+
+
+@pytest.mark.parametrize("scheme", BARRIER_SCHEMES, ids=lambda s: s.value)
+def test_epochs_resume_across_barriers_bit_identically(
+        scheme: Scheme) -> None:
+    """Each shard keeps one driver, so its epoch pauses at a barrier and
+    resumes after it; the faults close and reopen it.  The run folds to
+    the scalar loop's digest at one and two workers."""
+    storm = barrier_spec(scheme, BARRIER_FAULTS)
+    fast = run_cluster(storm, workers=1)
+    scalar = run_cluster(replace(storm, fast_forward=False), workers=1)
+    pooled = run_cluster(storm, workers=2)
+    assert fast.digest() == scalar.digest() == pooled.digest()
+    assert fast.per_shard == pooled.per_shard
+    assert all(shard.ff_engaged_cycles > 0 for shard in fast.per_shard)
+    assert scalar.report.ff_engaged_cycles == 0
+    calm = run_cluster(barrier_spec(scheme), workers=1)
+    assert fast.digest() != calm.digest()
+
+
+@pytest.mark.parametrize("scheme", BARRIER_SCHEMES, ids=lambda s: s.value)
+def test_a_fault_free_shard_enters_the_engine_once(
+        scheme: Scheme, monkeypatch: pytest.MonkeyPatch) -> None:
+    entries: list[int] = []
+    enter = epoch._Epoch.enter
+
+    def counted(self: epoch._Epoch, sched: CycleScheduler,
+                arrivals: epoch.Arrivals) -> object:
+        entries.append(sched.cycle_index)
+        return enter(self, sched, arrivals)
+
+    monkeypatch.setattr(epoch._Epoch, "enter", counted)
+    calm = run_cluster(barrier_spec(scheme), workers=1)
+    assert entries == [0, 0]
+    assert calm.report.ff_engaged_cycles == 2 * 150
+    assert calm.report.ff_disengagements == {}
