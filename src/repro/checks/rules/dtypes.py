@@ -201,9 +201,11 @@ def _is_boolish(node: ast.expr, env: dict[str, list[ast.expr]],
         return True
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert):
         return _is_boolish(node.operand, env, depth + 1)
-    if isinstance(node, ast.Call):
-        return _np_func(node) in ("isin", "logical_and", "logical_or",
-                                  "logical_not")
+    if isinstance(node, ast.Call):  # a mask, or an array made as bool
+        return _dtype_kwarg(node) == "bool" or _np_func(node) in (
+            "isin", "logical_and", "logical_or", "logical_not")
+    if isinstance(node, ast.Subscript):  # a boolean array's elements
+        return _is_boolish(node.value, env, depth + 1)
     if isinstance(node, ast.IfExp):
         return _is_boolish(node.body, env, depth + 1) \
             and _is_boolish(node.orelse, env, depth + 1)

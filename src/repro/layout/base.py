@@ -22,7 +22,7 @@ and their XOR parity so reconstruction can be verified byte-for-byte.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -41,8 +41,7 @@ class Placement:
 
     ``data_disk[t]``/``data_pos[t]`` address data track ``t``;
     ``parity_disk[g]``/``parity_pos[g]`` the parity block of group ``g``.
-    The columns are int64 and read-only: the epoch engine's read tables
-    share them without copying.
+    The columns are int64 and read-only.
     """
 
     obj: MediaObject
@@ -51,6 +50,23 @@ class Placement:
     data_pos: np.ndarray
     parity_disk: np.ndarray
     parity_pos: np.ndarray
+
+
+@dataclass(frozen=True, slots=True)
+class CatalogColumns:
+    """Every placed object's ``data_disk`` and ``parity_disk`` columns,
+    end to end in placement order: object ``names[i]`` owns tracks
+    ``first_track[i]:first_track[i + 1]`` and groups
+    ``first_group[i]:first_group[i + 1]``.  ``tables`` keeps what readers
+    derive from the view alone (the epoch engine's healthy read tables,
+    by read unit), so it goes with the view."""
+
+    names: tuple[str, ...]
+    data_disk: np.ndarray
+    first_track: np.ndarray
+    parity_disk: np.ndarray
+    first_group: np.ndarray
+    tables: dict[int, tuple] = field(default_factory=dict)
 
 
 def allocation_slots(num_tracks: int, stripe: int,
@@ -67,6 +83,15 @@ def allocation_slots(num_tracks: int, stripe: int,
 def _frozen(column: np.ndarray) -> np.ndarray:
     column.flags.writeable = False
     return column
+
+
+def _end_to_end(columns: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``columns`` concatenated, and where each starts, then the total."""
+    first = np.zeros(len(columns) + 1, dtype=np.int64)
+    first[1:] = np.cumsum([len(column) for column in columns])
+    # An int64 seed: an empty layout still gets int64 columns.
+    joined = np.concatenate([np.zeros(0, dtype=np.int64), *columns])
+    return _frozen(joined), _frozen(first)
 
 
 def _mark_occupied(array: DiskArray, placements: list[Placement]) -> None:
@@ -123,6 +148,7 @@ class DataLayout(abc.ABC):
         # Object-set views, rebuilt lazily after a placement change.
         self._names_cache: Optional[frozenset[str]] = None
         self._block_index: Optional[dict[tuple[int, int], StoredBlock]] = None
+        self._columns: Optional[CatalogColumns] = None
 
     # -- cache management ---------------------------------------------------
 
@@ -135,11 +161,12 @@ class DataLayout(abc.ABC):
         """Bump the epoch for one placement change.
 
         The object-set views (:attr:`object_names`, the block reverse
-        index) are rebuilt lazily afterwards.
+        index, :attr:`columns`) are rebuilt lazily afterwards.
         """
         self._epoch += 1
         self._names_cache = None
         self._block_index = None
+        self._columns = None
 
     # -- geometry to be provided by subclasses ---------------------------
 
@@ -326,6 +353,19 @@ class DataLayout(abc.ABC):
         if self._names_cache is None:
             self._names_cache = frozenset(self._placements)
         return self._names_cache
+
+    @property
+    def columns(self) -> CatalogColumns:
+        """Every placed object's disk columns in one view, for the
+        catalog-wide passes (the epoch engine's read tables, the
+        lost-track sweep); built at first use after a placement change."""
+        if self._columns is None:
+            placements = self._placements.values()
+            self._columns = CatalogColumns(
+                tuple(self._placements),
+                *_end_to_end([p.data_disk for p in placements]),
+                *_end_to_end([p.parity_disk for p in placements]))
+        return self._columns
 
     def start_cluster(self, name: str) -> int:
         """Cluster of object ``name``'s first parity group."""

@@ -60,11 +60,6 @@ from repro.server.metrics import (
 )
 from repro.server.stream import Stream, StreamStatus
 
-#: Shortest window :class:`Churn` hands the epoch engine when an event
-#: cuts it short (a couple of batched cycles cannot repay an entry); a
-#: window that reaches the advance's end is entered however short.
-MIN_EPOCH_SPAN = 4
-
 
 class GroupPlan:
     """The cached read plan for one (object, group) under one epoch.
@@ -96,6 +91,10 @@ class CycleScheduler:
     #: subsets opt rebuilds into the distributed (source-disjoint
     #: round-robin) pending order; see ``OnlineRebuilder``.
     distributed_rebuild = False
+
+    #: Whether the epoch engine reads a track a position rather than a
+    #: parity group (:func:`repro.sched.epoch.flat_tables`).
+    _ff_per_track = False
 
     __slots__ = (
         "layout", "array", "config", "verify_payloads", "metadata_only",
@@ -583,28 +582,27 @@ class CycleScheduler:
 
         A parity group loses data when at least two of its blocks (data
         or parity) sit on failed disks: every *data* member on a failed
-        disk is then gone.  Only runs the O(objects x groups) sweep while
-        two or more disks are down.
+        disk is then gone.  Only runs the sweep, one pass over the
+        layout's catalog-wide columns, while two or more disks are down.
         """
         failed = self.array.failed_ids
-        lost: dict[str, set[int]] = {}
         if len(failed) < 2:
-            return lost
+            return {}
+        view = self.layout.columns
         down = np.zeros(self.layout.num_disks, dtype=bool)
         down[failed] = True
-        for obj in self.layout.objects:
-            placement = self.layout.placement(obj.name)
-            tracks = np.flatnonzero(down[placement.data_disk])
-            if not len(tracks):
-                continue
-            groups = tracks // self._stripe
-            blocks_down = np.bincount(
-                groups, minlength=len(placement.parity_disk)) \
-                + down[placement.parity_disk]
-            gone = tracks[blocks_down[groups] >= 2]
-            if len(gone):
-                lost[obj.name] = set(gone.tolist())
-        return lost
+        tracks = np.flatnonzero(down[view.data_disk])
+        owner = np.searchsorted(view.first_track, tracks, side="right") - 1
+        tracks -= view.first_track[owner]  # each object's own numbering
+        groups = view.first_group[owner] + tracks // self._stripe
+        blocks_down = np.bincount(groups, minlength=len(view.parity_disk)) \
+            + down[view.parity_disk]
+        gone = blocks_down[groups] >= 2
+        tracks, owner = tracks[gone], owner[gone]
+        # The lost tracks run object by object, in placement order.
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        return {view.names[index]: set(chunk.tolist()) for index, chunk
+                in zip(owner[starts].tolist(), np.split(tracks, starts[1:]))}
 
     def _account_data_loss(self) -> None:
         """Re-derive the lost-track set; shed streams that crossed into it.
@@ -902,12 +900,6 @@ class CycleScheduler:
         group's worth of cycles).
         """
         return not stream.accumulators
-
-    def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
-        """Per-object read table under the current failure set, shaped
-        as :func:`repro.sched.epoch.read_table` documents (the default:
-        group-at-a-time reads)."""
-        return epoch.read_table(self, obj, failed)
 
     # -- churn -------------------------------------------------------------------------
 
@@ -1351,9 +1343,9 @@ class Churn:
     Each cycle first applies the ``schedule`` at its top: scrub passes,
     then events.  With ``fast_forward`` on,
     :meth:`~CycleScheduler.run_epoch` then runs up to
-    :meth:`FaultSchedule.epoch_end` (unless an event cuts that window
-    below :data:`MIN_EPOCH_SPAN`), admitting each batch in-engine.  A
-    cycle the engine did not reach runs scalar:
+    :meth:`FaultSchedule.epoch_end`, however short, admitting each batch
+    in-engine.  A cycle the engine did not reach (such as one feeding a
+    mid-cycle strike, which has no window) runs scalar:
     :meth:`~CycleScheduler.admit_batch`, then ``run_cycle``.  Results
     are bit-identical either way, and however the cycles are split
     into advances.
@@ -1412,7 +1404,7 @@ class Churn:
             if self.fast_forward:
                 stop = (end if schedule is None
                         else schedule.epoch_end(cycle, end))
-                if stop == end or stop - cycle >= MIN_EPOCH_SPAN:
+                if stop > cycle:
                     held, a, r, consumed = sched.run_epoch(
                         stop - cycle, reports, arrivals, self._epoch)
                     self._epoch = held

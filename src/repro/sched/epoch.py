@@ -44,8 +44,8 @@ read pointer, an imminent hiccup or a slot overflow.
 
 The scheduler keeps the rest: the plan-cache refresh, ``_ff_classify``
 and ``_ff_note``, the scheme hooks (``_fast_forward_ready``,
-``_ff_gate_params``, ``_ff_stream_ok``, ``_ff_read_table``) and the
-cache slots.
+``_ff_gate_params``, ``_ff_stream_ok``), the read unit
+(``_ff_per_track``) and the cache slots.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from repro.server.metrics import CycleReport
 from repro.server.stream import Stream, StreamStatus
 
 if TYPE_CHECKING:
+    from repro.layout.base import CatalogColumns
     from repro.sched.base import CycleScheduler
 
 #: Row pool sizing: a pool starts at ``_ROW_GROWTH`` times the live rows
@@ -87,132 +88,106 @@ class ClosedLoop:
 Arrivals = Union[dict[int, tuple[MediaObject, ...]], ClosedLoop]
 
 
-def read_table(sched: CycleScheduler, obj: MediaObject,
-               failed: list[int]) -> tuple:
-    """Per-object read table under the current failure set.
+def _healthy_tables(view: CatalogColumns, unit: int) -> tuple:
+    """The tables with no disk down, for reads of one parity group
+    (``unit`` the stripe) or one track (``unit`` 1) a position, in one
+    pass over the view; their member list is its data column itself."""
+    first = view.first_track if unit == 1 else view.first_group
+    owner = np.repeat(np.arange(len(view.names)), np.diff(first))
+    total = len(owner)
+    # Each position's first track: an object's positions end where the
+    # next object's begin, and the last where the catalog does.
+    offsets = np.zeros(total + 2, dtype=np.int64)
+    offsets[1:-1] = view.first_track[owner] \
+        + (np.arange(total) - first[owner]) * unit
+    offsets[-1] = len(view.data_disk)
+    next_pointers = np.zeros(total + 1, dtype=np.int64)
+    next_pointers[1:] = offsets[2:] - view.first_track[owner]
+    return (np.diff(offsets), offsets, view.data_disk, next_pointers,
+            dict(zip(view.names, (first[:-1] + 1).tolist())), unit, None)
 
-    ``(cnt, disks, next_pointers, divisor, degraded)``: a stream
-    whose read pointer is ``p`` (with ``p % divisor == 0`` for
-    group-at-a-time schemes) performs one read on each of the
-    ``cnt[q]`` disks that position ``q = p // divisor`` owns in
-    ``disks`` (positions in order), and its pointer becomes
-    ``next_pointers[q]``.  ``degraded`` is None when no position is
-    degraded: the healthy whole-group walk, straight from the cached
-    geometry.  Otherwise it is ``(data_counts, parity_flags, valid)``:
-    a degraded position's member slice includes the parity-fallback
-    disk, *parity_flags* marks positions whose read carries one parity
-    fetch **and** one same-cycle reconstruction, and *valid* is False
-    where the scalar planner cannot recover the position (the engine
-    bails before touching it).
 
-    ``disks`` is the layout's read-only data-disk column itself
-    (failures move no data), and the table is a failure overlay on it,
-    built in one pass: the survivors in track order, with each
-    recoverable group's parity disk inserted after its survivors.  An
-    object that lost no member gets its column as a zero-copy view.
+def _overlay(view: CatalogColumns, healthy: tuple, failed: list[int],
+             num_disks: int) -> tuple:
+    """``healthy`` with the disks ``failed`` down, in one pass over the
+    whole catalog (``healthy`` itself when no data member is down: a
+    failed parity disk never shows in a healthy group read).
+
+    A group that lost one member while its parity survives is read with
+    its parity disk after its survivors.  ``degraded = (data_counts,
+    parity_flags, valid, parity_before)``: *parity_flags* marks such a
+    group (one parity fetch **and** one same-cycle reconstruction),
+    *valid* is False where the scalar planner cannot recover a group,
+    and ``parity_before[q]`` counts the flagged positions before ``q``.
+    So a canonical stream with base ``b``, read pointer ``r`` and
+    delivery pointer ``d`` holds the parity of exactly the flagged
+    positions in ``[b + d // s, b + ceil(r / s))`` (``s`` the stripe):
+    the groups it has read but not yet fully delivered.
     """
-    placement = sched.layout.placement(obj.name)
-    disks = placement.data_disk
-    parity = placement.parity_disk
-    stripe = sched._stripe
-    # Group g's data members are disks[ptr[g]:ptr[g+1]], in track order.
-    ptr = np.minimum(np.arange(len(parity) + 1, dtype=np.int64) * stripe,
-                     len(disks))
-    cnt = np.diff(ptr)
-    nxt = ptr[1:]
-    if not failed:
-        return cnt, disks, nxt, stripe, None
-    if len(failed) == 1:
-        down = disks == failed[0]
-        parity_down = parity == failed[0]
-    else:
-        failed_arr = np.asarray(failed, dtype=np.int64)
-        down = np.isin(disks, failed_arr)
-        parity_down = np.isin(parity, failed_arr)
+    is_down = np.zeros(num_disks, dtype=bool)
+    is_down[failed] = True
+    down = is_down[view.data_disk]
     if not bool(down.any()):
-        # No data member down (a failed parity disk never appears
-        # in a healthy group read): the healthy walk verbatim.
-        return cnt, disks, nxt, stripe, None
+        return healthy
+    counts, offsets, disks, next_pointers, bases, unit, _ = healthy
+    ptr = offsets[1:]  # each group's first track, then the total
     fcnt = np.add.reduceat(down.astype(np.int64), ptr[:-1])
     # A group with one member down and its parity up is rebuilt in the
     # cycle that reads it; any other loss is unreconstructable: the
     # scalar path sheds the stream there (data loss), a state
     # transition the engine must never cross.
-    recoverable = (fcnt == 1) & ~parity_down
-    par = recoverable.astype(np.int64)
-    up = ~down
+    recoverable = (fcnt == 1) & ~is_down[view.parity_disk]
     groups = np.flatnonzero(recoverable)
-    # A group's survivors end at the survivor count through its end.
-    member_disks = np.insert(disks[up], np.cumsum(up)[nxt[groups] - 1],
-                             parity[groups])
-    return (cnt - fcnt + par, member_disks, nxt, stripe,
-            (cnt - fcnt, par, (fcnt == 0) | recoverable))
+    # A group's survivors end at its end less the members down so far.
+    member_disks = np.insert(disks[~down],
+                             ptr[groups + 1] - np.cumsum(fcnt)[groups],
+                             view.parity_disk[groups])
+    # Position 0 stays idle: no members, no parity, valid.
+    data_counts = counts.copy()
+    data_counts[1:] -= fcnt
+    parity_flags = np.zeros(len(counts), dtype=np.int64)
+    parity_flags[1:] = recoverable
+    valid = np.ones(len(counts), dtype=bool)
+    valid[1:] = (fcnt == 0) | recoverable
+    member_counts = data_counts + parity_flags
+    member_offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(member_counts, out=member_offsets[1:])
+    parity_before = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(parity_flags, out=parity_before[1:])
+    return (member_counts, member_offsets, member_disks, next_pointers,
+            bases, unit, (data_counts, parity_flags, valid, parity_before))
 
 
 def flat_tables(sched: CycleScheduler) -> tuple:
-    """The read tables of every placed object, concatenated.
+    """The read tables of every placed object, end to end.
 
     Returns ``(counts, offsets, member_disks, next_pointers, bases,
-    divisor, degraded)``: the per-object tables of ``_ff_read_table``
-    concatenated position by position, with ``bases`` mapping each
-    object to its first position.  ``degraded`` is None when no object
-    has a degraded position; otherwise it holds the engine's
-    reconstruction columns, ``(data_counts, parity_flags, valid,
-    parity_before)``, with healthy objects at the neutral values, and
-    ``parity_before[q]`` the number of flagged positions before ``q``.
-    Only group-at-a-time tables are degraded, so a canonical stream
-    with read pointer ``r`` and delivery pointer ``d`` holds the parity
-    of exactly the flagged positions in ``[b + d // s, b + ceil(r /
-    s))`` (``b`` its object's base, ``s`` the divisor): the groups it
-    has read but not yet fully delivered.
-
-    A stream's reads depend only on where its object lies and which
-    disks are down, and both change only with the plan-cache key
-    ``(layout.epoch, array.state_epoch)``: the tables are built once
-    per key, in placement order (``layout.objects``), and every engine
-    entry under it gets the same tuple, whatever its streams and
-    arrivals.  Position 0 precedes every object's positions and reads
-    nothing (an empty layout's tables hold only it).
+    divisor, degraded)``: a stream at read pointer ``p`` whose object
+    starts at position ``b = bases[name]`` reads the ``counts[q]`` disks
+    ``member_disks[offsets[q]:offsets[q + 1]]`` of position ``q = b + p
+    // divisor``, and its pointer becomes ``next_pointers[q]``.  Position
+    0 reads nothing (an empty layout's tables hold only it).  A position
+    is one parity group (``divisor`` the stripe), or one track where the
+    scheduler reads a track at a time (``_ff_per_track``: NC, which runs
+    the engine only while no read touches a failed disk, so with no
+    failure overlay).  With no data disk down, ``degraded`` is None and
+    the tables are the healthy ones kept with the layout's view
+    (:attr:`~repro.layout.base.DataLayout.columns`); else see
+    :func:`_overlay`.  They change only with the plan-cache key
+    ``(layout.epoch, array.state_epoch)``: built once per key, one tuple
+    serves every engine entry under it.
     """
     if sched._ff_tables_key == sched._plan_cache_key \
             and sched._ff_tables is not None:
         return sched._ff_tables
+    view = sched.layout.columns
+    unit = 1 if sched._ff_per_track else sched._stripe
+    tables = view.tables.get(unit)
+    if tables is None:
+        tables = view.tables[unit] = _healthy_tables(view, unit)
     failed = sched.array.failed_ids
-    per_obj = []
-    bases: dict[str, int] = {}
-    # Position 0 reads nothing: the stage's whole-pool gathers point idle
-    # rows at it, so even an empty layout's tables have it.
-    position_total = 1
-    divisor = 1  # no object: no row ever reads
-    for obj in sched.layout.objects:
-        cnt, disks, nxt, divisor, deg = sched._ff_read_table(obj, failed)
-        bases[obj.name] = position_total
-        position_total += len(cnt)
-        per_obj.append((cnt, disks, nxt, deg))
-    idle = np.zeros(1, dtype=np.int64)
-    counts = np.concatenate([idle, *(e[0] for e in per_obj)])
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    # The idle position has no members: an empty int64 seed.
-    member_disks = np.concatenate([idle[:0], *(e[1] for e in per_obj)])
-    next_pointers = np.concatenate([idle, *(e[2] for e in per_obj)])
-    degraded: Optional[tuple] = None
-    if any(e[3] is not None for e in per_obj):
-        # Neutral columns first: every member is data, no parity,
-        # every position valid.
-        data_counts = counts.copy()
-        parity_flags = np.zeros(position_total, dtype=np.int64)
-        valid = np.ones(position_total, dtype=bool)
-        for lo, entry in zip(bases.values(), per_obj):
-            if entry[3] is not None:
-                hi = lo + len(entry[0])
-                data_counts[lo:hi], parity_flags[lo:hi], valid[lo:hi] = \
-                    entry[3]
-        parity_before = np.zeros(position_total + 1, dtype=np.int64)
-        np.cumsum(parity_flags, out=parity_before[1:])
-        degraded = (data_counts, parity_flags, valid, parity_before)
-    tables = (counts, offsets, member_disks, next_pointers, bases, divisor,
-              degraded)
+    if failed and not sched._ff_per_track:
+        tables = _overlay(view, tables, failed, sched.layout.num_disks)
     sched._ff_tables = tables
     sched._ff_tables_key = sched._plan_cache_key
     return tables

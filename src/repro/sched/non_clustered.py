@@ -39,11 +39,8 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-import numpy as np
-
 from repro.buffers.pool import BufferPool
 from repro.errors import BufferExhausted
-from repro.media.objects import MediaObject
 from repro.sched.base import CycleScheduler
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
 from repro.server.metrics import CycleReport, HiccupCause
@@ -74,6 +71,10 @@ class _Accumulator:
 
 class NonClusteredScheduler(CycleScheduler):
     """One track per stream per cycle, with failure-transition protocols."""
+
+    #: The engine reads a track a position, with no failure overlay
+    #: (:func:`repro.sched.epoch.flat_tables`).
+    _ff_per_track = True
 
     __slots__ = ("protocol", "pool", "_completed_reconstructions",
                  "_reconstructions_credited", "_degraded", "_unprotected",
@@ -449,16 +450,3 @@ class NonClusteredScheduler(CycleScheduler):
         sid = stream.stream_id
         return not stream.accumulators and not any(
             key[0] == sid for key in self._accumulators)
-
-    def _ff_read_table(self, obj: MediaObject, failed: list[int]) -> tuple:
-        """Per-track table (divisor 1): natural-pace single reads.
-
-        The layout's data-disk column lists the data disk of every track
-        in order, so it is the table verbatim.  The engine runs only
-        while no cluster is degraded, so any failed disk is a parity
-        disk, which no single read touches.
-        """
-        num_tracks = obj.num_tracks
-        return (np.ones(num_tracks, dtype=np.int64),
-                self.layout.placement(obj.name).data_disk,
-                np.arange(1, num_tracks + 1, dtype=np.int64), 1, None)

@@ -19,7 +19,6 @@ import pytest
 from repro.errors import SimulationError
 from repro.faults.injector import FaultAction, FaultEvent, FaultSchedule
 from repro.sched import epoch
-from repro.sched.base import MIN_EPOCH_SPAN
 from repro.sched.epoch import ClosedLoop
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.server import MultimediaServer
@@ -445,39 +444,43 @@ def test_closed_loop_rides_the_engine_through_refusals_and_completions(
     assert server.report.ff_disengagements == {}
 
 
-def _redundant_restores(*cycles: int) -> FaultSchedule:
+def _redundant_restores(*cycles: int) -> list[FaultEvent]:
     """Events that change no state: each restores an operational disk,
     so they only cut the run into windows."""
-    return FaultSchedule(FaultEvent(cycle, 1, FaultAction.RESTORE)
-                         for cycle in cycles)
+    return [FaultEvent(cycle, 1, FaultAction.RESTORE) for cycle in cycles]
 
 
-@pytest.mark.parametrize("cycles, engaged, entries", [
-    # Events two cycles apart: that window runs scalar.
-    ((10, 12), CYCLES - 2, [(0, 10), (12, 18)]),
-    # Four cycles apart: the window is batched.
-    ((10, 10 + MIN_EPOCH_SPAN), CYCLES,
-     [(0, 10), (10, MIN_EPOCH_SPAN), (10 + MIN_EPOCH_SPAN, 16)]),
-])
-def test_min_epoch_span_applies_to_windows_an_event_cuts_short(
-        monkeypatch: pytest.MonkeyPatch, cycles: tuple[int, ...],
-        engaged: int, entries: list[tuple[int, int]]) -> None:
-    log: list[tuple[int, int]] = []
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_event_cut_windows_of_any_length_enter_the_engine(
+        monkeypatch: pytest.MonkeyPatch, scheme: Scheme) -> None:
+    """Events at 10, 11, 13 and 16 cut windows of 1, 2 and 3 cycles,
+    and each is entered and batched whole.  A mid-cycle strike at 22
+    stops the epoch a cycle early: cycle 21, which feeds it, runs
+    scalar, and the engine is entered again at the strike's top."""
+    log: list[tuple[int, int, int]] = []
     run = epoch.run
 
     def logged_run(sched, limit, *args):
-        log.append((sched.cycle_index, limit))
-        return run(sched, limit, *args)
+        cycle = sched.cycle_index
+        result = run(sched, limit, *args)
+        log.append((cycle, limit, sched.cycle_index - cycle))
+        return result
 
     def drive(server: MultimediaServer, fast_forward: bool) -> list:
-        return server.run_with_schedule(CYCLES, _redundant_restores(*cycles),
+        schedule = FaultSchedule([*_redundant_restores(10, 11, 13, 16),
+                                  FaultEvent(22, 0, mid_cycle=True)])
+        return server.run_with_schedule(CYCLES, schedule,
                                         fast_forward=fast_forward)
 
     monkeypatch.setattr(epoch, "run", logged_run)
-    slow, fast, report = _run_degraded_pair(Scheme.STREAMING_RAID, drive)
+    slow, fast, report = _run_degraded_pair(scheme, drive)
     assert fast == slow
-    assert report.ff_engaged_cycles == engaged
-    assert log == entries
+    # (entry cycle, limit, cycles batched): no entry covers cycle 21.
+    assert log[:5] == [(0, 10, 10), (10, 1, 1), (11, 2, 2), (13, 3, 3),
+                       (16, 5, 5)]
+    assert log[5][:2] == (22, CYCLES - 22)
+    assert all(cycle > 22 for cycle, _, _ in log[6:])
 
 
 def test_a_one_cycle_run_still_enters_the_engine() -> None:
