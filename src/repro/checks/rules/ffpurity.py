@@ -2,8 +2,9 @@
 
 The fast-forward engine decides whether a batched epoch is legal by
 *probing* scheduler state: ``_ff_classify``, the scheme veto it
-dispatches to (``_fast_forward_ready``), and the per-stream hooks the
-engine's entry walk calls (``_ff_stream_ok``, ``_ff_gate_params``).
+dispatches to (``_fast_forward_ready``), the per-stream hook the
+engine's entry walk calls (``_ff_stream_ok``) and the gate hook its row
+writer calls on whole columns (``_ff_gate_params``).
 Those probes run between scalar cycles and may run any number of times
 (eligibility is re-checked per entry), so the fast and scalar paths
 only stay bit-identical if probing *changes nothing*: no scheduler /

@@ -23,7 +23,8 @@ so the four schemes stay comparable.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Optional, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -58,7 +59,12 @@ from repro.server.metrics import (
     HiccupRecord,
     SimulationReport,
 )
-from repro.server.stream import Stream, StreamStatus
+from repro.server.stream import Stream, StreamRegistry, StreamStatus
+
+#: One read-gate parameter of the epoch engine's rows: a column, or one
+#: value for every row (see :meth:`CycleScheduler._ff_gate_params`).
+GateColumn = Union[int, np.ndarray]
+GateParams = tuple[GateColumn, GateColumn, GateColumn, GateColumn]
 
 
 class GroupPlan:
@@ -99,11 +105,12 @@ class CycleScheduler:
     __slots__ = (
         "layout", "array", "config", "verify_payloads", "metadata_only",
         "track_bytes", "codec", "slot_table", "report", "tracker",
-        "cycle_index", "streams", "_live", "_terminated", "_next_stream_id",
+        "cycle_index", "_registry", "_live", "_terminated",
+        "_next_stream_id",
         "_lost_causes", "_last_executed", "_pending_reconstructions",
         "rebuilders", "_stripe", "_plan_cache", "_plan_cache_key",
         "_read_hook_active", "_delivery_hook_active",
-        "_base_quota", "admission_limit", "redundant_fault_commands",
+        "admission_limit", "redundant_fault_commands",
         "_known_lost_tracks", "_pending_shed", "_ff_tables", "_ff_tables_key",
         "_holder",
     )
@@ -139,12 +146,13 @@ class CycleScheduler:
         self.report = SimulationReport()
         self.tracker = BufferTracker()
         self.cycle_index = 0
-        #: Every stream ever admitted, by id: the full record.
-        self.streams: dict[int, Stream] = {}
-        #: The live index: the streams of ``streams`` not yet seen
-        #: finished, by id.  The per-cycle walks read it, so their cost
-        #: follows the live streams, not the run's history; only
-        #: :meth:`_prune_live` removes from it.
+        #: Every stream ever admitted, by id: the full record, read
+        #: through :attr:`streams`.
+        self._registry = StreamRegistry()
+        #: The live index: the registered streams not yet seen finished,
+        #: by id.  The per-cycle walks read it, so their cost follows the
+        #: live streams, not the run's history; only :meth:`_prune_live`
+        #: removes from it.
         self._live: dict[int, Stream] = {}
         #: ``TERMINATED`` streams pruned from the live index so far.
         self._terminated = 0
@@ -180,8 +188,6 @@ class CycleScheduler:
             cls._on_read_executed is not CycleScheduler._on_read_executed)
         self._delivery_hook_active = (
             cls._on_track_delivered is not CycleScheduler._on_track_delivered)
-        self._base_quota = (
-            cls.deliveries_per_cycle is CycleScheduler.deliveries_per_cycle)
         if admission_limit is None:
             admission_limit = self._slot_based_stream_bound()
         self.admission_limit = admission_limit
@@ -247,14 +253,6 @@ class CycleScheduler:
     def on_disk_repair(self, disk_id: int) -> None:
         """Scheme reaction to a repair (default: none)."""
 
-    def deliveries_per_cycle(self, stream: Stream) -> int:
-        """Tracks a started stream must send per cycle.
-
-        A rate-``r`` stream (an object ``r`` times the base bandwidth)
-        consumes ``r`` times the cycle's delivery quantum.
-        """
-        return self.config.k_prime * stream.rate
-
     def _on_read_executed(self, stream: Stream, plan: PlannedRead,
                           payload: bytes) -> None:
         """Hook after each executed read (NC folds accumulators here)."""
@@ -281,6 +279,17 @@ class CycleScheduler:
         return self.slot_table.resolve(plans)
 
     # -- stream management ------------------------------------------------------
+
+    @property
+    def streams(self) -> StreamRegistry:
+        """Every stream ever admitted, by id, in id order (read-only).
+
+        A stream the epoch engine admitted and saw finish is built from
+        its archived row when first read (see :class:`StreamRegistry`).
+        """
+        if self._holder is not None:
+            raise self._holder.refusal("streams")
+        return self._registry
 
     @property
     def active_streams(self) -> list[Stream]:
@@ -310,12 +319,12 @@ class CycleScheduler:
         if self._holder is not None:
             raise self._holder.refusal("admit")
         reasons: list[str] = []
-        streams, _ = self._admit_many((obj,), self._phase_loads(),
-                                      self.effective_admission_limit(),
-                                      reasons)
+        admitted = self._admit_many((obj,), self._phase_loads(),
+                                    self.effective_admission_limit(),
+                                    reasons)
         if reasons:
             raise AdmissionError(reasons[0])
-        return streams[0]
+        return self._register(*admitted, repeat(self.cycle_index))[0]
 
     def admit_batch(self, objects: Sequence[MediaObject],
                     ) -> tuple[list[Stream], int]:
@@ -328,8 +337,10 @@ class CycleScheduler:
         """
         if self._holder is not None:
             raise self._holder.refusal("admit_batch")
-        return self._admit_many(objects, self._phase_loads(),
-                                self.effective_admission_limit())
+        streams = self._register(*self._admit_many(
+            objects, self._phase_loads(), self.effective_admission_limit()),
+            repeat(self.cycle_index))
+        return streams, len(objects) - len(streams)
 
     def _phase_loads(self) -> list[int]:
         """Rate-weighted load per read phase over the active streams."""
@@ -343,10 +354,15 @@ class CycleScheduler:
     def _admit_many(self, objects: Sequence[MediaObject],
                     phase_load: list[int], limit: int,
                     reasons: Optional[list[str]] = None,
-                    ) -> tuple[list[Stream], int]:
+                    ) -> tuple[list[MediaObject], range, list[int],
+                               list[int]]:
         """The admission decision, for a batch of arrivals in order.
 
-        Returns ``(streams, rejected)``.  An arrival is refused when its
+        Returns the admitted streams as columns: ``(objects, ids,
+        phases, rates)``, the ids taken in order from the scheduler's
+        next one; it builds and registers nothing (the scalar callers
+        pass the columns to :meth:`_register`, the epoch engine writes
+        them into its row pool).  An arrival is refused when its
         object is not on disk, has tracks lost to a multiple-disk
         failure, needs a non-integer multiple of the base rate (only
         those are schedulable on a fixed cycle — the paper's
@@ -360,11 +376,10 @@ class CycleScheduler:
         placed = self.layout.object_names
         lost = self._known_lost_tracks
         unit = self.config.params.object_bandwidth_mb_s
-        cycle = self.cycle_index
-        registry, live = self.streams, self._live
-        next_id = self._next_stream_id
         load = sum(phase_load)
-        streams: list[Stream] = []
+        admitted: list[MediaObject] = []
+        phases: list[int] = []
+        rates: list[int] = []
         for obj in objects:
             name = obj.name
             if name not in placed:
@@ -396,21 +411,34 @@ class CycleScheduler:
             # current load keeps every cycle's read volume equal, which
             # the staggered capacity bound assumes.
             phase = phase_load.index(min(phase_load))
-            stream = Stream(stream_id=next_id, obj=obj,
-                            admitted_cycle=cycle, phase=phase, rate=rate)
-            registry[next_id] = live[next_id] = stream
-            next_id += 1
             phase_load[phase] += rate
             load += rate
-            streams.append(stream)
-        self._next_stream_id = next_id
-        return streams, len(objects) - len(streams)
+            admitted.append(obj)
+            phases.append(phase)
+            rates.append(rate)
+        first = self._next_stream_id
+        self._next_stream_id = first + len(admitted)
+        return admitted, range(first, self._next_stream_id), phases, rates
+
+    def _register(self, objects: Sequence[MediaObject], ids: Iterable[int],
+                  phases: Iterable[int], rates: Iterable[int],
+                  admitted: Iterable[int]) -> list[Stream]:
+        """Build the :class:`Stream` of each admitted column entry (its
+        object, id, phase, rate and admission cycle) and register it: in
+        the registry, past every registered id or in the place an epoch
+        exit reserved for it, and at the end of the live index."""
+        streams = [Stream(stream_id, obj, cycle, phase, rate)
+                   for obj, stream_id, phase, rate, cycle
+                   in zip(objects, ids, phases, rates, admitted)]
+        self._registry.add(streams)
+        self._live.update((stream.stream_id, stream) for stream in streams)
+        return streams
 
     def terminate_stream(self, stream_id: int) -> None:
         """Drop a stream (degradation of service)."""
         if self._holder is not None:
             raise self._holder.refusal("terminate_stream")
-        stream = self.streams[stream_id]
+        stream = self._registry[stream_id]
         if stream.is_active:
             stream.terminate()
 
@@ -422,13 +450,13 @@ class CycleScheduler:
         """
         if self._holder is not None:
             raise self._holder.refusal("stop_stream")
-        stream = self.streams[stream_id]
+        stream = self._registry[stream_id]
         if stream.is_active:
             stream.stop()
 
     def _mark_lost(self, stream_id: int, track: int,
                    cause: HiccupCause) -> None:
-        stream = self.streams[stream_id]
+        stream = self._registry[stream_id]
         stream.mark_lost(track)
         self._lost_causes.setdefault((stream_id, track), cause)
 
@@ -439,9 +467,10 @@ class CycleScheduler:
         and a retired stream's pending hiccup causes go with it: it
         never delivers again, so nothing else would pop them, and a
         stale cause holds ``_ff_classify`` at ``pending-state``.  Runs
-        only in :meth:`_finalise`, at the epoch engine's entry and when
-        its row pool retires finished rows; never in a property or an
-        ff probe, which must not write state.
+        only in :meth:`_finalise` and at the epoch engine's entry; never
+        in a property or an ff probe, which must not write state.  (The
+        engine's own admissions join the index only at its exit, and only
+        those still live.)
         """
         live = self._live
         retired = [stream for stream in live.values() if not stream.is_active]
@@ -491,7 +520,7 @@ class CycleScheduler:
             for plan in self._last_executed:
                 if plan.disk_id != disk_id or plan.kind is not ReadKind.DATA:
                     continue
-                stream = self.streams.get(plan.stream_id)
+                stream = self._live.get(plan.stream_id)
                 if stream is None or not stream.is_active:
                     continue
                 if stream.take_track(plan.index) is None:
@@ -879,15 +908,18 @@ class CycleScheduler:
         """
         return epoch.run(self, limit, reports, arrivals, held)
 
-    def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
-        """Static read-gate parameters for the epoch engine.
+    def _ff_gate_params(self, phase: np.ndarray, rate: np.ndarray,
+                        admitted: np.ndarray) -> GateParams:
+        """Static read-gate parameters for the epoch engine's rows.
 
-        ``(pace_rate, pace_base, phase_mod, phase_val)``: in cycle ``c``
-        the stream reads only if ``c % phase_mod == phase_val`` and (when
-        ``pace_rate`` is non-zero) each table step starts with the read
-        pointer below ``(c + 1 - pace_base) * pace_rate``.  The base
-        schemes read every cycle, unpaced; SG gates on the stream's
-        phase, NC paces on the delivery schedule.
+        Given the rows' phase, rate and admission-cycle columns, returns
+        ``(pace_rate, pace_base, phase_mod, phase_val)``, each a column
+        or one value for every row: in cycle ``c`` a row reads only if
+        ``c % phase_mod == phase_val`` and (when ``pace_rate`` is
+        non-zero) each table step starts with the read pointer below
+        ``(c + 1 - pace_base) * pace_rate``.  The base schemes read
+        every cycle, unpaced; SG gates on the row's phase, NC paces on
+        the delivery schedule.
         """
         return 0, 0, 1, 0
 
@@ -941,14 +973,13 @@ class CycleScheduler:
                        and self._delivery_hook_needed())
         cycle = self.cycle_index
         k_prime = self.config.k_prime
-        base_quota = self._base_quota
         for stream in self.active_streams:
             start = stream.delivery_start_cycle
             if start is None or cycle < start:
                 continue
-            quota = (k_prime * stream.rate if base_quota
-                     else self.deliveries_per_cycle(stream))
-            due = min(quota, stream.num_tracks - stream.next_delivery_track)
+            # A rate-r stream consumes r times the cycle's quantum.
+            due = min(k_prime * stream.rate,
+                      stream.num_tracks - stream.next_delivery_track)
             buffer = stream.buffer
             delivered = 0
             for _ in range(due):
@@ -1020,7 +1051,9 @@ class CycleScheduler:
 
     def _execute_reads(self, executed: list[PlannedRead],
                        report: CycleReport) -> None:
-        streams = self.streams
+        # Only a live-indexed stream can be active, so the live index
+        # serves every lookup the plans need.
+        streams = self._live
         disks = self.array.disks
         data_kind = ReadKind.DATA
         next_cycle = self.cycle_index + 1
@@ -1095,7 +1128,7 @@ class CycleScheduler:
         for plan in failed_plans:
             if plan.kind is not ReadKind.DATA:
                 continue
-            stream = self.streams.get(plan.stream_id)
+            stream = self._live.get(plan.stream_id)
             if stream is None or not stream.is_active:
                 continue
             group = plan.index // self._stripe
@@ -1170,9 +1203,10 @@ class CycleScheduler:
 
         All eligible groups of the cycle are XOR-reduced together in one
         matrix operation (:meth:`ParityCodec.reconstruct_batch`) instead of
-        block by block.
+        block by block.  Only an active stream holds parity, and every
+        active one is in the live index.
         """
-        streams = self.streams
+        streams = self._live
         touched: set[tuple[int, int]] = set()
         stripe = self._stripe
         parity_kind = ReadKind.PARITY

@@ -7,7 +7,10 @@ read tables of :func:`flat_tables` (delivery quotas, table gathers, one
 leaves no trace.  :func:`run` is the one entry.  An epoch that runs all
 the cycles it was asked for pauses, and the next call resumes it; its
 exit writes the state back at a bail or close, so the post-run state is
-indistinguishable from a scalar run.
+indistinguishable from a scalar run.  A stream the epoch admits is a
+row and nothing else: when it finishes, its row moves into the
+scheduler's stream registry's archive, and only a row still live at
+the exit becomes a :class:`~repro.server.stream.Stream`.
 
 One mechanism covers every stable state:
 
@@ -34,9 +37,10 @@ One mechanism covers every stable state:
   ``effective_admission_limit`` (constant for the epoch: every
   ``_capacity_penalty`` is a pure function of array/layout/
   degraded-cluster state, which only changes on the transitions the
-  engine bails on); accepted streams join the pool at read pointer 0,
-  which is trivially canonical.  A trace's batch is its ``arrivals``
-  entry, a :class:`ClosedLoop`'s every title with no row in service.
+  engine bails on); the admitted columns join the pool as rows at read
+  pointer 0, which is trivially canonical.  A trace's batch is its
+  ``arrivals`` entry, a :class:`ClosedLoop`'s every title with no row
+  in service.
 
 The engine bails only on state transitions: a rebuild that could
 complete, a stream crossing an unreconstructable position, a mid-group
@@ -52,7 +56,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 import numpy as np
 
@@ -212,25 +216,29 @@ def _held_parity(degraded: Optional[tuple], base: int, read: int,
 class RowPool:
     """The epoch's streams as numpy row columns, sized to the live ones.
 
-    Every array slot is a per-row column.  Rows ``[0, len(streams))``
-    hold the epoch's streams in admission order; every row past them
-    holds its column's neutral value (not live, not reading, nothing
-    staged), so whole-array steps need no mask for the tail.  One
-    :meth:`fill` writes the entry rows and each cycle's admitted batch;
-    :meth:`make_room` retires the rows that finished in committed cycles
-    (a finished row's state is final, so :meth:`write_back` lands it as
-    the epoch exit would), so per-cycle cost follows the live rows, not
-    the admissions so far.  The entry sizes a pool from its live rows
-    alone (see ``_ROW_GROWTH``); since retirement changes no outcome,
-    neither does the size.
+    Every array slot is a per-row column.  Rows ``[0, rows)`` hold the
+    epoch's streams in admission (id) order; every row past them holds
+    its column's neutral value (not live, not reading, nothing staged),
+    so whole-array steps need no mask for the tail.  A row is a stream
+    id and its state.  The entry's rows keep their :class:`Stream`
+    objects (``streams``, by id) and :meth:`fill` writes them from
+    those; a row admitted in the epoch (an id from ``first_fresh`` on)
+    is written by :meth:`add` from the admission's columns and has no
+    object.  :meth:`make_room` retires the rows that finished in
+    committed cycles (a finished row's state is final, so
+    :meth:`retire` lands it as the epoch exit would), so per-cycle cost
+    follows the live rows, not the admissions so far.  The entry sizes
+    a pool from its live rows alone (see ``_ROW_GROWTH``); since
+    retirement changes no outcome, neither does the size.
     """
 
     __slots__ = (
-        "sched", "bases", "degraded", "streams", "paced", "gated",
-        "max_rate", "obj_base", "next_read", "next_del", "num_tracks",
-        "rate", "start", "quota", "pace_rate", "pace_base", "phase_mod",
-        "phase_val", "unpaced", "waiting", "live", "deliv_delta",
-        "recon_delta", "peak0", "peak",
+        "sched", "bases", "degraded", "streams", "first_fresh", "rows",
+        "paced", "gated", "max_rate", "ids", "obj", "phase", "admitted",
+        "obj_base", "next_read", "next_del", "num_tracks", "rate", "start",
+        "quota", "pace_rate", "pace_base", "phase_mod", "phase_val",
+        "unpaced", "waiting", "live", "deliv_delta", "recon_delta", "peak0",
+        "peak",
     )
 
     def __init__(self, size: int, sched: CycleScheduler,
@@ -240,11 +248,20 @@ class RowPool:
         #: columns (None while healthy), from :func:`flat_tables`.
         self.bases = bases
         self.degraded = degraded
-        self.streams: list[Stream] = []
+        #: The entry rows' streams by id, and the rows admitted in the
+        #: epoch turned into streams at its exit.
+        self.streams: dict[int, Stream] = {}
+        #: The first id the epoch admits: rows from it on have no stream.
+        self.first_fresh = sched._next_stream_id
+        self.rows = 0
         #: Whether any row is paced or phase-gated, and the highest
         #: rate: the stage skips the masks no row needs.
         self.paced = self.gated = False
         self.max_rate = 1
+        self.ids = np.zeros(size, dtype=np.int64)
+        self.obj = np.full(size, None, dtype=object)  # the MediaObject
+        self.phase = np.zeros(size, dtype=np.int64)
+        self.admitted = np.zeros(size, dtype=np.int64)  # admission cycle
         self.obj_base = np.zeros(size, dtype=np.int64)
         self.next_read = np.zeros(size, dtype=np.int64)
         self.next_del = np.zeros(size, dtype=np.int64)
@@ -264,60 +281,77 @@ class RowPool:
         self.peak0 = np.zeros(size, dtype=np.int64)  # buffer peak at entry
         self.peak = np.zeros(size, dtype=np.int64)  # running buffer peak
 
-    def fill(self, streams: list[Stream]) -> None:
-        """Write ``streams`` into the rows after the pool's streams.
-
-        Every value comes from the stream itself, so an admitted stream
-        (read pointer 0, nothing delivered, still ``ADMITTED``) gets
-        exactly the row an entry would give it.  Each column is written
-        with one slice assignment.
-        """
-        if not streams:
-            return
+    def _write(self, objects: Sequence[MediaObject], ids: Sequence[int],
+               phases: Sequence[int], rates: Sequence[int],
+               admitted: Union[int, Sequence[int]]) -> slice:
+        """The column writer: append rows for streams ``ids`` of
+        ``objects`` with their phases, rates and admission cycles, each
+        column in one slice assignment, and return their slice.  Every
+        other column keeps the tail's neutral value: a stream at read
+        pointer 0 with nothing delivered and no buffer peak."""
         sched: CycleScheduler = self.sched
-        lo = len(self.streams)
-        rows = slice(lo, lo + len(streams))
-        self.streams += streams
+        lo = self.rows
+        rows = slice(lo, lo + len(objects))
+        self.rows = rows.stop
         bases = self.bases
-        self.obj_base[rows] = [bases[s.object.name] for s in streams]
-        self.next_read[rows] = [s.next_read_track for s in streams]
-        self.next_del[rows] = [s.next_delivery_track for s in streams]
-        self.num_tracks[rows] = [s.num_tracks for s in streams]
-        rates = [s.rate for s in streams]
+        self.ids[rows] = ids
+        self.obj[rows] = objects
+        self.phase[rows] = phases
         self.rate[rows] = rates
-        self.start[rows] = [-1 if s.delivery_start_cycle is None
-                            else s.delivery_start_cycle for s in streams]
-        self.quota[rows] = (
-            self.rate[rows] * sched.config.k_prime if sched._base_quota
-            else [sched.deliveries_per_cycle(s) for s in streams])
-        gate = sched._ff_gate_params
+        self.admitted[rows] = admitted
+        self.obj_base[rows] = [bases[obj.name] for obj in objects]
+        self.num_tracks[rows] = [obj.num_tracks for obj in objects]
+        rate = self.rate[rows]
+        self.quota[rows] = rate * sched.config.k_prime
         (self.pace_rate[rows], self.pace_base[rows], self.phase_mod[rows],
-         self.phase_val[rows]) = zip(*[gate(s) for s in streams])
-        admitted = StreamStatus.ADMITTED
-        self.waiting[rows] = [s.status is admitted for s in streams]
-        self.peak0[rows] = self.peak[rows] = sched.tracker.stream_peaks(
-            [s.stream_id for s in streams])
+         self.phase_val[rows]) = sched._ff_gate_params(
+            self.phase[rows], rate, self.admitted[rows])
         self.live[rows] = True
         self.unpaced[rows] = self.pace_rate[rows] == 0
         self.paced = self.paced or not bool(self.unpaced[rows].all())
         self.gated = self.gated or bool((self.phase_mod[rows] != 1).any())
         self.max_rate = max(self.max_rate, max(rates))
+        return rows
+
+    def add(self, objects: Sequence[MediaObject], ids: range,
+            phases: Sequence[int], rates: Sequence[int], cycle: int) -> None:
+        """Append the streams admitted in ``cycle`` as rows alone: no
+        :class:`Stream`, nothing read back, no tracker lookup (a new id
+        has no peak).  Each starts waiting for its first delivery."""
+        if objects:
+            self.waiting[self._write(objects, ids, phases, rates,
+                                     cycle)] = True
+
+    def fill(self, streams: list[Stream]) -> None:
+        """Append the entry's ``streams`` through the same column writer,
+        then their pointers, delivery start, status and tracker peaks."""
+        if not streams:
+            return
+        ids = [s.stream_id for s in streams]
+        self.streams.update(zip(ids, streams))
+        rows = self._write([s.object for s in streams], ids,
+                           [s.phase for s in streams],
+                           [s.rate for s in streams],
+                           [s.admitted_cycle for s in streams])
+        self.next_read[rows] = [s.next_read_track for s in streams]
+        self.next_del[rows] = [s.next_delivery_track for s in streams]
+        self.start[rows] = [-1 if s.delivery_start_cycle is None
+                            else s.delivery_start_cycle for s in streams]
+        admitted = StreamStatus.ADMITTED
+        self.waiting[rows] = [s.status is admitted for s in streams]
+        self.peak0[rows] = self.peak[rows] = \
+            self.sched.tracker.stream_peaks(ids)
 
     def make_room(self, incoming: int) -> None:
         """Make room for ``incoming`` more rows: if they do not fit,
         retire the finished rows and move the survivors to the front, in
         order, growing to ``max(need, 2 × size)`` only if still full."""
-        n = len(self.streams)
+        n = self.rows
         size = len(self.live)
         if n + incoming <= size:
             return
-        self.write_back(np.flatnonzero(~self.live[:n]))
-        # The retired streams are complete: prune them from the live
-        # index too, or a long epoch's admissions pile up there until
-        # the next entry.
-        self.sched._prune_live()
+        self.retire(np.flatnonzero(~self.live[:n]))
         keep = np.flatnonzero(self.live[:n])
-        self.streams = [self.streams[i] for i in keep.tolist()]
         need = len(keep) + incoming
         fresh = RowPool(max(need, _ROW_GROWTH * size) if need > size
                         else size, self.sched, self.bases, self.degraded)
@@ -326,27 +360,71 @@ class RowPool:
             if isinstance(column, np.ndarray):
                 getattr(fresh, name)[:len(keep)] = column[keep]
                 setattr(self, name, getattr(fresh, name))
+        self.rows = len(keep)
+
+    def close(self) -> None:
+        """Land every row at the epoch exit.  A row admitted in the epoch
+        and still live becomes a registered :class:`Stream` here, joining
+        the live index in id order; the ids the epoch admitted are
+        registered in order around it."""
+        sched: CycleScheduler = self.sched
+        n = self.rows
+        sched._registry.reserve(range(self.first_fresh,
+                                      sched._next_stream_id))
+        born = np.flatnonzero(self.live[:n]
+                              & (self.ids[:n] >= self.first_fresh))
+        if len(born):
+            ids = self.ids[born].tolist()
+            self.streams.update(zip(ids, sched._register(
+                self.obj[born].tolist(), ids, self.phase[born].tolist(),
+                self.rate[born].tolist(), self.admitted[born].tolist())))
+        self.retire(np.arange(n))
+
+    def retire(self, sel: np.ndarray) -> None:
+        """Land rows ``sel``: a row with a stream through
+        :meth:`write_back`, a finished row admitted in the epoch by slice
+        copies into the registry's archive; then fold their buffer peaks
+        into the tracker.  Retirement and the exit share it, so a retired
+        row lands exactly as the exit would land it."""
+        kept = (self.ids[sel] < self.first_fresh) | self.live[sel]
+        self.write_back(sel[kept])
+        done = sel[~kept]
+        if len(done):
+            self.sched._registry.archive(self.ids[done], {
+                "object": self.obj[done],
+                "admitted_cycle": self.admitted[done],
+                "phase": self.phase[done],
+                "rate": self.rate[done],
+                "next_read_track": self.next_read[done],
+                "next_delivery_track": self.next_del[done],
+                "delivery_start_cycle": self.start[done],
+                "delivered_tracks": self.deliv_delta[done],
+                "reconstructed_tracks": self.recon_delta[done],
+            })
+        raised = sel[self.peak[sel] > self.peak0[sel]]
+        self.sched.tracker.fold_epoch(dict(zip(
+            self.ids[raised].tolist(), self.peak[raised].tolist())))
 
     def write_back(self, sel: np.ndarray) -> None:
-        """Write rows ``sel`` back to their streams, credit their
-        reconstructions and fold their peaks into the tracker.
-        Retirement and the epoch exit share it, so a retired row lands
-        exactly as the exit would land it."""
+        """Write rows ``sel`` back to their streams and credit their
+        reconstructions: a live row's buffer and held parity are the
+        canonical ones its pointers imply, a finished row completes."""
         sched: CycleScheduler = self.sched
         degraded = self.degraded
         stripe = sched._stripe
         streams = self.streams
         admitted, active = StreamStatus.ADMITTED, StreamStatus.ACTIVE
-        for i, base, read, deliver, delivered, start, waiting, live, \
-                rebuilt in zip(sel.tolist(), self.obj_base[sel].tolist(),
-                               self.next_read[sel].tolist(),
-                               self.next_del[sel].tolist(),
-                               self.deliv_delta[sel].tolist(),
-                               self.start[sel].tolist(),
-                               self.waiting[sel].tolist(),
-                               self.live[sel].tolist(),
-                               self.recon_delta[sel].tolist()):
-            stream = streams[i]
+        for stream_id, base, read, deliver, delivered, start, waiting, \
+                live, rebuilt in zip(self.ids[sel].tolist(),
+                                     self.obj_base[sel].tolist(),
+                                     self.next_read[sel].tolist(),
+                                     self.next_del[sel].tolist(),
+                                     self.deliv_delta[sel].tolist(),
+                                     self.start[sel].tolist(),
+                                     self.waiting[sel].tolist(),
+                                     self.live[sel].tolist(),
+                                     self.recon_delta[sel].tolist()):
+            stream = streams[stream_id]
             stream.next_read_track = read
             stream.next_delivery_track = deliver
             if delivered:
@@ -366,10 +444,6 @@ class RowPool:
                 stream.complete()
             if rebuilt:  # only degraded tables rebuild
                 stream.reconstructed_tracks += rebuilt
-        raised = sel[self.peak[sel] > self.peak0[sel]]
-        sched.tracker.fold_epoch(dict(zip(
-            [streams[i].stream_id for i in raised.tolist()],
-            self.peak[raised].tolist())))
 
 
 def run(sched: CycleScheduler, limit: int, reports: list[CycleReport],
@@ -511,7 +585,8 @@ class _Epoch:
         self.pool_now = sched._extra_buffer_tracks()
         self.limit_units = sched.effective_admission_limit()
         # Room for the live rows and as many again; admissions past that
-        # retire finished rows first (RowPool.make_room).
+        # retire finished rows first (RowPool.make_room).  Every id from
+        # the scheduler's next one on is admitted by this epoch.
         self.pool = RowPool(max(_ROW_FLOOR, _ROW_GROWTH * len(rows)),
                             sched, bases, self.degraded)
         self.pool.fill(rows)
@@ -531,10 +606,8 @@ class _Epoch:
             self.trace = arrivals
             return
         if self.loop is None:
-            pool = self.pool
-            live = np.flatnonzero(pool.live)
-            self.serving = Counter(pool.streams[i].object.name
-                                   for i in live.tolist())
+            self.serving = Counter(
+                obj.name for obj in self.pool.obj[self.pool.live].tolist())
         self.loop = arrivals
 
     def admit(self, cycle: int) -> bool:
@@ -545,15 +618,15 @@ class _Epoch:
                  else self.trace.get(cycle))
         if not batch:
             return False
-        streams, rejected = self.sched._admit_many(
+        objects, ids, phases, rates = self.sched._admit_many(
             batch, self.phase_load, self.limit_units)
-        self.rejected += rejected
-        if streams:
-            self.admitted += len(streams)
-            self.pool.make_room(len(streams))
-            self.pool.fill(streams)
+        self.rejected += len(batch) - len(objects)
+        if objects:
+            self.admitted += len(objects)
+            self.pool.make_room(len(objects))
+            self.pool.add(objects, ids, phases, rates, cycle)
             if self.loop is not None:
-                self.serving.update(s.object.name for s in streams)
+                self.serving.update(obj.name for obj in objects)
         return True
 
     def stage(self, cycle: int) -> Union[str, tuple]:
@@ -644,18 +717,22 @@ class _Epoch:
         pool.next_del += due
         pool.deliv_delta += due
         pool.next_read = pointer
-        finished = pool.live & (pool.next_del >= pool.num_tracks)
-        if bool(finished.any()):
-            self.active -= int(finished.sum())
-            pool.live &= ~finished
+        finished = np.flatnonzero(pool.live
+                                  & (pool.next_del >= pool.num_tracks))
+        if len(finished):
+            self.active -= len(finished)
+            pool.live[finished] = False
             # Completed rows free their capacity, and in a closed loop
             # their title, for later batches.
             width = len(self.phase_load)
-            for i in np.nonzero(finished)[0]:
-                row = pool.streams[int(i)]
-                self.phase_load[row.phase % width] -= row.rate
-                if self.loop is not None:
-                    self.serving[row.object.name] -= 1
+            freed = np.bincount(pool.phase[finished] % width,
+                                weights=pool.rate[finished],
+                                minlength=width).astype(np.int64)
+            self.phase_load = [load - units for load, units
+                               in zip(self.phase_load, freed.tolist())]
+            if self.loop is not None:
+                self.serving.subtract(
+                    obj.name for obj in pool.obj[finished].tolist())
         # -- rebuild: lowest priority, idle slots only --------------------
         blocks = 0
         if self.rebuilders:
@@ -690,11 +767,12 @@ class _Epoch:
         self.sched.cycle_index = cycle + 1
 
     def exit(self) -> None:
-        """The exit step, once per epoch: write the rows, the disk read
-        counters and the buffer peaks back to the Python objects."""
+        """The exit step, once per epoch: land the rows (see
+        :meth:`RowPool.close`), and write the disk read counters and the
+        buffer peaks back to the Python objects."""
         sched: CycleScheduler = self.sched
         if self.done or self.admitted:
-            self.pool.write_back(np.arange(len(self.pool.streams)))
+            self.pool.close()
             disks = sched.array.disks
             loaded = np.flatnonzero(self.total_loads)
             for disk_id, reads in zip(loaded.tolist(),

@@ -262,7 +262,7 @@ class ImprovedBandwidthScheduler(CycleScheduler):
     def _degrade(self, plan: PlannedRead, work: list[PlannedRead],
                  report: CycleReport) -> None:
         """Terminate the stream that the cascade could not serve."""
-        stream = self.streams.get(plan.stream_id)
+        stream = self._registry.get(plan.stream_id)
         if stream is not None and stream.is_active:
             self.terminate_stream(plan.stream_id)
 

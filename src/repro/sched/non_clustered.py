@@ -39,9 +39,11 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+import numpy as np
+
 from repro.buffers.pool import BufferPool
 from repro.errors import BufferExhausted
-from repro.sched.base import CycleScheduler
+from repro.sched.base import CycleScheduler, GateParams
 from repro.sched.plan import PlannedRead, ReadKind, ReadPurpose
 from repro.server.metrics import CycleReport, HiccupCause
 from repro.server.stream import Stream
@@ -403,7 +405,7 @@ class NonClusteredScheduler(CycleScheduler):
                 self._mark_lost(plan.stream_id, plan.index, cause)
             else:
                 # A dropped parity read dooms the reconstruction.
-                stream = self.streams.get(plan.stream_id)
+                stream = self._registry.get(plan.stream_id)
                 if stream is None:
                     continue
                 key = (plan.stream_id, plan.index)
@@ -432,9 +434,10 @@ class NonClusteredScheduler(CycleScheduler):
 
     # -- fast-forward -----------------------------------------------------------------
 
-    def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
+    def _ff_gate_params(self, phase: np.ndarray, rate: np.ndarray,
+                        admitted: np.ndarray) -> GateParams:
         """Fast-forward gate: pace reads on the natural delivery schedule."""
-        return stream.rate, stream.admitted_cycle, 1, 0
+        return rate, admitted, 1, 0
 
     def _fast_forward_ready(self) -> bool:
         """Veto while a cluster is degraded: the EAGER bursts and LAZY

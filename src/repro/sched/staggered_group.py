@@ -12,7 +12,9 @@ fewer reads; "the Staggered group scheme in effect uses k = 1").
 
 from __future__ import annotations
 
-from repro.sched.base import CycleScheduler
+import numpy as np
+
+from repro.sched.base import CycleScheduler, GateParams
 from repro.sched.plan import PlannedRead
 from repro.server.stream import Stream
 
@@ -26,9 +28,10 @@ class StaggeredGroupScheduler(CycleScheduler):
     def _in_phase(self, stream: Stream, cycle: int) -> bool:
         return cycle % self.config.stripe_width == stream.phase
 
-    def _ff_gate_params(self, stream: Stream) -> tuple[int, int, int, int]:
-        """Fast-forward gate: read only in the stream's assigned phase."""
-        return 0, 0, self.config.stripe_width, stream.phase
+    def _ff_gate_params(self, phase: np.ndarray, rate: np.ndarray,
+                        admitted: np.ndarray) -> GateParams:
+        """Fast-forward gate: a row reads only in its assigned phase."""
+        return 0, 0, self.config.stripe_width, phase
 
     def plan_reads(self, cycle: int) -> list[PlannedRead]:
         """Group reads for the streams whose phase matches this cycle."""

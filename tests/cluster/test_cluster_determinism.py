@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.cluster import ClusterSpec, run_cluster
@@ -20,6 +21,7 @@ from repro.faults.injector import FaultAction, FaultEvent
 from repro.sched import epoch
 from repro.sched.base import CycleScheduler
 from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
+from repro.server.stream import Stream
 
 #: One mid-trace failure on shard 1, repaired before the run ends: the
 #: faulted shard sheds capacity, the router steers replicas away, and
@@ -182,3 +184,32 @@ def test_a_fault_free_shard_enters_the_engine_once(
     assert entries == [0, 0]
     assert calm.report.ff_engaged_cycles == 2 * 150
     assert calm.report.ff_disengagements == {}
+
+
+def test_a_cluster_pass_builds_streams_only_for_rows_live_at_close(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    """Each shard's engine admits every stream as a row alone and
+    archives the rows that finish; only the rows still live when the
+    drivers close become :class:`Stream` objects."""
+    built: list[Stream] = []
+    init = Stream.__init__
+
+    def counted(self: Stream, *args: object, **kwargs: object) -> None:
+        init(self, *args, **kwargs)  # type: ignore[arg-type]
+        built.append(self)
+
+    live_at_close: list[int] = []
+    close = epoch.RowPool.close
+
+    def closing(self: epoch.RowPool) -> None:
+        live_at_close.append(int(np.count_nonzero(self.live)))
+        close(self)
+
+    monkeypatch.setattr(Stream, "__init__", counted)
+    monkeypatch.setattr(epoch.RowPool, "close", closing)
+    calm = run_cluster(barrier_spec(Scheme.STREAMING_RAID), workers=1)
+    assert calm.report.ff_engaged_cycles == 2 * 150
+    assert len(live_at_close) == 2
+    assert len(built) == sum(live_at_close) < calm.admitted / 10
+    assert all(stream.is_active for stream in built)
+

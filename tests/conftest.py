@@ -13,6 +13,7 @@ from repro.analysis import SystemParameters
 from repro.media import Catalog, MediaObject
 from repro.schemes import Scheme
 from repro.server import MultimediaServer
+from repro.server.stream import Stream
 
 TRACK_BYTES = 64
 
@@ -45,6 +46,38 @@ def build_server(scheme: Scheme, num_disks: int, parity_group_size: int = 5,
     return MultimediaServer.build(
         params, parity_group_size, scheme, catalog=catalog,
         slots_per_disk=slots_per_disk, **kwargs)
+
+
+def stream_states(server: MultimediaServer) -> list[tuple]:
+    """Every registered stream in id order: its id, every
+    :attr:`Stream.__slots__` value and its tracker peak.  The object is
+    kept by name, the buffer, parity and accumulator dicts by their keys
+    and the lost tracks sorted, so a stream built from an archived row
+    compares with one the scalar loop kept all along."""
+    scheduler = server.scheduler
+    states = []
+    for stream_id, stream in scheduler.streams.items():
+        values = []
+        for name in Stream.__slots__:
+            value = getattr(stream, name)
+            if name == "object":
+                value = value.name
+            elif isinstance(value, (dict, set)):
+                value = sorted(value)
+            values.append((name, value))
+        states.append((stream_id, tuple(values),
+                       scheduler.tracker.stream_peak(stream_id)))
+    return states
+
+
+def assert_same_streams(fast: MultimediaServer,
+                        scalar: MultimediaServer) -> None:
+    """The fast run's registry holds exactly the scalar run's streams,
+    slot for slot and peak for peak (see :func:`stream_states`)."""
+    ours, theirs = stream_states(fast), stream_states(scalar)
+    assert [state[0] for state in ours] == [state[0] for state in theirs]
+    for mine, expected in zip(ours, theirs):
+        assert mine == expected, f"stream {expected[0]} differs"
 
 
 @pytest.fixture

@@ -1,19 +1,23 @@
 """The one admission decision against a per-object reference loop.
 
 :meth:`CycleScheduler._admit_many` decides a whole batch of arrivals
-without raising: the scalar front door (``admit_batch``), the epoch
-engine's in-epoch admission and the single :meth:`CycleScheduler.admit`
-all call it.  :func:`reference_admit` takes the same decision one object
-at a time, raising :class:`AdmissionError` on every refusal; a batch
-through it (:func:`reference_batch`) and through ``_admit_many`` must
-give the same streams, the same refusal count and the same scheduler
-state, for random arrivals (rate-1, rate-3 and non-integer-rate
-objects, unplaced names, titles with lost tracks), phase loads and
-limits.  ``admit`` must raise the reference's message for each of the
-four refusals.
+without raising and returns the admitted streams as columns; the scalar
+front door (``admit_batch``) and the single
+:meth:`CycleScheduler.admit` build and register streams from them
+(``_register``), the epoch engine writes them into its row pool.
+:func:`reference_admit` takes the same decision one object at a time,
+raising :class:`AdmissionError` on every refusal; a batch through it
+(:func:`reference_batch`) and through ``_admit_many`` plus
+``_register`` must give the same streams, the same refusal count and
+the same scheduler state, for random arrivals (rate-1, rate-3 and
+non-integer-rate objects, unplaced names, titles with lost tracks),
+phase loads and limits.  ``admit`` must raise the reference's message
+for each of the four refusals.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -79,7 +83,8 @@ def reference_admit(sched: CycleScheduler, obj: MediaObject,
     stream = Stream(stream_id=sched._next_stream_id, obj=obj,
                     admitted_cycle=sched.cycle_index, phase=phase, rate=rate)
     sched._next_stream_id += 1
-    sched.streams[stream.stream_id] = sched._live[stream.stream_id] = stream
+    sched._registry.add([stream])
+    sched._live[stream.stream_id] = stream
     phase_load[phase] += rate
     return stream
 
@@ -129,7 +134,14 @@ def test_batch_decision_matches_reference(data: st.DataObject,
         sched._next_stream_id = first_id
     our_load, their_load = list(phase_load), list(phase_load)
 
-    streams, rejected = ours.scheduler._admit_many(batch, our_load, limit)
+    a = ours.scheduler
+    objects, ids, phases, rates = a._admit_many(batch, our_load, limit)
+    rejected = len(batch) - len(objects)
+    # The decision builds and registers nothing: its columns are the
+    # admitted streams.
+    assert len(a._registry) == len(a._live) == 0
+    assert ids == range(first_id, first_id + len(objects))
+    streams = a._register(objects, ids, phases, rates, repeat(cycle))
     expected, expected_rejected = reference_batch(
         theirs.scheduler, batch, their_load, limit)
 
@@ -137,7 +149,7 @@ def test_batch_decision_matches_reference(data: st.DataObject,
         [_stream_key(s) for s in expected]
     assert rejected == expected_rejected
     assert our_load == their_load
-    a, b = ours.scheduler, theirs.scheduler
+    b = theirs.scheduler
     assert a._next_stream_id == b._next_stream_id
     for registry in ("streams", "_live"):
         assert {sid: _stream_key(s)

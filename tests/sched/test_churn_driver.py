@@ -60,6 +60,7 @@ PLANTED = {
     "admit": lambda sched, obj: sched.admit(obj),
     "admit_batch": lambda sched, obj: sched.admit_batch((obj,)),
     "active_streams": lambda sched, obj: sched.active_streams,
+    "streams": lambda sched, obj: sched.streams,
     "terminate_stream": lambda sched, obj: sched.terminate_stream(0),
     "stop_stream": lambda sched, obj: sched.stop_stream(0),
     "fail_disk": lambda sched, obj: sched.fail_disk(1),

@@ -1,12 +1,13 @@
-"""The epoch engine's row pool: one fill, neutral tail rows, compaction,
-and the row transfers between streams and columns.
+"""The epoch engine's row pool: one column writer, neutral tail rows,
+compaction, and the row transfers between streams and columns.
 
 The fast == scalar fingerprints in ``test_fast_forward`` cover what the
 engine computes; these tests pin the :class:`~repro.sched.epoch.RowPool`
 invariants those results rest on.  :meth:`RowPool.fill` writes whole
-columns; :func:`reference_fill` is the per-row loop it must equal, and a
-fill followed by a write-back of the unchanged rows must leave every
-stream as it was.
+columns; :func:`reference_fill` is the per-row loop it must equal, a
+row admitted in the epoch (:meth:`RowPool.add`, no stream) must equal
+the row its stream would fill, and a fill followed by a write-back of
+the unchanged rows must leave every stream as it was.
 """
 
 from __future__ import annotations
@@ -61,8 +62,10 @@ def _entered(scheme: Scheme, late: str, admit_first: bool,
 def test_batch_fill_matches_entry_fill(scheme: Scheme, late: str) -> None:
     entry = _entered(scheme, late, admit_first=True).pool
     batch = _entered(scheme, late, admit_first=False).pool
-    assert [s.object.name for s in entry.streams] == ["m0", late]
-    assert [s.stream_id for s in batch.streams] == [0, 1]
+    assert [obj.name for obj in entry.obj[:entry.rows]] == ["m0", late]
+    assert batch.ids[:batch.rows].tolist() == [0, 1]
+    # The in-epoch admission is a row alone: no stream object.
+    assert list(entry.streams) == [0, 1] and list(batch.streams) == [0]
     entry_rows = {name: column[1] for name, column in _columns(entry).items()}
     batch_rows = {name: column[1] for name, column in _columns(batch).items()}
     assert entry_rows == batch_rows
@@ -87,7 +90,7 @@ def test_rows_past_the_streams_stay_neutral(scheme: Scheme,
         engine.commit(sched.cycle_index, staged, [])
     pool = engine.pool
     neutral = RowPool(len(pool.live), sched, pool.bases, pool.degraded)
-    live = len(pool.streams)
+    live = pool.rows
     assert live < len(pool.live)
     for name, column in _columns(pool).items():
         assert np.array_equal(column[live:], getattr(neutral, name)[live:]), \
@@ -113,32 +116,42 @@ def test_compaction_keeps_survivors_in_order(incoming: int,
                                              size: int) -> None:
     """Row 1 finished: the survivors keep their order, and the pool grows
     to ``max(need, 2 x size)`` only when they and the incoming rows do
-    not fit in the old size.  Retiring row 1 also prunes its stream
-    from the scheduler's live index."""
+    not fit in the old size.  Retiring row 1 completes its stream in
+    place; it leaves the scheduler's live index at the next prune."""
     pool, streams = _pool_of_four()
     pool.live[1] = False
     pool.next_del[1] = streams[1].num_tracks
     pool.make_room(incoming)
     if incoming == 0:
-        assert pool.streams == streams and len(pool.live) == 4
+        assert pool.ids[:pool.rows].tolist() == [0, 1, 2, 3]
+        assert len(pool.live) == 4
         return
     assert len(pool.live) == size
-    assert pool.streams == [streams[0], streams[2], streams[3]]
+    assert pool.ids[:pool.rows].tolist() == [0, 2, 3]
     assert pool.next_read[:3].tolist() == [10, 12, 13]
     assert pool.live.tolist() == [True] * 3 + [False] * (size - 3)
     assert streams[1].status is StreamStatus.COMPLETED
     assert streams[1].next_read_track == 11
-    # The retired stream leaves the scheduler's live index with its row.
-    assert list(pool.sched._live) == [s.stream_id for s in pool.streams]
+    # Retirement prunes nothing: the live index still holds the stream,
+    # and the next prune drops exactly it.
+    sched = pool.sched
+    assert list(sched._live) == [0, 1, 2, 3]
+    sched._prune_live()
+    assert list(sched._live) == [0, 2, 3]
 
 
 def reference_fill(pool: RowPool, streams: list[Stream]) -> None:
-    """:meth:`RowPool.fill`, one item assignment per column and row."""
+    """:meth:`RowPool.fill`, one item assignment per column and row; the
+    scheme's gate parameters from one-row columns."""
     sched = pool.sched
     k_prime = sched.config.k_prime
-    lo = i = len(pool.streams)
-    pool.streams += streams
+    lo = i = pool.rows
     for stream in streams:
+        pool.streams[stream.stream_id] = stream
+        pool.ids[i] = stream.stream_id
+        pool.obj[i] = stream.object
+        pool.phase[i] = stream.phase
+        pool.admitted[i] = stream.admitted_cycle
         pool.obj_base[i] = pool.bases[stream.object.name]
         pool.next_read[i] = stream.next_read_track
         pool.next_del[i] = stream.next_delivery_track
@@ -146,14 +159,18 @@ def reference_fill(pool: RowPool, streams: list[Stream]) -> None:
         pool.rate[i] = stream.rate
         if stream.delivery_start_cycle is not None:
             pool.start[i] = stream.delivery_start_cycle
-        pool.quota[i] = (k_prime * stream.rate if sched._base_quota
-                         else sched.deliveries_per_cycle(stream))
+        pool.quota[i] = k_prime * stream.rate
+        gate = sched._ff_gate_params(np.array([stream.phase]),
+                                     np.array([stream.rate]),
+                                     np.array([stream.admitted_cycle]))
         (pool.pace_rate[i], pool.pace_base[i], pool.phase_mod[i],
-         pool.phase_val[i]) = sched._ff_gate_params(stream)
+         pool.phase_val[i]) = (np.broadcast_to(value, 1)[0]
+                               for value in gate)
         pool.waiting[i] = stream.status is StreamStatus.ADMITTED
         pool.peak0[i] = pool.peak[i] = sched.tracker.stream_peak(
             stream.stream_id)
         i += 1
+    pool.rows = i
     pool.live[lo:i] = True
     pool.unpaced[lo:i] = pool.pace_rate[lo:i] == 0
     pool.paced = pool.paced or not bool(pool.unpaced[lo:i].all())
@@ -202,7 +219,9 @@ def test_fill_matches_per_row_reference(scheme: Scheme) -> None:
     for batch in (streams[:2], streams[2:], []):
         ours.fill(batch)
         reference_fill(theirs, batch)
-    assert ours.streams == theirs.streams == streams
+    assert ours.streams == theirs.streams \
+        == {stream.stream_id: stream for stream in streams}
+    assert ours.rows == theirs.rows == 3
     for name, column in _columns(ours).items():
         assert column.dtype == getattr(theirs, name).dtype, name
         assert np.array_equal(column, getattr(theirs, name)), name
@@ -211,6 +230,40 @@ def test_fill_matches_per_row_reference(scheme: Scheme) -> None:
     assert ours.max_rate == 3
     assert ours.paced is (scheme is Scheme.NON_CLUSTERED)
     assert ours.gated is (scheme is Scheme.STAGGERED_GROUP)
+
+
+@pytest.mark.parametrize("scheme", ALL_IMPLEMENTED_SCHEMES,
+                         ids=lambda s: s.value)
+def test_admitted_rows_match_the_fill_of_their_streams(scheme: Scheme,
+                                                       ) -> None:
+    """Rows admitted in the epoch are written from the admission's
+    columns (:meth:`RowPool.add`: objects, ids, phases, rates, cycle)
+    with no stream object, and equal the rows the per-row reference
+    writes for the streams the scalar front door builds from the same
+    decision: a rate-1 and a rate-3 arrival after two started rows."""
+    server = _mixed_server(scheme)
+    server.admit("fast")
+    sched = server.scheduler
+    streams = list(sched._live.values())
+    late = streams[2:]
+    assert [(s.object.name, s.rate) for s in late] == [("m1", 1),
+                                                       ("fast", 3)]
+    sched._refresh_plan_cache()
+    tables = epoch.flat_tables(sched)
+    ours, theirs = (RowPool(8, sched, tables[4], tables[6])
+                    for _ in range(2))
+    ours.fill(streams[:2])
+    ours.add([s.object for s in late],
+             range(late[0].stream_id, late[-1].stream_id + 1),
+             [s.phase for s in late], [s.rate for s in late], 3)
+    reference_fill(theirs, streams)
+    assert list(ours.streams) == [s.stream_id for s in streams[:2]]
+    assert ours.rows == theirs.rows == 4
+    for name, column in _columns(ours).items():
+        assert column.dtype == getattr(theirs, name).dtype, name
+        assert np.array_equal(column, getattr(theirs, name)), name
+    assert (ours.paced, ours.gated, ours.max_rate) == \
+        (theirs.paced, theirs.gated, theirs.max_rate)
 
 
 #: Round-trip states: every scheme healthy, and the group schemes after
@@ -246,8 +299,8 @@ def test_fill_then_write_back_changes_no_stream(scheme: Scheme,
     assert len(pool.streams) == 3
     if degraded_cycles:
         assert pool.degraded is not None
-        assert any(s.parity_buffer for s in pool.streams)
-    pool.write_back(np.arange(len(pool.streams)))
+        assert any(s.parity_buffer for s in pool.streams.values())
+    pool.write_back(np.arange(pool.rows))
     assert {sid: _stream_state(s) for sid, s in sched.streams.items()} \
         == before
     assert {sid: sched.tracker.stream_peak(sid)

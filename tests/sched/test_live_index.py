@@ -4,8 +4,9 @@
 index beside it holds the streams not yet seen finished, in id order;
 the scalar cycle's walks (planning, phase loads, delivery, the status
 counts) and the epoch engine's entry walk read it, and a prune in
-``_finalise``, at each engine entry and at the row pool's retirement
-drops the streams that left service.  These tests pin what the index
+``_finalise`` and at each engine entry drops the streams that left
+service.  The engine's own admissions join it only at its exit, and
+only those still live.  These tests pin what the index
 holds after every cycle of a churn run, scalar and fast-forward,
 through each way a stream leaves service (completion, a data-loss shed,
 a capacity shed, a viewer stop), check the running

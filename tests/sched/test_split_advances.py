@@ -16,8 +16,10 @@ barrier and requested right after it.  It runs four ways:
 * ``one-run``: one ``run_churn`` over the whole run (when no title is
   placed mid-run).
 
-Every way ends on the same state digest, report rows and front-door
-counts.  The driver engages the engine on exactly the cycles the
+Every way ends on the same state digest, report rows, front-door counts
+and streams, every slot of each (:func:`~tests.conftest.stream_states`:
+the engine's finished admissions are rebuilt from its archive).  The
+driver engages the engine on exactly the cycles the
 per-piece calls and the one run do (``ff_engaged_cycles`` and
 ``ff_disengagements``): each enters every window a barrier or an event
 leaves, however short.
@@ -37,7 +39,7 @@ from repro.media import MediaObject
 from repro.schemes import Scheme
 from repro.sched.epoch import ClosedLoop
 from repro.server.server import MultimediaServer
-from tests.conftest import tiny_catalog
+from tests.conftest import stream_states, tiny_catalog
 from tests.sched.test_fast_forward import _scheme_server
 
 CYCLES = 36
@@ -156,14 +158,15 @@ def _run(scheme: Scheme, scenario: Scenario, way: str) -> tuple:
             driver.close()
     assert sched._holder is None
     return (degraded_digest(server), admitted, rejected,
-            server.report.to_rows(), server.report.ff_engaged_cycles,
+            server.report.to_rows(), stream_states(server),
+            server.report.ff_engaged_cycles,
             dict(server.report.ff_disengagements))
 
 
 def _check(scheme: Scheme, scenario: Scenario) -> None:
     driver = _run(scheme, scenario, "driver")
     assert driver == _run(scheme, scenario, "calls")
-    assert driver[:4] == _run(scheme, scenario, "scalar")[:4]
+    assert driver[:5] == _run(scheme, scenario, "scalar")[:5]
     if scenario.place_at is None:
         assert driver == _run(scheme, scenario, "one-run")
 

@@ -4,7 +4,12 @@ Every test drives two identical servers with the same compiled trace —
 one through the per-cycle scalar loop, one through the scheduler's churn
 engine — and requires the full state fingerprint (reports, disk
 counters, buffer tracker, per-stream state, summary) to match exactly,
-along with the front-door ``WorkloadResult`` accounting.
+along with the front-door ``WorkloadResult`` accounting.  The workload
+and churn pairs also compare every stream slot for slot
+(:func:`~tests.conftest.assert_same_streams`): the streams the engine
+admitted and saw finish are rebuilt from its archive, and must carry
+the phase, rate, admission cycle, object and empty accumulators the
+scalar loop's streams carry.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from repro.schemes import ALL_IMPLEMENTED_SCHEMES, Scheme
 from repro.server.metrics import SimulationReport
 from repro.server.server import MultimediaServer, WorkloadResult
 from repro.workload import WorkloadGenerator, compile_trace
-from tests.conftest import build_server, tiny_catalog
+from tests.conftest import assert_same_streams, build_server, tiny_catalog
 from tests.sched.test_fast_forward import STRIKE_TIMINGS, _fingerprint
 
 CYCLES = 60
@@ -63,6 +68,7 @@ def _workload_pair(scheme: Scheme, rate: float = 0.8, seed: int = 7,
                                     fast_forward=True,
                                     schedule=schedule_for())
     assert _fingerprint(slow, []) == _fingerprint(fast, [])
+    assert_same_streams(fast, slow)
     return slow_result, fast_result, fast.report
 
 
@@ -131,7 +137,7 @@ def _churn_pair(scheme: Scheme, spec: dict[int, tuple[int, ...]],
     """Scalar vs churn-engine ``run_churn`` from the state ``prepare``
     leaves; each side's fingerprint ends with (admitted, rejected)."""
     results = []
-    fast_report = None
+    servers = []
     for fast_forward in (False, True):
         server = _server(scheme, **kwargs)
         if prepare is not None:
@@ -141,9 +147,9 @@ def _churn_pair(scheme: Scheme, spec: dict[int, tuple[int, ...]],
             fast_forward=fast_forward)
         assert len(reports) == cycles
         results.append(_fingerprint(server, reports) + (admitted, rejected))
-        if fast_forward:
-            fast_report = server.report
-    return results[0], results[1], fast_report
+        servers.append(server)
+    assert_same_streams(servers[1], servers[0])
+    return results[0], results[1], servers[1].report
 
 
 def _degraded_churn_pair(scheme: Scheme,
